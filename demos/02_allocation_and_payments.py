@@ -30,8 +30,9 @@ def main() -> None:
 
     rec = job_payments(alloc, caps, bids, c_bar)
     print("\nexternality table (row: absent worker, col: absorber):")
+    ext = rec.externality  # built from the spill rows on each read
     for i in range(3):
-        print(f"  worker {i}: {np.round(rec.externality[i], 4)}")
+        print(f"  worker {i}: {np.round(ext[i], 4)}")
     print("payments: ", np.round(rec.payments, 4))
     print("utilities:", np.round(rec.utilities, 4))
     print("worker 0 is paid 0.1931 at bid 2 plus 0.3069 at bid 3: "

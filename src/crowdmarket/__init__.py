@@ -26,7 +26,6 @@ from .market import (
     BidProfile,
     InvalidConfig,
     InvalidRecipe,
-    JobOutcome,
     MarketConfig,
     PopulationGroup,
     PopulationRecipe,
@@ -43,11 +42,8 @@ from .mechanism import (
     PaymentRecord,
     deviation_grid,
     deviation_sweep,
-    externality,
     job_payments,
-    payment,
     random_frozen_instance,
-    utility,
 )
 from .simulation import (
     SimulationTrace,

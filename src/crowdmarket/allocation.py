@@ -74,16 +74,20 @@ def sw_greedy(bids, caps) -> Allocation:
 
     The last active worker takes the exact remainder, so the fractions sum to
     one exactly.  Ties in bids are broken by ascending worker id.  Raises
-    :class:`InfeasibleJob` when the caps sum to less than one.
+    :class:`InfeasibleJob` when the caps sum to less than one and
+    ``ValueError`` on non-finite bids or caps outside [0, 1].
     """
     b = _as_bid_array(bids)
     c = np.asarray(caps, dtype=float)
     if b.shape != c.shape:
         raise ValueError(f"bids and caps disagree in length: {b.shape} vs {c.shape}")
-    if np.any(c < 0) or np.any(c > 1):
+    if not ((c >= 0) & (c <= 1)).all():  # also rejects NaN caps
         raise ValueError("caps must lie in [0, 1]")
 
     order = np.argsort(b, kind="stable")
+    # NaN sorts last and -inf first, so the two ends decide finiteness.
+    if not (math.isfinite(b[order[0]]) and math.isfinite(b[order[-1]])):
+        raise ValueError("bids must be finite")
     c_sorted = c[order]
     cums = np.cumsum(c_sorted)
     if cums[-1] < 1.0:

@@ -47,6 +47,18 @@ _SWEEPABLE = {
 }
 
 
+def _count(minimum: int):
+    """argparse type for a count of at least ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def _build_estimator(cfg: MarketConfig, overrides: dict[str, float]) -> EstimatorConfig:
     est = EstimatorConfig.defaults(cfg)
     if overrides:
@@ -105,7 +117,7 @@ def _simulate(
         "runs": summaries,
     }
     summary_to_json(aggregate, out_dir / "aggregate.json")
-    code = EXIT_INFEASIBLE if replicates > 0 and not ok else EXIT_OK
+    code = EXIT_OK if ok else EXIT_INFEASIBLE
     return code, aggregate
 
 
@@ -214,16 +226,16 @@ def _parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run replicated simulations from a config file")
     sim.add_argument("--config", required=True, help="path to key/value config file")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--replicates", type=int, default=1)
+    sim.add_argument("--replicates", type=_count(1), default=1)
     sim.add_argument("--seed", type=int, default=None, help="override the config seed base")
     sim.add_argument("--mode", choices=["learning", "known-means"], default="learning")
-    sim.add_argument("--parallelism", type=int, default=1)
+    sim.add_argument("--parallelism", type=_count(1), default=1)
     sim.set_defaults(func=_cmd_simulate)
 
     dsic = sub.add_parser("dsic-test", help="deviation sweeps over random frozen instances")
     dsic.add_argument("--out", required=True, help="output directory")
-    dsic.add_argument("--instances", type=int, default=200)
-    dsic.add_argument("--max-workers", type=int, default=8)
+    dsic.add_argument("--instances", type=_count(1), default=200)
+    dsic.add_argument("--max-workers", type=_count(2), default=8)
     dsic.add_argument("--seed", type=int, default=0)
     dsic.set_defaults(func=_cmd_dsic_test)
 
@@ -232,10 +244,10 @@ def _parser() -> argparse.ArgumentParser:
     swp.add_argument("--out", required=True)
     swp.add_argument("--param", required=True, help=f"one of {', '.join(sorted(_SWEEPABLE))}")
     swp.add_argument("--values", required=True, help="comma-separated list")
-    swp.add_argument("--replicates", type=int, default=1)
+    swp.add_argument("--replicates", type=_count(1), default=1)
     swp.add_argument("--seed", type=int, default=None)
     swp.add_argument("--mode", choices=["learning", "known-means"], default="learning")
-    swp.add_argument("--parallelism", type=int, default=1)
+    swp.add_argument("--parallelism", type=_count(1), default=1)
     swp.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -62,6 +62,8 @@ class EstimatorConfig:
     def validate(self, cfg: MarketConfig) -> "EstimatorConfig":
         rho_hi = cfg.rho_bounds[1]
         beta_hi = cfg.beta_bounds[1]
+        if not all(map(math.isfinite, (self.u_rho, self.u_beta, self.alpha))):
+            raise InvalidConfig(f"estimator values must be finite, got {self}")
         if self.alpha < 2:
             raise InvalidConfig(f"alpha must be >= 2, got {self.alpha}")
         if self.u_rho < rho_hi * rho_hi:
@@ -198,12 +200,6 @@ class WorkerStats:
         self._jct = _TruncatedMeanTracker(est.u_rho, est.alpha)
         self._beta = _TruncatedMeanTracker(est.u_beta, est.alpha)
         self._delta = est.delta
-
-    @classmethod
-    def initial(
-        cls, est: EstimatorConfig, rho_bounds: Bounds, beta_bounds: Bounds
-    ) -> "WorkerStats":
-        return cls(est, rho_bounds, beta_bounds)
 
     @property
     def N_it(self) -> int:

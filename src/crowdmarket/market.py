@@ -25,7 +25,6 @@ __all__ = [
     "MarketConfig",
     "WorkerProfile",
     "BidProfile",
-    "JobOutcome",
     "PopulationGroup",
     "PopulationRecipe",
     "validate_config",
@@ -101,23 +100,6 @@ class BidProfile:
 
 
 @dataclass(frozen=True)
-class JobOutcome:
-    """Realized allocation and per-worker performance for one job.
-
-    ``completion_times`` and ``failed_in_window`` are keyed by worker id and
-    cover allocated workers only.  A ``None`` failure flag means the worker's
-    realized working duration fell short of the observation window, so the
-    window was not observed.
-    """
-
-    job_index: int
-    allocation: np.ndarray
-    completion_times: dict[int, float]
-    failed_in_window: dict[int, bool | None]
-    infeasible: bool = False
-
-
-@dataclass(frozen=True)
 class PopulationGroup:
     """One homogeneous slice of the population; ranges may be degenerate."""
 
@@ -143,6 +125,10 @@ def _check(cond: bool, message: str) -> None:
 
 def validate_config(cfg: MarketConfig) -> MarketConfig:
     """Return ``cfg`` unchanged if every invariant holds, else raise InvalidConfig."""
+    for name, value in vars(cfg).items():
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise InvalidConfig(f"{name} must be finite, got {value}")
     c_lo, c_hi = cfg.cost_bounds
     r_lo, r_hi = cfg.rho_bounds
     b_lo, b_hi = cfg.beta_bounds

@@ -5,7 +5,11 @@ fraction would spill over to the boundary worker's remaining slack and then to
 the workers bidding above the boundary, in bid order.  Each displaced unit is
 paid at the bid of the worker who would have absorbed it; any part of the
 fraction that nobody could absorb is paid at the cost ceiling.  Workers above
-the boundary receive nothing and pay nothing.
+the boundary receive nothing and pay nothing.  ``job_payments`` computes the
+displacement for all active workers at once as spill rows in bid order; the
+dense worker-by-worker table is built only when ``PaymentRecord.externality``
+is read.  The scalar transcription of the rule lives in the tests, as the
+oracle this vectorized path is checked against.
 
 ``deviation_sweep`` re-runs allocation and payments for a grid of unilateral
 bid deviations and reports the best achievable utility gain; utilities are
@@ -21,14 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import Allocation, sw_greedy
+from .allocation import Allocation, _as_bid_array, sw_greedy
 
 __all__ = [
     "PaymentRecord",
     "FrozenInstance",
-    "externality",
-    "payment",
-    "utility",
     "job_payments",
     "random_frozen_instance",
     "deviation_grid",
@@ -39,19 +40,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PaymentRecord:
-    """Payments, utilities and the full externality table for one job.
+    """Payments, utilities and the spill rows of one job.
 
-    ``externality[i, j]`` is the extra fraction worker ``j`` would absorb if
-    worker ``i`` were absent (original worker indexing, zero outside the
-    active/boundary band).  Utilities are evaluated at the supplied true
-    costs and are computed term-by-term so that truthful utilities are
-    non-negative exactly, not merely up to rounding.
+    ``spill_rows[p, q]`` is the fraction the worker at ``bid_order`` position
+    ``k_pos + q`` would absorb if the worker at position ``p`` were absent,
+    where ``k_pos = len(spill_rows) - 1`` is the boundary worker's position.
+    Utilities are evaluated at the supplied true costs and are computed
+    term-by-term so that truthful utilities are non-negative exactly, not
+    merely up to rounding.
     """
 
     job_index: int
-    externality: np.ndarray
     payments: np.ndarray
     utilities: np.ndarray
+    spill_rows: np.ndarray
+    bid_order: np.ndarray
+
+    @property
+    def externality(self) -> np.ndarray:
+        """Dense table, built on each read: ``externality[i, j]`` is the extra
+        fraction worker ``j`` would absorb if worker ``i`` were absent
+        (original worker indexing, zero outside the active/boundary band)."""
+        n = self.bid_order.shape[0]
+        k_pos = self.spill_rows.shape[0] - 1
+        ext = np.zeros((n, n))
+        ext[np.ix_(self.bid_order[: k_pos + 1], self.bid_order[k_pos:])] = self.spill_rows
+        return ext
 
 
 def _externality_rows_sorted(
@@ -91,7 +105,7 @@ def job_payments(
 ) -> PaymentRecord:
     """Compute payments and utilities for every worker in one job."""
     caps = np.asarray(caps, dtype=float)
-    b = bids.values if hasattr(bids, "values") else np.asarray(bids, dtype=float)
+    b = _as_bid_array(bids)
     costs = b if true_costs is None else np.asarray(true_costs, dtype=float)
 
     order = alloc.bid_order
@@ -112,66 +126,13 @@ def job_payments(
     utilities = np.zeros(n)
     payments[order[: k_pos + 1]] = pay_active
     utilities[order[: k_pos + 1]] = util_active
-    ext = np.zeros((n, n))
-    ext[np.ix_(order[: k_pos + 1], order[k_pos:])] = rows
     return PaymentRecord(
-        job_index=job_index, externality=ext, payments=payments, utilities=utilities
+        job_index=job_index,
+        payments=payments,
+        utilities=utilities,
+        spill_rows=rows,
+        bid_order=order,
     )
-
-
-def externality(i: int, j: int, alloc: Allocation, caps, bids) -> float:
-    """Extra fraction worker ``j`` would absorb if worker ``i`` were absent.
-
-    ``i`` and ``j`` are original worker indices; the case split follows the
-    bid-order positions relative to the boundary worker.  Zero whenever ``j``
-    sits strictly below the boundary, ``i`` strictly above it, or ``i == j``.
-    """
-    caps = np.asarray(caps, dtype=float)
-    order = list(alloc.bid_order)
-    pos = {w: q for q, w in enumerate(order)}
-    k_pos = alloc.k_pos
-    if pos[i] > k_pos or pos[j] < k_pos or i == j:
-        return 0.0
-    x = alloc.fractions
-    prefix = 0.0
-    for q in range(k_pos, len(order)):
-        w = order[q]
-        if w == i:
-            val = 0.0
-        elif q == k_pos:
-            val = max(0.0, min(caps[w] - x[w], x[i]))
-        else:
-            val = max(0.0, min(caps[w], x[i] - prefix))
-        if w == j:
-            return float(val)
-        prefix += val
-    return 0.0
-
-
-def payment(i: int, alloc: Allocation, caps, bids, c_bar: float) -> float:
-    """Payment to worker ``i``: externality units at the absorbers' bids plus
-    the unabsorbable residual at the cost ceiling; zero above the boundary."""
-    b = bids.values if hasattr(bids, "values") else np.asarray(bids, dtype=float)
-    order = list(alloc.bid_order)
-    pos = {w: q for q, w in enumerate(order)}
-    k_pos = alloc.k_pos
-    if pos[i] > k_pos:
-        return 0.0
-    total = 0.0
-    spill = 0.0
-    for q in range(k_pos, len(order)):
-        w = order[q]
-        val = externality(i, w, alloc, caps, b)
-        total += val * b[w]
-        spill += val
-    total += max(0.0, alloc.fractions[i] - spill) * c_bar
-    return float(total)
-
-
-def utility(i: int, true_cost: float, alloc: Allocation, payments) -> float:
-    """Realized utility of worker ``i``: payment minus incurred cost."""
-    p = np.asarray(payments, dtype=float)
-    return float(p[i] - true_cost * alloc.fractions[i])
 
 
 @dataclass(frozen=True)

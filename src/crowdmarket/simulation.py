@@ -3,9 +3,11 @@
 Each job refreshes every worker's confidence indices, allocates greedily
 against the pessimistic caps, samples completion times and failure windows for
 the active workers, feeds the observations back into the estimators, and
-records payments and welfare.  A known-means mode pins the caps to the true
-parameters, which reproduces the omniscient baseline (allocation and payment
-alike) and serves as the zero-regret reference.
+records payments and welfare: one :class:`JobRecord` per step, and one trace
+row that :meth:`Simulator.trace` stacks into the per-job series.  A
+known-means mode pins the caps to the true parameters, which reproduces the
+omniscient baseline (allocation and payment alike) and serves as the
+zero-regret reference.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from .allocation import Allocation, InfeasibleJob, sw_greedy, true_cap
 from .estimator import EstimatorConfig, WorkerStats
 from .market import (
-    JobOutcome,
     MarketConfig,
     PopulationRecipe,
     WorkerProfile,
@@ -30,7 +31,7 @@ from .market import (
     sample_population,
     validate_config,
 )
-from .mechanism import PaymentRecord, job_payments
+from .mechanism import PaymentRecord, job_payments, payment_rows_to_csv
 
 __all__ = [
     "JobRecord",
@@ -48,19 +49,53 @@ __all__ = [
 MODES = ("learning", "known-means")
 
 
+# One trace row per job: the scalar series, then (with ``record_tables``) the
+# per-worker rows that SimulationTrace stacks into its tables.
+_SERIES = [
+    ("infeasible", bool),
+    ("cost", float),
+    ("payment", float),
+    ("active_size", int),
+    ("utility_min", float),
+    ("match", bool),
+]
+_TABLES = [
+    ("fraction_table", float),
+    ("payment_table", float),
+    ("utility_table", float),
+    ("completion_table", float),
+    ("window_table", np.int8),
+]
+
+
 @dataclass(frozen=True)
 class JobRecord:
-    """Everything observed in one job step."""
+    """Allocation, payments and sampled outcome of one job step.
 
-    outcome: JobOutcome
+    ``completion`` and ``window`` are in worker order and are the job's rows
+    of ``completion_table`` and ``window_table``: completion is NaN where a
+    worker got no work; window is 1 where the failure window saw a failure,
+    -1 where the work was shorter than the window (so it went unobserved),
+    and 0 otherwise.  ``allocation`` and ``payments`` are ``None`` for an
+    infeasible job.
+    """
+
+    job_index: int
     allocation: Allocation | None
     payments: PaymentRecord | None
+    completion: np.ndarray
+    window: np.ndarray
     matches_oracle: bool
 
 
 @dataclass
 class SimulationTrace:
-    """Per-job series plus cumulative accounting for one simulation run."""
+    """Per-job series plus cumulative accounting for one simulation run.
+
+    The per-worker tables exist only with ``record_tables=True``; row ``t - 1``
+    of each holds job ``t`` in worker order, in the encoding of
+    :class:`JobRecord` (all zeros, NaN completion, for an infeasible job).
+    """
 
     cfg: MarketConfig
     est: EstimatorConfig
@@ -141,13 +176,11 @@ class Simulator:
         self.oracle_cost = float(self.costs @ self.oracle.fractions)
         self.oracle_active = self.oracle.active_set
 
-        self.stats = [
-            WorkerStats.initial(self.est, cfg.rho_bounds, cfg.beta_bounds)
-            for _ in range(cfg.n)
-        ]
+        self.stats = [WorkerStats(self.est, cfg.rho_bounds, cfg.beta_bounds) for _ in range(cfg.n)]
         self.streams = outcome_streams(cfg)
+        tables = [(name, dtype, (cfg.n,)) for name, dtype in _TABLES] if record_tables else []
+        self._row_dtype = np.dtype(_SERIES + tables)
         self._rows: list[tuple] = []
-        self._tables: list[tuple] = []
 
     def current_caps(self, t: int) -> np.ndarray:
         """Caps used for job ``t``; refreshes indices in learning mode."""
@@ -160,30 +193,27 @@ class Simulator:
         return caps
 
     def step(self, t: int) -> JobRecord:
-        """Run job ``t`` (1-based) and append it to the trace."""
+        """Run job ``t`` (1-based) and append its row to the trace."""
         cfg = self.cfg
+        completion = np.full(cfg.n, math.nan)
+        window = np.zeros(cfg.n, dtype=np.int8)
         caps = self.current_caps(t)
         try:
             alloc = sw_greedy(self.costs, caps)
         except InfeasibleJob:
-            outcome = JobOutcome(
-                job_index=t,
-                allocation=np.zeros(cfg.n),
-                completion_times={},
-                failed_in_window={},
-                infeasible=True,
-            )
-            self._append_row(t, None, None, outcome)
-            return JobRecord(outcome, None, None, matches_oracle=False)
+            row = (True, math.nan, math.nan, 0, math.nan, False)
+            if self.record_tables:  # a scalar fills its whole table row
+                row += (0.0, 0.0, 0.0, completion, window)
+            self._rows.append(row)
+            return JobRecord(t, None, None, completion, window, matches_oracle=False)
 
         rec = job_payments(
             alloc, caps, self.costs, cfg.cost_bounds[1], true_costs=self.costs, job_index=t
         )
 
-        completion: dict[int, float] = {}
-        windows: dict[int, bool | None] = {}
-        for i in np.nonzero(alloc.fractions > 0)[0]:
-            i = int(i)
+        active = np.flatnonzero(alloc.fractions > 0)
+        taus, flags = [], []
+        for i in active.tolist():
             frac = float(alloc.fractions[i])
             tau, flag = sample_outcome(
                 self.workers[i],
@@ -192,91 +222,31 @@ class Simulator:
                 sigma_log=cfg.sigma_log,
                 delta=cfg.delta,
             )
-            completion[i] = tau
-            windows[i] = flag
+            taus.append(tau)
+            flags.append(-1 if flag is None else flag)
             if self.mode == "learning":
                 self.stats[i].record_jct_sample(tau, frac)
                 if flag is not None:
                     self.stats[i].record_window(flag)
+        completion[active] = taus
+        window[active] = flags
 
-        outcome = JobOutcome(
-            job_index=t,
-            allocation=alloc.fractions.copy(),
-            completion_times=completion,
-            failed_in_window=windows,
+        match = frozenset(active.tolist()) == self.oracle_active
+        row = (
+            False,
+            float(self.costs @ alloc.fractions),
+            float(rec.payments.sum()),
+            len(active),
+            float(rec.utilities.min()),
+            match,
         )
-        self._append_row(t, alloc, rec, outcome)
-        return JobRecord(outcome, alloc, rec, matches_oracle=bool(self._rows[-1][6]))
-
-    def _append_row(
-        self,
-        t: int,
-        alloc: Allocation | None,
-        rec: PaymentRecord | None,
-        outcome: JobOutcome,
-    ) -> None:
-        if alloc is None:
-            row = (True, math.nan, math.nan, 0, math.nan, False)
-            tables = None
-        else:
-            cost_t = float(self.costs @ alloc.fractions)
-            pay_t = float(rec.payments.sum())
-            active = alloc.active_set
-            row = (
-                False,
-                cost_t,
-                pay_t,
-                len(active),
-                float(rec.utilities.min()),
-                active == self.oracle_active,
-            )
-            tables = (alloc.fractions, rec.payments, rec.utilities, outcome)
-        self._rows.append((t,) + row)
         if self.record_tables:
-            self._tables.append(tables)
+            row += (alloc.fractions, rec.payments, rec.utilities, completion, window)
+        self._rows.append(row)
+        return JobRecord(t, alloc, rec, completion, window, matches_oracle=match)
 
     def trace(self) -> SimulationTrace:
-        m = len(self._rows)
-        infeasible = np.array([r[1] for r in self._rows], dtype=bool)
-        cost = np.array([r[2] for r in self._rows])
-        payment = np.array([r[3] for r in self._rows])
-        active_size = np.array([r[4] for r in self._rows], dtype=int)
-        utility_min = np.array([r[5] for r in self._rows])
-        match = np.array([r[6] for r in self._rows], dtype=bool)
-
-        tables: dict[str, np.ndarray | None] = {
-            "fraction_table": None,
-            "payment_table": None,
-            "utility_table": None,
-            "completion_table": None,
-            "window_table": None,
-        }
-        if self.record_tables:
-            n = self.cfg.n
-            frac = np.zeros((m, n))
-            pay = np.zeros((m, n))
-            util = np.zeros((m, n))
-            comp = np.full((m, n), math.nan)
-            wind = np.zeros((m, n), dtype=np.int8)  # -1 unobserved, 0 clean, 1 failed
-            for ti, entry in enumerate(self._tables):
-                if entry is None:
-                    continue
-                fractions, payments, utilities, outcome = entry
-                frac[ti] = fractions
-                pay[ti] = payments
-                util[ti] = utilities
-                for wid, tau in outcome.completion_times.items():
-                    comp[ti, wid] = tau
-                for wid, flag in outcome.failed_in_window.items():
-                    wind[ti, wid] = -1 if flag is None else int(flag)
-            tables = {
-                "fraction_table": frac,
-                "payment_table": pay,
-                "utility_table": util,
-                "completion_table": comp,
-                "window_table": wind,
-            }
-
+        rows = np.array(self._rows, dtype=self._row_dtype)
         return SimulationTrace(
             cfg=self.cfg,
             est=self.est,
@@ -285,13 +255,7 @@ class Simulator:
             oracle_fractions=self.oracle.fractions.copy(),
             oracle_cost=self.oracle_cost,
             oracle_active=self.oracle_active,
-            infeasible=infeasible,
-            cost=cost,
-            payment=payment,
-            active_size=active_size,
-            match=match,
-            utility_min=utility_min,
-            **tables,
+            **{name: np.ascontiguousarray(rows[name]) for name in rows.dtype.names},
         )
 
 
@@ -309,43 +273,25 @@ def run(
     return sim.trace()
 
 
-def regret(trace: SimulationTrace, oracle_alloc: Allocation | None = None):
+def regret(trace: SimulationTrace):
     """Total regret and the running-average series against the oracle.
 
     Regret is oriented as incurred cost minus oracle cost, so it is
     non-negative whenever the oracle is optimal for the instance.
     """
-    costs = np.array([w.cost for w in trace.workers])
-    oracle_cost = (
-        trace.oracle_cost if oracle_alloc is None else float(costs @ oracle_alloc.fractions)
-    )
-    per_job = np.where(trace.infeasible, 0.0, trace.cost - oracle_cost)
+    per_job = np.where(trace.infeasible, 0.0, trace.cost - trace.oracle_cost)
     cum = per_job.cumsum()
-    avg = cum / trace.job_index if len(trace) else np.array([])
     total = float(cum[-1]) if len(trace) else 0.0
-    return total, avg
+    return total, cum / trace.job_index
 
 
-def optimal_set_match(trace: SimulationTrace, oracle_alloc: Allocation | None = None):
+def optimal_set_match(trace: SimulationTrace):
     """Per-job set-match flags and the first job index after which they stay true.
 
     Returns ``(flags, t_lock)`` with ``t_lock`` 1-based, or ``None`` when the
     final job still mismatches.
     """
-    if oracle_alloc is None:
-        flags = trace.match.copy()
-    else:
-        if trace.fraction_table is None:
-            raise ValueError("recomputing match flags requires record_tables=True")
-        target = oracle_alloc.active_set
-        flags = np.array(
-            [
-                (not trace.infeasible[ti])
-                and frozenset(np.nonzero(trace.fraction_table[ti] > 0)[0]) == target
-                for ti in range(len(trace))
-            ],
-            dtype=bool,
-        )
+    flags = trace.match.copy()
     if len(flags) == 0 or not flags[-1]:
         return flags, None
     false_idx = np.nonzero(~flags)[0]
@@ -388,27 +334,17 @@ def trace_to_csv(trace: SimulationTrace, path: str | Path) -> None:
 
 
 def trace_payments_to_csv(trace: SimulationTrace, path: str | Path) -> None:
-    """Per-worker payment rows (t, worker, fraction, payment, utility)."""
+    """Per-worker payment rows (t, worker, fraction, payment, utility) of every
+    allocated worker, in job then worker order."""
     if trace.fraction_table is None:
         raise ValueError("payment export requires record_tables=True")
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "worker", "fraction", "payment", "utility"])
-        for ti in range(len(trace)):
-            if trace.infeasible[ti]:
-                continue
-            active = np.nonzero(trace.fraction_table[ti] > 0)[0]
-            for wid in active:
-                writer.writerow(
-                    [
-                        ti + 1,
-                        int(wid),
-                        repr(float(trace.fraction_table[ti, wid])),
-                        repr(float(trace.payment_table[ti, wid])),
-                        repr(float(trace.utility_table[ti, wid])),
-                    ]
-                )
+    cells = np.argwhere(trace.fraction_table > 0).tolist()
+    rows = (
+        (ti + 1, wid, trace.fraction_table[ti, wid], trace.payment_table[ti, wid],
+         trace.utility_table[ti, wid])
+        for ti, wid in cells
+    )
+    payment_rows_to_csv(rows, path)
 
 
 def trace_summary(trace: SimulationTrace) -> dict:

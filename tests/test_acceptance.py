@@ -282,7 +282,7 @@ def test_criterion_8_index_coverage():
     jct_draws = rng.lognormal(location, sigma, size=(trajectories, horizon))
     fail_draws = rng.random(size=(trajectories, horizon)) < p_fail
     for k in range(trajectories):
-        stats = WorkerStats.initial(est, cfg.rho_bounds, cfg.beta_bounds)
+        stats = WorkerStats(est, cfg.rho_bounds, cfg.beta_bounds)
         for t in range(1, horizon + 1):
             stats.record_jct_sample(float(jct_draws[k, t - 1]), 1.0)
             stats.record_window(bool(fail_draws[k, t - 1]))

@@ -62,6 +62,21 @@ def test_caps_must_be_valid():
         sw_greedy([1.0, 2.0], [-0.1, 1.0])
 
 
+@pytest.mark.parametrize(
+    "bids, caps",
+    [
+        ([1.0, 2.0], [math.nan, 1.0]),
+        ([1.0, 2.0], [1.0, math.inf]),
+        ([math.nan, 2.0], [0.5, 1.0]),
+        ([1.0, math.inf], [0.5, 1.0]),
+        ([-math.inf, 2.0], [0.5, 1.0]),
+    ],
+)
+def test_non_finite_bids_or_caps_raise(bids, caps):
+    with pytest.raises(ValueError):
+        sw_greedy(bids, caps)
+
+
 @given(
     n=st.integers(min_value=1, max_value=8),
     seed=st.integers(min_value=0, max_value=10_000),

@@ -141,6 +141,40 @@ def test_invalid_arguments_exit_2(config_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--replicates", "-3"],
+        ["simulate", "--parallelism", "0"],
+        ["dsic-test", "--instances", "-2"],
+        ["dsic-test", "--max-workers", "1"],
+        ["sweep", "--param", "epsilon", "--values", "0.2", "--replicates", "0"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_bad_counts_exit_2(argv, config_file, tmp_path, capsys):
+    command, flags = argv[0], argv[1:]
+    if command != "dsic-test":
+        flags = ["--config", str(config_file), *flags]
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--out", str(out), *flags])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and argv[-2] in err
+    assert not out.exists()
+
+
+def test_non_finite_config_exits_3(tmp_path, capsys):
+    path = tmp_path / "inf.cfg"
+    path.write_text(SMALL_CONFIG.replace("cost_max = 100", "cost_max = inf"))
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_infeasible_instance_exits_4(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(INFEASIBLE_CONFIG)

@@ -24,7 +24,7 @@ BETA_BOUNDS = (25.0, 35.0)
 
 def make_stats(alpha: float = 4.0, u_rho: float = 11000.0, u_beta: float = 2600.0):
     est = EstimatorConfig(u_rho=u_rho, u_beta=u_beta, alpha=alpha, delta=0.5)
-    return WorkerStats.initial(est, RHO_BOUNDS, BETA_BOUNDS), est
+    return WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS), est
 
 
 def test_defaults_are_valid_bounds():
@@ -45,6 +45,10 @@ def test_estimator_validation_rejects_bad_values():
         EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=1.5, delta=0.5).validate(cfg)
     with pytest.raises(InvalidConfig):
         EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0, delta=0.4).validate(cfg)
+    for bad in ({"u_rho": math.inf}, {"u_beta": math.nan}, {"alpha": math.inf}):
+        params = {"u_rho": 11000.0, "u_beta": 2600.0, "alpha": 4.0, "delta": 0.5, **bad}
+        with pytest.raises(InvalidConfig):
+            EstimatorConfig(**params).validate(cfg)
 
 
 def test_initialization_values():
@@ -135,7 +139,7 @@ def test_truncated_mean_never_exceeds_plain_mean(samples, t):
 def test_incremental_tracker_matches_direct_formula(samples, t_seq):
     """The heap-based incremental mean agrees with the direct truncation rule."""
     est = EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0, delta=0.5)
-    stats = WorkerStats.initial(est, RHO_BOUNDS, BETA_BOUNDS)
+    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS)
     for x in samples:
         stats.record_jct_sample(x, 1.0)
     for t in sorted(t_seq):  # inclusion is monotone in t, queries must be ordered
@@ -157,7 +161,7 @@ def test_refresh_radius_formula():
     """radius = 4*sqrt(u*alpha*log(t)/N); at u=1e4, alpha=4, N=t=1e4 it is ~24.28."""
     n, t, u, alpha = 10_000, 10_000, 1e4, 4.0
     est = EstimatorConfig(u_rho=u, u_beta=2600.0, alpha=alpha, delta=0.5)
-    stats = WorkerStats.initial(est, RHO_BOUNDS, BETA_BOUNDS)
+    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS)
     for _ in range(n):
         stats.record_jct_sample(60.0, 1.0)
     stats.refresh_indices(t, est)
@@ -217,7 +221,7 @@ def test_recorded_surrogate_mean_converges_to_shifted_expectation():
     because the failing window itself is excluded from the streak."""
     beta, delta = 30.0, 0.5
     est = EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0, delta=delta)
-    stats = WorkerStats.initial(est, RHO_BOUNDS, BETA_BOUNDS)
+    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS)
     p = 1.0 - math.exp(-delta / beta)
     rng = np.random.default_rng(17)
     fails = rng.random(2_000_000) < p
@@ -247,7 +251,7 @@ def test_recorded_surrogate_mean_converges_to_shifted_expectation():
 @settings(max_examples=150)
 def test_indices_stay_ordered_and_clamped(data, t):
     est = EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0, delta=0.5)
-    stats = WorkerStats.initial(est, RHO_BOUNDS, BETA_BOUNDS)
+    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS)
     for kind, value, failed in data:
         if kind == "jct":
             stats.record_jct_sample(value, 1.0)
@@ -270,7 +274,7 @@ def test_index_coverage_smoke():
     rho, sigma = 62.5, cfg.sigma_log
     misses = checks = 0
     for _ in range(200):
-        stats = WorkerStats.initial(est, cfg.rho_bounds, cfg.beta_bounds)
+        stats = WorkerStats(est, cfg.rho_bounds, cfg.beta_bounds)
         for t in range(1, 26):
             stats.record_jct_sample(
                 float(rng.lognormal(math.log(rho) - sigma**2 / 2, sigma)), 1.0

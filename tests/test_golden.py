@@ -1,0 +1,81 @@
+"""Pinned output bytes: sha256 of traces, summaries and per-worker tables.
+
+The hashes were recorded before the job record, payment record and trace
+bookkeeping were reshaped, and every later refactor must reproduce them bit
+for bit.  A change that is meant to alter outputs (new sampling, new payment
+arithmetic) updates them deliberately and says so.  The per-worker tables are
+only built with ``record_tables=True``, which the CLI and the benchmark never
+use, so this is the one check on that path.
+"""
+
+import hashlib
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from crowdmarket import (
+    EstimatorConfig,
+    load_config,
+    run,
+    summary_to_json,
+    trace_summary,
+    trace_to_csv,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+OUTPUT_HASHES = {
+    ("desk6.cfg", 2000, "learning"): (
+        "33891b322716d6aab986f23200a3b9a8ef1fd1fc258381e511d227d3b1e6d771",
+        "965d8b24b9ef4b380a11026a43e8f574cd30c307df5cd3a8a696128778f88d8b",
+    ),
+    ("desk6.cfg", 2000, "known-means"): (
+        "e25f4e06083acca76d381e24f147e0538da442ddd4cbf4dc62b5e286d4f4ec11",
+        "038e625cd1a54506500129d1ed9823fb455468983a86becc148d153cd06fb782",
+    ),
+    ("reference400.cfg", 100, "learning"): (
+        "30f20d42c5a857a5fd76d70c1a66f0ab29b3f42fee0dc6e000e27c5416bf31cf",
+        "ee7037629a5a85b586c8455f181cdc44534773020f2e31d9815538303c0332b2",
+    ),
+    ("reference400.cfg", 100, "known-means"): (
+        "ccd6a53fa5669d54c7c0f74ee8628b8afc4eeae5c1e1c3e12dce212622053612",
+        "6b8dca7625c44bfa727ef0d6e4d82a54c43e64cb4b688262e8f8df0d9010d95c",
+    ),
+}
+
+# desk6.cfg, 500 jobs, learning mode, record_tables=True.
+TABLE_HASHES = {
+    "fraction_table": "839259fea5e575eff7ee5e477f23e8445f15efb1fcc4c309638549911f9fbd2c",
+    "payment_table": "1e7768441560ea00f6de7c7aa0face0c306264aa7a94095ed8ad7b365d277d03",
+    "utility_table": "50f0f44022b1e4d959f8b8a2dd0edb575a3b4935015d3870aeb60e5452a7fa03",
+    "completion_table": "b191011d5987399bf9288fcdb63231aeeb85b2937ff4e49f94a0dea9254ca607",
+    "window_table": "9fa396064c85971d609cba984e210fb33e58b3ce8de8bbeaf02782040eac9376",
+}
+
+
+def _run(config: str, jobs: int, mode: str, record_tables: bool):
+    cfg, recipe, overrides = load_config(CONFIGS / config)
+    cfg = replace(cfg, T=jobs)
+    est = replace(EstimatorConfig.defaults(cfg), **overrides).validate(cfg)
+    return run(cfg, recipe, est_cfg=est, mode=mode, record_tables=record_tables)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(OUTPUT_HASHES), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
+def test_trace_and_summary_bytes(key, tmp_path):
+    trace = _run(*key, record_tables=False)
+    csv_path, json_path = tmp_path / "trace.csv", tmp_path / "summary.json"
+    trace_to_csv(trace, csv_path)
+    summary_to_json(trace_summary(trace), json_path)
+    got = (_sha(csv_path.read_bytes()), _sha(json_path.read_bytes()))
+    assert got == OUTPUT_HASHES[key]
+
+
+def test_per_worker_table_bytes():
+    trace = _run("desk6.cfg", 500, "learning", record_tables=True)
+    got = {name: _sha(getattr(trace, name).tobytes()) for name in TABLE_HASHES}
+    assert got == TABLE_HASHES

@@ -41,6 +41,11 @@ def test_reference_config_is_valid():
         {"rho_bounds": (100.0, 50.0)},
         {"beta_bounds": (0.0, 35.0)},
         {"n": 0},
+        {"cost_bounds": (10.0, math.inf)},
+        {"rho_bounds": (50.0, math.inf)},
+        {"beta_bounds": (25.0, math.nan)},
+        {"D": math.inf},
+        {"sigma_log": math.inf},
     ],
 )
 def test_invalid_configs_are_rejected(overrides):

@@ -9,12 +9,9 @@ from crowdmarket import (
     FrozenInstance,
     deviation_grid,
     deviation_sweep,
-    externality,
     job_payments,
-    payment,
     random_frozen_instance,
     sw_greedy,
-    utility,
 )
 from crowdmarket.mechanism import payment_rows_to_csv
 
@@ -44,6 +41,15 @@ def literal_externality_row(i, alloc, caps, bids):
     return row
 
 
+def payment(i, alloc, caps, bids, c_bar):
+    """Literal payment rule on top of the literal rows: displaced units at the
+    absorbers' bids plus the unabsorbable residual at the cost ceiling."""
+    row = literal_externality_row(i, alloc, caps, bids)
+    spill = sum(row.values())
+    total = sum(val * bids[w] for w, val in row.items())
+    return float(total + max(0.0, alloc.fractions[i] - spill) * c_bar)
+
+
 @pytest.fixture
 def worked(worked_instance):
     bids, caps = worked_instance
@@ -52,18 +58,22 @@ def worked(worked_instance):
 
 def test_worked_externalities(worked):
     bids, caps, alloc = worked
-    assert externality(0, 1, alloc, caps, bids) == pytest.approx(0.1931)
-    assert externality(0, 2, alloc, caps, bids) == pytest.approx(0.3069)
+    ext = job_payments(alloc, caps, bids, 3.0).externality
+    for i, j, expected in ((0, 1, 0.1931), (0, 2, 0.3069), (1, 2, 0.5)):
+        assert ext[i, j] == pytest.approx(expected)
+        assert literal_externality_row(i, alloc, caps, bids)[j] == pytest.approx(expected)
     # boundary worker spills past itself straight into the next cap
-    assert externality(1, 1, alloc, caps, bids) == 0.0
-    assert externality(1, 2, alloc, caps, bids) == pytest.approx(0.5)
+    assert ext[1, 1] == 0.0
+    assert literal_externality_row(1, alloc, caps, bids)[1] == 0.0
 
 
 def test_externality_zero_cases(worked):
     bids, caps, alloc = worked
-    assert externality(2, 0, alloc, caps, bids) == 0.0  # outside the active set
-    assert externality(2, 1, alloc, caps, bids) == 0.0
-    assert externality(0, 0, alloc, caps, bids) == 0.0  # j below the boundary
+    ext = job_payments(alloc, caps, bids, 3.0).externality
+    # (2, *): outside the active set; (0, 0): j below the boundary
+    for i, j in ((2, 0), (2, 1), (0, 0)):
+        assert ext[i, j] == 0.0
+        assert literal_externality_row(i, alloc, caps, bids)[j] == 0.0
 
 
 def test_worked_payments_and_utilities(worked):
@@ -78,9 +88,10 @@ def test_worked_payments_and_utilities(worked):
 
     rec = job_payments(alloc, caps, bids, c_bar)
     assert rec.payments == pytest.approx([p0, p1, p2])
-    assert utility(0, 1.0, alloc, rec.payments) == pytest.approx(0.8069)
-    assert utility(1, 2.0, alloc, rec.payments) == pytest.approx(0.5)
-    assert utility(2, 3.0, alloc, rec.payments) == 0.0
+    # realized utility is payment minus incurred cost
+    assert rec.payments[0] - 1.0 * alloc.fractions[0] == pytest.approx(0.8069)
+    assert rec.payments[1] - 2.0 * alloc.fractions[1] == pytest.approx(0.5)
+    assert rec.payments[2] - 3.0 * alloc.fractions[2] == 0.0
     assert rec.utilities == pytest.approx([0.8069, 0.5, 0.0])
 
 
@@ -91,19 +102,17 @@ def test_vectorized_matches_literal_rule(seed):
     inst = random_frozen_instance(rng)
     alloc = sw_greedy(inst.bids, inst.caps)
     rec = job_payments(alloc, inst.caps, inst.bids, inst.cost_bounds[1], true_costs=inst.costs)
+    ext = rec.externality
     n = len(inst.costs)
     for i in range(n):
         row = literal_externality_row(i, alloc, inst.caps, inst.bids)
         for j in range(n):
-            assert rec.externality[i, j] == pytest.approx(row[j], abs=1e-12)
-            assert externality(i, j, alloc, inst.caps, inst.bids) == pytest.approx(
-                row[j], abs=1e-12
-            )
+            assert ext[i, j] == pytest.approx(row[j], abs=1e-12)
         assert payment(i, alloc, inst.caps, inst.bids, inst.cost_bounds[1]) == pytest.approx(
             rec.payments[i], abs=1e-12
         )
         # record utilities use the exact term form; agree with p - c*x
-        assert utility(i, float(inst.costs[i]), alloc, rec.payments) == pytest.approx(
+        assert rec.payments[i] - inst.costs[i] * alloc.fractions[i] == pytest.approx(
             float(rec.utilities[i]), abs=1e-9
         )
 
