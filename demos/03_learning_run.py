@@ -8,6 +8,7 @@ Trace CSVs land in demos/out/.
 Run from the repository root:  python3 demos/03_learning_run.py
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 from crowdmarket import (
@@ -26,7 +27,7 @@ OUT = Path(__file__).resolve().parent / "out"
 
 def main() -> None:
     cfg, recipe, est_overrides = load_config(CONFIG)
-    est = EstimatorConfig.defaults(cfg, alpha=est_overrides.get("alpha", 4.0))
+    est = replace(EstimatorConfig.defaults(cfg), **est_overrides)
 
     print(f"running {cfg.T} jobs, n={cfg.n}, epsilon={cfg.epsilon}, seed={cfg.seed} ...")
     learning = run(cfg, recipe, est_cfg=est, record_tables=False)

@@ -16,6 +16,7 @@ instance in every replicate.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -85,16 +86,17 @@ def _simulate(
     est: EstimatorConfig,
     out_dir: Path,
     replicates: int,
-    seed_base: int,
     mode: str,
     parallelism: int,
 ) -> tuple[int, dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = []
     for r in range(replicates):
-        cfg_r = replace(cfg, seed=seed_base + r)
+        cfg_r = replace(cfg, seed=cfg.seed + r)
         payloads.append((cfg_r, recipe, est, mode, out_dir / f"replicate_{r:03d}.csv"))
 
+    # The pool forks all of its workers at the first submit.
+    parallelism = min(parallelism, replicates, os.cpu_count() or 1)
     if parallelism > 1:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             summaries = list(pool.map(_run_replicate, payloads))
@@ -111,7 +113,7 @@ def _simulate(
     aggregate = {
         "mode": mode,
         "replicates": replicates,
-        "seed_base": seed_base,
+        "seed_base": cfg.seed,
         "succeeded": len(ok),
         "totals": totals,
         "runs": summaries,
@@ -132,7 +134,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         est,
         Path(args.out),
         args.replicates,
-        cfg.seed,
         args.mode,
         args.parallelism,
     )
@@ -205,8 +206,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             continue
         sub_dir = out_root / f"{args.param}_{v}"
         code, aggregate = _simulate(
-            cfg_v, recipe, est_v, sub_dir, args.replicates, cfg_v.seed, args.mode,
-            args.parallelism,
+            cfg_v, recipe, est_v, sub_dir, args.replicates, args.mode, args.parallelism
         )
         any_ok = any_ok or code == EXIT_OK
         results.append({"value": v, "exit": code, "totals": aggregate["totals"]})

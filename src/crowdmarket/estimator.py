@@ -40,7 +40,6 @@ class EstimatorConfig:
     u_rho: float
     u_beta: float
     alpha: float = 4.0
-    delta: float = 0.5
 
     @classmethod
     def defaults(cls, cfg: MarketConfig, alpha: float = 4.0) -> "EstimatorConfig":
@@ -56,7 +55,6 @@ class EstimatorConfig:
             u_rho=rho_hi * rho_hi * math.exp(cfg.sigma_log * cfg.sigma_log),
             u_beta=2.0 * (beta_hi + cfg.delta) ** 2,
             alpha=alpha,
-            delta=cfg.delta,
         )
 
     def validate(self, cfg: MarketConfig) -> "EstimatorConfig":
@@ -71,14 +69,10 @@ class EstimatorConfig:
                 f"u_rho={self.u_rho} is below rho_max**2={rho_hi * rho_hi}; "
                 "not a valid second-moment bound"
             )
-        min_u_beta = (beta_hi + self.delta) ** 2
+        min_u_beta = (beta_hi + cfg.delta) ** 2
         if self.u_beta < min_u_beta:
             raise InvalidConfig(
                 f"u_beta={self.u_beta} is below (beta_max + delta)**2={min_u_beta}"
-            )
-        if self.delta != cfg.delta:
-            raise InvalidConfig(
-                f"estimator window delta={self.delta} differs from market delta={cfg.delta}"
             )
         return self
 
@@ -149,9 +143,8 @@ class _TruncatedMeanTracker:
         self._kept_sum += x
         heapq.heappush(self._heap, (drop_key, x))
 
-    def mean(self, t: int, prior: float) -> float:
-        if self.count == 0:
-            return prior
+    def mean(self, t: int) -> float:
+        """Truncated mean at job ``t``; needs at least one sample."""
         log_t = math.log(t) if t > 1 else 0.0
         while self._heap and self._heap[0][0] < log_t:
             _, x = heapq.heappop(self._heap)
@@ -187,7 +180,9 @@ class WorkerStats:
         "_delta",
     )
 
-    def __init__(self, est: EstimatorConfig, rho_bounds: Bounds, beta_bounds: Bounds) -> None:
+    def __init__(
+        self, est: EstimatorConfig, rho_bounds: Bounds, beta_bounds: Bounds, delta: float
+    ) -> None:
         self.rho_bounds = rho_bounds
         self.beta_bounds = beta_bounds
         self.eta = 0
@@ -199,7 +194,7 @@ class WorkerStats:
         self.beta_hat_minus = beta_bounds[0]
         self._jct = _TruncatedMeanTracker(est.u_rho, est.alpha)
         self._beta = _TruncatedMeanTracker(est.u_beta, est.alpha)
-        self._delta = est.delta
+        self._delta = delta
 
     @property
     def N_it(self) -> int:
@@ -254,12 +249,12 @@ class WorkerStats:
         b_lo, b_hi = self.beta_bounds
         log_t = math.log(t)
         if self._jct.count > 0:
-            center = self._jct.mean(t, prior=r_hi)
+            center = self._jct.mean(t)
             radius = 4.0 * math.sqrt(est.u_rho * est.alpha * log_t / self._jct.count)
             self.rho_hat_plus = min(max(center + radius, r_lo), r_hi)
             self.rho_hat_minus = min(max(center - radius, r_lo), r_hi)
         if self._beta.count > 0:
-            center = self._beta.mean(t, prior=b_lo)
+            center = self._beta.mean(t)
             radius = 4.0 * math.sqrt(est.u_beta * est.alpha * log_t / self._beta.count)
             self.beta_hat_plus = min(max(center + radius, b_lo), b_hi)
             self.beta_hat_minus = min(max(center - radius, b_lo), b_hi)

@@ -284,7 +284,7 @@ def load_config(path: str | Path) -> tuple[MarketConfig, PopulationRecipe, dict[
     ``group.<i>.cost``, ``group.<i>.rho`` and ``group.<i>.beta``, each either a
     single number or a ``lo hi`` pair.  Optional estimator overrides ``alpha``,
     ``u_rho`` and ``u_beta`` are returned in the third element.  Lines starting
-    with ``#`` and blank lines are ignored.
+    with ``#`` and blank lines are ignored.  A key may be set only once.
     """
     path = Path(path)
     if not path.is_file():
@@ -292,6 +292,7 @@ def load_config(path: str | Path) -> tuple[MarketConfig, PopulationRecipe, dict[
     scalars: dict[str, float | int] = {}
     estimator: dict[str, float] = {}
     groups: dict[int, dict[str, str]] = {}
+    seen: dict[str, int] = {}  # key -> line that set it
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -300,6 +301,18 @@ def load_config(path: str | Path) -> tuple[MarketConfig, PopulationRecipe, dict[
             raise InvalidConfig(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
+        if key.startswith("group."):
+            parts = key.split(".")
+            if len(parts) != 3 or parts[2] not in _GROUP_FIELDS:
+                raise InvalidConfig(f"{path}:{lineno}: unknown group key {key!r}")
+            try:
+                idx = int(parts[1])
+            except ValueError as exc:
+                raise InvalidConfig(f"{path}:{lineno}: bad group index in {key!r}") from exc
+            key = f"group.{idx}.{parts[2]}"
+        first = seen.setdefault(key, lineno)
+        if first != lineno:
+            raise InvalidConfig(f"{path}: key {key!r} is set on lines {first} and {lineno}")
         if key in _SCALAR_KEYS:
             try:
                 scalars[key] = _SCALAR_KEYS[key](value)
@@ -311,13 +324,6 @@ def load_config(path: str | Path) -> tuple[MarketConfig, PopulationRecipe, dict[
             except ValueError as exc:
                 raise InvalidConfig(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
         elif key.startswith("group."):
-            parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in _GROUP_FIELDS:
-                raise InvalidConfig(f"{path}:{lineno}: unknown group key {key!r}")
-            try:
-                idx = int(parts[1])
-            except ValueError as exc:
-                raise InvalidConfig(f"{path}:{lineno}: bad group index in {key!r}") from exc
             groups.setdefault(idx, {})[parts[2]] = value
         else:
             raise InvalidConfig(f"{path}:{lineno}: unknown key {key!r}")

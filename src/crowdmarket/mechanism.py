@@ -12,15 +12,18 @@ is read.  The scalar transcription of the rule lives in the tests, as the
 oracle this vectorized path is checked against.
 
 ``deviation_sweep`` re-runs allocation and payments for a grid of unilateral
-bid deviations and reports the best achievable utility gain; utilities are
-piecewise constant in the own bid between bid crossings, so a grid containing
-all crossings plus segment midpoints is exhaustive.
+bid deviations, the other workers bidding truthfully, and reports the best
+achievable utility gain.  The grid's knots are the cost bounds, the other
+workers' costs and the own cost, which puts the truthful bid on the grid.
+Between knots the bid order, and so the allocation, is fixed, and a worker's
+own bid never prices its own payment; utility is constant there, so knots
+plus segment midpoints find the maximum exactly.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +53,6 @@ class PaymentRecord:
     merely up to rounding.
     """
 
-    job_index: int
     payments: np.ndarray
     utilities: np.ndarray
     spill_rows: np.ndarray
@@ -101,7 +103,6 @@ def job_payments(
     bids,
     c_bar: float,
     true_costs=None,
-    job_index: int = 0,
 ) -> PaymentRecord:
     """Compute payments and utilities for every worker in one job."""
     caps = np.asarray(caps, dtype=float)
@@ -127,30 +128,22 @@ def job_payments(
     payments[order[: k_pos + 1]] = pay_active
     utilities[order[: k_pos + 1]] = util_active
     return PaymentRecord(
-        job_index=job_index,
-        payments=payments,
-        utilities=utilities,
-        spill_rows=rows,
-        bid_order=order,
+        payments=payments, utilities=utilities, spill_rows=rows, bid_order=order
     )
 
 
 @dataclass(frozen=True)
 class FrozenInstance:
-    """One-job snapshot: caps are frozen learning state, costs are private."""
+    """One-job snapshot: caps are frozen learning state, costs are private
+    and are also every worker's truthful bid."""
 
     costs: np.ndarray
     caps: np.ndarray
     cost_bounds: tuple[float, float]
-    bids: np.ndarray = field(default=None)  # defaults to truthful
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "costs", np.asarray(self.costs, dtype=float))
         object.__setattr__(self, "caps", np.asarray(self.caps, dtype=float))
-        if self.bids is None:
-            object.__setattr__(self, "bids", self.costs.copy())
-        else:
-            object.__setattr__(self, "bids", np.asarray(self.bids, dtype=float))
 
 
 def random_frozen_instance(
@@ -161,8 +154,7 @@ def random_frozen_instance(
     """Random feasible one-job instance for incentive fuzzing.
 
     Caps are rescaled so their sum lands comfortably above one (and each stays
-    within [0, 1]); costs are uniform over the cost range and bids default to
-    truthful.
+    within [0, 1]); costs are uniform over the cost range.
     """
     lo, hi = cost_bounds
     while True:
@@ -176,21 +168,20 @@ def random_frozen_instance(
     return FrozenInstance(costs=costs, caps=caps, cost_bounds=cost_bounds)
 
 
-def deviation_grid(instance: FrozenInstance, i: int, points: int = 50) -> np.ndarray:
-    """Candidate deviating bids: a uniform grid over the cost range, the other
-    workers' bids (crossing points), and the midpoints between consecutive
-    candidates.  Utility is piecewise constant between crossings, so this grid
-    certifies the maximum exactly."""
+def deviation_grid(instance: FrozenInstance, i: int) -> np.ndarray:
+    """Candidate deviating bids: the cost bounds, the other workers' bids
+    (crossing points) and the own cost, plus the midpoints between consecutive
+    knots.  This certifies the maximum exactly (see the module docstring)."""
     lo, hi = instance.cost_bounds
-    others = np.delete(instance.bids, i)
-    knots = np.concatenate([np.linspace(lo, hi, points), others, [instance.costs[i]]])
+    others = np.delete(instance.costs, i)
+    knots = np.concatenate([[lo, hi], others, [instance.costs[i]]])
     knots = np.unique(np.clip(knots, lo, hi))
     mids = 0.5 * (knots[:-1] + knots[1:])
     return np.unique(np.concatenate([knots, mids]))
 
 
 def _utility_at_bid(instance: FrozenInstance, i: int, bid: float) -> float:
-    bids = instance.bids.copy()
+    bids = instance.costs.copy()
     bids[i] = bid
     alloc = sw_greedy(bids, instance.caps)
     rec = job_payments(

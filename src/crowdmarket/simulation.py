@@ -80,7 +80,6 @@ class JobRecord:
     infeasible job.
     """
 
-    job_index: int
     allocation: Allocation | None
     payments: PaymentRecord | None
     completion: np.ndarray
@@ -176,7 +175,9 @@ class Simulator:
         self.oracle_cost = float(self.costs @ self.oracle.fractions)
         self.oracle_active = self.oracle.active_set
 
-        self.stats = [WorkerStats(self.est, cfg.rho_bounds, cfg.beta_bounds) for _ in range(cfg.n)]
+        self.stats = [
+            WorkerStats(self.est, cfg.rho_bounds, cfg.beta_bounds, cfg.delta) for _ in range(cfg.n)
+        ]
         self.streams = outcome_streams(cfg)
         tables = [(name, dtype, (cfg.n,)) for name, dtype in _TABLES] if record_tables else []
         self._row_dtype = np.dtype(_SERIES + tables)
@@ -205,11 +206,9 @@ class Simulator:
             if self.record_tables:  # a scalar fills its whole table row
                 row += (0.0, 0.0, 0.0, completion, window)
             self._rows.append(row)
-            return JobRecord(t, None, None, completion, window, matches_oracle=False)
+            return JobRecord(None, None, completion, window, matches_oracle=False)
 
-        rec = job_payments(
-            alloc, caps, self.costs, cfg.cost_bounds[1], true_costs=self.costs, job_index=t
-        )
+        rec = job_payments(alloc, caps, self.costs, cfg.cost_bounds[1], true_costs=self.costs)
 
         active = np.flatnonzero(alloc.fractions > 0)
         taus, flags = [], []
@@ -243,7 +242,7 @@ class Simulator:
         if self.record_tables:
             row += (alloc.fractions, rec.payments, rec.utilities, completion, window)
         self._rows.append(row)
-        return JobRecord(t, alloc, rec, completion, window, matches_oracle=match)
+        return JobRecord(alloc, rec, completion, window, matches_oracle=match)
 
     def trace(self) -> SimulationTrace:
         rows = np.array(self._rows, dtype=self._row_dtype)
@@ -354,7 +353,7 @@ def trace_summary(trace: SimulationTrace) -> dict:
     m = len(trace)
     return {
         "config": asdict(trace.cfg),
-        "estimator": asdict(trace.est),
+        "estimator": {**asdict(trace.est), "delta": trace.cfg.delta},
         "mode": trace.mode,
         "jobs_attempted": m,
         "jobs_completed": trace.completed,

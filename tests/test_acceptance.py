@@ -12,7 +12,6 @@ they were meant to check run against the rescaled desk market from conftest
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,10 +102,10 @@ def test_criterion_3_failure_surrogate_bias():
     delta*e^(-delta/beta)/(1 - e^(-delta/beta)); shrinking the window walks
     the mean monotonically toward the true failure mean."""
     beta = 1.0
-    est = EstimatorConfig(u_rho=10.0, u_beta=10.0, alpha=4.0, delta=0.1)
+    est = EstimatorConfig(u_rho=10.0, u_beta=10.0, alpha=4.0)
 
     def surrogate_mc(delta: float, n_samples: int, seed: int) -> tuple[float, float]:
-        stats = WorkerStats(replace(est, delta=delta), (1.0, 2.0), (beta, beta + 1.0))
+        stats = WorkerStats(est, (1.0, 2.0), (beta, beta + 1.0), delta)
         p = 1.0 - math.exp(-delta / beta)
         rng = np.random.default_rng(seed)
         flags = rng.random(int(n_samples / p * 1.3) + 1000) < p
@@ -282,7 +281,7 @@ def test_criterion_8_index_coverage():
     jct_draws = rng.lognormal(location, sigma, size=(trajectories, horizon))
     fail_draws = rng.random(size=(trajectories, horizon)) < p_fail
     for k in range(trajectories):
-        stats = WorkerStats(est, cfg.rho_bounds, cfg.beta_bounds)
+        stats = WorkerStats(est, cfg.rho_bounds, cfg.beta_bounds, cfg.delta)
         for t in range(1, horizon + 1):
             stats.record_jct_sample(float(jct_draws[k, t - 1]), 1.0)
             stats.record_window(bool(fail_draws[k, t - 1]))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from crowdmarket import cli
 from crowdmarket.cli import main
 
 SMALL_CONFIG = """
@@ -114,6 +115,49 @@ def test_parallel_matches_serial(config_file, tmp_path):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
+class RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records its size."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize(
+    "command, replicates, parallelism, cpus, pool_sizes",
+    [
+        ("simulate", 2, 100_000, 4, [2]),
+        ("simulate", 3, 8, 2, [2]),
+        ("simulate", 3, 8, None, []),
+        ("sweep", 2, 100_000, 4, [2, 2]),
+    ],
+)
+def test_parallelism_is_clamped(
+    command, replicates, parallelism, cpus, pool_sizes, config_file, tmp_path, monkeypatch
+):
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    argv = [
+        command, "--config", str(config_file), "--out", str(tmp_path / "out"),
+        "--replicates", str(replicates), "--parallelism", str(parallelism),
+    ]
+    if command == "sweep":
+        argv += ["--param", "alpha", "--values", "2,3"]
+    assert main(argv) == 0
+    assert RecordingPool.sizes == pool_sizes
+
+
 def test_seed_override_changes_outputs(config_file, tmp_path):
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["simulate", "--config", str(config_file), "--out", str(out1)]) == 0
@@ -172,6 +216,16 @@ def test_non_finite_config_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_config_key_exits_3(tmp_path, capsys):
+    path = tmp_path / "repeat.cfg"
+    path.write_text(SMALL_CONFIG + "jobs = 5\n")
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'jobs' is set on lines 3 and 24" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -20,11 +20,12 @@ from conftest import reference_config
 
 RHO_BOUNDS = (50.0, 100.0)
 BETA_BOUNDS = (25.0, 35.0)
+DELTA = 0.5
 
 
 def make_stats(alpha: float = 4.0, u_rho: float = 11000.0, u_beta: float = 2600.0):
-    est = EstimatorConfig(u_rho=u_rho, u_beta=u_beta, alpha=alpha, delta=0.5)
-    return WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS), est
+    est = EstimatorConfig(u_rho=u_rho, u_beta=u_beta, alpha=alpha)
+    return WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS, DELTA), est
 
 
 def test_defaults_are_valid_bounds():
@@ -38,15 +39,13 @@ def test_defaults_are_valid_bounds():
 def test_estimator_validation_rejects_bad_values():
     cfg = reference_config()
     with pytest.raises(InvalidConfig):
-        EstimatorConfig(u_rho=100.0, u_beta=2600.0, alpha=4.0, delta=0.5).validate(cfg)
+        EstimatorConfig(u_rho=100.0, u_beta=2600.0, alpha=4.0).validate(cfg)
     with pytest.raises(InvalidConfig):
-        EstimatorConfig(u_rho=11000.0, u_beta=1.0, alpha=4.0, delta=0.5).validate(cfg)
+        EstimatorConfig(u_rho=11000.0, u_beta=1.0, alpha=4.0).validate(cfg)
     with pytest.raises(InvalidConfig):
-        EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=1.5, delta=0.5).validate(cfg)
-    with pytest.raises(InvalidConfig):
-        EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0, delta=0.4).validate(cfg)
+        EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=1.5).validate(cfg)
     for bad in ({"u_rho": math.inf}, {"u_beta": math.nan}, {"alpha": math.inf}):
-        params = {"u_rho": 11000.0, "u_beta": 2600.0, "alpha": 4.0, "delta": 0.5, **bad}
+        params = {"u_rho": 11000.0, "u_beta": 2600.0, "alpha": 4.0, **bad}
         with pytest.raises(InvalidConfig):
             EstimatorConfig(**params).validate(cfg)
 
@@ -138,13 +137,13 @@ def test_truncated_mean_never_exceeds_plain_mean(samples, t):
 @settings(max_examples=150)
 def test_incremental_tracker_matches_direct_formula(samples, t_seq):
     """The heap-based incremental mean agrees with the direct truncation rule."""
-    est = EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0, delta=0.5)
-    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS)
+    est = EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0)
+    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS, DELTA)
     for x in samples:
         stats.record_jct_sample(x, 1.0)
     for t in sorted(t_seq):  # inclusion is monotone in t, queries must be ordered
         direct = truncated_mean(samples, u=est.u_rho, t=t, alpha=est.alpha)
-        incremental = stats._jct.mean(t, prior=0.0)
+        incremental = stats._jct.mean(t)
         assert incremental == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
@@ -160,8 +159,8 @@ def test_refresh_keeps_initialization_without_samples():
 def test_refresh_radius_formula():
     """radius = 4*sqrt(u*alpha*log(t)/N); at u=1e4, alpha=4, N=t=1e4 it is ~24.28."""
     n, t, u, alpha = 10_000, 10_000, 1e4, 4.0
-    est = EstimatorConfig(u_rho=u, u_beta=2600.0, alpha=alpha, delta=0.5)
-    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS)
+    est = EstimatorConfig(u_rho=u, u_beta=2600.0, alpha=alpha)
+    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS, DELTA)
     for _ in range(n):
         stats.record_jct_sample(60.0, 1.0)
     stats.refresh_indices(t, est)
@@ -220,8 +219,8 @@ def test_recorded_surrogate_mean_converges_to_shifted_expectation():
     """The recorded delta*eta samples average to surrogate_expectation - delta,
     because the failing window itself is excluded from the streak."""
     beta, delta = 30.0, 0.5
-    est = EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0, delta=delta)
-    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS)
+    est = EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0)
+    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS, delta)
     p = 1.0 - math.exp(-delta / beta)
     rng = np.random.default_rng(17)
     fails = rng.random(2_000_000) < p
@@ -250,8 +249,8 @@ def test_recorded_surrogate_mean_converges_to_shifted_expectation():
 )
 @settings(max_examples=150)
 def test_indices_stay_ordered_and_clamped(data, t):
-    est = EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0, delta=0.5)
-    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS)
+    est = EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0)
+    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS, DELTA)
     for kind, value, failed in data:
         if kind == "jct":
             stats.record_jct_sample(value, 1.0)
@@ -274,7 +273,7 @@ def test_index_coverage_smoke():
     rho, sigma = 62.5, cfg.sigma_log
     misses = checks = 0
     for _ in range(200):
-        stats = WorkerStats(est, cfg.rho_bounds, cfg.beta_bounds)
+        stats = WorkerStats(est, cfg.rho_bounds, cfg.beta_bounds, cfg.delta)
         for t in range(1, 26):
             stats.record_jct_sample(
                 float(rng.lognormal(math.log(rho) - sigma**2 / 2, sigma)), 1.0

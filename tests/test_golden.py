@@ -5,23 +5,29 @@ bookkeeping were reshaped, and every later refactor must reproduce them bit
 for bit.  A change that is meant to alter outputs (new sampling, new payment
 arithmetic) updates them deliberately and says so.  The per-worker tables are
 only built with ``record_tables=True``, which the CLI and the benchmark never
-use, so this is the one check on that path.
+use, so this is the one check on that path.  The DSIC report and the
+deviation gains were pinned before the deviation grid was cut down to its
+knots and midpoints.
 """
 
 import hashlib
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from crowdmarket import (
     EstimatorConfig,
+    deviation_sweep,
     load_config,
+    random_frozen_instance,
     run,
     summary_to_json,
     trace_summary,
     trace_to_csv,
 )
+from crowdmarket.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -53,6 +59,12 @@ TABLE_HASHES = {
     "window_table": "9fa396064c85971d609cba984e210fb33e58b3ce8de8bbeaf02782040eac9376",
 }
 
+# dsic_report.json of `crowdmarket dsic-test --instances 100 --seed 0`.
+DSIC_REPORT_HASH = "916595a66cbda658dcf6c91bedf16bbd6f010ed83a8ef13ba5c591fbc7ee0b55"
+# repr of every sweep's gain, one per line: 100 random_frozen_instance draws
+# from default_rng(20240), every worker of each in order.
+GAINS_HASH = "35341b2e2f3ebb850799ea2116c5e40385d1327966f2a2b563381691942f7b4e"
+
 
 def _run(config: str, jobs: int, mode: str, record_tables: bool):
     cfg, recipe, overrides = load_config(CONFIGS / config)
@@ -79,3 +91,17 @@ def test_per_worker_table_bytes():
     trace = _run("desk6.cfg", 500, "learning", record_tables=True)
     got = {name: _sha(getattr(trace, name).tobytes()) for name in TABLE_HASHES}
     assert got == TABLE_HASHES
+
+
+def test_dsic_report_bytes(tmp_path):
+    assert main(["dsic-test", "--out", str(tmp_path), "--instances", "100", "--seed", "0"]) == 0
+    assert _sha((tmp_path / "dsic_report.json").read_bytes()) == DSIC_REPORT_HASH
+
+
+def test_deviation_gain_bytes():
+    rng = np.random.default_rng(20240)
+    lines = []
+    for _ in range(100):
+        inst = random_frozen_instance(rng)
+        lines += [f"{deviation_sweep(inst, i)!r}\n" for i in range(len(inst.costs))]
+    assert _sha("".join(lines).encode()) == GAINS_HASH

@@ -320,3 +320,20 @@ def test_load_config_rejects_malformed_lines(tmp_path, mutation):
     path.write_text(CONFIG_TEXT.replace(old, new))
     with pytest.raises(InvalidConfig):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "repeat, key, first",
+    [
+        ("jobs = 5", "jobs", 4),
+        ("alpha = 2", "alpha", 16),
+        ("group.2.cost = 50", "group.2.cost", 22),
+        ("group.02.cost = 50", "group.2.cost", 22),
+    ],
+)
+def test_load_config_rejects_repeated_keys(tmp_path, repeat, key, first):
+    path = tmp_path / "market.cfg"
+    path.write_text(CONFIG_TEXT + repeat + "\n")
+    last = len(CONFIG_TEXT.splitlines()) + 1
+    with pytest.raises(InvalidConfig, match=f"'{key}' is set on lines {first} and {last}"):
+        load_config(path)

@@ -100,15 +100,15 @@ def test_worked_payments_and_utilities(worked):
 def test_vectorized_matches_literal_rule(seed):
     rng = np.random.default_rng(seed)
     inst = random_frozen_instance(rng)
-    alloc = sw_greedy(inst.bids, inst.caps)
-    rec = job_payments(alloc, inst.caps, inst.bids, inst.cost_bounds[1], true_costs=inst.costs)
+    alloc = sw_greedy(inst.costs, inst.caps)
+    rec = job_payments(alloc, inst.caps, inst.costs, inst.cost_bounds[1], true_costs=inst.costs)
     ext = rec.externality
     n = len(inst.costs)
     for i in range(n):
-        row = literal_externality_row(i, alloc, inst.caps, inst.bids)
+        row = literal_externality_row(i, alloc, inst.caps, inst.costs)
         for j in range(n):
             assert ext[i, j] == pytest.approx(row[j], abs=1e-12)
-        assert payment(i, alloc, inst.caps, inst.bids, inst.cost_bounds[1]) == pytest.approx(
+        assert payment(i, alloc, inst.caps, inst.costs, inst.cost_bounds[1]) == pytest.approx(
             rec.payments[i], abs=1e-12
         )
         # record utilities use the exact term form; agree with p - c*x
@@ -122,8 +122,8 @@ def test_vectorized_matches_literal_rule(seed):
 def test_spill_bounded_and_residual_means_infeasible_without_worker(seed):
     rng = np.random.default_rng(seed)
     inst = random_frozen_instance(rng)
-    alloc = sw_greedy(inst.bids, inst.caps)
-    rec = job_payments(alloc, inst.caps, inst.bids, inst.cost_bounds[1])
+    alloc = sw_greedy(inst.costs, inst.caps)
+    rec = job_payments(alloc, inst.caps, inst.costs, inst.cost_bounds[1])
     for i in alloc.active_set:
         spill = rec.externality[i].sum()
         assert spill <= alloc.fractions[i] + 1e-12
@@ -167,7 +167,7 @@ def test_deviation_underbid_into_active_set_hurts(worked_instance):
     """Worker 2 undercutting to 1.5 wins half the job but is paid below cost."""
     bids, caps = worked_instance
     inst = FrozenInstance(costs=bids, caps=caps, cost_bounds=(1.0, 3.0))
-    shifted = inst.bids.copy()
+    shifted = inst.costs.copy()
     shifted[2] = 1.5
     alloc = sw_greedy(shifted, caps)
     rec = job_payments(alloc, caps, shifted, 3.0, true_costs=inst.costs)
@@ -187,11 +187,27 @@ def test_deviation_underbid_inside_active_set_is_neutral(worked_instance):
 def test_deviation_grid_contains_crossings_and_endpoints(worked_instance):
     bids, caps = worked_instance
     inst = FrozenInstance(costs=bids, caps=caps, cost_bounds=(1.0, 3.0))
-    grid = deviation_grid(inst, 0, points=10)
-    for needed in (1.0, 2.0, 3.0):
-        assert np.any(np.isclose(grid, needed))
-    # midpoints of consecutive candidates are present (piecewise-constant coverage)
-    assert grid.size > 12
+    # knots 1, 2, 3 (bounds, crossings, own cost) and the midpoints between them
+    assert deviation_grid(inst, 0).tolist() == [1.0, 1.5, 2.0, 2.5, 3.0]
+
+
+def dense_grid(instance, i):
+    """Knots plus a 50-point uniform grid over the cost range, and all
+    midpoints: a superset of ``deviation_grid`` that checks its knots miss no maximum."""
+    lo, hi = instance.cost_bounds
+    others = np.delete(instance.costs, i)
+    knots = np.concatenate([np.linspace(lo, hi, 50), others, [instance.costs[i]]])
+    knots = np.unique(np.clip(knots, lo, hi))
+    return np.unique(np.concatenate([knots, 0.5 * (knots[:-1] + knots[1:])]))
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n_max=st.integers(2, 8))
+@settings(max_examples=100, deadline=None)
+def test_deviation_grid_finds_the_dense_grid_maximum(seed, n_max):
+    inst = random_frozen_instance(np.random.default_rng(seed), n_max=n_max)
+    for i in range(len(inst.costs)):
+        gain = deviation_sweep(inst, i)
+        assert repr(gain) == repr(deviation_sweep(inst, i, dense_grid(inst, i)))
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
