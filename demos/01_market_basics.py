@@ -8,7 +8,13 @@ from pathlib import Path
 
 import numpy as np
 
-from crowdmarket import load_config, outcome_streams, sample_outcome, sample_population
+from crowdmarket import (
+    jct_location,
+    load_config,
+    outcome_streams,
+    sample_outcome,
+    sample_population,
+)
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference400.cfg"
 
@@ -32,17 +38,18 @@ def main() -> None:
     print(f"  resampling with the same seed reproduces it exactly: {workers == again}")
 
     # completion times: fraction * lognormal with mean exactly mjct
+    # (sample_outcome takes a batch of workers; here the batch is worker 0 alone)
     w = workers[0]
-    rng = outcome_streams(cfg)[0]
-    draws = []
-    failures = observed = 0
-    for _ in range(50_000):
-        tau, flag = sample_outcome(w, 0.5, rng, sigma_log=cfg.sigma_log, delta=cfg.delta)
-        draws.append(tau / 0.5)
-        if flag is not None:
-            observed += 1
-            failures += flag
-    draws = np.array(draws)
+    streams = outcome_streams(cfg)[:1]
+    location = [jct_location(w.mjct, cfg.sigma_log)]
+    tau, window = map(np.concatenate, zip(*(
+        sample_outcome([0], [0.5], streams, location, [w.mttf],
+                       sigma_log=cfg.sigma_log, delta=cfg.delta)
+        for _ in range(50_000)
+    )))
+    draws = tau / 0.5
+    observed = int((window >= 0).sum())
+    failures = int((window == 1).sum())
     print(f"\nworker 0: true mjct = {w.mjct:.2f}, empirical mean of tau/fraction = "
           f"{draws.mean():.2f} (se {draws.std() / math.sqrt(draws.size):.3f})")
     p_true = 1.0 - math.exp(-cfg.delta / w.mttf)

@@ -30,6 +30,7 @@ from .market import (
     PopulationGroup,
     PopulationRecipe,
     WorkerProfile,
+    jct_location,
     load_config,
     outcome_streams,
     population_to_csv,

@@ -39,18 +39,15 @@ class Allocation:
     """Fractions per worker (original indexing) plus the bid-order bookkeeping.
 
     ``k_bar`` is the original index of the last worker, in ascending-bid
-    order, that received a positive fraction; ``bid_order`` is the sorting
-    permutation (ties broken by ascending worker id).
+    order, that received a positive fraction, and ``k_pos`` its position
+    within ``bid_order``, the sorting permutation (ties broken by ascending
+    worker id).
     """
 
     fractions: np.ndarray
     k_bar: int
     bid_order: np.ndarray
-
-    @property
-    def k_pos(self) -> int:
-        """Position of ``k_bar`` within ``bid_order``."""
-        return int(np.nonzero(self.bid_order == self.k_bar)[0][0])
+    k_pos: int
 
     @property
     def active_set(self) -> frozenset[int]:
@@ -84,33 +81,35 @@ def sw_greedy(bids, caps) -> Allocation:
     if not ((c >= 0) & (c <= 1)).all():  # also rejects NaN caps
         raise ValueError("caps must lie in [0, 1]")
 
-    order = np.argsort(b, kind="stable")
+    order = b.argsort(kind="stable")
     # NaN sorts last and -inf first, so the two ends decide finiteness.
     if not (math.isfinite(b[order[0]]) and math.isfinite(b[order[-1]])):
         raise ValueError("bids must be finite")
     c_sorted = c[order]
-    cums = np.cumsum(c_sorted)
+    cums = c_sorted.cumsum()
     if cums[-1] < 1.0:
         raise InfeasibleJob(float(cums[-1]))
 
-    k_pos = int(np.searchsorted(cums, 1.0, side="left"))
-    x_sorted = np.zeros_like(c_sorted)
-    x_sorted[:k_pos] = c_sorted[:k_pos]
-    x_sorted[k_pos] = max(0.0, 1.0 - math.fsum(x_sorted[:k_pos]))
+    k_pos = int(cums.searchsorted(1.0))
+    full = c_sorted[:k_pos].tolist()  # the workers filled up to their caps
+    rest = max(0.0, 1.0 - math.fsum(full))
     # One-ulp fix-up so the fractions sum to exactly one under exact summation.
     for _ in range(4):
-        gap = 1.0 - math.fsum(x_sorted[: k_pos + 1])
+        gap = 1.0 - math.fsum([*full, rest])
         if gap == 0.0:
             break
-        x_sorted[k_pos] = max(0.0, x_sorted[k_pos] + gap)
-    if x_sorted[k_pos] > c_sorted[k_pos]:
-        x_sorted[k_pos] = c_sorted[k_pos]
+        rest = max(0.0, rest + gap)
+    rest = min(rest, float(c_sorted[k_pos]))
 
-    positive = np.nonzero(x_sorted > 0)[0]
-    last_pos = int(positive[-1])
-    fractions = np.zeros_like(x_sorted)
+    x_sorted = np.zeros(c.shape)
+    x_sorted[:k_pos] = c_sorted[:k_pos]
+    x_sorted[k_pos] = rest
+    last_pos = k_pos if rest > 0 else int(np.flatnonzero(x_sorted)[-1])
+    fractions = np.empty(c.shape)
     fractions[order] = x_sorted
-    return Allocation(fractions=fractions, k_bar=int(order[last_pos]), bid_order=order)
+    return Allocation(
+        fractions=fractions, k_bar=int(order[last_pos]), bid_order=order, k_pos=last_pos
+    )
 
 
 def oracle_allocate(

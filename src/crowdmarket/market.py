@@ -29,6 +29,7 @@ __all__ = [
     "PopulationRecipe",
     "validate_config",
     "sample_population",
+    "jct_location",
     "sample_outcome",
     "population_streams",
     "outcome_streams",
@@ -169,9 +170,9 @@ def _validate_recipe(cfg: MarketConfig, recipe: PopulationRecipe) -> None:
 
 
 def population_streams(cfg: MarketConfig) -> np.random.Generator:
-    """Dedicated RNG stream for population sampling, derived from the master seed."""
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.n + 1)
-    return np.random.default_rng(children[0])
+    """Dedicated RNG stream for population sampling: the master seed's first
+    child (the workers' outcome streams are the next ``n``)."""
+    return np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
 
 
 def outcome_streams(cfg: MarketConfig) -> list[np.random.Generator]:
@@ -207,31 +208,46 @@ def sample_population(cfg: MarketConfig, recipe: PopulationRecipe) -> list[Worke
     return workers
 
 
+def jct_location(mjct: float, sigma_log: float) -> float:
+    """Log-scale location of the log-normal with mean exactly ``mjct`` and
+    log-scale shape ``sigma_log``: ``ln mjct - sigma_log**2 / 2``."""
+    return math.log(mjct) - 0.5 * sigma_log * sigma_log
+
+
 def sample_outcome(
-    worker: WorkerProfile,
-    fraction: float,
-    rng: np.random.Generator,
+    workers,
+    fractions,
+    streams: list[np.random.Generator],
+    location: list[float],
+    mttf: list[float],
     *,
     sigma_log: float,
     delta: float,
-) -> tuple[float, bool | None]:
-    """Sample one (completion time, failed-in-window flag) pair.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one job's outcome for each worker in ``workers`` (ascending ids).
 
-    The completion time is ``fraction * L`` with ``L`` log-normal of mean
-    exactly ``worker.mjct`` (location ``ln mjct - sigma_log**2 / 2``).  The
-    failure flag compares a fresh exponential TTF draw of mean ``worker.mttf``
-    against the observation window; it is ``None`` when the realized working
-    duration is shorter than the window, i.e. the window was not observed.
+    Worker ``i = workers[k]``, with job fraction ``fractions[k]``, draws from
+    its own stream ``streams[i]`` a log-normal job-completion time with
+    location ``location[i]`` (see :func:`jct_location`) and then an
+    exponential time to failure of mean ``mttf[i]``.  Returns, per listed
+    worker, the completion time ``fraction * jct`` and the window code: 1 when
+    the time to failure falls inside the observation window, -1 when the work
+    is shorter than the window (so it went unobserved), and 0 otherwise.
     """
-    if not 0 < fraction <= 1:
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-    location = math.log(worker.mjct) - 0.5 * sigma_log * sigma_log
-    jct = float(rng.lognormal(mean=location, sigma=sigma_log))
-    tau = fraction * jct
-    ttf = float(rng.exponential(worker.mttf))
-    if tau < delta:
-        return tau, None
-    return tau, bool(ttf < delta)
+    fractions = np.asarray(fractions, dtype=float)
+    if not (np.ceil(fractions) == 1.0).all():  # ceil is 1 exactly on (0, 1]; NaN fails
+        raise ValueError("fractions must lie in (0, 1]")
+    draws = np.array(
+        [
+            (streams[i].lognormal(location[i], sigma_log), streams[i].exponential(mttf[i]))
+            for i in np.asarray(workers).tolist()
+        ],
+        dtype=float,
+    ).reshape(-1, 2)
+    tau = fractions * draws[:, 0]
+    window = (draws[:, 1] < delta).view(np.int8)
+    window[tau < delta] = -1
+    return tau, window
 
 
 def population_to_csv(workers: list[WorkerProfile], path: str | Path) -> None:

@@ -80,20 +80,20 @@ def _externality_rows_sorted(
     workers after it, in bid order, until the displaced fraction is used up.
     The boundary worker's own row skips its own slack slot.
     """
-    n = x_s.shape[0]
-    tail = n - k_pos
-    avail = np.empty(tail)
-    avail[0] = caps_s[k_pos] - x_s[k_pos]
-    avail[1:] = caps_s[k_pos + 1 :]
-    cum_prev = np.concatenate(([0.0], np.cumsum(avail)[:-1]))
-    rows = np.clip(x_s[: k_pos + 1, None] - cum_prev[None, :], 0.0, avail[None, :])
+    tail = x_s.shape[0] - k_pos
+    avail = caps_s[k_pos:].copy()
+    avail[0] -= x_s[k_pos]
+    cum_prev = np.zeros(tail)
+    cum_prev[1:] = avail[:-1].cumsum()
+    rows = x_s[: k_pos + 1, None] - cum_prev
+    np.minimum(np.maximum(rows, 0.0, out=rows), avail, out=rows)
 
-    row_k = np.zeros(tail)
+    rows[k_pos, 0] = 0.0
     if tail > 1:
         avail_k = avail[1:]
-        cum_prev_k = np.concatenate(([0.0], np.cumsum(avail_k)[:-1]))
-        row_k[1:] = np.clip(x_s[k_pos] - cum_prev_k, 0.0, avail_k)
-    rows[k_pos] = row_k
+        cum_prev_k = np.zeros(tail - 1)
+        cum_prev_k[1:] = avail_k[:-1].cumsum()
+        rows[k_pos, 1:] = np.minimum(np.maximum(x_s[k_pos] - cum_prev_k, 0.0), avail_k)
     return rows
 
 
@@ -115,18 +115,22 @@ def job_payments(
     x_s = alloc.fractions[order]
     rows = _externality_rows_sorted(x_s, caps[order], k_pos)
 
-    b_tail = b[order][k_pos:]
-    c_active = costs[order][: k_pos + 1]
+    b_s = b[order]
+    b_tail = b_s[k_pos:]
+    c_active = (b_s if costs is b else costs[order])[: k_pos + 1]
     spill = rows.sum(axis=1)
     residual = np.maximum(0.0, x_s[: k_pos + 1] - spill)
     pay_active = rows @ b_tail + residual * c_bar
-    util_active = (rows * (b_tail[None, :] - c_active[:, None])).sum(axis=1)
+    margins = b_tail - c_active[:, None]
+    margins *= rows
+    util_active = margins.sum(axis=1)
     util_active += residual * (c_bar - c_active)
 
+    active = order[: k_pos + 1]
     payments = np.zeros(n)
     utilities = np.zeros(n)
-    payments[order[: k_pos + 1]] = pay_active
-    utilities[order[: k_pos + 1]] = util_active
+    payments[active] = pay_active
+    utilities[active] = util_active
     return PaymentRecord(
         payments=payments, utilities=utilities, spill_rows=rows, bid_order=order
     )

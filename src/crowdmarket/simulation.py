@@ -4,10 +4,11 @@ Each job refreshes every worker's confidence indices, allocates greedily
 against the pessimistic caps, samples completion times and failure windows for
 the active workers, feeds the observations back into the estimators, and
 records payments and welfare: one :class:`JobRecord` per step, and one trace
-row that :meth:`Simulator.trace` stacks into the per-job series.  A
-known-means mode pins the caps to the true parameters, which reproduces the
-omniscient baseline (allocation and payment alike) and serves as the
-zero-regret reference.
+row that :meth:`Simulator.trace` stacks into the per-job series.  The learning
+state of all workers is one :class:`WorkerStats` bank, and each of these
+layers is one call per job.  A known-means mode pins the caps to the true
+parameters, which reproduces the omniscient baseline (allocation and payment
+alike, computed once) and serves as the zero-regret reference.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .market import (
     MarketConfig,
     PopulationRecipe,
     WorkerProfile,
+    jct_location,
     outcome_streams,
     sample_outcome,
     sample_population,
@@ -77,7 +79,8 @@ class JobRecord:
     worker got no work; window is 1 where the failure window saw a failure,
     -1 where the work was shorter than the window (so it went unobserved),
     and 0 otherwise.  ``allocation`` and ``payments`` are ``None`` for an
-    infeasible job.
+    infeasible job.  In known-means mode every job shares one allocation
+    and one payment record.
     """
 
     allocation: Allocation | None
@@ -148,7 +151,11 @@ class SimulationTrace:
 
 
 class Simulator:
-    """Owns the learning state and RNG streams of one run."""
+    """Owns the learning state and RNG streams of one run.
+
+    In known-means mode the caps never change, so the oracle allocation and
+    its payments are computed once and reused by every job.
+    """
 
     def __init__(
         self,
@@ -174,11 +181,23 @@ class Simulator:
         self.oracle = sw_greedy(self.costs, self.true_caps)
         self.oracle_cost = float(self.costs @ self.oracle.fractions)
         self.oracle_active = self.oracle.active_set
+        self._oracle_active = self.oracle.fractions.nonzero()[0].tobytes()
+        self._known = None
+        if mode == "known-means":
+            self._known = (
+                self.oracle,
+                job_payments(
+                    self.oracle, self.true_caps, self.costs, cfg.cost_bounds[1],
+                    true_costs=self.costs,
+                ),
+            )
 
-        self.stats = [
-            WorkerStats(self.est, cfg.rho_bounds, cfg.beta_bounds, cfg.delta) for _ in range(cfg.n)
-        ]
+        self.stats = WorkerStats(
+            cfg.n, self.est, cfg.rho_bounds, cfg.beta_bounds, cfg.delta, horizon=cfg.T
+        )
         self.streams = outcome_streams(cfg)
+        self._location = [jct_location(w.mjct, cfg.sigma_log) for w in self.workers]
+        self._mttf = [w.mttf for w in self.workers]
         tables = [(name, dtype, (cfg.n,)) for name, dtype in _TABLES] if record_tables else []
         self._row_dtype = np.dtype(_SERIES + tables)
         self._rows: list[tuple] = []
@@ -187,55 +206,55 @@ class Simulator:
         """Caps used for job ``t``; refreshes indices in learning mode."""
         if self.mode == "known-means":
             return self.true_caps
-        caps = np.empty(self.cfg.n)
-        for i, s in enumerate(self.stats):
-            s.refresh_indices(t, self.est)
-            caps[i] = s.pessimistic_cap(self.cfg.D, self.cfg.epsilon)
-        return caps
+        self.stats.refresh_indices(t)
+        return self.stats.pessimistic_cap(self.cfg.D, self.cfg.epsilon)
 
     def step(self, t: int) -> JobRecord:
         """Run job ``t`` (1-based) and append its row to the trace."""
         cfg = self.cfg
-        completion = np.full(cfg.n, math.nan)
+        if self._known is not None:
+            alloc, rec = self._known
+        else:
+            caps = self.current_caps(t)
+            try:
+                alloc = sw_greedy(self.costs, caps)
+            except InfeasibleJob:
+                completion = np.full(cfg.n, math.nan)
+                window = np.zeros(cfg.n, dtype=np.int8)
+                row = (True, math.nan, math.nan, 0, math.nan, False)
+                if self.record_tables:  # a scalar fills its whole table row
+                    row += (0.0, 0.0, 0.0, completion, window)
+                self._rows.append(row)
+                return JobRecord(None, None, completion, window, matches_oracle=False)
+            rec = job_payments(alloc, caps, self.costs, cfg.cost_bounds[1], true_costs=self.costs)
+
+        active = alloc.fractions.nonzero()[0]
+        fractions = alloc.fractions[active]
+        tau, codes = sample_outcome(
+            active,
+            fractions,
+            self.streams,
+            self._location,
+            self._mttf,
+            sigma_log=cfg.sigma_log,
+            delta=cfg.delta,
+        )
+        completion = np.empty(cfg.n)
+        completion.fill(math.nan)
+        completion[active] = tau
         window = np.zeros(cfg.n, dtype=np.int8)
-        caps = self.current_caps(t)
-        try:
-            alloc = sw_greedy(self.costs, caps)
-        except InfeasibleJob:
-            row = (True, math.nan, math.nan, 0, math.nan, False)
-            if self.record_tables:  # a scalar fills its whole table row
-                row += (0.0, 0.0, 0.0, completion, window)
-            self._rows.append(row)
-            return JobRecord(None, None, completion, window, matches_oracle=False)
+        window[active] = codes
+        if self._known is None:
+            self.stats.record_jct_sample(active, tau, fractions)
+            observed = codes >= 0
+            self.stats.record_window(active[observed], codes[observed] > 0)
 
-        rec = job_payments(alloc, caps, self.costs, cfg.cost_bounds[1], true_costs=self.costs)
-
-        active = np.flatnonzero(alloc.fractions > 0)
-        taus, flags = [], []
-        for i in active.tolist():
-            frac = float(alloc.fractions[i])
-            tau, flag = sample_outcome(
-                self.workers[i],
-                frac,
-                self.streams[i],
-                sigma_log=cfg.sigma_log,
-                delta=cfg.delta,
-            )
-            taus.append(tau)
-            flags.append(-1 if flag is None else flag)
-            if self.mode == "learning":
-                self.stats[i].record_jct_sample(tau, frac)
-                if flag is not None:
-                    self.stats[i].record_window(flag)
-        completion[active] = taus
-        window[active] = flags
-
-        match = frozenset(active.tolist()) == self.oracle_active
+        match = active.tobytes() == self._oracle_active
         row = (
             False,
             float(self.costs @ alloc.fractions),
             float(rec.payments.sum()),
-            len(active),
+            active.size,
             float(rec.utilities.min()),
             match,
         )

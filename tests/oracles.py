@@ -1,0 +1,201 @@
+"""Scalar reference implementations that the vectorized library code is checked against.
+
+``WorkerStats`` keeps one worker's learning state with a heap of drop keys,
+one call per worker and sample, exactly as the estimator worked before its
+state became one struct-of-arrays bank; the bank must reproduce its counts,
+kept sums, indices and caps bit for bit.
+"""
+
+from __future__ import annotations
+
+import csv
+import heapq
+import math
+
+from crowdmarket import EstimatorConfig
+from crowdmarket.market import Bounds
+
+
+class TruncatedMeanTracker:
+    """Incremental truncated mean.
+
+    Inclusion of a fixed sample is monotone in t: ``x_k`` stays in while
+    ``log t <= u * k / (alpha * x_k**2)``, so each sample gets a drop key and
+    a heap evicts expired samples lazily.  Equivalent to
+    ``crowdmarket.truncated_mean`` up to floating-point boundary ties.
+    """
+
+    __slots__ = ("u", "alpha", "count", "_kept_sum", "_heap", "_samples")
+
+    def __init__(self, u: float, alpha: float) -> None:
+        self.u = u
+        self.alpha = alpha
+        self.count = 0
+        self._kept_sum = 0.0
+        self._heap: list[tuple[float, float]] = []
+        self._samples: list[float] = []
+
+    def add(self, x: float) -> None:
+        self.count += 1
+        self._samples.append(x)
+        drop_key = math.inf if x <= 0 else self.u * self.count / (self.alpha * x * x)
+        self._kept_sum += x
+        heapq.heappush(self._heap, (drop_key, x))
+
+    def mean(self, t: int) -> float:
+        """Truncated mean at job ``t``; needs at least one sample."""
+        log_t = math.log(t) if t > 1 else 0.0
+        while self._heap and self._heap[0][0] < log_t:
+            _, x = heapq.heappop(self._heap)
+            self._kept_sum -= x
+        return self._kept_sum / self.count
+
+    @property
+    def samples(self) -> list[float]:
+        return list(self._samples)
+
+
+class WorkerStats:
+    """Learning state of one worker: samples, window counter, indices.
+
+    The scalar transcription of the rules that ``crowdmarket.WorkerStats``
+    applies to all workers at once.
+
+    Indices start at their most pessimistic admissible values (upper bound for
+    the completion-time UCB, lower bounds elsewhere) and are refreshed from the
+    truncated means once samples arrive; they are always clamped to the
+    configured parameter bounds.
+    """
+
+    __slots__ = (
+        "rho_bounds",
+        "beta_bounds",
+        "eta",
+        "rho_hat",
+        "rho_hat_plus",
+        "rho_hat_minus",
+        "beta_hat",
+        "beta_hat_plus",
+        "beta_hat_minus",
+        "_jct",
+        "_beta",
+        "_delta",
+    )
+
+    def __init__(
+        self, est: EstimatorConfig, rho_bounds: Bounds, beta_bounds: Bounds, delta: float
+    ) -> None:
+        self.rho_bounds = rho_bounds
+        self.beta_bounds = beta_bounds
+        self.eta = 0
+        self.rho_hat = rho_bounds[1]
+        self.rho_hat_plus = rho_bounds[1]
+        self.rho_hat_minus = rho_bounds[0]
+        self.beta_hat = beta_bounds[0]
+        self.beta_hat_plus = beta_bounds[1]
+        self.beta_hat_minus = beta_bounds[0]
+        self._jct = TruncatedMeanTracker(est.u_rho, est.alpha)
+        self._beta = TruncatedMeanTracker(est.u_beta, est.alpha)
+        self._delta = delta
+
+    @property
+    def N_it(self) -> int:
+        return self._jct.count
+
+    @property
+    def N_beta_it(self) -> int:
+        return self._beta.count
+
+    @property
+    def jct_samples(self) -> list[float]:
+        return self._jct.samples
+
+    @property
+    def beta_samples(self) -> list[float]:
+        return self._beta.samples
+
+    def record_jct_sample(self, tau: float, fraction: float) -> "WorkerStats":
+        """Record one completion observation; the sample value is tau/fraction."""
+        if fraction <= 0 or tau <= 0:
+            raise ValueError("tau and fraction must be positive")
+        x = tau / fraction
+        self._jct.add(x)
+        n = self._jct.count
+        self.rho_hat = x if n == 1 else self.rho_hat + (x - self.rho_hat) / n
+        return self
+
+    def record_window(self, failed: bool) -> "WorkerStats":
+        """Advance the failure-window process after one observed window.
+
+        A failure closes the current streak: the sample ``delta * eta`` is
+        recorded and the streak resets.  A clean window just extends the
+        streak.  Unobserved windows (work shorter than delta) must not be
+        reported here at all.
+        """
+        if failed:
+            x = self._delta * self.eta
+            self._beta.add(x)
+            n = self._beta.count
+            self.beta_hat = x if n == 1 else self.beta_hat + (x - self.beta_hat) / n
+            self.eta = 0
+        else:
+            self.eta += 1
+        return self
+
+    def refresh_indices(self, t: int, est: EstimatorConfig) -> "WorkerStats":
+        """Recompute UCB/LCB indices for job ``t``; no-sample sides keep their
+        initialization values."""
+        if t < 1:
+            raise ValueError(f"job index must be >= 1, got {t}")
+        r_lo, r_hi = self.rho_bounds
+        b_lo, b_hi = self.beta_bounds
+        log_t = math.log(t)
+        if self._jct.count > 0:
+            center = self._jct.mean(t)
+            radius = 4.0 * math.sqrt(est.u_rho * est.alpha * log_t / self._jct.count)
+            self.rho_hat_plus = min(max(center + radius, r_lo), r_hi)
+            self.rho_hat_minus = min(max(center - radius, r_lo), r_hi)
+        if self._beta.count > 0:
+            center = self._beta.mean(t)
+            radius = 4.0 * math.sqrt(est.u_beta * est.alpha * log_t / self._beta.count)
+            self.beta_hat_plus = min(max(center + radius, b_lo), b_hi)
+            self.beta_hat_minus = min(max(center - radius, b_lo), b_hi)
+        return self
+
+    def pessimistic_cap(self, D: float, epsilon: float) -> float:
+        """Largest job fraction allocatable under the pessimistic indices."""
+        budget = min(D, self.beta_hat_minus * -math.log1p(-epsilon))
+        return min(1.0, budget / self.rho_hat_plus)
+
+
+def stats_to_csv(stats_list: list[WorkerStats], path) -> None:
+    """Snapshot one scalar state per worker to CSV, in the library's format."""
+    with path.open("w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(
+            [
+                "id",
+                "N_it",
+                "rho_hat",
+                "rho_hat_plus",
+                "rho_hat_minus",
+                "N_beta_it",
+                "beta_hat",
+                "beta_hat_minus",
+                "eta",
+            ]
+        )
+        for wid, s in enumerate(stats_list):
+            writer.writerow(
+                [
+                    wid,
+                    s.N_it,
+                    repr(s.rho_hat),
+                    repr(s.rho_hat_plus),
+                    repr(s.rho_hat_minus),
+                    s.N_beta_it,
+                    repr(s.beta_hat),
+                    repr(s.beta_hat_minus),
+                    s.eta,
+                ]
+            )

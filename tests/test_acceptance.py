@@ -30,6 +30,7 @@ from crowdmarket import (
 )
 from crowdmarket.cli import main as cli_main
 
+import oracles
 from conftest import (
     desk_config,
     desk_estimator,
@@ -105,7 +106,7 @@ def test_criterion_3_failure_surrogate_bias():
     est = EstimatorConfig(u_rho=10.0, u_beta=10.0, alpha=4.0)
 
     def surrogate_mc(delta: float, n_samples: int, seed: int) -> tuple[float, float]:
-        stats = WorkerStats(est, (1.0, 2.0), (beta, beta + 1.0), delta)
+        stats = oracles.WorkerStats(est, (1.0, 2.0), (beta, beta + 1.0), delta)
         p = 1.0 - math.exp(-delta / beta)
         rng = np.random.default_rng(seed)
         flags = rng.random(int(n_samples / p * 1.3) + 1000) < p
@@ -280,16 +281,17 @@ def test_criterion_8_index_coverage():
     checks = misses = 0
     jct_draws = rng.lognormal(location, sigma, size=(trajectories, horizon))
     fail_draws = rng.random(size=(trajectories, horizon)) < p_fail
-    for k in range(trajectories):
-        stats = WorkerStats(est, cfg.rho_bounds, cfg.beta_bounds, cfg.delta)
-        for t in range(1, horizon + 1):
-            stats.record_jct_sample(float(jct_draws[k, t - 1]), 1.0)
-            stats.record_window(bool(fail_draws[k, t - 1]))
-            stats.refresh_indices(t, est)
-            if t >= 10:
-                checks += 2
-                misses += not (stats.rho_hat_minus <= rho <= stats.rho_hat_plus)
-                misses += not (stats.beta_hat_minus <= beta <= stats.beta_hat_plus)
+    # one bank worker per trajectory, all trajectories stepped together
+    stats = WorkerStats(trajectories, est, cfg.rho_bounds, cfg.beta_bounds, cfg.delta, horizon)
+    everyone, whole = np.arange(trajectories), np.ones(trajectories)
+    for t in range(1, horizon + 1):
+        stats.record_jct_sample(everyone, jct_draws[:, t - 1], whole)
+        stats.record_window(everyone, fail_draws[:, t - 1])
+        stats.refresh_indices(t)
+        if t >= 10:
+            checks += 2 * trajectories
+            misses += int((~((stats.rho_hat_minus <= rho) & (rho <= stats.rho_hat_plus))).sum())
+            misses += int((~((stats.beta_hat_minus <= beta) & (beta <= stats.beta_hat_plus))).sum())
     coverage = 1.0 - misses / checks
     ok = coverage >= 0.999
     _report("8 coverage", ok, f"coverage {coverage:.6f} over {checks} index checks")

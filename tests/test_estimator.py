@@ -1,4 +1,9 @@
-"""Estimator state: recording, truncation, confidence indices, surrogate process."""
+"""Estimator state: recording, truncation, confidence indices, surrogate process.
+
+``WorkerStats`` is the struct-of-arrays bank for a whole population; most
+tests here drive a bank of one worker.  ``oracles.WorkerStats`` is the scalar
+per-worker reference that the bank must match bit for bit.
+"""
 
 import math
 
@@ -16,16 +21,30 @@ from crowdmarket import (
     truncated_mean,
 )
 
+import oracles
 from conftest import reference_config
 
 RHO_BOUNDS = (50.0, 100.0)
 BETA_BOUNDS = (25.0, 35.0)
 DELTA = 0.5
+HORIZON = 100_000
+ONE = np.array([0])
 
 
-def make_stats(alpha: float = 4.0, u_rho: float = 11000.0, u_beta: float = 2600.0):
+def make_stats(
+    alpha: float = 4.0, u_rho: float = 11000.0, u_beta: float = 2600.0, n: int = 1,
+    delta: float = DELTA,
+):
     est = EstimatorConfig(u_rho=u_rho, u_beta=u_beta, alpha=alpha)
-    return WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS, DELTA), est
+    return WorkerStats(n, est, RHO_BOUNDS, BETA_BOUNDS, delta, horizon=HORIZON), est
+
+
+def record_jct(stats: WorkerStats, tau: float, fraction: float) -> None:
+    stats.record_jct_sample(ONE, [tau], [fraction])
+
+
+def record_window(stats: WorkerStats, failed: bool) -> None:
+    stats.record_window(ONE, [failed])
 
 
 def test_defaults_are_valid_bounds():
@@ -51,25 +70,29 @@ def test_estimator_validation_rejects_bad_values():
 
 
 def test_initialization_values():
-    stats, _ = make_stats()
-    assert stats.rho_hat == 100.0
-    assert stats.rho_hat_plus == 100.0
-    assert stats.rho_hat_minus == 50.0
-    assert stats.beta_hat == 25.0
-    assert stats.beta_hat_plus == 35.0
-    assert stats.beta_hat_minus == 25.0
-    assert stats.eta == 0
-    assert stats.N_it == 0 and stats.N_beta_it == 0
+    stats, _ = make_stats(n=3)
+    assert (stats.rho_hat == 100.0).all()
+    assert (stats.rho_hat_plus == 100.0).all()
+    assert (stats.rho_hat_minus == 50.0).all()
+    assert (stats.beta_hat == 25.0).all()
+    assert (stats.beta_hat_plus == 35.0).all()
+    assert (stats.beta_hat_minus == 25.0).all()
+    assert (stats.eta == 0).all()
+    assert (stats.N_it == 0).all() and (stats.N_beta_it == 0).all()
 
 
 def test_record_jct_single_and_double_sample():
     stats, _ = make_stats()
-    stats.record_jct_sample(25.0, 0.5)
-    assert stats.jct_samples == [50.0]
-    assert stats.N_it == 1
-    assert stats.rho_hat == 50.0
-    stats.record_jct_sample(60.0, 1.0)
-    assert stats.rho_hat == pytest.approx(55.0)
+    record_jct(stats, 25.0, 0.5)
+    assert stats.N_it[0] == 1
+    assert stats.rho_hat[0] == 50.0
+    record_jct(stats, 60.0, 1.0)
+    assert stats.N_it[0] == 2
+    assert stats.rho_hat[0] == pytest.approx(55.0)
+    with pytest.raises(ValueError):
+        record_jct(stats, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        record_jct(stats, 1.0, math.nan)
 
 
 def test_record_jct_running_mean_matches_monte_carlo():
@@ -79,28 +102,29 @@ def test_record_jct_running_mean_matches_monte_carlo():
     sigma = 0.25
     draws = rng.lognormal(math.log(mean) - sigma**2 / 2, sigma, size=10_000)
     for d in draws:
-        stats.record_jct_sample(float(d), 1.0)
+        record_jct(stats, float(d), 1.0)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
-    assert abs(stats.rho_hat - mean) < 3 * se
-    assert stats.rho_hat == pytest.approx(draws.mean())
+    assert abs(stats.rho_hat[0] - mean) < 3 * se
+    assert stats.rho_hat[0] == pytest.approx(draws.mean())
 
 
 def test_record_window_update_rules():
     stats, _ = make_stats()
-    stats.eta = 3
-    stats.record_window(failed=True)
-    assert stats.beta_samples == [1.5]
-    assert stats.eta == 0
-    assert stats.N_beta_it == 1
+    stats.eta[0] = 3
+    record_window(stats, failed=True)
+    assert stats.beta_hat[0] == 1.5  # the one sample, delta * 3
+    assert stats.eta[0] == 0
+    assert stats.N_beta_it[0] == 1
 
-    stats.record_window(failed=True)  # immediate failure records a zero
-    assert stats.beta_samples == [1.5, 0.0]
-    assert stats.eta == 0
+    record_window(stats, failed=True)  # immediate failure records a zero
+    assert stats.beta_hat[0] == 0.75
+    assert stats.N_beta_it[0] == 2
+    assert stats.eta[0] == 0
 
-    stats.eta = 3
-    stats.record_window(failed=False)
-    assert stats.eta == 4
-    assert stats.N_beta_it == 2
+    stats.eta[0] = 3
+    record_window(stats, failed=False)
+    assert stats.eta[0] == 4
+    assert stats.N_beta_it[0] == 2
 
 
 def test_truncated_mean_no_truncation():
@@ -136,63 +160,73 @@ def test_truncated_mean_never_exceeds_plain_mean(samples, t):
 )
 @settings(max_examples=150)
 def test_incremental_tracker_matches_direct_formula(samples, t_seq):
-    """The heap-based incremental mean agrees with the direct truncation rule."""
-    est = EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0)
-    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS, DELTA)
+    """The heap-based incremental mean of the scalar oracle agrees with the
+    direct truncation rule (the bank matches the oracle bit for bit, below)."""
+    tracker = oracles.TruncatedMeanTracker(u=11000.0, alpha=4.0)
     for x in samples:
-        stats.record_jct_sample(x, 1.0)
+        tracker.add(x)
     for t in sorted(t_seq):  # inclusion is monotone in t, queries must be ordered
-        direct = truncated_mean(samples, u=est.u_rho, t=t, alpha=est.alpha)
-        incremental = stats._jct.mean(t)
-        assert incremental == pytest.approx(direct, rel=1e-12, abs=1e-12)
+        direct = truncated_mean(samples, u=11000.0, t=t, alpha=4.0)
+        assert tracker.mean(t) == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_refresh_keeps_initialization_without_samples():
-    stats, est = make_stats()
-    stats.refresh_indices(100, est)
-    assert stats.rho_hat_plus == 100.0
-    assert stats.rho_hat_minus == 50.0
-    assert stats.beta_hat_plus == 35.0
-    assert stats.beta_hat_minus == 25.0
+    stats, _ = make_stats(n=2)
+    record_jct(stats, 60.0, 1.0)  # worker 0 only
+    stats.refresh_indices(100)
+    assert stats.rho_hat_plus[1] == 100.0
+    assert stats.rho_hat_minus[1] == 50.0
+    assert (stats.beta_hat_plus == 35.0).all()
+    assert (stats.beta_hat_minus == 25.0).all()
+
+
+def test_refresh_rejects_jobs_out_of_range_or_order():
+    stats, _ = make_stats()
+    for bad in (0, HORIZON + 1):
+        with pytest.raises(ValueError):
+            stats.refresh_indices(bad)
+    stats.refresh_indices(10)
+    stats.refresh_indices(10)  # a repeat is fine
+    with pytest.raises(ValueError):
+        stats.refresh_indices(9)
 
 
 def test_refresh_radius_formula():
     """radius = 4*sqrt(u*alpha*log(t)/N); at u=1e4, alpha=4, N=t=1e4 it is ~24.28."""
     n, t, u, alpha = 10_000, 10_000, 1e4, 4.0
-    est = EstimatorConfig(u_rho=u, u_beta=2600.0, alpha=alpha)
-    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS, DELTA)
+    stats, _ = make_stats(alpha=alpha, u_rho=u)
     for _ in range(n):
-        stats.record_jct_sample(60.0, 1.0)
-    stats.refresh_indices(t, est)
+        record_jct(stats, 60.0, 1.0)
+    stats.refresh_indices(t)
     radius = 4.0 * math.sqrt(u * alpha * math.log(t) / n)
     assert radius == pytest.approx(24.2788, abs=1e-3)
     # early samples sit above their (index-dependent) truncation thresholds
     kept = sum(1 for k in range(1, n + 1) if 60.0 <= math.sqrt(u * k / (alpha * math.log(t))))
     center = 60.0 * kept / n
-    assert stats.rho_hat_plus == pytest.approx(center + radius)
-    assert stats.rho_hat_minus == 50.0  # clamped at the lower bound
+    assert stats.rho_hat_plus[0] == pytest.approx(center + radius)
+    assert stats.rho_hat_minus[0] == 50.0  # clamped at the lower bound
 
 
 def test_refresh_clamps_to_bounds():
-    stats, est = make_stats()
-    stats.record_jct_sample(60.0, 1.0)  # one sample leaves a huge radius
-    stats.refresh_indices(10, est)
-    assert stats.rho_hat_plus == 100.0
-    assert stats.rho_hat_minus == 50.0
+    stats, _ = make_stats()
+    record_jct(stats, 60.0, 1.0)  # one sample leaves a huge radius
+    stats.refresh_indices(10)
+    assert stats.rho_hat_plus[0] == 100.0
+    assert stats.rho_hat_minus[0] == 50.0
 
 
 def test_pessimistic_cap_values():
-    stats, est = make_stats()
+    stats, _ = make_stats()
     # reference regime: rho+ = 100, beta- = 25, D = 50, eps = 0.01
-    assert stats.pessimistic_cap(50.0, 0.01) == pytest.approx(0.0025126, abs=1e-7)
+    assert stats.pessimistic_cap(50.0, 0.01)[0] == pytest.approx(0.0025126, abs=1e-7)
 
-    stats.rho_hat_plus = 50.0
-    stats.beta_hat_minus = 5000.0  # failure budget above D: deadline binds
-    assert stats.pessimistic_cap(50.0, 0.5) == pytest.approx(1.0)
+    stats.rho_hat_plus[0] = 50.0
+    stats.beta_hat_minus[0] = 5000.0  # failure budget above D: deadline binds
+    assert stats.pessimistic_cap(50.0, 0.5)[0] == pytest.approx(1.0)
 
-    stats.rho_hat_plus = 2.0
-    stats.beta_hat_minus = 2.0
-    assert stats.pessimistic_cap(1.0, 0.5) == pytest.approx(0.5)
+    stats.rho_hat_plus[0] = 2.0
+    stats.beta_hat_minus[0] = 2.0
+    assert stats.pessimistic_cap(1.0, 0.5)[0] == pytest.approx(0.5)
 
 
 def test_surrogate_expectation_closed_forms():
@@ -217,23 +251,31 @@ def test_surrogate_expectation_against_geometric_oracle():
 
 def test_recorded_surrogate_mean_converges_to_shifted_expectation():
     """The recorded delta*eta samples average to surrogate_expectation - delta,
-    because the failing window itself is excluded from the streak."""
-    beta, delta = 30.0, 0.5
-    est = EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0)
-    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS, delta)
+    because the failing window itself is excluded from the streak.  A bank of
+    50 workers runs the window process side by side, each long enough that
+    the unfinished last streak biases nothing; the samples are rebuilt from
+    the flags to check the bank's counts and running means."""
+    beta, delta, n, windows = 30.0, 0.5, 50, 25_000
+    stats, _ = make_stats(n=n, delta=delta)
     p = 1.0 - math.exp(-delta / beta)
     rng = np.random.default_rng(17)
-    fails = rng.random(2_000_000) < p
-    for f in fails:
-        stats.record_window(bool(f))
-        if stats.N_beta_it >= 20_000:
-            break
-    samples = np.array(stats.beta_samples)
+    fails = rng.random((windows, n)) < p
+    everyone = np.arange(n)
+    for row in fails:
+        stats.record_window(everyone, row)
+    per_worker = []
+    for flags in fails.T:
+        streaks = np.diff(np.flatnonzero(np.concatenate(([True], flags)))) - 1
+        per_worker.append(delta * streaks)
+    samples = np.concatenate(per_worker)
+    assert stats.N_beta_it.tolist() == [s.size for s in per_worker]
+    recorded = stats.N_beta_it > 0
+    means = np.array([s.mean() for s in per_worker if s.size])
+    assert stats.beta_hat[recorded] == pytest.approx(means, rel=1e-12)
     expected = surrogate_expectation(beta, delta) - delta
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     assert samples.size >= 20_000
     assert abs(samples.mean() - expected) < 3 * se
-    assert stats.beta_hat == pytest.approx(samples.mean())
 
 
 @given(
@@ -249,52 +291,156 @@ def test_recorded_surrogate_mean_converges_to_shifted_expectation():
 )
 @settings(max_examples=150)
 def test_indices_stay_ordered_and_clamped(data, t):
-    est = EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0)
-    stats = WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS, DELTA)
+    stats, _ = make_stats()
     for kind, value, failed in data:
         if kind == "jct":
-            stats.record_jct_sample(value, 1.0)
+            record_jct(stats, value, 1.0)
         else:
-            stats.record_window(failed)
-    stats.refresh_indices(t, est)
-    assert RHO_BOUNDS[0] <= stats.rho_hat_minus <= stats.rho_hat_plus <= RHO_BOUNDS[1]
-    assert BETA_BOUNDS[0] <= stats.beta_hat_minus <= stats.beta_hat_plus <= BETA_BOUNDS[1]
-    assert stats.eta >= 0
-    assert stats.N_it == len(stats.jct_samples)
-    assert stats.N_beta_it == len(stats.beta_samples)
+            record_window(stats, failed)
+    stats.refresh_indices(t)
+    assert RHO_BOUNDS[0] <= stats.rho_hat_minus[0] <= stats.rho_hat_plus[0] <= RHO_BOUNDS[1]
+    assert BETA_BOUNDS[0] <= stats.beta_hat_minus[0] <= stats.beta_hat_plus[0] <= BETA_BOUNDS[1]
+    assert stats.eta[0] >= 0
+    assert stats.N_it[0] == sum(kind == "jct" for kind, _, _ in data)
+    assert stats.N_beta_it[0] == sum(kind == "window" and failed for kind, _, failed in data)
 
 
 def test_index_coverage_smoke():
-    """True mean inside [LCB, UCB] on a short trajectory batch; the full-size
-    coverage check lives in the acceptance suite."""
+    """True mean inside [LCB, UCB] on a short trajectory batch, one bank
+    worker per trajectory; the full-size coverage check lives in the
+    acceptance suite."""
     cfg = reference_config()
     est = EstimatorConfig.defaults(cfg)
     rng = np.random.default_rng(5)
     rho, sigma = 62.5, cfg.sigma_log
+    trajectories, horizon = 200, 25
+    draws = rng.lognormal(math.log(rho) - sigma**2 / 2, sigma, size=(trajectories, horizon))
+    stats = WorkerStats(trajectories, est, cfg.rho_bounds, cfg.beta_bounds, cfg.delta, horizon)
+    everyone, whole = np.arange(trajectories), np.ones(trajectories)
     misses = checks = 0
-    for _ in range(200):
-        stats = WorkerStats(est, cfg.rho_bounds, cfg.beta_bounds, cfg.delta)
-        for t in range(1, 26):
-            stats.record_jct_sample(
-                float(rng.lognormal(math.log(rho) - sigma**2 / 2, sigma)), 1.0
-            )
-            stats.refresh_indices(t, est)
-            if t >= 10:
-                checks += 1
-                if not stats.rho_hat_minus <= rho <= stats.rho_hat_plus:
-                    misses += 1
+    for t in range(1, horizon + 1):
+        stats.record_jct_sample(everyone, draws[:, t - 1], whole)
+        stats.refresh_indices(t)
+        if t >= 10:
+            checks += trajectories
+            misses += int((~((stats.rho_hat_minus <= rho) & (rho <= stats.rho_hat_plus))).sum())
     assert misses / checks <= 0.001
 
 
 def test_stats_csv_snapshot(tmp_path):
-    stats, est = make_stats()
-    stats.record_jct_sample(50.0, 1.0)
-    stats.refresh_indices(2, est)
+    stats, _ = make_stats()
+    record_jct(stats, 50.0, 1.0)
+    stats.refresh_indices(2)
     path = tmp_path / "stats.csv"
-    stats_to_csv([stats], path)
+    stats_to_csv(stats, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == (
         "id,N_it,rho_hat,rho_hat_plus,rho_hat_minus,N_beta_it,beta_hat,beta_hat_minus,eta"
     )
     row = lines[1].split(",")
     assert row[1] == "1"
+
+
+def _assert_bank_matches(bank: WorkerStats, scalars: list, D: float, eps: float) -> None:
+    """Bitwise equality of counts, kept sums, the four indices and the caps."""
+    caps = bank.pessimistic_cap(D, eps).tolist()
+    kept_rho, kept_beta = bank._kept.tolist()  # the running truncated sums
+    for i, s in enumerate(scalars):
+        assert (int(bank.N_it[i]), int(bank.N_beta_it[i]), int(bank.eta[i])) == (
+            s.N_it, s.N_beta_it, s.eta
+        )
+        assert (kept_rho[i], kept_beta[i]) == (s._jct._kept_sum, s._beta._kept_sum)
+        got = [float(a[i]) for a in (
+            bank.rho_hat, bank.rho_hat_plus, bank.rho_hat_minus,
+            bank.beta_hat, bank.beta_hat_plus, bank.beta_hat_minus,
+        )]
+        assert got == [s.rho_hat, s.rho_hat_plus, s.rho_hat_minus,
+                       s.beta_hat, s.beta_hat_plus, s.beta_hat_minus]
+        assert caps[i] == s.pessimistic_cap(D, eps)
+
+
+# A few repeated values, small enough that early samples drop out within the
+# horizon and large enough that some never do.
+_VALUES = st.sampled_from([0.1, 0.3, 0.7, 1.1, 1.1, 3.3, 7.7, 20.0])
+
+
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    jobs=st.lists(
+        st.tuples(
+            st.booleans(),  # refresh before this job (else the job's refresh is skipped)
+            # per worker: a completion sample?, its tau, a window observed?, did it fail?
+            st.lists(st.tuples(st.booleans(), _VALUES, st.booleans(), st.booleans()),
+                     min_size=4, max_size=4),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_bank_matches_scalar_oracle(n, jobs):
+    """The bank reproduces n scalar heap-based estimators bit for bit, through
+    skipped refreshes, zero-valued surrogate samples (key inf, from back-to-back
+    failures) and repeated sample values."""
+    est = EstimatorConfig(u_rho=40.0, u_beta=3.0, alpha=2.0)
+    rho_bounds, beta_bounds, delta, D, eps = (0.1, 30.0), (1.0, 9.0), 0.5, 5.0, 0.2
+    bank = WorkerStats(n, est, rho_bounds, beta_bounds, delta, horizon=len(jobs))
+    scalars = [oracles.WorkerStats(est, rho_bounds, beta_bounds, delta) for _ in range(n)]
+    for t, (refresh, per_worker) in enumerate(jobs, start=1):
+        if refresh:
+            bank.refresh_indices(t)
+            for s in scalars:
+                s.refresh_indices(t, est)
+        _assert_bank_matches(bank, scalars, D, eps)
+        moves = per_worker[:n]
+        sampled = [i for i, (jct, _, _, _) in enumerate(moves) if jct]
+        for i in sampled:
+            scalars[i].record_jct_sample(moves[i][1], 0.5)
+        bank.record_jct_sample(sampled, [moves[i][1] for i in sampled], [0.5] * len(sampled))
+        observed = [i for i, (_, _, seen, _) in enumerate(moves) if seen]
+        for i in observed:
+            scalars[i].record_window(moves[i][3])
+        bank.record_window(observed, [moves[i][3] for i in observed])
+    _assert_bank_matches(bank, scalars, D, eps)
+
+
+def test_drop_boundary_key_equal_to_log_t():
+    """A sample whose drop key equals log t exactly is still in at job t and
+    out at t + 1, in the bank and in the scalar oracle alike."""
+    t0 = 10
+    # key = u * 1 / (alpha * 1 * 1) = u / 4 = log(t0) exactly
+    est = EstimatorConfig(u_rho=4.0 * math.log(t0), u_beta=2600.0, alpha=4.0)
+    bank = WorkerStats(1, est, RHO_BOUNDS, BETA_BOUNDS, DELTA, horizon=t0 + 1)
+    scalar = oracles.WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS, DELTA)
+    bank.record_jct_sample(ONE, [1.0], [1.0])
+    scalar.record_jct_sample(1.0, 1.0)
+    for t, kept in ((t0, 1.0), (t0 + 1, 0.0)):
+        bank.refresh_indices(t)
+        scalar.refresh_indices(t, est)
+        assert bank._kept[0, 0] == scalar._jct._kept_sum == kept
+        assert bank.rho_hat_plus[0] == scalar.rho_hat_plus
+
+
+def test_stats_csv_bytes_match_scalar_states(tmp_path):
+    """The bank's CSV is byte-identical to the per-worker CSV of the same
+    states kept by scalar estimators."""
+    est = EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=4.0)
+    n = 3
+    bank = WorkerStats(n, est, RHO_BOUNDS, BETA_BOUNDS, DELTA, horizon=50)
+    scalars = [oracles.WorkerStats(est, RHO_BOUNDS, BETA_BOUNDS, DELTA) for _ in range(n)]
+    rng = np.random.default_rng(4)
+    for t in range(1, 51):
+        bank.refresh_indices(t)
+        for s in scalars:
+            s.refresh_indices(t, est)
+        tau = rng.uniform(20.0, 90.0, size=n)
+        failed = rng.random(n) < 0.3
+        bank.record_jct_sample([0, 2], tau[[0, 2]], [0.5, 0.5])
+        bank.record_window([0, 1, 2], failed)
+        for i in (0, 2):
+            scalars[i].record_jct_sample(float(tau[i]), 0.5)
+        for i in range(n):
+            scalars[i].record_window(bool(failed[i]))
+    stats_to_csv(bank, tmp_path / "bank.csv")
+    oracles.stats_to_csv(scalars, tmp_path / "scalar.csv")
+    assert (tmp_path / "bank.csv").read_bytes() == (tmp_path / "scalar.csv").read_bytes()

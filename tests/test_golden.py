@@ -7,7 +7,8 @@ arithmetic) updates them deliberately and says so.  The per-worker tables are
 only built with ``record_tables=True``, which the CLI and the benchmark never
 use, so this is the one check on that path.  The DSIC report and the
 deviation gains were pinned before the deviation grid was cut down to its
-knots and midpoints.
+knots and midpoints.  The 2000-job reference400 learning run was pinned
+before the per-worker estimators became one struct-of-arrays bank.
 """
 
 import hashlib
@@ -43,6 +44,11 @@ OUTPUT_HASHES = {
     ("reference400.cfg", 100, "learning"): (
         "30f20d42c5a857a5fd76d70c1a66f0ab29b3f42fee0dc6e000e27c5416bf31cf",
         "ee7037629a5a85b586c8455f181cdc44534773020f2e31d9815538303c0332b2",
+    ),
+    # 2000 jobs: drop-job evictions run through the 15th sample (t ~ 1800).
+    ("reference400.cfg", 2000, "learning"): (
+        "a483ae3d0eabe42974b29353b0495503ade8b3a41fb8e0556d0328c05c72ba3c",
+        "7aafe112699a83ec178f47b2f21b10f69b5ebf6595ca62000ab3e6945e3072c6",
     ),
     ("reference400.cfg", 100, "known-means"): (
         "ccd6a53fa5669d54c7c0f74ee8628b8afc4eeae5c1e1c3e12dce212622053612",

@@ -12,6 +12,7 @@ from crowdmarket import (
     BidProfile,
     PopulationGroup,
     PopulationRecipe,
+    jct_location,
     load_config,
     outcome_streams,
     population_to_csv,
@@ -21,6 +22,17 @@ from crowdmarket import (
 )
 
 from conftest import reference_config, reference_recipe
+
+
+def one_outcome(w, fraction, rng, *, sigma_log, delta):
+    """One worker's (tau, flag) through the batch sampler; the flag is None
+    when the window went unobserved."""
+    tau, window = sample_outcome(
+        [0], [fraction], [rng], [jct_location(w.mjct, sigma_log)], [w.mttf],
+        sigma_log=sigma_log, delta=delta,
+    )
+    code = int(window[0])
+    return float(tau[0]), None if code == -1 else bool(code)
 
 
 def test_reference_config_is_valid():
@@ -126,7 +138,7 @@ def test_outcome_zero_shape_is_exact():
     workers = sample_population(cfg, reference_recipe())
     rng = np.random.default_rng(0)
     w = workers[0]
-    tau, _ = sample_outcome(w, 0.5, rng, sigma_log=0.0, delta=cfg.delta)
+    tau, _ = one_outcome(w, 0.5, rng, sigma_log=0.0, delta=cfg.delta)
     assert tau / 0.5 == pytest.approx(w.mjct, abs=1e-12)
 
 
@@ -134,10 +146,9 @@ def test_outcome_rejects_bad_fraction():
     cfg = reference_config()
     w = sample_population(cfg, reference_recipe())[0]
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        sample_outcome(w, 0.0, rng, sigma_log=0.25, delta=0.5)
-    with pytest.raises(ValueError):
-        sample_outcome(w, 1.5, rng, sigma_log=0.25, delta=0.5)
+    for bad in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            one_outcome(w, bad, rng, sigma_log=0.25, delta=0.5)
 
 
 def test_window_unobserved_when_work_shorter_than_delta():
@@ -146,7 +157,7 @@ def test_window_unobserved_when_work_shorter_than_delta():
 
     w = WorkerProfile(id=0, cost=10.0, mjct=1.0, mttf=30.0)
     rng = np.random.default_rng(1)
-    tau, flag = sample_outcome(w, 0.01, rng, sigma_log=0.1, delta=0.5)
+    tau, flag = one_outcome(w, 0.01, rng, sigma_log=0.1, delta=0.5)
     assert tau < 0.5
     assert flag is None
 
@@ -162,19 +173,26 @@ def test_failure_probability_closed_form_vs_monte_carlo():
     assert abs((draws < delta).mean() - p_exact) < 1e-3
 
 
-def test_sample_outcome_failure_frequency_matches_closed_form():
-    from crowdmarket import WorkerProfile
+def _identical_workers_outcomes(mjct, mttf, fraction, delta, seed, workers=100, jobs=1000):
+    """``jobs`` batch draws over ``workers`` copies of one profile, each copy on
+    its own stream: the completion times and window codes, stacked."""
+    streams = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(workers)]
+    ids = list(range(workers))
+    location, means = [jct_location(mjct, 0.25)] * workers, [mttf] * workers
+    draws = [
+        sample_outcome(ids, [fraction] * workers, streams, location, means,
+                       sigma_log=0.25, delta=delta)
+        for _ in range(jobs)
+    ]
+    return np.concatenate([d[0] for d in draws]), np.concatenate([d[1] for d in draws])
 
+
+def test_sample_outcome_failure_frequency_matches_closed_form():
     beta, delta = 25.0, 0.5
-    w = WorkerProfile(id=0, cost=10.0, mjct=50.0, mttf=beta)
-    rng = np.random.default_rng(7)
-    n = 100_000
-    fails = observed = 0
-    for _ in range(n):
-        _, flag = sample_outcome(w, 1.0, rng, sigma_log=0.25, delta=delta)
-        if flag is not None:
-            observed += 1
-            fails += flag
+    _, window = _identical_workers_outcomes(50.0, beta, 1.0, delta, seed=7)
+    n = window.size
+    observed = int((window >= 0).sum())
+    fails = int((window == 1).sum())
     p = 1.0 - math.exp(-delta / beta)
     se = math.sqrt(p * (1 - p) / observed)
     assert observed > 0.99 * n  # mjct=50 makes tau < delta vanishingly rare
@@ -182,16 +200,10 @@ def test_sample_outcome_failure_frequency_matches_closed_form():
 
 
 def test_sample_outcome_mean_matches_mjct():
-    from crowdmarket import WorkerProfile
-
-    w = WorkerProfile(id=0, cost=10.0, mjct=50.0, mttf=30.0)
-    rng = np.random.default_rng(9)
-    n = 100_000
-    vals = np.empty(n)
-    for k in range(n):
-        tau, _ = sample_outcome(w, 0.5, rng, sigma_log=0.25, delta=0.5)
-        vals[k] = tau / 0.5
-    se = vals.std(ddof=1) / math.sqrt(n)
+    tau, _ = _identical_workers_outcomes(50.0, 30.0, 0.5, 0.5, seed=9)
+    vals = tau / 0.5
+    se = vals.std(ddof=1) / math.sqrt(vals.size)
+    assert vals.size == 100_000
     assert abs(vals.mean() - 50.0) < 3 * se
 
 
@@ -210,15 +222,16 @@ def test_outcome_streams_are_bitwise_reproducible():
             )
         ),
     )
-    outs1 = [
-        sample_outcome(w, 0.5, rng, sigma_log=0.25, delta=0.5)
-        for w, rng in zip(workers, outcome_streams(cfg))
-    ]
-    outs2 = [
-        sample_outcome(w, 0.5, rng, sigma_log=0.25, delta=0.5)
-        for w, rng in zip(workers, outcome_streams(cfg))
-    ]
-    assert outs1 == outs2
+    location = [jct_location(w.mjct, 0.25) for w in workers]
+    mttf = [w.mttf for w in workers]
+
+    def outcomes():
+        tau, window = sample_outcome(
+            [0, 1, 2], [0.5] * 3, outcome_streams(cfg), location, mttf, sigma_log=0.25, delta=0.5
+        )
+        return tau.tobytes() + window.tobytes()
+
+    assert outcomes() == outcomes()
 
 
 def test_per_worker_streams_are_independent_of_allocation_order():
@@ -232,13 +245,41 @@ def test_per_worker_streams_are_independent_of_allocation_order():
         )
     )
     workers = sample_population(cfg, recipe)
+    location = [jct_location(w.mjct, 0.25) for w in workers]
+    mttf = [w.mttf for w in workers]
     # worker 1's draw must be identical whether or not worker 0 drew first
-    s1 = outcome_streams(cfg)
-    sample_outcome(workers[0], 0.5, s1[0], sigma_log=0.25, delta=0.5)
-    with_draw = sample_outcome(workers[1], 0.5, s1[1], sigma_log=0.25, delta=0.5)
-    s2 = outcome_streams(cfg)
-    without_draw = sample_outcome(workers[1], 0.5, s2[1], sigma_log=0.25, delta=0.5)
-    assert with_draw == without_draw
+    with_draw = sample_outcome(
+        [0, 1], [0.5, 0.5], outcome_streams(cfg), location, mttf, sigma_log=0.25, delta=0.5
+    )
+    without_draw = sample_outcome(
+        [1], [0.5], outcome_streams(cfg), location, mttf, sigma_log=0.25, delta=0.5
+    )
+    assert with_draw[0][1] == without_draw[0][0]
+    assert with_draw[1][1] == without_draw[1][0]
+
+
+def test_batch_outcome_matches_per_worker_draws():
+    """The batch sampler draws a log-normal and then an exponential from each
+    listed worker's own stream, in the listed order, exactly as one scalar
+    draw per worker would."""
+    cfg = reference_config(n=5, seed=3)
+    workers = sample_population(cfg, reference_recipe(n_fast=3, n_slow=2))
+    location = [jct_location(w.mjct, cfg.sigma_log) for w in workers]
+    mttf = [w.mttf for w in workers]
+    listed, fractions = [0, 2, 3], [0.4, 0.001, 0.599]
+    tau, window = sample_outcome(
+        listed, fractions, outcome_streams(cfg), location, mttf,
+        sigma_log=cfg.sigma_log, delta=cfg.delta,
+    )
+    streams = outcome_streams(cfg)
+    for k, (i, f) in enumerate(zip(listed, fractions)):
+        rng = streams[i]
+        jct = float(rng.lognormal(mean=location[i], sigma=cfg.sigma_log))
+        ttf = float(rng.exponential(workers[i].mttf))
+        expected = f * jct
+        assert tau[k] == expected
+        assert window[k] == (-1 if expected < cfg.delta else int(ttf < cfg.delta))
+    assert window[1] == -1  # a 0.001 share finishes inside the window
 
 
 def test_population_csv_export(tmp_path):
