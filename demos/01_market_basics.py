@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from crowdmarket import (
+    OutcomeBlocks,
     jct_location,
     load_config,
     outcome_streams,
@@ -38,14 +39,15 @@ def main() -> None:
     print(f"  resampling with the same seed reproduces it exactly: {workers == again}")
 
     # completion times: fraction * lognormal with mean exactly mjct
-    # (sample_outcome takes a batch of workers; here the batch is worker 0 alone)
+    # (sample_outcome serves a batch of workers from their pre-drawn blocks;
+    # here the batch is worker 0 alone)
     w = workers[0]
-    streams = outcome_streams(cfg)[:1]
-    location = [jct_location(w.mjct, cfg.sigma_log)]
+    blocks = OutcomeBlocks(
+        outcome_streams(cfg)[:1], [jct_location(w.mjct, cfg.sigma_log)], [w.mttf],
+        sigma_log=cfg.sigma_log, delta=cfg.delta,
+    )
     tau, window = map(np.concatenate, zip(*(
-        sample_outcome([0], [0.5], streams, location, [w.mttf],
-                       sigma_log=cfg.sigma_log, delta=cfg.delta)
-        for _ in range(50_000)
+        sample_outcome(blocks, [0], [0.5]) for _ in range(50_000)
     )))
     draws = tau / 0.5
     observed = int((window >= 0).sum())

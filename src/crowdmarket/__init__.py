@@ -23,10 +23,12 @@ from .estimator import (
     truncated_mean,
 )
 from .market import (
+    BLOCK,
     BidProfile,
     InvalidConfig,
     InvalidRecipe,
     MarketConfig,
+    OutcomeBlocks,
     PopulationGroup,
     PopulationRecipe,
     WorkerProfile,

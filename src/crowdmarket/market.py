@@ -8,6 +8,14 @@ log-scale shape; times to failure are exponential.
 
 Both objects can be read from a plain-text ``key = value`` config file, see
 :func:`load_config` for the schema.
+
+Each worker draws its outcomes from its own stream (:func:`outcome_streams`),
+``BLOCK`` at a time: a log-normal block and then an exponential block.  Worker
+``i``'s ``k``-th outcome (counting from 0, over the jobs that give it work) is
+element ``k mod BLOCK`` of its ``k // BLOCK``-th block, so it depends only on
+the seed, ``i`` and ``k``, never on which other workers were active.
+:class:`OutcomeBlocks` holds the current blocks and :func:`sample_outcome`
+serves one job from them.
 """
 
 from __future__ import annotations
@@ -30,6 +38,8 @@ __all__ = [
     "validate_config",
     "sample_population",
     "jct_location",
+    "BLOCK",
+    "OutcomeBlocks",
     "sample_outcome",
     "population_streams",
     "outcome_streams",
@@ -214,39 +224,78 @@ def jct_location(mjct: float, sigma_log: float) -> float:
     return math.log(mjct) - 0.5 * sigma_log * sigma_log
 
 
-def sample_outcome(
-    workers,
-    fractions,
-    streams: list[np.random.Generator],
-    location: list[float],
-    mttf: list[float],
-    *,
-    sigma_log: float,
-    delta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample one job's outcome for each worker in ``workers`` (ascending ids).
+BLOCK = 256  # outcome draws per worker per refill
 
-    Worker ``i = workers[k]``, with job fraction ``fractions[k]``, draws from
-    its own stream ``streams[i]`` a log-normal job-completion time with
-    location ``location[i]`` (see :func:`jct_location`) and then an
-    exponential time to failure of mean ``mttf[i]``.  Returns, per listed
-    worker, the completion time ``fraction * jct`` and the window code: 1 when
-    the time to failure falls inside the observation window, -1 when the work
-    is shorter than the window (so it went unobserved), and 0 otherwise.
+
+class OutcomeBlocks:
+    """The current outcome block of every worker.
+
+    Row ``i`` of ``jct`` holds worker ``i``'s log-normal completion-time draws
+    (location ``location[i]``, see :func:`jct_location`, shape ``sigma_log``),
+    and row ``i`` of ``failed`` whether each of its exponential times to
+    failure (mean ``mttf[i]``) fell inside the observation window ``delta``;
+    a time to failure is only ever compared with ``delta``.  ``cursor[i]``
+    counts the draws worker ``i`` has taken from its block.  A spent block is
+    refilled from ``streams[i]``: ``BLOCK`` log-normals, then ``BLOCK``
+    exponentials.
+    """
+
+    def __init__(
+        self,
+        streams: list[np.random.Generator],
+        location: list[float],
+        mttf: list[float],
+        *,
+        sigma_log: float,
+        delta: float,
+    ) -> None:
+        n = len(streams)
+        if len(location) != n or len(mttf) != n:
+            raise ValueError("streams, location and mttf need one entry per worker")
+        self.streams = streams
+        self.location = location
+        self.mttf = mttf
+        self.sigma_log = sigma_log
+        self.delta = delta
+        self.jct = np.empty((n, BLOCK))
+        self.failed = np.empty((n, BLOCK), dtype=bool)
+        self.cursor = np.full(n, BLOCK, dtype=np.intp)  # every block starts spent
+
+    def refill(self, workers: list[int]) -> None:
+        """Draw a fresh block for each listed worker and rewind its cursor."""
+        for i in workers:
+            rng = self.streams[i]
+            self.jct[i] = rng.lognormal(self.location[i], self.sigma_log, BLOCK)
+            self.failed[i] = rng.exponential(self.mttf[i], BLOCK) < self.delta
+        self.cursor[workers] = 0
+
+
+def sample_outcome(blocks: OutcomeBlocks, workers, fractions) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one job's outcome for each worker in ``workers`` (distinct ids).
+
+    Worker ``i = workers[k]``, with job fraction ``fractions[k]``, takes the
+    next draw of its block in ``blocks``, refilling the block first when it is
+    spent.  Returns, per listed worker, the completion time ``fraction * jct``
+    and the window code: 1 when the time to failure falls inside the
+    observation window, -1 when the work is shorter than the window (so it
+    went unobserved), and 0 otherwise.
     """
     fractions = np.asarray(fractions, dtype=float)
+    workers = np.asarray(workers, dtype=np.intp)
+    if fractions.shape != workers.shape:
+        raise ValueError("fractions need one entry per listed worker")
     if not (np.ceil(fractions) == 1.0).all():  # ceil is 1 exactly on (0, 1]; NaN fails
         raise ValueError("fractions must lie in (0, 1]")
-    draws = np.array(
-        [
-            (streams[i].lognormal(location[i], sigma_log), streams[i].exponential(mttf[i]))
-            for i in np.asarray(workers).tolist()
-        ],
-        dtype=float,
-    ).reshape(-1, 2)
-    tau = fractions * draws[:, 0]
-    window = (draws[:, 1] < delta).view(np.int8)
-    window[tau < delta] = -1
+    pos = blocks.cursor[workers]
+    spent = pos == BLOCK
+    if spent.any():
+        blocks.refill(workers[spent].tolist())
+        pos[spent] = 0
+    blocks.cursor[workers] = pos + 1
+    cells = workers * BLOCK + pos
+    tau = fractions * blocks.jct.take(cells)
+    window = blocks.failed.take(cells).view(np.int8)
+    window[tau < blocks.delta] = -1
     return tau, window
 
 

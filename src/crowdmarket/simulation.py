@@ -6,9 +6,10 @@ the active workers, feeds the observations back into the estimators, and
 records payments and welfare: one :class:`JobRecord` per step, and one trace
 row that :meth:`Simulator.trace` stacks into the per-job series.  The learning
 state of all workers is one :class:`WorkerStats` bank, and each of these
-layers is one call per job.  A known-means mode pins the caps to the true
-parameters, which reproduces the omniscient baseline (allocation and payment
-alike, computed once) and serves as the zero-regret reference.
+layers is one call per job.  While the caps repeat bit for bit, the job
+reuses the previous job's allocation and payments instead of recomputing
+them.  A known-means mode pins the caps to the true parameters, which
+reproduces the omniscient baseline and serves as the zero-regret reference.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .allocation import Allocation, InfeasibleJob, sw_greedy, true_cap
 from .estimator import EstimatorConfig, WorkerStats
 from .market import (
     MarketConfig,
+    OutcomeBlocks,
     PopulationRecipe,
     WorkerProfile,
     jct_location,
@@ -79,8 +81,9 @@ class JobRecord:
     worker got no work; window is 1 where the failure window saw a failure,
     -1 where the work was shorter than the window (so it went unobserved),
     and 0 otherwise.  ``allocation`` and ``payments`` are ``None`` for an
-    infeasible job.  In known-means mode every job shares one allocation
-    and one payment record.
+    infeasible job.  Consecutive jobs with bitwise-equal caps share one
+    allocation and one payment record, so in known-means mode every job
+    shares them.
     """
 
     allocation: Allocation | None
@@ -151,10 +154,11 @@ class SimulationTrace:
 
 
 class Simulator:
-    """Owns the learning state and RNG streams of one run.
+    """Owns the learning state and outcome blocks of one run.
 
-    In known-means mode the caps never change, so the oracle allocation and
-    its payments are computed once and reused by every job.
+    A job whose caps equal, bit for bit, those of the last feasible job reuses
+    that job's allocation and payments: both are deterministic in (costs,
+    caps, cost_max).
     """
 
     def __init__(
@@ -182,22 +186,20 @@ class Simulator:
         self.oracle_cost = float(self.costs @ self.oracle.fractions)
         self.oracle_active = self.oracle.active_set
         self._oracle_active = self.oracle.fractions.nonzero()[0].tobytes()
-        self._known = None
-        if mode == "known-means":
-            self._known = (
-                self.oracle,
-                job_payments(
-                    self.oracle, self.true_caps, self.costs, cfg.cost_bounds[1],
-                    true_costs=self.costs,
-                ),
-            )
 
         self.stats = WorkerStats(
             cfg.n, self.est, cfg.rho_bounds, cfg.beta_bounds, cfg.delta, horizon=cfg.T
         )
-        self.streams = outcome_streams(cfg)
-        self._location = [jct_location(w.mjct, cfg.sigma_log) for w in self.workers]
-        self._mttf = [w.mttf for w in self.workers]
+        self.outcomes = OutcomeBlocks(
+            outcome_streams(cfg),
+            [jct_location(w.mjct, cfg.sigma_log) for w in self.workers],
+            [w.mttf for w in self.workers],
+            sigma_log=cfg.sigma_log,
+            delta=cfg.delta,
+        )
+        # The last computed job: its caps' bytes, then what they determine.
+        self._caps_key = None
+        self._plan = None
         tables = [(name, dtype, (cfg.n,)) for name, dtype in _TABLES] if record_tables else []
         self._row_dtype = np.dtype(_SERIES + tables)
         self._rows: list[tuple] = []
@@ -212,10 +214,9 @@ class Simulator:
     def step(self, t: int) -> JobRecord:
         """Run job ``t`` (1-based) and append its row to the trace."""
         cfg = self.cfg
-        if self._known is not None:
-            alloc, rec = self._known
-        else:
-            caps = self.current_caps(t)
+        caps = self.current_caps(t)
+        key = caps.tobytes()
+        if key != self._caps_key:
             try:
                 alloc = sw_greedy(self.costs, caps)
             except InfeasibleJob:
@@ -227,37 +228,31 @@ class Simulator:
                 self._rows.append(row)
                 return JobRecord(None, None, completion, window, matches_oracle=False)
             rec = job_payments(alloc, caps, self.costs, cfg.cost_bounds[1], true_costs=self.costs)
+            active = alloc.fractions.nonzero()[0]
+            match = active.tobytes() == self._oracle_active
+            row = (
+                False,
+                float(self.costs @ alloc.fractions),
+                float(rec.payments.sum()),
+                active.size,
+                float(rec.utilities.min()),
+                match,
+            )
+            self._caps_key = key
+            self._plan = (alloc, rec, active, alloc.fractions[active], match, row)
+        alloc, rec, active, fractions, match, row = self._plan
 
-        active = alloc.fractions.nonzero()[0]
-        fractions = alloc.fractions[active]
-        tau, codes = sample_outcome(
-            active,
-            fractions,
-            self.streams,
-            self._location,
-            self._mttf,
-            sigma_log=cfg.sigma_log,
-            delta=cfg.delta,
-        )
+        tau, codes = sample_outcome(self.outcomes, active, fractions)
         completion = np.empty(cfg.n)
         completion.fill(math.nan)
         completion[active] = tau
         window = np.zeros(cfg.n, dtype=np.int8)
         window[active] = codes
-        if self._known is None:
+        if self.mode == "learning":
             self.stats.record_jct_sample(active, tau, fractions)
             observed = codes >= 0
             self.stats.record_window(active[observed], codes[observed] > 0)
 
-        match = active.tobytes() == self._oracle_active
-        row = (
-            False,
-            float(self.costs @ alloc.fractions),
-            float(rec.payments.sum()),
-            active.size,
-            float(rec.utilities.min()),
-            match,
-        )
         if self.record_tables:
             row += (alloc.fractions, rec.payments, rec.utilities, completion, window)
         self._rows.append(row)

@@ -3,7 +3,9 @@
 ``WorkerStats`` keeps one worker's learning state with a heap of drop keys,
 one call per worker and sample, exactly as the estimator worked before its
 state became one struct-of-arrays bank; the bank must reproduce its counts,
-kept sums, indices and caps bit for bit.
+kept sums, indices and caps bit for bit.  ``BlockSampler`` serves each
+worker's outcomes one scalar draw at a time by the k-th-activation rule that
+``crowdmarket.sample_outcome`` implements with pre-drawn blocks.
 """
 
 from __future__ import annotations
@@ -11,9 +13,10 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from collections import deque
 
 from crowdmarket import EstimatorConfig
-from crowdmarket.market import Bounds
+from crowdmarket.market import BLOCK, Bounds
 
 
 class TruncatedMeanTracker:
@@ -199,3 +202,35 @@ def stats_to_csv(stats_list: list[WorkerStats], path) -> None:
                     s.eta,
                 ]
             )
+
+
+class BlockSampler:
+    """Worker outcomes by the k-th-activation rule, one scalar draw at a time.
+
+    Worker ``i``'s ``k``-th outcome is element ``k mod BLOCK`` of its
+    ``k // BLOCK``-th block, and a block is ``BLOCK`` single log-normal draws
+    followed by ``BLOCK`` single exponential draws from ``streams[i]``.
+    """
+
+    def __init__(self, streams, location, mttf, *, sigma_log: float, delta: float) -> None:
+        self.streams = streams
+        self.location = location
+        self.mttf = mttf
+        self.sigma_log = sigma_log
+        self.delta = delta
+        self._pending = [deque() for _ in streams]  # (jct, ttf) left in each block
+
+    def outcome(self, i: int, fraction: float) -> tuple[float, int]:
+        """Worker ``i``'s next completion time at ``fraction`` and its window
+        code (-1 unobserved, 1 failed, 0 clean)."""
+        pending = self._pending[i]
+        if not pending:
+            rng = self.streams[i]
+            jct = [rng.lognormal(self.location[i], self.sigma_log) for _ in range(BLOCK)]
+            ttf = [rng.exponential(self.mttf[i]) for _ in range(BLOCK)]
+            pending.extend(zip(jct, ttf))
+        jct, ttf = pending.popleft()
+        tau = fraction * jct
+        if tau < self.delta:
+            return tau, -1
+        return tau, int(ttf < self.delta)

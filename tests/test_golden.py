@@ -9,6 +9,15 @@ use, so this is the one check on that path.  The DSIC report and the
 deviation gains were pinned before the deviation grid was cut down to its
 knots and midpoints.  The 2000-job reference400 learning run was pinned
 before the per-worker estimators became one struct-of-arrays bank.
+
+Drawing each worker's outcomes in blocks changed the realized draws, and
+with them the desk6 learning trace and summary and its completion and
+window tables; those were pinned again, deliberately, when the blocks came
+in.  The other pins did not move: the desk6 caps stay at their bounds for
+the first 545 jobs, known-means outcomes feed no output but the tables, and
+the reference400 caps never move within the horizon.  So the reference400
+completion and window tables are pinned as well, at 300 jobs, which crosses
+a refill of every active worker's block.
 """
 
 import hashlib
@@ -34,8 +43,8 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 OUTPUT_HASHES = {
     ("desk6.cfg", 2000, "learning"): (
-        "33891b322716d6aab986f23200a3b9a8ef1fd1fc258381e511d227d3b1e6d771",
-        "965d8b24b9ef4b380a11026a43e8f574cd30c307df5cd3a8a696128778f88d8b",
+        "d7fefa3f16f8964f3ccbc44419e1aac2e3a542596c6f58114e55ec9cbb5d508b",
+        "22f796075866471563461e94901d7d720dcffcedef6e8257e888a310a6c942fb",
     ),
     ("desk6.cfg", 2000, "known-means"): (
         "e25f4e06083acca76d381e24f147e0538da442ddd4cbf4dc62b5e286d4f4ec11",
@@ -61,8 +70,14 @@ TABLE_HASHES = {
     "fraction_table": "839259fea5e575eff7ee5e477f23e8445f15efb1fcc4c309638549911f9fbd2c",
     "payment_table": "1e7768441560ea00f6de7c7aa0face0c306264aa7a94095ed8ad7b365d277d03",
     "utility_table": "50f0f44022b1e4d959f8b8a2dd0edb575a3b4935015d3870aeb60e5452a7fa03",
-    "completion_table": "b191011d5987399bf9288fcdb63231aeeb85b2937ff4e49f94a0dea9254ca607",
-    "window_table": "9fa396064c85971d609cba984e210fb33e58b3ce8de8bbeaf02782040eac9376",
+    "completion_table": "c25be5e35baab47de8c249a4ab00567536b5105a67749fe3396510935ca6929a",
+    "window_table": "5e8bfb885f6f4f743976381d1f4bf25f573a3de6ee46f55702bbddd20d314b9c",
+}
+
+# reference400.cfg, 300 jobs, learning mode, record_tables=True.
+REFERENCE_DRAW_HASHES = {
+    "completion_table": "47059a10095e4d8d596f66304eb7efa7632e04b19c8a1c421755c54e6c1da813",
+    "window_table": "bde59a546b7b327e7757fcbe987d547c80fec6a12f6121642a405811b9e2de1b",
 }
 
 # dsic_report.json of `crowdmarket dsic-test --instances 100 --seed 0`.
@@ -97,6 +112,12 @@ def test_per_worker_table_bytes():
     trace = _run("desk6.cfg", 500, "learning", record_tables=True)
     got = {name: _sha(getattr(trace, name).tobytes()) for name in TABLE_HASHES}
     assert got == TABLE_HASHES
+
+
+def test_reference_outcome_draw_bytes():
+    trace = _run("reference400.cfg", 300, "learning", record_tables=True)
+    got = {name: _sha(getattr(trace, name).tobytes()) for name in REFERENCE_DRAW_HASHES}
+    assert got == REFERENCE_DRAW_HASHES
 
 
 def test_dsic_report_bytes(tmp_path):

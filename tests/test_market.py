@@ -5,11 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crowdmarket import (
+    BLOCK,
     InvalidConfig,
     InvalidRecipe,
     BidProfile,
+    OutcomeBlocks,
     PopulationGroup,
     PopulationRecipe,
     jct_location,
@@ -22,15 +25,16 @@ from crowdmarket import (
 )
 
 from conftest import reference_config, reference_recipe
+from oracles import BlockSampler
 
 
 def one_outcome(w, fraction, rng, *, sigma_log, delta):
     """One worker's (tau, flag) through the batch sampler; the flag is None
     when the window went unobserved."""
-    tau, window = sample_outcome(
-        [0], [fraction], [rng], [jct_location(w.mjct, sigma_log)], [w.mttf],
-        sigma_log=sigma_log, delta=delta,
+    blocks = OutcomeBlocks(
+        [rng], [jct_location(w.mjct, sigma_log)], [w.mttf], sigma_log=sigma_log, delta=delta
     )
+    tau, window = sample_outcome(blocks, [0], [fraction])
     code = int(window[0])
     return float(tau[0]), None if code == -1 else bool(code)
 
@@ -178,12 +182,11 @@ def _identical_workers_outcomes(mjct, mttf, fraction, delta, seed, workers=100, 
     its own stream: the completion times and window codes, stacked."""
     streams = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(workers)]
     ids = list(range(workers))
-    location, means = [jct_location(mjct, 0.25)] * workers, [mttf] * workers
-    draws = [
-        sample_outcome(ids, [fraction] * workers, streams, location, means,
-                       sigma_log=0.25, delta=delta)
-        for _ in range(jobs)
-    ]
+    blocks = OutcomeBlocks(
+        streams, [jct_location(mjct, 0.25)] * workers, [mttf] * workers,
+        sigma_log=0.25, delta=delta,
+    )
+    draws = [sample_outcome(blocks, ids, [fraction] * workers) for _ in range(jobs)]
     return np.concatenate([d[0] for d in draws]), np.concatenate([d[1] for d in draws])
 
 
@@ -226,10 +229,9 @@ def test_outcome_streams_are_bitwise_reproducible():
     mttf = [w.mttf for w in workers]
 
     def outcomes():
-        tau, window = sample_outcome(
-            [0, 1, 2], [0.5] * 3, outcome_streams(cfg), location, mttf, sigma_log=0.25, delta=0.5
-        )
-        return tau.tobytes() + window.tobytes()
+        blocks = OutcomeBlocks(outcome_streams(cfg), location, mttf, sigma_log=0.25, delta=0.5)
+        jobs = [sample_outcome(blocks, [0, 1, 2], [0.5] * 3) for _ in range(BLOCK + 1)]
+        return b"".join(tau.tobytes() + window.tobytes() for tau, window in jobs)
 
     assert outcomes() == outcomes()
 
@@ -247,39 +249,98 @@ def test_per_worker_streams_are_independent_of_allocation_order():
     workers = sample_population(cfg, recipe)
     location = [jct_location(w.mjct, 0.25) for w in workers]
     mttf = [w.mttf for w in workers]
+
+    def blocks():
+        return OutcomeBlocks(outcome_streams(cfg), location, mttf, sigma_log=0.25, delta=0.5)
+
     # worker 1's draw must be identical whether or not worker 0 drew first
-    with_draw = sample_outcome(
-        [0, 1], [0.5, 0.5], outcome_streams(cfg), location, mttf, sigma_log=0.25, delta=0.5
-    )
-    without_draw = sample_outcome(
-        [1], [0.5], outcome_streams(cfg), location, mttf, sigma_log=0.25, delta=0.5
-    )
+    with_draw = sample_outcome(blocks(), [0, 1], [0.5, 0.5])
+    without_draw = sample_outcome(blocks(), [1], [0.5])
     assert with_draw[0][1] == without_draw[0][0]
     assert with_draw[1][1] == without_draw[1][0]
 
 
 def test_batch_outcome_matches_per_worker_draws():
-    """The batch sampler draws a log-normal and then an exponential from each
-    listed worker's own stream, in the listed order, exactly as one scalar
-    draw per worker would."""
+    """The batch sampler fills each listed worker's block from its own stream,
+    ``BLOCK`` log-normals and then ``BLOCK`` exponentials, and the worker's
+    j-th job reads element j of that block."""
     cfg = reference_config(n=5, seed=3)
     workers = sample_population(cfg, reference_recipe(n_fast=3, n_slow=2))
     location = [jct_location(w.mjct, cfg.sigma_log) for w in workers]
     mttf = [w.mttf for w in workers]
-    listed, fractions = [0, 2, 3], [0.4, 0.001, 0.599]
-    tau, window = sample_outcome(
-        listed, fractions, outcome_streams(cfg), location, mttf,
-        sigma_log=cfg.sigma_log, delta=cfg.delta,
+    blocks = OutcomeBlocks(
+        outcome_streams(cfg), location, mttf, sigma_log=cfg.sigma_log, delta=cfg.delta
     )
+    listed, fractions = [0, 2, 3], [0.4, 0.001, 0.599]
+    jobs = [sample_outcome(blocks, listed, fractions) for _ in range(2)]
     streams = outcome_streams(cfg)
     for k, (i, f) in enumerate(zip(listed, fractions)):
         rng = streams[i]
-        jct = float(rng.lognormal(mean=location[i], sigma=cfg.sigma_log))
-        ttf = float(rng.exponential(workers[i].mttf))
-        expected = f * jct
-        assert tau[k] == expected
-        assert window[k] == (-1 if expected < cfg.delta else int(ttf < cfg.delta))
-    assert window[1] == -1  # a 0.001 share finishes inside the window
+        jct = rng.lognormal(mean=location[i], sigma=cfg.sigma_log, size=BLOCK)
+        ttf = rng.exponential(workers[i].mttf, size=BLOCK)
+        for j, (tau, window) in enumerate(jobs):
+            expected = f * jct[j]
+            assert tau[k] == expected
+            assert window[k] == (-1 if expected < cfg.delta else int(ttf[j] < cfg.delta))
+    assert jobs[0][1][1] == -1  # a 0.001 share finishes inside the window
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    jobs=st.integers(2 * BLOCK + 1, 3 * BLOCK),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_sampler_matches_scalar_oracle(n, jobs, seed):
+    """Random activation patterns over more than two blocks: every job's
+    completion times and window codes equal the scalar k-th-activation
+    oracle's bit for bit.  Tiny fractions give -1 codes and short mean times
+    to failure give both 1 and 0."""
+    rng = np.random.default_rng(seed)
+    location = list(rng.uniform(2.0, 4.0, n))
+    mttf = list(rng.uniform(0.3, 2.0, n))
+    active = rng.random((jobs, n)) < rng.uniform(0.2, 1.0, n)
+    fractions = rng.choice([0.001, 0.5, 1.0], size=(jobs, n))
+
+    def streams():
+        return [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
+
+    blocks = OutcomeBlocks(streams(), location, mttf, sigma_log=0.25, delta=0.5)
+    oracle = BlockSampler(streams(), location, mttf, sigma_log=0.25, delta=0.5)
+    codes = set()
+    for t in range(jobs):
+        workers = active[t].nonzero()[0]
+        tau, window = sample_outcome(blocks, workers, fractions[t, workers])
+        expected = [oracle.outcome(i, fractions[t, i]) for i in workers.tolist()]
+        assert tau.tolist() == [e[0] for e in expected]
+        assert window.tolist() == [e[1] for e in expected]
+        codes.update(window.tolist())
+    assert codes == {-1, 0, 1}
+
+
+def test_worker_draws_are_paired_across_refills():
+    """Worker 1's k-th draw is the same whatever worker 0 does, over 600 jobs
+    (two refills of worker 1's block)."""
+    cfg = reference_config(n=2, seed=8)
+    workers = sample_population(cfg, reference_recipe(n_fast=1, n_slow=1))
+    location = [jct_location(w.mjct, cfg.sigma_log) for w in workers]
+    mttf = [w.mttf for w in workers]
+    patterns = {
+        "never": np.zeros(600, dtype=bool),
+        "always": np.ones(600, dtype=bool),
+        "random": np.random.default_rng(1).random(600) < 0.4,
+    }
+    seen = set()
+    for worker0 in patterns.values():
+        blocks = OutcomeBlocks(
+            outcome_streams(cfg), location, mttf, sigma_log=cfg.sigma_log, delta=cfg.delta
+        )
+        draws = []
+        for on in worker0:
+            tau, window = sample_outcome(blocks, [0, 1] if on else [1], [0.5, 0.5] if on else [0.5])
+            draws.append((tau[-1], window[-1]))
+        seen.add(np.array(draws).tobytes())
+    assert len(seen) == 1
 
 
 def test_population_csv_export(tmp_path):
