@@ -10,6 +10,7 @@ rule keeps truthful bidding a dominant strategy with non-negative utility.
 from .allocation import (
     Allocation,
     InfeasibleJob,
+    SortedBids,
     delta_separation,
     oracle_allocate,
     sw_greedy,

@@ -19,6 +19,7 @@ from .market import BidProfile, WorkerProfile
 __all__ = [
     "InfeasibleJob",
     "Allocation",
+    "SortedBids",
     "true_cap",
     "sw_greedy",
     "oracle_allocate",
@@ -60,8 +61,31 @@ def true_cap(rho: float, beta: float, D: float, epsilon: float) -> float:
     return min(1.0, min(D, beta * -math.log1p(-epsilon)) / rho)
 
 
+@dataclass(frozen=True)
+class SortedBids:
+    """Bids with their ascending order (ties by worker id), for a caller that
+    allocates many jobs against the same bids: ``sw_greedy`` then sorts
+    nothing.  Build it with :meth:`of`; the order is read-only."""
+
+    values: np.ndarray
+    order: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.order.shape != self.values.shape:
+            raise ValueError(
+                f"bid order and bids disagree in length: {self.order.shape} vs {self.values.shape}"
+            )
+
+    @classmethod
+    def of(cls, bids) -> "SortedBids":
+        values = np.asarray(bids, dtype=float)
+        order = values.argsort(kind="stable")
+        order.flags.writeable = False
+        return cls(values, order)
+
+
 def _as_bid_array(bids) -> np.ndarray:
-    if isinstance(bids, BidProfile):
+    if isinstance(bids, (BidProfile, SortedBids)):
         return bids.values
     return np.asarray(bids, dtype=float)
 
@@ -70,7 +94,8 @@ def sw_greedy(bids, caps) -> Allocation:
     """Fill the job greedily in ascending-bid order, each worker up to its cap.
 
     The last active worker takes the exact remainder, so the fractions sum to
-    one exactly.  Ties in bids are broken by ascending worker id.  Raises
+    one exactly.  Ties in bids are broken by ascending worker id; a
+    :class:`SortedBids` brings that order with it.  Raises
     :class:`InfeasibleJob` when the caps sum to less than one and
     ``ValueError`` on non-finite bids or caps outside [0, 1].
     """
@@ -81,7 +106,7 @@ def sw_greedy(bids, caps) -> Allocation:
     if not ((c >= 0) & (c <= 1)).all():  # also rejects NaN caps
         raise ValueError("caps must lie in [0, 1]")
 
-    order = b.argsort(kind="stable")
+    order = bids.order if isinstance(bids, SortedBids) else b.argsort(kind="stable")
     # NaN sorts last and -inf first, so the two ends decide finiteness.
     if not (math.isfinite(b[order[0]]) and math.isfinite(b[order[-1]])):
         raise ValueError("bids must be finite")
@@ -91,10 +116,16 @@ def sw_greedy(bids, caps) -> Allocation:
         raise InfeasibleJob(float(cums[-1]))
 
     k_pos = int(cums.searchsorted(1.0))
-    full = c_sorted[:k_pos].tolist()  # the workers filled up to their caps
-    rest = max(0.0, 1.0 - math.fsum(full))
+    # The workers filled up to their caps; a memoryview yields their floats
+    # to fsum without building a list.
+    full = memoryview(c_sorted[:k_pos])
+    total = math.fsum(full)
+    rest = max(0.0, 1.0 - total)
     # One-ulp fix-up so the fractions sum to exactly one under exact summation.
-    for _ in range(4):
+    # From total >= 0.5 on it has nothing to fix: 1 - total is exact then, and
+    # the exact sum of full and rest is 1 plus at most half an ulp of total,
+    # which rounds to 1 (or rest is 0 both ways).
+    for _ in range(4 if total < 0.5 else 0):
         gap = 1.0 - math.fsum([*full, rest])
         if gap == 0.0:
             break

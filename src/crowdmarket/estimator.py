@@ -131,6 +131,9 @@ def surrogate_expectation(beta: float, delta: float) -> float:
 
 
 _RHO, _BETA = 0, 1  # rows of the stacked per-parameter arrays
+# Up to this many samples per call, Python's min and max over lists beat
+# numpy's reductions, whose fixed cost is about 1 us each.
+_LIST_MAX = 32
 
 
 class WorkerStats:
@@ -225,25 +228,29 @@ class WorkerStats:
         kept[workers] += x
         mean = means[workers]
         means[workers] = mean + (x - mean) / count
-        listed = count.tolist()
-        if 1.0 in listed:  # a worker's first sample is its mean
+        if count.size <= _LIST_MAX:
+            c_min, x_max = min(count.tolist()), max(x.tolist())
+        else:
+            c_min, x_max = float(count.min()), float(x.max())
+        if c_min == 1.0:  # a worker's first sample is its mean
             first = count == 1.0
             means[workers[first]] = x[first]
             self._unseen[row, workers[first]] = 0.0
         # Rounding is monotone, so no key is below the one built from the
         # smallest count and the largest value: most jobs file nothing.
         u, alpha, log_horizon = self._u[row], self._alpha, self._log_horizon
-        x_max = max(x.tolist())
-        if x_max <= 0 or u * min(listed) / (alpha * x_max * x_max) >= log_horizon:
+        if x_max <= 0 or u * c_min / (alpha * x_max * x_max) >= log_horizon:
             return
         keep = x > 0  # a sample <= 0 has key inf
         workers, x, count = workers[keep], x[keep], count[keep]
         keys = u * count / (alpha * x * x)
         early = keys < log_horizon
-        if not early.any():
+        if not np.count_nonzero(early):
             return
         workers, keys, x = workers[early], keys[early], x[early]
-        due = np.maximum(self._drop_jobs(keys), self._refreshed + 1)
+        # A sample already due is filed under the last refreshed job, which the
+        # next refresh, even one repeating that job, visits again.
+        due = np.maximum(self._drop_jobs(keys), self._refreshed)
         pending = self._pending
         for d, *entry in zip(due.tolist(), workers.tolist(), keys.tolist(), x.tolist()):
             pending.setdefault(d, []).append((row, *entry))
@@ -284,7 +291,7 @@ class WorkerStats:
         workers = np.asarray(workers, dtype=np.intp)
         failed = np.asarray(failed, dtype=bool)
         eta = self.eta
-        if failed.any():
+        if np.count_nonzero(failed):
             closed = workers[failed]
             self._add(_BETA, closed, self.delta * eta[closed])
             eta[workers] += 1
@@ -303,7 +310,7 @@ class WorkerStats:
             )
         if self._pending:
             due = []
-            for d in range(self._refreshed + 1, t + 1):
+            for d in range(self._refreshed, t + 1):
                 due += self._pending.pop(d, ())
             if due:
                 due.sort()  # by row and worker, then (key, value): a heap's pop order

@@ -284,18 +284,20 @@ def sample_outcome(blocks: OutcomeBlocks, workers, fractions) -> tuple[np.ndarra
     workers = np.asarray(workers, dtype=np.intp)
     if fractions.shape != workers.shape:
         raise ValueError("fractions need one entry per listed worker")
-    if not (np.ceil(fractions) == 1.0).all():  # ceil is 1 exactly on (0, 1]; NaN fails
+    # ceil is 1 exactly on (0, 1]; NaN fails
+    if np.count_nonzero(np.ceil(fractions) == 1.0) != fractions.size:
         raise ValueError("fractions must lie in (0, 1]")
     pos = blocks.cursor[workers]
     spent = pos == BLOCK
-    if spent.any():
+    if np.count_nonzero(spent):
         blocks.refill(workers[spent].tolist())
         pos[spent] = 0
     blocks.cursor[workers] = pos + 1
     cells = workers * BLOCK + pos
     tau = fractions * blocks.jct.take(cells)
-    window = blocks.failed.take(cells).view(np.int8)
-    window[tau < blocks.delta] = -1
+    # -1 (all bits set) where the work is shorter than the window, else 0 or 1.
+    window = np.negative((tau < blocks.delta).view(np.int8))
+    window |= blocks.failed.take(cells).view(np.int8)
     return tau, window
 
 

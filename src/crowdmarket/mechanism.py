@@ -5,11 +5,14 @@ fraction would spill over to the boundary worker's remaining slack and then to
 the workers bidding above the boundary, in bid order.  Each displaced unit is
 paid at the bid of the worker who would have absorbed it; any part of the
 fraction that nobody could absorb is paid at the cost ceiling.  Workers above
-the boundary receive nothing and pay nothing.  ``job_payments`` computes the
-displacement for all active workers at once as spill rows in bid order; the
-dense worker-by-worker table is built only when ``PaymentRecord.externality``
-is read.  The scalar transcription of the rule lives in the tests, as the
-oracle this vectorized path is checked against.
+the boundary receive nothing and pay nothing.  Each payment is thus the
+integral of a step function of the tail bids (Myerson's identity), so
+``job_payments`` prices every active worker from prefix sums of the tail
+caps, with one ``searchsorted``, in O(n log n).  The spill rows and the dense
+worker-by-worker table are built from the allocation only when
+``PaymentRecord.spill_rows`` or ``.externality`` is read.  The scalar
+transcription of the rule lives in the tests, as the oracle this vectorized
+path is checked against.
 
 ``deviation_sweep`` re-runs allocation and payments for a grid of unilateral
 bid deviations, the other workers bidding truthfully, and reports the best
@@ -43,30 +46,38 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PaymentRecord:
-    """Payments, utilities and the spill rows of one job.
+    """Payments and utilities of one job, with the allocation and caps they
+    were computed from.
 
-    ``spill_rows[p, q]`` is the fraction the worker at ``bid_order`` position
-    ``k_pos + q`` would absorb if the worker at position ``p`` were absent,
-    where ``k_pos = len(spill_rows) - 1`` is the boundary worker's position.
     Utilities are evaluated at the supplied true costs and are computed
     term-by-term so that truthful utilities are non-negative exactly, not
-    merely up to rounding.
+    merely up to rounding.  The spill rows and the dense externality table
+    are built from ``alloc`` and ``caps`` on each read.
     """
 
     payments: np.ndarray
     utilities: np.ndarray
-    spill_rows: np.ndarray
-    bid_order: np.ndarray
+    alloc: Allocation
+    caps: np.ndarray
+
+    @property
+    def spill_rows(self) -> np.ndarray:
+        """``spill_rows[p, q]`` is the fraction the worker at
+        ``alloc.bid_order`` position ``k_pos + q`` would absorb if the worker
+        at position ``p`` were absent, where ``k_pos = len(spill_rows) - 1``
+        is the boundary worker's position."""
+        alloc = self.alloc
+        order = alloc.bid_order
+        return _externality_rows_sorted(alloc.fractions[order], self.caps[order], alloc.k_pos)
 
     @property
     def externality(self) -> np.ndarray:
         """Dense table, built on each read: ``externality[i, j]`` is the extra
         fraction worker ``j`` would absorb if worker ``i`` were absent
         (original worker indexing, zero outside the active/boundary band)."""
-        n = self.bid_order.shape[0]
-        k_pos = self.spill_rows.shape[0] - 1
-        ext = np.zeros((n, n))
-        ext[np.ix_(self.bid_order[: k_pos + 1], self.bid_order[k_pos:])] = self.spill_rows
+        order, k_pos = self.alloc.bid_order, self.alloc.k_pos
+        ext = np.zeros((order.shape[0], order.shape[0]))
+        ext[np.ix_(order[: k_pos + 1], order[k_pos:])] = self.spill_rows
         return ext
 
 
@@ -104,36 +115,52 @@ def job_payments(
     c_bar: float,
     true_costs=None,
 ) -> PaymentRecord:
-    """Compute payments and utilities for every worker in one job."""
+    """Compute payments and utilities for every worker in one job.
+
+    Every active worker but the boundary one first fills the boundary
+    worker's slack, at the boundary bid ``b_k``.  The rest of its fraction
+    fills the caps of the workers after the boundary, in bid order and each
+    at its bid, and what they cannot absorb is paid at ``c_bar``.  One
+    ``searchsorted`` in the prefix sums of those caps finds the slots each
+    row fills completely, so all payments take O(n log n).  A slot's bid
+    enters as ``r + (b - r)``, with ``r`` the first bid after the boundary,
+    so the boundary worker's own bid never prices its own payment, and no
+    term is negative for a truthful bid.
+    """
     caps = np.asarray(caps, dtype=float)
     b = _as_bid_array(bids)
     costs = b if true_costs is None else np.asarray(true_costs, dtype=float)
 
-    order = alloc.bid_order
-    k_pos = alloc.k_pos
-    n = b.shape[0]
-    x_s = alloc.fractions[order]
-    rows = _externality_rows_sorted(x_s, caps[order], k_pos)
-
+    order, k = alloc.bid_order, alloc.k_pos
+    n = order.shape[0]
+    active = order[: k + 1]
+    x = alloc.fractions[active]
     b_s = b[order]
-    b_tail = b_s[k_pos:]
-    c_active = (b_s if costs is b else costs[order])[: k_pos + 1]
-    spill = rows.sum(axis=1)
-    residual = np.maximum(0.0, x_s[: k_pos + 1] - spill)
-    pay_active = rows @ b_tail + residual * c_bar
-    margins = b_tail - c_active[:, None]
-    margins *= rows
-    util_active = margins.sum(axis=1)
-    util_active += residual * (c_bar - c_active)
+    b_k = b_s[k]
+    b_next = np.empty(n - k)  # the bid of each tail slot, then the ceiling
+    b_next[:-1] = b_s[k + 1 :]
+    b_next[-1] = c_bar
+    r = b_next[0]
+    a = caps[order[k + 1 :]]
+    filled = np.zeros(n - k)  # prefix sums of a
+    np.add.accumulate(a, out=filled[1:])
+    premium = np.zeros(n - k)  # prefix sums of (b - r) * a
+    np.add.accumulate((b_next[:-1] - r) * a, out=premium[1:])
 
-    active = order[: k_pos + 1]
+    slack = np.minimum(x, caps[order[k]] - x[k])
+    slack[k] = 0.0  # the boundary worker's row skips its own slack
+    spill = x - slack
+    j = filled[1:].searchsorted(spill, side="right")  # tail slots filled completely
+    done = filled[j]
+    part = spill - done
+    prem, b_part = premium[j], b_next[j]
+
+    c = b_s[: k + 1] if costs is b else costs[active]
     payments = np.zeros(n)
     utilities = np.zeros(n)
-    payments[active] = pay_active
-    utilities[active] = util_active
-    return PaymentRecord(
-        payments=payments, utilities=utilities, spill_rows=rows, bid_order=order
-    )
+    payments[active] = b_k * slack + r * done + prem + b_part * part
+    utilities[active] = (b_k - c) * slack + (r - c) * done + prem + (b_part - c) * part
+    return PaymentRecord(payments=payments, utilities=utilities, alloc=alloc, caps=caps)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import Allocation, InfeasibleJob, sw_greedy, true_cap
+from .allocation import Allocation, InfeasibleJob, SortedBids, sw_greedy, true_cap
 from .estimator import EstimatorConfig, WorkerStats
 from .market import (
     MarketConfig,
@@ -146,7 +146,9 @@ class SimulationTrace:
 
     @property
     def regret_cum(self) -> np.ndarray:
-        return self.neg_welfare_cum - self.oracle_cost_cum
+        """Running sum of each job's cost minus the oracle cost (0 for an
+        infeasible job): the one regret series of the trace CSV and summary."""
+        return np.where(self.infeasible, 0.0, self.cost - self.oracle_cost).cumsum()
 
     @property
     def regret_avg(self) -> np.ndarray:
@@ -178,11 +180,13 @@ class Simulator:
 
         self.workers = sample_population(cfg, recipe)
         self.costs = np.array([w.cost for w in self.workers])
+        # Every worker bids its cost, so the bids are sorted once per run.
+        self.bids = SortedBids.of(self.costs)
         self.true_caps = np.array(
             [true_cap(w.mjct, w.mttf, cfg.D, cfg.epsilon) for w in self.workers]
         )
         # Oracle feasibility is a precondition of the whole run.
-        self.oracle = sw_greedy(self.costs, self.true_caps)
+        self.oracle = sw_greedy(self.bids, self.true_caps)
         self.oracle_cost = float(self.costs @ self.oracle.fractions)
         self.oracle_active = self.oracle.active_set
         self._oracle_active = self.oracle.fractions.nonzero()[0].tobytes()
@@ -218,7 +222,7 @@ class Simulator:
         key = caps.tobytes()
         if key != self._caps_key:
             try:
-                alloc = sw_greedy(self.costs, caps)
+                alloc = sw_greedy(self.bids, caps)
             except InfeasibleJob:
                 completion = np.full(cfg.n, math.nan)
                 window = np.zeros(cfg.n, dtype=np.int8)
@@ -251,7 +255,8 @@ class Simulator:
         if self.mode == "learning":
             self.stats.record_jct_sample(active, tau, fractions)
             observed = codes >= 0
-            self.stats.record_window(active[observed], codes[observed] > 0)
+            if np.count_nonzero(observed):  # at n=400 most jobs observe no window
+                self.stats.record_window(active[observed], codes[observed] > 0)
 
         if self.record_tables:
             row += (alloc.fractions, rec.payments, rec.utilities, completion, window)
@@ -292,10 +297,8 @@ def regret(trace: SimulationTrace):
     Regret is oriented as incurred cost minus oracle cost, so it is
     non-negative whenever the oracle is optimal for the instance.
     """
-    per_job = np.where(trace.infeasible, 0.0, trace.cost - trace.oracle_cost)
-    cum = per_job.cumsum()
-    total = float(cum[-1]) if len(trace) else 0.0
-    return total, cum / trace.job_index
+    total = float(trace.regret_cum[-1]) if len(trace) else 0.0
+    return total, trace.regret_avg
 
 
 def optimal_set_match(trace: SimulationTrace):

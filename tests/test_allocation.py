@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from crowdmarket import (
     InfeasibleJob,
+    SortedBids,
     delta_separation,
     oracle_allocate,
     sample_population,
@@ -95,6 +96,70 @@ def test_allocation_invariants_on_random_instances(n, seed):
     # nothing beyond the boundary worker in bid order
     k_pos = alloc.k_pos
     assert np.all(alloc.fractions[alloc.bid_order[k_pos + 1 :]] == 0.0)
+
+
+def _random_caps_and_bids(rng, n):
+    """Feasible caps (some zero, some tiny, sum near or well above one) and
+    bids on a few levels, so ties are common."""
+    caps = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-17, 1, n)
+    caps[rng.random(n) < 0.2] = 0.0
+    caps = np.minimum(1.0, caps / max(caps.sum(), 1e-300) * rng.uniform(1.0, 3.0))
+    bids = rng.choice(rng.uniform(1.0, 10.0, 3), n)
+    return bids, caps
+
+
+def literal_rest(c_sorted, k_pos):
+    """The boundary fraction by the full fix-up loop, with no shortcut."""
+    full = c_sorted[:k_pos].tolist()
+    rest = max(0.0, 1.0 - math.fsum(full))
+    for _ in range(4):
+        gap = 1.0 - math.fsum([*full, rest])
+        if gap == 0.0:
+            break
+        rest = max(0.0, rest + gap)
+    return min(rest, float(c_sorted[k_pos]))
+
+
+@given(
+    n=st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=300, max_value=420)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_sorted_bids_are_byte_equal_and_fix_up_shortcut_is_exact(n, seed):
+    rng = np.random.default_rng(seed)
+    bids, caps = _random_caps_and_bids(rng, n)
+    try:
+        alloc = sw_greedy(bids, caps)
+    except InfeasibleJob:
+        with pytest.raises(InfeasibleJob):
+            sw_greedy(SortedBids.of(bids), caps)
+        return
+    presorted = sw_greedy(SortedBids.of(bids), caps)
+    assert presorted.fractions.tobytes() == alloc.fractions.tobytes()
+    assert (presorted.k_bar, presorted.k_pos) == (alloc.k_bar, alloc.k_pos)
+    assert presorted.bid_order.tobytes() == alloc.bid_order.tobytes()
+    c_sorted = caps[alloc.bid_order]
+    k_pos = int(c_sorted.cumsum().searchsorted(1.0))
+    assert alloc.fractions[alloc.bid_order[k_pos]] == literal_rest(c_sorted, k_pos)
+
+
+def test_fix_up_below_one_half_moves_the_remainder_by_an_ulp():
+    """Three full caps summing to 0.2387: 1 - total rounds, and the exact sum
+    with that remainder rounds below one, so the loop must add one ulp."""
+    caps = np.array([0.12897873630177883, 0.015148427668818855, 0.09453055554283875, 1.0])
+    rest = 1.0 - math.fsum(caps[:3].tolist())
+    assert math.fsum([*caps[:3].tolist(), rest]) != 1.0
+    alloc = sw_greedy(np.arange(4.0), caps)
+    assert alloc.fractions[3] == literal_rest(caps, 3) != rest
+    assert math.fsum(alloc.fractions) == 1.0
+
+
+def test_bid_order_of_wrong_length_raises(worked_instance):
+    bids, _ = worked_instance
+    for order in (np.arange(2), np.arange(4)):
+        with pytest.raises(ValueError, match="bid order"):
+            SortedBids(bids, order)
+    assert not SortedBids.of(bids).order.flags.writeable
 
 
 def test_greedy_matches_enumeration_on_grid_caps():

@@ -21,6 +21,8 @@ from crowdmarket import (
     truncated_mean,
 )
 
+from crowdmarket.estimator import _LIST_MAX
+
 import oracles
 from conftest import reference_config
 
@@ -401,6 +403,44 @@ def test_bank_matches_scalar_oracle(n, jobs):
         for i in observed:
             scalars[i].record_window(moves[i][3])
         bank.record_window(observed, [moves[i][3] for i in observed])
+    _assert_bank_matches(bank, scalars, D, eps)
+
+
+@pytest.mark.parametrize("n", [6, 400])
+def test_bank_matches_scalar_oracle_on_both_sides_of_the_list_threshold(n):
+    """``_add`` reduces its counts and values with Python lists up to
+    ``_LIST_MAX`` entries and with numpy above; both give the oracle's
+    counts, kept sums and indices bit for bit over 50 jobs.  The last job is
+    refreshed again after its samples arrive, which must drop those already
+    due by then, as the oracle's heap does."""
+    assert 6 <= _LIST_MAX < 400
+    est = EstimatorConfig(u_rho=40.0, u_beta=3.0, alpha=2.0)
+    rho_bounds, beta_bounds, delta, D, eps = (0.1, 30.0), (1.0, 9.0), 0.5, 5.0, 0.2
+    jobs = 50
+    bank = WorkerStats(n, est, rho_bounds, beta_bounds, delta, horizon=jobs)
+    scalars = [oracles.WorkerStats(est, rho_bounds, beta_bounds, delta) for _ in range(n)]
+    values = np.array([0.1, 0.3, 0.7, 1.1, 3.3, 7.7, 20.0])
+    rng = np.random.default_rng(n)
+    for t in range(1, jobs + 1):
+        if t % 7:  # some jobs skip their refresh
+            bank.refresh_indices(t)
+            for s in scalars:
+                s.refresh_indices(t, est)
+        sampled = np.flatnonzero(rng.random(n) < 0.9)
+        tau = rng.choice(values, sampled.size)
+        bank.record_jct_sample(sampled, tau, np.full(sampled.size, 0.5))
+        for i, x in zip(sampled.tolist(), tau.tolist()):
+            scalars[i].record_jct_sample(x, 0.5)
+        observed = np.flatnonzero(rng.random(n) < 0.8)
+        failed = rng.random(observed.size) < 0.4
+        bank.record_window(observed, failed)
+        for i, f in zip(observed.tolist(), failed.tolist()):
+            scalars[i].record_window(f)
+        if t % 10 == 0:
+            _assert_bank_matches(bank, scalars, D, eps)
+    bank.refresh_indices(jobs)  # job 50 again
+    for s in scalars:
+        s.refresh_indices(jobs, est)
     _assert_bank_matches(bank, scalars, D, eps)
 
 

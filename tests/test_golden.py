@@ -18,6 +18,19 @@ the first 545 jobs, known-means outcomes feed no output but the tables, and
 the reference400 caps never move within the horizon.  So the reference400
 completion and window tables are pinned as well, at 300 jobs, which crosses
 a refill of every active worker's block.
+
+The trace CSV's ``regret_avg`` column once cumulated cost and oracle cost
+apart and differed from the summary's ``regret_avg_final`` in the last
+digits.  Both now read one series, the running sum of per-job differences
+that the summary always used, so the learning trace CSV pins were recorded
+again: every other column kept its bytes, and the new ``regret_avg`` column
+equals the old ``regret()`` series digit for digit.  No summary pin moved.
+
+The reference400 caps stay clamped through job 2,066 at seed 7, so the
+2000-job pin never reads the learner.  The 3000-job pin does: its caps move
+from job 2,067 on.  It pins the trace CSV, the summary JSON and the
+estimator state (``stats_to_csv``); the last two were recorded before the
+payments moved to prefix sums and passed unedited after.
 """
 
 import hashlib
@@ -29,10 +42,12 @@ import pytest
 
 from crowdmarket import (
     EstimatorConfig,
+    Simulator,
     deviation_sweep,
     load_config,
     random_frozen_instance,
     run,
+    stats_to_csv,
     summary_to_json,
     trace_summary,
     trace_to_csv,
@@ -43,7 +58,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 OUTPUT_HASHES = {
     ("desk6.cfg", 2000, "learning"): (
-        "d7fefa3f16f8964f3ccbc44419e1aac2e3a542596c6f58114e55ec9cbb5d508b",
+        "5109d0172b1a9709226a645fbc31f7ce4601109c4390067464e0ebeaa76b99a9",
         "22f796075866471563461e94901d7d720dcffcedef6e8257e888a310a6c942fb",
     ),
     ("desk6.cfg", 2000, "known-means"): (
@@ -51,12 +66,12 @@ OUTPUT_HASHES = {
         "038e625cd1a54506500129d1ed9823fb455468983a86becc148d153cd06fb782",
     ),
     ("reference400.cfg", 100, "learning"): (
-        "30f20d42c5a857a5fd76d70c1a66f0ab29b3f42fee0dc6e000e27c5416bf31cf",
+        "6e91e34537d354f0fa3bdd564fae86b106d7a42c4dd5fc4ad2ca5188b8d2e3c4",
         "ee7037629a5a85b586c8455f181cdc44534773020f2e31d9815538303c0332b2",
     ),
     # 2000 jobs: drop-job evictions run through the 15th sample (t ~ 1800).
     ("reference400.cfg", 2000, "learning"): (
-        "a483ae3d0eabe42974b29353b0495503ade8b3a41fb8e0556d0328c05c72ba3c",
+        "e2a90ddaa0bac4f459f7733a99231aa8bdc8cec179a9623c3a8f43a644f5be55",
         "7aafe112699a83ec178f47b2f21b10f69b5ebf6595ca62000ab3e6945e3072c6",
     ),
     ("reference400.cfg", 100, "known-means"): (
@@ -64,6 +79,13 @@ OUTPUT_HASHES = {
         "6b8dca7625c44bfa727ef0d6e4d82a54c43e64cb4b688262e8f8df0d9010d95c",
     ),
 }
+
+# reference400.cfg, 3000 jobs, learning mode: trace CSV, summary JSON, stats_to_csv.
+LEARNER_HASHES = (
+    "826b5852f6e8e17f4f9ee678f66048daf4b6e2abda810cf3fd0ed6dfec7a51a8",
+    "c3e2a966c60a6c1b2fd242f0a1a525f47498734f37e0725c575b819213a8bf6e",
+    "07ae9077f6c614ecf123da3177aad4d776dce6562cd66ec2b253c9ddccf5d726",
+)
 
 # desk6.cfg, 500 jobs, learning mode, record_tables=True.
 TABLE_HASHES = {
@@ -87,10 +109,15 @@ DSIC_REPORT_HASH = "916595a66cbda658dcf6c91bedf16bbd6f010ed83a8ef13ba5c591fbc7ee
 GAINS_HASH = "35341b2e2f3ebb850799ea2116c5e40385d1327966f2a2b563381691942f7b4e"
 
 
-def _run(config: str, jobs: int, mode: str, record_tables: bool):
+def _setup(config: str, jobs: int):
     cfg, recipe, overrides = load_config(CONFIGS / config)
     cfg = replace(cfg, T=jobs)
     est = replace(EstimatorConfig.defaults(cfg), **overrides).validate(cfg)
+    return cfg, recipe, est
+
+
+def _run(config: str, jobs: int, mode: str, record_tables: bool):
+    cfg, recipe, est = _setup(config, jobs)
     return run(cfg, recipe, est_cfg=est, mode=mode, record_tables=record_tables)
 
 
@@ -106,6 +133,19 @@ def test_trace_and_summary_bytes(key, tmp_path):
     summary_to_json(trace_summary(trace), json_path)
     got = (_sha(csv_path.read_bytes()), _sha(json_path.read_bytes()))
     assert got == OUTPUT_HASHES[key]
+
+
+def test_reference_learner_bytes(tmp_path):
+    cfg, recipe, est = _setup("reference400.cfg", 3000)
+    sim = Simulator(cfg, recipe, est_cfg=est, record_tables=False)
+    for t in range(1, cfg.T + 1):
+        sim.step(t)
+    trace = sim.trace()
+    paths = [tmp_path / name for name in ("trace.csv", "summary.json", "stats.csv")]
+    trace_to_csv(trace, paths[0])
+    summary_to_json(trace_summary(trace), paths[1])
+    stats_to_csv(sim.stats, paths[2])
+    assert tuple(_sha(path.read_bytes()) for path in paths) == LEARNER_HASHES
 
 
 def test_per_worker_table_bytes():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crowdmarket import (
@@ -44,10 +44,17 @@ def literal_externality_row(i, alloc, caps, bids):
 def payment(i, alloc, caps, bids, c_bar):
     """Literal payment rule on top of the literal rows: displaced units at the
     absorbers' bids plus the unabsorbable residual at the cost ceiling."""
+    return literal_payment_and_utility(i, alloc, caps, bids, c_bar, bids[i])[0]
+
+
+def literal_payment_and_utility(i, alloc, caps, bids, c_bar, cost):
+    """Payment and utility at true cost ``cost`` by the literal rule, each
+    displaced unit and the residual priced one at a time."""
     row = literal_externality_row(i, alloc, caps, bids)
-    spill = sum(row.values())
-    total = sum(val * bids[w] for w, val in row.items())
-    return float(total + max(0.0, alloc.fractions[i] - spill) * c_bar)
+    residual = max(0.0, alloc.fractions[i] - sum(row.values()))
+    pay = sum(val * bids[w] for w, val in row.items()) + residual * c_bar
+    util = sum(val * (bids[w] - cost) for w, val in row.items()) + residual * (c_bar - cost)
+    return float(pay), float(util)
 
 
 @pytest.fixture
@@ -115,6 +122,101 @@ def test_vectorized_matches_literal_rule(seed):
         assert rec.payments[i] - inst.costs[i] * alloc.fractions[i] == pytest.approx(
             float(rec.utilities[i]), abs=1e-9
         )
+
+
+@st.composite
+def payment_instances(draw):
+    """(bids, caps, true_costs, c_bar) of a feasible job: n from 1 to 12 or
+    near 400, bids on a few levels (ties), some zero caps, caps that cover
+    the job tightly (the boundary worker often last, residuals paid at
+    c_bar) or loosely, and true costs that are or are not the bids."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(1, 12), st.integers(390, 410)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bids = rng.choice(rng.uniform(1.0, 10.0, draw(st.integers(1, n))), n)
+    caps = rng.uniform(0.0, 1.0, n)
+    caps[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    target = draw(st.sampled_from([1.0, 1.001, 1.3, 3.0]))
+    caps = np.minimum(1.0, caps / max(caps.sum(), 1e-12) * target)
+    assume(caps[bids.argsort(kind="stable")].cumsum()[-1] >= 1.0)  # sw_greedy's test
+    if draw(st.booleans()):
+        true_costs = bids
+    else:
+        true_costs = np.clip(bids + rng.normal(0.0, 2.0, n), 1.0, 10.0)
+    c_bar = float(bids.max()) + draw(st.sampled_from([0.0, 0.5, 5.0]))
+    return bids, caps, true_costs, c_bar
+
+
+def _checked_workers(alloc):
+    """Every worker up to n = 12; beyond, the ends of the bid order and the
+    positions around the boundary (the literal rule is quadratic in n)."""
+    n, k = len(alloc.fractions), alloc.k_pos
+    if n <= 12:
+        return range(n)
+    positions = {0, 1, k - 2, k - 1, k, k + 1, n - 1}
+    return [int(alloc.bid_order[p]) for p in sorted(positions) if 0 <= p < n]
+
+
+def _check_against_literal_rule(bids, caps, true_costs, c_bar):
+    alloc = sw_greedy(bids, caps)
+    rec = job_payments(alloc, caps, bids, c_bar, true_costs=true_costs)
+    for i in _checked_workers(alloc):
+        pay, util = literal_payment_and_utility(i, alloc, caps, bids, c_bar, true_costs[i])
+        assert rec.payments[i] == pytest.approx(pay, rel=1e-12, abs=0.0)
+        # a utility can cancel to near zero; its scale is the payment and the cost
+        scale = pay + true_costs[i] * alloc.fractions[i]
+        assert abs(rec.utilities[i] - util) <= 1e-12 * scale
+    if true_costs is bids:
+        assert np.all(rec.utilities >= 0.0)  # exact, no tolerance
+    return alloc, rec
+
+
+@example((np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.6931, 1.0]), np.array([1.0, 2.0, 3.0]), 3.0))
+@example((np.array([4.0]), np.array([1.0]), np.array([4.0]), 4.0))
+@given(inst=payment_instances())
+@settings(max_examples=120, deadline=None)
+def test_prefix_sum_payments_match_literal_rule(inst):
+    """The prefix-sum payments equal the literal spill rule within 1e-12
+    (relative), for tied bids, zero caps, a boundary worker in the last
+    position, residuals paid at c_bar and true costs apart from the bids."""
+    _check_against_literal_rule(*inst)
+
+
+def test_literal_rule_edge_cases():
+    """The edge cases the hypothesis test names, each made to occur."""
+    # boundary worker last, and a residual at c_bar: without worker 0 the
+    # other caps cover only 0.3 of the job
+    bids, caps = np.array([2.0, 5.0]), np.array([0.7, 0.3])
+    alloc, rec = _check_against_literal_rule(bids, caps, np.array([3.0, 1.0]), 9.0)
+    assert alloc.k_pos == 1
+    assert rec.payments[0] == pytest.approx(0.7 * 9.0)  # all of it at c_bar
+    # tied bids and a zero cap
+    bids = np.array([1.0, 1.0, 1.0])
+    alloc, rec = _check_against_literal_rule(bids, np.array([0.0, 0.6, 0.4]), bids, 4.0)
+    assert alloc.fractions.tolist() == [0.0, 0.6, 0.4]
+    assert rec.payments[0] == 0.0
+
+
+@given(inst=payment_instances())
+@settings(max_examples=60, deadline=None)
+def test_payment_identity_over_the_deviation_grid(inst):
+    """Myerson's identity ``P_i = b_i * x_i + integral of x_i(z) from b_i to
+    c_bar``: x_i(z) is constant between the knots of the deviation grid, so
+    the integral is a sum over its segments."""
+    bids, caps, _, c_bar = inst
+    assume(caps.sum() >= 1.0 + 1e-9)  # feasible in every deviation's bid order
+    alloc = sw_greedy(bids, caps)
+    rec = job_payments(alloc, caps, bids, c_bar)
+    inst = FrozenInstance(costs=bids, caps=caps, cost_bounds=(float(bids.min()), c_bar))
+    for i in _checked_workers(alloc):
+        knots = deviation_grid(inst, i)
+        knots = knots[knots >= bids[i]]
+        integral = 0.0
+        for lo, hi in zip(knots[:-1], knots[1:]):
+            z = bids.copy()
+            z[i] = 0.5 * (lo + hi)
+            integral += sw_greedy(z, caps).fractions[i] * (hi - lo)
+        expected = bids[i] * alloc.fractions[i] + integral
+        assert rec.payments[i] == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 @given(seed=st.integers(min_value=0, max_value=100_000))

@@ -317,6 +317,23 @@ def test_trace_csv_columns_and_consistency(tmp_path):
     )
 
 
+@pytest.mark.parametrize("jobs", [200, 2000])
+def test_trace_csv_and_summary_share_one_regret_series(tmp_path, jobs):
+    """The trace CSV's last ``regret_avg`` and the summary's
+    ``regret_avg_final`` come from one series, so they agree to the last
+    digit (cumulating cost and oracle cost apart would not)."""
+    cfg, recipe, est = small_market(T=jobs, seed=1)
+    trace = run(cfg, recipe, est_cfg=est, record_tables=False)
+    path = tmp_path / "trace.csv"
+    trace_to_csv(trace, path)
+    last = path.read_text().strip().splitlines()[-1].split(",")
+    summary = trace_summary(trace)
+    assert last[6] == repr(summary["regret_avg_final"])
+    total, avg = regret(trace)
+    assert total == summary["regret_total"] == float(trace.regret_cum[-1])
+    assert avg.tobytes() == trace.regret_avg.tobytes()
+
+
 def test_payment_rows_export(tmp_path):
     cfg, recipe, est = small_market(T=5)
     trace = run(cfg, recipe, est_cfg=est)
