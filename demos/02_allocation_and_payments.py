@@ -1,4 +1,4 @@
-"""Walk through one job end to end: greedy fill, externalities, payments.
+"""Walk through one job end to end: greedy fill, payments, and how they split.
 
 Three workers bid (1, 2, 3) with caps (0.5, 0.6931, 1.0).  The cheapest two
 cover the job; the payment rule then prices what each winner displaced.
@@ -17,6 +17,27 @@ from crowdmarket import (
 )
 
 
+def payment_split(i, alloc, caps, bids, c_bar):
+    """Where winner ``i``'s fraction would go without it, as (absorber,
+    fraction, price) parts: the boundary worker's slack at its bid ``b_k``,
+    then the caps of the workers after the boundary, each at its bid, then a
+    residual that nobody can absorb at ``c_bar``."""
+    order, k_pos = alloc.bid_order, alloc.k_pos
+    boundary = int(order[k_pos])
+    left = float(alloc.fractions[i])
+    parts = []
+    if i != boundary:  # the boundary worker cannot absorb its own fraction
+        slack = min(left, caps[boundary] - alloc.fractions[boundary])
+        parts.append((f"slack of worker {boundary}", slack, bids[boundary]))
+        left -= slack
+    for w in order[k_pos + 1 :]:
+        take = min(left, caps[w])
+        parts.append((f"cap of worker {w}", take, bids[w]))
+        left -= take
+    parts.append(("residual", left, c_bar))
+    return [part for part in parts if part[1] > 0]
+
+
 def main() -> None:
     bids = np.array([1.0, 2.0, 3.0])
     caps = np.array([0.5, 0.6931, 1.0])
@@ -29,14 +50,14 @@ def main() -> None:
     print(f"slack left on the boundary worker: {delta_separation(alloc, caps):.4f}")
 
     rec = job_payments(alloc, caps, bids, c_bar)
-    print("\nexternality table (row: absent worker, col: absorber):")
-    ext = rec.externality  # built from the spill rows on each read
-    for i in range(3):
-        print(f"  worker {i}: {np.round(ext[i], 4)}")
+    print("\neach winner's payment, split by who would absorb its fraction:")
+    for i in np.flatnonzero(alloc.fractions):
+        parts = payment_split(i, alloc, caps, bids, c_bar)
+        terms = " + ".join(f"{x:.4f} at {price:g} ({who})" for who, x, price in parts)
+        total = sum(x * price for _, x, price in parts)
+        print(f"  worker {i}: {terms} = {total:.4f}; job_payments: {rec.payments[i]:.4f}")
     print("payments: ", np.round(rec.payments, 4))
     print("utilities:", np.round(rec.utilities, 4))
-    print("worker 0 is paid 0.1931 at bid 2 plus 0.3069 at bid 3: "
-          f"{0.1931 * 2 + 0.3069 * 3:.4f}")
 
     # why lying does not pay: sweep every unilateral deviation
     inst = FrozenInstance(costs=bids, caps=caps, cost_bounds=(1.0, 3.0))

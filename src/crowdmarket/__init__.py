@@ -12,7 +12,6 @@ from .allocation import (
     InfeasibleJob,
     SortedBids,
     delta_separation,
-    oracle_allocate,
     sw_greedy,
     true_cap,
 )
@@ -21,11 +20,9 @@ from .estimator import (
     WorkerStats,
     stats_to_csv,
     surrogate_expectation,
-    truncated_mean,
 )
 from .market import (
     BLOCK,
-    BidProfile,
     InvalidConfig,
     InvalidRecipe,
     MarketConfig,

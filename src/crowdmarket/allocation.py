@@ -3,8 +3,9 @@
 The allocation problem per job is a fractional knapsack: minimize total cost
 subject to the fractions summing to one and each worker staying below its cap
 (deadline and failure-probability constraints folded into a single per-worker
-bound).  Sorting by bid and filling caps greedily is optimal; the omniscient
-oracle runs the same procedure on caps computed from the true means.
+bound).  Sorting by bid and filling caps greedily is optimal.  ``true_cap``
+is the one form of that bound: the omniscient oracle applies it to the true
+means, and the learner to its pessimistic indices.
 """
 
 from __future__ import annotations
@@ -14,15 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .market import BidProfile, WorkerProfile
-
 __all__ = [
     "InfeasibleJob",
     "Allocation",
     "SortedBids",
     "true_cap",
     "sw_greedy",
-    "oracle_allocate",
     "delta_separation",
 ]
 
@@ -55,10 +53,11 @@ class Allocation:
         return frozenset(int(i) for i in np.nonzero(self.fractions > 0)[0])
 
 
-def true_cap(rho: float, beta: float, D: float, epsilon: float) -> float:
-    """Per-worker fraction bound from the true means:
-    ``min(1, min(D, beta * ln(1/(1-epsilon))) / rho)``."""
-    return min(1.0, min(D, beta * -math.log1p(-epsilon)) / rho)
+def true_cap(rho, beta, D: float, epsilon: float):
+    """Per-worker fraction bound ``min(1, min(D, beta * ln(1/(1-epsilon))) / rho)``
+    from a mean job-completion time ``rho`` and a mean time to failure
+    ``beta``, scalars or one array entry per worker."""
+    return np.minimum(1.0, np.minimum(D, beta * -math.log1p(-epsilon)) / rho)
 
 
 @dataclass(frozen=True)
@@ -85,9 +84,7 @@ class SortedBids:
 
 
 def _as_bid_array(bids) -> np.ndarray:
-    if isinstance(bids, (BidProfile, SortedBids)):
-        return bids.values
-    return np.asarray(bids, dtype=float)
+    return bids.values if isinstance(bids, SortedBids) else np.asarray(bids, dtype=float)
 
 
 def sw_greedy(bids, caps) -> Allocation:
@@ -141,17 +138,6 @@ def sw_greedy(bids, caps) -> Allocation:
     return Allocation(
         fractions=fractions, k_bar=int(order[last_pos]), bid_order=order, k_pos=last_pos
     )
-
-
-def oracle_allocate(
-    costs,
-    profiles: list[WorkerProfile],
-    D: float,
-    epsilon: float,
-) -> Allocation:
-    """Greedy allocation against the caps implied by the true worker means."""
-    caps = [true_cap(w.mjct, w.mttf, D, epsilon) for w in profiles]
-    return sw_greedy(costs, caps)
 
 
 def delta_separation(oracle_alloc: Allocation, caps) -> float:

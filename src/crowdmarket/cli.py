@@ -26,7 +26,14 @@ import numpy as np
 
 from .allocation import InfeasibleJob
 from .estimator import EstimatorConfig
-from .market import InvalidConfig, InvalidRecipe, MarketConfig, PopulationRecipe, load_config
+from .market import (
+    InvalidConfig,
+    InvalidRecipe,
+    MarketConfig,
+    PopulationRecipe,
+    load_config,
+    validate_config,
+)
 from .mechanism import deviation_sweep, random_frozen_instance
 from .simulation import run, summary_to_json, trace_summary, trace_to_csv
 
@@ -126,7 +133,7 @@ def _simulate(
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg, recipe, est_overrides = load_config(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = validate_config(replace(cfg, seed=args.seed))
     est = _build_estimator(cfg, est_overrides)
     code, aggregate = _simulate(
         cfg,
@@ -180,14 +187,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{', '.join(sorted(_SWEEPABLE))}", file=sys.stderr)
         return EXIT_USAGE
     target, cast = _SWEEPABLE[args.param]
-    values = [cast(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [cast(v) for v in args.values.split(",") if v.strip()]
+    except ValueError:
+        print(f"sweep: --values for {args.param} must be {cast.__name__}s, got {args.values!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     if not values:
         print("sweep: --values must contain at least one value", file=sys.stderr)
         return EXIT_USAGE
 
     cfg, recipe, est_overrides = load_config(args.config)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        cfg = validate_config(replace(cfg, seed=args.seed))
 
     out_root = Path(args.out)
     results = []
@@ -236,7 +248,7 @@ def _parser() -> argparse.ArgumentParser:
     dsic.add_argument("--out", required=True, help="output directory")
     dsic.add_argument("--instances", type=_count(1), default=200)
     dsic.add_argument("--max-workers", type=_count(2), default=8)
-    dsic.add_argument("--seed", type=int, default=0)
+    dsic.add_argument("--seed", type=_count(0), default=0)
     dsic.set_defaults(func=_cmd_dsic_test)
 
     swp = sub.add_parser("sweep", help="vary one config key over a list of values")

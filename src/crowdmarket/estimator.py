@@ -35,12 +35,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .allocation import true_cap
 from .market import Bounds, InvalidConfig, MarketConfig
 
 __all__ = [
     "EstimatorConfig",
     "WorkerStats",
-    "truncated_mean",
     "surrogate_expectation",
     "stats_to_csv",
 ]
@@ -88,33 +88,6 @@ class EstimatorConfig:
                 f"u_beta={self.u_beta} is below (beta_max + delta)**2={min_u_beta}"
             )
         return self
-
-
-def truncated_mean(
-    samples,
-    u: float,
-    t: int,
-    alpha: float,
-    prior: float = 0.0,
-) -> float:
-    """Truncated empirical mean over ``samples`` in arrival order.
-
-    Sample ``x_k`` (1-based index k) contributes only while
-    ``x_k <= sqrt(u * k / log(t**alpha))``; the divisor is always the full
-    sample count.  With no samples the ``prior`` is returned; at ``t = 1`` the
-    threshold is infinite, so nothing is truncated.
-    """
-    s = len(samples)
-    if s == 0:
-        return prior
-    if t < 1:
-        raise ValueError(f"job index must be >= 1, got {t}")
-    log_term = alpha * math.log(t)
-    total = 0.0
-    for k, x in enumerate(samples, start=1):
-        if log_term <= 0 or x * x * log_term <= u * k:
-            total += x
-    return total / s
 
 
 def surrogate_expectation(beta: float, delta: float) -> float:
@@ -327,8 +300,7 @@ class WorkerStats:
     def pessimistic_cap(self, D: float, epsilon: float) -> np.ndarray:
         """Largest job fraction allocatable under the pessimistic indices, per
         worker."""
-        budget = np.minimum(D, self.beta_hat_minus * -math.log1p(-epsilon))
-        return np.minimum(1.0, budget / self.rho_hat_plus)
+        return true_cap(self.rho_hat_plus, self.beta_hat_minus, D, epsilon)
 
 
 def stats_to_csv(stats: WorkerStats, path: str | Path) -> None:

@@ -32,7 +32,6 @@ __all__ = [
     "InvalidRecipe",
     "MarketConfig",
     "WorkerProfile",
-    "BidProfile",
     "PopulationGroup",
     "PopulationRecipe",
     "validate_config",
@@ -91,26 +90,6 @@ class WorkerProfile:
 
 
 @dataclass(frozen=True)
-class BidProfile:
-    """Announced costs, one per worker, in worker-id order."""
-
-    bids: tuple[float, ...]
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self.bids, dtype=float)
-
-    def validate(self, cfg: MarketConfig) -> "BidProfile":
-        if len(self.bids) != cfg.n:
-            raise InvalidConfig(f"bid profile has {len(self.bids)} entries, expected n={cfg.n}")
-        lo, hi = cfg.cost_bounds
-        for b in self.bids:
-            if not lo <= b <= hi:
-                raise InvalidConfig(f"bid {b} outside cost bounds [{lo}, {hi}]")
-        return self
-
-
-@dataclass(frozen=True)
 class PopulationGroup:
     """One homogeneous slice of the population; ranges may be degenerate."""
 
@@ -156,6 +135,7 @@ def validate_config(cfg: MarketConfig) -> MarketConfig:
         f"got delta={cfg.delta}, beta_lo={b_lo}",
     )
     _check(cfg.sigma_log >= 0, f"sigma_log must be >= 0, got {cfg.sigma_log}")
+    _check(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -333,12 +313,14 @@ _GROUP_FIELDS = ("count", "cost", "rho", "beta")
 
 
 def _parse_range(raw: str, where: str) -> Bounds:
-    parts = raw.split()
-    if len(parts) == 1:
-        v = float(parts[0])
-        return (v, v)
-    if len(parts) == 2:
-        return (float(parts[0]), float(parts[1]))
+    try:
+        values = [float(part) for part in raw.split()]
+    except ValueError as exc:
+        raise InvalidConfig(f"{where}: expected numbers, got {raw!r}") from exc
+    if len(values) == 1:
+        return (values[0], values[0])
+    if len(values) == 2:
+        return (values[0], values[1])
     raise InvalidConfig(f"{where}: expected one or two numbers, got {raw!r}")
 
 
@@ -420,9 +402,13 @@ def load_config(path: str | Path) -> tuple[MarketConfig, PopulationRecipe, dict[
         for fieldname in _GROUP_FIELDS:
             if fieldname not in g:
                 raise InvalidConfig(f"{path}: group.{idx} is missing {fieldname}")
+        try:
+            count = int(g["count"])
+        except ValueError as exc:
+            raise InvalidConfig(f"{path}: bad value for group.{idx}.count: {g['count']!r}") from exc
         parsed_groups.append(
             PopulationGroup(
-                count=int(g["count"]),
+                count=count,
                 cost_range=_parse_range(g["cost"], f"group.{idx}.cost"),
                 rho_range=_parse_range(g["rho"], f"group.{idx}.rho"),
                 beta_range=_parse_range(g["beta"], f"group.{idx}.beta"),

@@ -8,11 +8,10 @@ fraction that nobody could absorb is paid at the cost ceiling.  Workers above
 the boundary receive nothing and pay nothing.  Each payment is thus the
 integral of a step function of the tail bids (Myerson's identity), so
 ``job_payments`` prices every active worker from prefix sums of the tail
-caps, with one ``searchsorted``, in O(n log n).  The spill rows and the dense
-worker-by-worker table are built from the allocation only when
-``PaymentRecord.spill_rows`` or ``.externality`` is read.  The scalar
-transcription of the rule lives in the tests, as the oracle this vectorized
-path is checked against.
+caps, with one ``searchsorted``, in O(n log n); this is the one form of the
+rule in the library.  The scalar transcription of the rule, worker by
+worker and displaced unit by displaced unit, lives in the tests, as the
+oracle this vectorized path is checked against.
 
 ``deviation_sweep`` re-runs allocation and payments for a grid of unilateral
 bid deviations, the other workers bidding truthfully, and reports the best
@@ -25,9 +24,7 @@ plus segment midpoints find the maximum exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -40,72 +37,20 @@ __all__ = [
     "random_frozen_instance",
     "deviation_grid",
     "deviation_sweep",
-    "payment_rows_to_csv",
 ]
 
 
 @dataclass(frozen=True)
 class PaymentRecord:
-    """Payments and utilities of one job, with the allocation and caps they
-    were computed from.
+    """Payments and utilities of one job, one entry per worker.
 
     Utilities are evaluated at the supplied true costs and are computed
     term-by-term so that truthful utilities are non-negative exactly, not
-    merely up to rounding.  The spill rows and the dense externality table
-    are built from ``alloc`` and ``caps`` on each read.
+    merely up to rounding.
     """
 
     payments: np.ndarray
     utilities: np.ndarray
-    alloc: Allocation
-    caps: np.ndarray
-
-    @property
-    def spill_rows(self) -> np.ndarray:
-        """``spill_rows[p, q]`` is the fraction the worker at
-        ``alloc.bid_order`` position ``k_pos + q`` would absorb if the worker
-        at position ``p`` were absent, where ``k_pos = len(spill_rows) - 1``
-        is the boundary worker's position."""
-        alloc = self.alloc
-        order = alloc.bid_order
-        return _externality_rows_sorted(alloc.fractions[order], self.caps[order], alloc.k_pos)
-
-    @property
-    def externality(self) -> np.ndarray:
-        """Dense table, built on each read: ``externality[i, j]`` is the extra
-        fraction worker ``j`` would absorb if worker ``i`` were absent
-        (original worker indexing, zero outside the active/boundary band)."""
-        order, k_pos = self.alloc.bid_order, self.alloc.k_pos
-        ext = np.zeros((order.shape[0], order.shape[0]))
-        ext[np.ix_(order[: k_pos + 1], order[k_pos:])] = self.spill_rows
-        return ext
-
-
-def _externality_rows_sorted(
-    x_s: np.ndarray, caps_s: np.ndarray, k_pos: int
-) -> np.ndarray:
-    """Spill rows in bid-order coordinates.
-
-    Row ``p`` (an active position, p <= k_pos) fills the tail slots
-    ``k_pos..n-1``: first the boundary worker's slack, then the caps of the
-    workers after it, in bid order, until the displaced fraction is used up.
-    The boundary worker's own row skips its own slack slot.
-    """
-    tail = x_s.shape[0] - k_pos
-    avail = caps_s[k_pos:].copy()
-    avail[0] -= x_s[k_pos]
-    cum_prev = np.zeros(tail)
-    cum_prev[1:] = avail[:-1].cumsum()
-    rows = x_s[: k_pos + 1, None] - cum_prev
-    np.minimum(np.maximum(rows, 0.0, out=rows), avail, out=rows)
-
-    rows[k_pos, 0] = 0.0
-    if tail > 1:
-        avail_k = avail[1:]
-        cum_prev_k = np.zeros(tail - 1)
-        cum_prev_k[1:] = avail_k[:-1].cumsum()
-        rows[k_pos, 1:] = np.minimum(np.maximum(x_s[k_pos] - cum_prev_k, 0.0), avail_k)
-    return rows
 
 
 def job_payments(
@@ -160,7 +105,7 @@ def job_payments(
     utilities = np.zeros(n)
     payments[active] = b_k * slack + r * done + prem + b_part * part
     utilities[active] = (b_k - c) * slack + (r - c) * done + prem + (b_part - c) * part
-    return PaymentRecord(payments=payments, utilities=utilities, alloc=alloc, caps=caps)
+    return PaymentRecord(payments=payments, utilities=utilities)
 
 
 @dataclass(frozen=True)
@@ -233,13 +178,3 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
     truthful = _utility_at_bid(instance, i, float(instance.costs[i]))
     best = max(_utility_at_bid(instance, i, float(b)) for b in grid)
     return best - truthful
-
-
-def payment_rows_to_csv(rows, path: str | Path) -> None:
-    """Write payment rows as CSV; each row is (t, worker, fraction, payment, utility)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "worker", "fraction", "payment", "utility"])
-        for t, worker, fraction, pay, util in rows:
-            writer.writerow([t, worker, repr(float(fraction)), repr(float(pay)), repr(float(util))])

@@ -35,7 +35,7 @@ from .market import (
     sample_population,
     validate_config,
 )
-from .mechanism import PaymentRecord, job_payments, payment_rows_to_csv
+from .mechanism import PaymentRecord, job_payments
 
 __all__ = [
     "JobRecord",
@@ -76,20 +76,21 @@ _TABLES = [
 class JobRecord:
     """Allocation, payments and sampled outcome of one job step.
 
-    ``completion`` and ``window`` are in worker order and are the job's rows
-    of ``completion_table`` and ``window_table``: completion is NaN where a
-    worker got no work; window is 1 where the failure window saw a failure,
-    -1 where the work was shorter than the window (so it went unobserved),
-    and 0 otherwise.  ``allocation`` and ``payments`` are ``None`` for an
-    infeasible job.  Consecutive jobs with bitwise-equal caps share one
-    allocation and one payment record, so in known-means mode every job
-    shares them.
+    ``active`` lists the workers with work, in ascending id, and
+    ``active_completion`` and ``active_window`` hold one entry per listed
+    worker: its completion time, and its window code (1 where the failure
+    window saw a failure, -1 where the work was shorter than the window, so
+    it went unobserved, and 0 otherwise).  An infeasible job has no
+    allocation or payments (``None``) and empty outcome arrays.
+    Consecutive jobs with bitwise-equal caps share one allocation and one
+    payment record, so in known-means mode every job shares them.
     """
 
     allocation: Allocation | None
     payments: PaymentRecord | None
-    completion: np.ndarray
-    window: np.ndarray
+    active: np.ndarray
+    active_completion: np.ndarray
+    active_window: np.ndarray
     matches_oracle: bool
 
 
@@ -98,8 +99,10 @@ class SimulationTrace:
     """Per-job series plus cumulative accounting for one simulation run.
 
     The per-worker tables exist only with ``record_tables=True``; row ``t - 1``
-    of each holds job ``t`` in worker order, in the encoding of
-    :class:`JobRecord` (all zeros, NaN completion, for an infeasible job).
+    of each holds job ``t`` in worker order.  The completion and window rows
+    spread :class:`JobRecord`'s per-active-worker entries over all workers,
+    with NaN completion and window code 0 where a worker got no work (all
+    zeros, NaN completion, for an infeasible job).
     """
 
     cfg: MarketConfig
@@ -182,8 +185,11 @@ class Simulator:
         self.costs = np.array([w.cost for w in self.workers])
         # Every worker bids its cost, so the bids are sorted once per run.
         self.bids = SortedBids.of(self.costs)
-        self.true_caps = np.array(
-            [true_cap(w.mjct, w.mttf, cfg.D, cfg.epsilon) for w in self.workers]
+        self.true_caps = true_cap(
+            np.array([w.mjct for w in self.workers]),
+            np.array([w.mttf for w in self.workers]),
+            cfg.D,
+            cfg.epsilon,
         )
         # Oracle feasibility is a precondition of the whole run.
         self.oracle = sw_greedy(self.bids, self.true_caps)
@@ -224,13 +230,12 @@ class Simulator:
             try:
                 alloc = sw_greedy(self.bids, caps)
             except InfeasibleJob:
-                completion = np.full(cfg.n, math.nan)
-                window = np.zeros(cfg.n, dtype=np.int8)
                 row = (True, math.nan, math.nan, 0, math.nan, False)
                 if self.record_tables:  # a scalar fills its whole table row
-                    row += (0.0, 0.0, 0.0, completion, window)
+                    row += (0.0, 0.0, 0.0, math.nan, 0)
                 self._rows.append(row)
-                return JobRecord(None, None, completion, window, matches_oracle=False)
+                no_work = np.empty(0, np.intp), np.empty(0), np.empty(0, np.int8)
+                return JobRecord(None, None, *no_work, matches_oracle=False)
             rec = job_payments(alloc, caps, self.costs, cfg.cost_bounds[1], true_costs=self.costs)
             active = alloc.fractions.nonzero()[0]
             match = active.tobytes() == self._oracle_active
@@ -247,11 +252,6 @@ class Simulator:
         alloc, rec, active, fractions, match, row = self._plan
 
         tau, codes = sample_outcome(self.outcomes, active, fractions)
-        completion = np.empty(cfg.n)
-        completion.fill(math.nan)
-        completion[active] = tau
-        window = np.zeros(cfg.n, dtype=np.int8)
-        window[active] = codes
         if self.mode == "learning":
             self.stats.record_jct_sample(active, tau, fractions)
             observed = codes >= 0
@@ -259,9 +259,13 @@ class Simulator:
                 self.stats.record_window(active[observed], codes[observed] > 0)
 
         if self.record_tables:
+            completion = np.full(cfg.n, math.nan)
+            completion[active] = tau
+            window = np.zeros(cfg.n, dtype=np.int8)
+            window[active] = codes
             row += (alloc.fractions, rec.payments, rec.utilities, completion, window)
         self._rows.append(row)
-        return JobRecord(alloc, rec, completion, window, matches_oracle=match)
+        return JobRecord(alloc, rec, active, tau, codes, matches_oracle=match)
 
     def trace(self) -> SimulationTrace:
         rows = np.array(self._rows, dtype=self._row_dtype)
@@ -354,13 +358,12 @@ def trace_payments_to_csv(trace: SimulationTrace, path: str | Path) -> None:
     allocated worker, in job then worker order."""
     if trace.fraction_table is None:
         raise ValueError("payment export requires record_tables=True")
-    cells = np.argwhere(trace.fraction_table > 0).tolist()
-    rows = (
-        (ti + 1, wid, trace.fraction_table[ti, wid], trace.payment_table[ti, wid],
-         trace.utility_table[ti, wid])
-        for ti, wid in cells
-    )
-    payment_rows_to_csv(rows, path)
+    tables = (trace.fraction_table, trace.payment_table, trace.utility_table)
+    with Path(path).open("w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(["t", "worker", "fraction", "payment", "utility"])
+        for ti, wid in np.argwhere(trace.fraction_table > 0).tolist():
+            writer.writerow([ti + 1, wid, *(repr(float(table[ti, wid])) for table in tables)])
 
 
 def trace_summary(trace: SimulationTrace) -> dict:

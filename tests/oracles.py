@@ -1,6 +1,7 @@
 """Scalar reference implementations that the vectorized library code is checked against.
 
-``WorkerStats`` keeps one worker's learning state with a heap of drop keys,
+``truncated_mean`` applies the truncation rule directly to a list of samples,
+and ``TruncatedMeanTracker`` applies it incrementally.  ``WorkerStats`` keeps one worker's learning state with a heap of drop keys,
 one call per worker and sample, exactly as the estimator worked before its
 state became one struct-of-arrays bank; the bank must reproduce its counts,
 kept sums, indices and caps bit for bit.  ``BlockSampler`` serves each
@@ -19,13 +20,40 @@ from crowdmarket import EstimatorConfig
 from crowdmarket.market import BLOCK, Bounds
 
 
+def truncated_mean(
+    samples,
+    u: float,
+    t: int,
+    alpha: float,
+    prior: float = 0.0,
+) -> float:
+    """Truncated empirical mean over ``samples`` in arrival order.
+
+    Sample ``x_k`` (1-based index k) contributes only while
+    ``x_k <= sqrt(u * k / log(t**alpha))``; the divisor is always the full
+    sample count.  With no samples the ``prior`` is returned; at ``t = 1`` the
+    threshold is infinite, so nothing is truncated.
+    """
+    s = len(samples)
+    if s == 0:
+        return prior
+    if t < 1:
+        raise ValueError(f"job index must be >= 1, got {t}")
+    log_term = alpha * math.log(t)
+    total = 0.0
+    for k, x in enumerate(samples, start=1):
+        if log_term <= 0 or x * x * log_term <= u * k:
+            total += x
+    return total / s
+
+
 class TruncatedMeanTracker:
     """Incremental truncated mean.
 
     Inclusion of a fixed sample is monotone in t: ``x_k`` stays in while
     ``log t <= u * k / (alpha * x_k**2)``, so each sample gets a drop key and
     a heap evicts expired samples lazily.  Equivalent to
-    ``crowdmarket.truncated_mean`` up to floating-point boundary ties.
+    :func:`truncated_mean` up to floating-point boundary ties.
     """
 
     __slots__ = ("u", "alpha", "count", "_kept_sum", "_heap", "_samples")

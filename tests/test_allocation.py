@@ -4,14 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crowdmarket import (
     InfeasibleJob,
     SortedBids,
     delta_separation,
-    oracle_allocate,
     sample_population,
     sw_greedy,
     true_cap,
@@ -33,15 +32,6 @@ def test_single_worker_cap_one():
     alloc = sw_greedy([5.0], [1.0])
     assert alloc.fractions == pytest.approx([1.0])
     assert alloc.k_bar == 0
-
-
-def test_accepts_bid_profile(worked_instance):
-    from crowdmarket import BidProfile
-
-    bids, caps = worked_instance
-    via_profile = sw_greedy(BidProfile(bids=tuple(bids)), caps)
-    via_array = sw_greedy(bids, caps)
-    assert via_profile.fractions == pytest.approx(via_array.fractions)
 
 
 def test_infeasible_caps_raise():
@@ -201,12 +191,12 @@ def test_oracle_reference_population_uses_cheap_workers():
     cfg = reference_config()
     workers = sample_population(cfg, reference_recipe())
     costs = [w.cost for w in workers]
-    alloc = oracle_allocate(costs, workers, cfg.D, cfg.epsilon)
+    caps = [true_cap(w.mjct, w.mttf, cfg.D, cfg.epsilon) for w in workers]
+    alloc = sw_greedy(costs, caps)
     active = alloc.active_set
     assert active  # feasible
     assert all(i < 250 for i in active)  # only the capable group is used
     # any allocation giving a slow worker a positive share is strictly costlier
-    caps = [true_cap(w.mjct, w.mttf, cfg.D, cfg.epsilon) for w in workers]
     greedy_cost = float(np.asarray(costs) @ alloc.fractions)
     shifted = alloc.fractions.copy()
     donor = max(active, key=lambda i: alloc.fractions[i])
@@ -222,7 +212,7 @@ def test_oracle_matches_linear_program():
     workers = sample_population(cfg, reference_recipe())
     costs = np.array([w.cost for w in workers])
     caps = np.array([true_cap(w.mjct, w.mttf, cfg.D, cfg.epsilon) for w in workers])
-    alloc = oracle_allocate(costs, workers, cfg.D, cfg.epsilon)
+    alloc = sw_greedy(costs, caps)
     res = scipy_opt.linprog(
         costs,
         A_eq=np.ones((1, len(costs))),
@@ -273,7 +263,31 @@ def test_delta_separation_values(worked_instance):
     assert delta_separation(single, [1.0]) == 0.0
 
 
+def literal_cap(rho, beta, D, epsilon):
+    """The cap rule written out for one worker."""
+    return min(1.0, min(D, beta * -math.log1p(-epsilon)) / rho)
+
+
 def test_true_cap_formula():
     assert true_cap(100.0, 25.0, 50.0, 0.01) == pytest.approx(0.0025126, abs=1e-7)
     assert true_cap(1.0, 5000.0, 50.0, 0.5) == 1.0  # clamped to a whole job
     assert true_cap(2.0, 2.0, 1.0, 0.5) == pytest.approx(0.5)
+    # per worker: clamped at 1, budget clamped at D (50 / 100), neither
+    caps = true_cap(np.array([1.0, 100.0, 100.0]), np.array([5000.0, 5000.0, 25.0]), 50.0, 0.5)
+    assert caps.tolist() == [1.0, 0.5, literal_cap(100.0, 25.0, 50.0, 0.5)]
+
+
+@example(workers=[(1.0, 5000.0), (100.0, 5000.0), (100.0, 25.0)], D=50.0, epsilon=0.5)
+@given(
+    workers=st.lists(
+        st.tuples(st.floats(0.01, 200.0), st.floats(0.5, 5000.0)), min_size=1, max_size=12
+    ),
+    D=st.floats(0.5, 100.0),
+    epsilon=st.floats(1e-4, 0.9),
+)
+def test_true_cap_arrays_equal_the_scalar_rule(workers, D, epsilon):
+    """Each entry of the array form is the scalar rule's float, bit for bit."""
+    rho, beta = (np.array(column) for column in zip(*workers))
+    caps = true_cap(rho, beta, D, epsilon)
+    assert caps.tolist() == [literal_cap(r, b, D, epsilon) for r, b in workers]
+

@@ -229,6 +229,43 @@ def test_repeated_config_key_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "config_edit, argv, code",
+    [
+        (("group.1.count = 4", "group.1.count = 2.5"), ["simulate"], 3),
+        (("group.1.cost = 10 50", "group.1.cost = abc"), ["simulate"], 3),
+        (None, ["simulate", "--seed", "-1"], 3),
+        (("seed = 11", "seed = -3"), ["simulate"], 3),
+        (None, ["dsic-test", "--seed", "-1"], 2),
+        (None, ["sweep", "--param", "seed", "--values", "1.5"], 2),
+        (None, ["sweep", "--param", "epsilon", "--values", "abc"], 2),
+    ],
+    ids=[
+        "group count 2.5", "group cost abc", "simulate seed -1", "config seed -3",
+        "dsic-test seed -1", "sweep seed 1.5", "sweep epsilon abc",
+    ],
+)
+def test_malformed_input_exits_without_traceback(config_edit, argv, code, tmp_path, capsys):
+    """Bad values in a config file or on the command line end in a message
+    and the documented exit code, never in a traceback or in outputs."""
+    text = SMALL_CONFIG if config_edit is None else SMALL_CONFIG.replace(*config_edit)
+    assert text != SMALL_CONFIG or config_edit is None
+    path = tmp_path / "market.cfg"
+    path.write_text(text)
+    command, flags = argv[0], argv[1:]
+    if command != "dsic-test":
+        flags = ["--config", str(path), *flags]
+    out = tmp_path / "out"
+    try:
+        got = main([command, "--out", str(out), *flags])
+    except SystemExit as exc:  # argparse rejects the argument
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.strip()
+    assert not out.exists()
+
+
 def test_infeasible_instance_exits_4(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(INFEASIBLE_CONFIG)

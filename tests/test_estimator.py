@@ -18,12 +18,12 @@ from crowdmarket import (
     WorkerStats,
     stats_to_csv,
     surrogate_expectation,
-    truncated_mean,
 )
 
 from crowdmarket.estimator import _LIST_MAX
 
 import oracles
+from oracles import truncated_mean
 from conftest import reference_config
 
 RHO_BOUNDS = (50.0, 100.0)

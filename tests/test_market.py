@@ -11,7 +11,6 @@ from crowdmarket import (
     BLOCK,
     InvalidConfig,
     InvalidRecipe,
-    BidProfile,
     OutcomeBlocks,
     PopulationGroup,
     PopulationRecipe,
@@ -62,20 +61,12 @@ def test_reference_config_is_valid():
         {"beta_bounds": (25.0, math.nan)},
         {"D": math.inf},
         {"sigma_log": math.inf},
+        {"seed": -1},
     ],
 )
 def test_invalid_configs_are_rejected(overrides):
     with pytest.raises(InvalidConfig):
         validate_config(reference_config(**overrides))
-
-
-def test_bid_profile_validation():
-    cfg = reference_config(n=2)
-    BidProfile(bids=(10.0, 100.0)).validate(cfg)
-    with pytest.raises(InvalidConfig):
-        BidProfile(bids=(10.0,)).validate(cfg)
-    with pytest.raises(InvalidConfig):
-        BidProfile(bids=(5.0, 10.0)).validate(cfg)
 
 
 def test_reference_population_has_expected_shape():

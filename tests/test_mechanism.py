@@ -1,4 +1,8 @@
-"""Payments: hand-checked externalities, incentive properties, deviation sweeps."""
+"""Payments: hand-checked externalities, incentive properties, deviation sweeps.
+
+The externality rows exist only here, in the literal rule that the
+prefix-sum payments of ``job_payments`` are checked against.
+"""
 
 import numpy as np
 import pytest
@@ -13,7 +17,6 @@ from crowdmarket import (
     random_frozen_instance,
     sw_greedy,
 )
-from crowdmarket.mechanism import payment_rows_to_csv
 
 
 def literal_externality_row(i, alloc, caps, bids):
@@ -65,21 +68,16 @@ def worked(worked_instance):
 
 def test_worked_externalities(worked):
     bids, caps, alloc = worked
-    ext = job_payments(alloc, caps, bids, 3.0).externality
     for i, j, expected in ((0, 1, 0.1931), (0, 2, 0.3069), (1, 2, 0.5)):
-        assert ext[i, j] == pytest.approx(expected)
         assert literal_externality_row(i, alloc, caps, bids)[j] == pytest.approx(expected)
     # boundary worker spills past itself straight into the next cap
-    assert ext[1, 1] == 0.0
     assert literal_externality_row(1, alloc, caps, bids)[1] == 0.0
 
 
 def test_externality_zero_cases(worked):
     bids, caps, alloc = worked
-    ext = job_payments(alloc, caps, bids, 3.0).externality
     # (2, *): outside the active set; (0, 0): j below the boundary
     for i, j in ((2, 0), (2, 1), (0, 0)):
-        assert ext[i, j] == 0.0
         assert literal_externality_row(i, alloc, caps, bids)[j] == 0.0
 
 
@@ -109,12 +107,7 @@ def test_vectorized_matches_literal_rule(seed):
     inst = random_frozen_instance(rng)
     alloc = sw_greedy(inst.costs, inst.caps)
     rec = job_payments(alloc, inst.caps, inst.costs, inst.cost_bounds[1], true_costs=inst.costs)
-    ext = rec.externality
-    n = len(inst.costs)
-    for i in range(n):
-        row = literal_externality_row(i, alloc, inst.caps, inst.costs)
-        for j in range(n):
-            assert ext[i, j] == pytest.approx(row[j], abs=1e-12)
+    for i in range(len(inst.costs)):
         assert payment(i, alloc, inst.caps, inst.costs, inst.cost_bounds[1]) == pytest.approx(
             rec.payments[i], abs=1e-12
         )
@@ -225,9 +218,8 @@ def test_spill_bounded_and_residual_means_infeasible_without_worker(seed):
     rng = np.random.default_rng(seed)
     inst = random_frozen_instance(rng)
     alloc = sw_greedy(inst.costs, inst.caps)
-    rec = job_payments(alloc, inst.caps, inst.costs, inst.cost_bounds[1])
     for i in alloc.active_set:
-        spill = rec.externality[i].sum()
+        spill = sum(literal_externality_row(i, alloc, inst.caps, inst.costs).values())
         assert spill <= alloc.fractions[i] + 1e-12
         residual = alloc.fractions[i] - spill
         if residual > 1e-9:
@@ -254,7 +246,7 @@ def test_payments_zero_beyond_boundary(worked):
     k_pos = alloc.k_pos
     for w in alloc.bid_order[k_pos + 1 :]:
         assert rec.payments[w] == 0.0
-        assert np.all(rec.externality[w] == 0.0)
+        assert not any(literal_externality_row(w, alloc, caps, bids).values())
 
 
 def test_deviation_overbid_outside_active_set_changes_nothing(worked_instance):
@@ -329,10 +321,3 @@ def test_random_instance_is_feasible():
         assert np.all(inst.caps <= 1.0)
         assert np.all((inst.costs >= 1.0) & (inst.costs <= 10.0))
 
-
-def test_payment_rows_csv(tmp_path):
-    path = tmp_path / "payments.csv"
-    payment_rows_to_csv([(1, 0, 0.5, 1.3069, 0.8069)], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,worker,fraction,payment,utility"
-    assert lines[1].startswith("1,0,0.5,")

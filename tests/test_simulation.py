@@ -103,13 +103,22 @@ def test_learning_updates_only_active_workers():
 def test_window_updates_only_when_work_covers_delta():
     cfg, recipe, est = small_market(T=30)
     sim = Simulator(cfg, recipe, est_cfg=est)
-    for t in range(1, 31):
-        rec = sim.step(t)
-        allocated = rec.allocation.fractions > 0
-        assert np.array_equal(~np.isnan(rec.completion), allocated)
-        short = allocated & (rec.completion < cfg.delta)
-        assert np.all(rec.window[short] == -1)
-        assert np.all(rec.window[~short] >= 0)
+    records = [sim.step(t) for t in range(1, 31)]
+    trace = sim.trace()
+    for t, rec in enumerate(records, start=1):
+        assert rec.active.tolist() == np.flatnonzero(rec.allocation.fractions).tolist()
+        assert rec.active_completion.shape == rec.active_window.shape == rec.active.shape
+        assert not np.isnan(rec.active_completion).any()
+        short = rec.active_completion < cfg.delta
+        assert np.all(rec.active_window[short] == -1)
+        assert np.all(rec.active_window[~short] >= 0)
+        # the table rows spread the same entries over all workers
+        completion, window = trace.completion_table[t - 1], trace.window_table[t - 1]
+        assert completion[rec.active].tobytes() == rec.active_completion.tobytes()
+        assert window[rec.active].tobytes() == rec.active_window.tobytes()
+        idle = np.ones(cfg.n, dtype=bool)
+        idle[rec.active] = False
+        assert np.isnan(completion[idle]).all() and not window[idle].any()
 
 
 def test_regret_defining_sum():
@@ -181,6 +190,13 @@ def test_per_job_infeasibility_is_recorded_not_raised():
     assert len(trace) == 5
     summary = trace_summary(trace)
     assert summary["jobs_infeasible"] == int(trace.infeasible.sum())
+    # an infeasible job records no work: empty outcome arrays, an idle table row
+    sim = Simulator(cfg, recipe)
+    rec = sim.step(1)
+    assert rec.allocation is None and rec.payments is None and not rec.matches_oracle
+    assert rec.active.size == rec.active_completion.size == rec.active_window.size == 0
+    first = sim.trace()
+    assert np.isnan(first.completion_table[0]).all() and not first.window_table[0].any()
 
 
 def test_feasible_at_init_stays_feasible():
@@ -235,7 +251,8 @@ def test_known_means_shares_the_oracle_allocation_and_never_learns():
     for t in range(2, cfg.T + 1):
         rec = sim.step(t)
         assert rec.allocation is first.allocation and rec.payments is first.payments
-        assert not np.isnan(rec.completion[rec.allocation.fractions > 0]).any()
+        assert rec.active.tolist() == sorted(sim.oracle_active)
+        assert not np.isnan(rec.active_completion).any()
     assert not sim.stats.N_it.any() and not sim.stats.N_beta_it.any()
 
 
@@ -342,6 +359,14 @@ def test_payment_rows_export(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,worker,fraction,payment,utility"
     assert len(lines) == 1 + int(trace.active_size.sum())
+    # one row per allocated worker, in job then worker order, floats by repr
+    ti, wid = np.argwhere(trace.fraction_table > 0)[0]
+    assert lines[1].split(",") == [
+        str(ti + 1),
+        str(wid),
+        *(repr(float(table[ti, wid]))
+          for table in (trace.fraction_table, trace.payment_table, trace.utility_table)),
+    ]
 
 
 def test_summary_echoes_config():
