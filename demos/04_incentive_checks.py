@@ -1,8 +1,8 @@
 """Fuzz the incentive properties: deviation sweeps and individual rationality.
 
-Draws random one-job markets, lets every worker try every profitable-looking
-misreport on a dense grid, and confirms nobody beats truthful bidding; along
-the way, checks that truthful utilities never go negative.
+Draws random one-job markets, lets every worker try a misreport for each bid
+order it can reach, and confirms nobody beats truthful bidding; along the
+way, checks that truthful utilities never go negative.
 
 Run from the repository root:  python3 demos/04_incentive_checks.py
 """

@@ -212,7 +212,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         else:
             overrides_v[args.param] = v
         try:
-            est_v = _build_estimator(cfg_v, overrides_v)
+            est_v = _build_estimator(validate_config(cfg_v), overrides_v)
         except InvalidConfig as exc:
             results.append({"value": v, "error": str(exc)})
             continue

@@ -15,11 +15,11 @@ oracle this vectorized path is checked against.
 
 ``deviation_sweep`` re-runs allocation and payments for a grid of unilateral
 bid deviations, the other workers bidding truthfully, and reports the best
-achievable utility gain.  The grid's knots are the cost bounds, the other
-workers' costs and the own cost, which puts the truthful bid on the grid.
-Between knots the bid order, and so the allocation, is fixed, and a worker's
-own bid never prices its own payment; utility is constant there, so knots
-plus segment midpoints find the maximum exactly.
+achievable utility gain.  ``sw_greedy`` reads only the bid order, and a
+worker's own bid never prices its own payment, so a worker's utility depends
+on its bid only through its rank among the other bids (ties broken by worker
+id).  The grid holds one bid per rank the worker can reach, its own cost
+first, which finds the maximum exactly with one allocation per bid order.
 """
 
 from __future__ import annotations
@@ -145,15 +145,24 @@ def random_frozen_instance(
 
 
 def deviation_grid(instance: FrozenInstance, i: int) -> np.ndarray:
-    """Candidate deviating bids: the cost bounds, the other workers' bids
-    (crossing points) and the own cost, plus the midpoints between consecutive
-    knots.  This certifies the maximum exactly (see the module docstring)."""
+    """One bid for each bid order worker ``i`` can reach, its own cost first.
+
+    Rank r puts ``i`` after the r lowest other bids (clipped to the cost
+    bounds, ties by worker id).  A midpoint reaches the rank between two
+    distinct bids.  A rank between equal bids, or between a bid on a bound
+    and that bound, is reached only by that bid and only if the ids put
+    ``i`` there."""
     lo, hi = instance.cost_bounds
-    others = np.delete(instance.costs, i)
-    knots = np.concatenate([[lo, hi], others, [instance.costs[i]]])
-    knots = np.unique(np.clip(knots, lo, hi))
-    mids = 0.5 * (knots[:-1] + knots[1:])
-    return np.unique(np.concatenate([knots, mids]))
+    costs = instance.costs.tolist()
+    own = (costs[i], i)
+    others = sorted((min(max(c, lo), hi), j) for j, c in enumerate(costs) if j != i)
+    own_rank = sum(o < own for o in others)
+    ends = [(lo, -1), *others, (hi, len(costs))]  # each bound sorts outside its side
+    grid = [own[0]]
+    for r, ((a, ja), (b, jb)) in enumerate(zip(ends, ends[1:])):
+        if r != own_rank and (a < b or ja < i < jb):
+            grid.append(0.5 * (a + b) if a < b else a)
+    return np.array(grid)
 
 
 def _utility_at_bid(instance: FrozenInstance, i: int, bid: float) -> float:
@@ -171,10 +180,10 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
 
     The learning state (caps) stays frozen, other workers bid truthfully, and
     the return value is ``max_b u_i(b) - u_i(c_i)``; a non-positive result
-    certifies that no profitable deviation exists on the grid.
+    certifies that no profitable deviation exists on the grid.  Without a
+    ``grid``, each bid of :func:`deviation_grid` is evaluated once.
     """
-    if grid is None:
-        grid = deviation_grid(instance, i)
-    truthful = _utility_at_bid(instance, i, float(instance.costs[i]))
-    best = max(_utility_at_bid(instance, i, float(b)) for b in grid)
-    return best - truthful
+    bids = deviation_grid(instance, i) if grid is None else grid
+    u = [_utility_at_bid(instance, i, float(b)) for b in bids]
+    truthful = u[0] if grid is None else _utility_at_bid(instance, i, float(instance.costs[i]))
+    return max(u) - truthful

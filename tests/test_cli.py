@@ -303,6 +303,22 @@ def test_sweep_over_epsilon(config_file, tmp_path):
     assert (out / "epsilon_0.2" / "aggregate.json").is_file()
 
 
+@pytest.mark.parametrize(
+    "param, values, bad", [("epsilon", "0.2,1.5", 1.5), ("seed", "11,-1", -1), ("alpha", "2,1", 1.0)]
+)
+def test_sweep_records_an_invalid_value_and_goes_on(config_file, tmp_path, param, values, bad):
+    """An invalid value, of the market config or of the estimator, becomes an
+    ``error`` entry of ``sweep.json``: the other values still run, and no
+    directory is made for it."""
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(config_file), "--out", str(out), "--param", param]
+    assert main(argv + ["--values", values]) == 0
+    good, failed = json.loads((out / "sweep.json").read_text())["results"]
+    assert good["exit"] == 0 and "error" not in good
+    assert failed["value"] == bad and failed["error"]
+    assert sorted(p.name for p in out.iterdir()) == [f"{param}_{good['value']}", "sweep.json"]
+
+
 def test_sweep_rejects_unknown_param(config_file, tmp_path, capsys):
     code = main(
         [

@@ -1,7 +1,9 @@
 """Payments: hand-checked externalities, incentive properties, deviation sweeps.
 
 The externality rows exist only here, in the literal rule that the
-prefix-sum payments of ``job_payments`` are checked against.
+prefix-sum payments of ``job_payments`` are checked against.  So does the
+knot grid (cost bounds, every bid, and the midpoints between them), the
+oracle that the rank grid of ``deviation_grid`` must match order for order.
 """
 
 import numpy as np
@@ -11,12 +13,16 @@ from hypothesis import strategies as st
 
 from crowdmarket import (
     FrozenInstance,
+    Simulator,
     deviation_grid,
     deviation_sweep,
     job_payments,
+    mechanism,
     random_frozen_instance,
     sw_greedy,
 )
+
+from conftest import desk_config, desk_estimator, desk_recipe
 
 
 def literal_externality_row(i, alloc, caps, bids):
@@ -189,19 +195,31 @@ def test_literal_rule_edge_cases():
     assert rec.payments[0] == 0.0
 
 
+def knot_grid(instance, i):
+    """The cost bounds, every bid (the crossing points) and the midpoints
+    between consecutive ones: between knots the bid order is fixed, so this
+    grid reaches every bid order worker ``i`` can reach, most of them twice."""
+    lo, hi = instance.cost_bounds
+    others = np.delete(instance.costs, i)
+    knots = np.concatenate([[lo, hi], others, [instance.costs[i]]])
+    knots = np.unique(np.clip(knots, lo, hi))
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    return np.unique(np.concatenate([knots, mids]))
+
+
 @given(inst=payment_instances())
 @settings(max_examples=60, deadline=None)
 def test_payment_identity_over_the_deviation_grid(inst):
     """Myerson's identity ``P_i = b_i * x_i + integral of x_i(z) from b_i to
-    c_bar``: x_i(z) is constant between the knots of the deviation grid, so
-    the integral is a sum over its segments."""
+    c_bar``: x_i(z) is constant between the knots of the knot grid, so the
+    integral is a sum over its segments."""
     bids, caps, _, c_bar = inst
     assume(caps.sum() >= 1.0 + 1e-9)  # feasible in every deviation's bid order
     alloc = sw_greedy(bids, caps)
     rec = job_payments(alloc, caps, bids, c_bar)
     inst = FrozenInstance(costs=bids, caps=caps, cost_bounds=(float(bids.min()), c_bar))
     for i in _checked_workers(alloc):
-        knots = deviation_grid(inst, i)
+        knots = knot_grid(inst, i)
         knots = knots[knots >= bids[i]]
         integral = 0.0
         for lo, hi in zip(knots[:-1], knots[1:]):
@@ -281,13 +299,128 @@ def test_deviation_underbid_inside_active_set_is_neutral(worked_instance):
 def test_deviation_grid_contains_crossings_and_endpoints(worked_instance):
     bids, caps = worked_instance
     inst = FrozenInstance(costs=bids, caps=caps, cost_bounds=(1.0, 3.0))
-    # knots 1, 2, 3 (bounds, crossings, own cost) and the midpoints between them
-    assert deviation_grid(inst, 0).tolist() == [1.0, 1.5, 2.0, 2.5, 3.0]
+    # Ties go to the lower worker id.  Worker 0 can fall behind worker 1
+    # (midpoint 2.5) but not behind worker 2, who bids the ceiling; worker 2
+    # can pass worker 1 (midpoint 1.5) but not worker 0, who bids the floor;
+    # worker 1 keeps its place at any bid.
+    assert deviation_grid(inst, 0).tolist() == [1.0, 2.5]
+    assert deviation_grid(inst, 1).tolist() == [2.0]
+    assert deviation_grid(inst, 2).tolist() == [3.0, 1.5]
+
+
+def _orders(inst, i, grid):
+    """The bid order (ties by worker id) that each bid of ``grid`` gives."""
+    orders = []
+    for b in grid:
+        bids = inst.costs.copy()
+        bids[i] = b
+        orders.append(tuple(bids.argsort(kind="stable").tolist()))
+    return orders
+
+
+@st.composite
+def tied_instances(draw):
+    """Feasible frozen instances with cost bounds (1, 5) and costs on the
+    integer levels between them or uniform over them: tied other bids, bids
+    on either bound, own costs tied with another bid, and some zero caps."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        costs = rng.integers(1, 6, n).astype(float)
+    else:
+        costs = rng.uniform(1.0, 5.0, n)
+    caps = rng.uniform(0.0, 1.0, n)
+    caps[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+    target = draw(st.sampled_from([1.001, 1.3, 3.0]))
+    caps = np.minimum(1.0, caps / max(caps.sum(), 1e-12) * target)
+    assume(caps.sum() >= 1.0 + 1e-9)  # feasible in every deviation's bid order
+    return FrozenInstance(costs=costs, caps=caps, cost_bounds=(1.0, 5.0))
+
+
+TIED = FrozenInstance(  # ties on both bounds and inside, one zero cap
+    costs=np.array([5.0, 1.0, 3.0, 1.0, 5.0, 3.0, 1.0]),
+    caps=np.array([0.4, 0.0, 0.3, 0.5, 0.2, 0.3, 0.1]),
+    cost_bounds=(1.0, 5.0),
+)
+
+
+@example(inst=TIED)
+@given(inst=tied_instances())
+@settings(max_examples=200, deadline=None)
+def test_rank_grid_reaches_the_knot_grid_orders_once_each(inst):
+    """The rank grid reaches the same set of bid orders as the knot grid,
+    each order once, the truthful order first."""
+    for i in range(len(inst.costs)):
+        grid = deviation_grid(inst, i)
+        assert grid[0] == inst.costs[i]
+        orders = _orders(inst, i, grid)
+        assert len(set(orders)) == len(orders)
+        assert set(orders) == set(_orders(inst, i, knot_grid(inst, i)))
+
+
+def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
+    """With distinct costs inside the bounds every rank is reachable, so a
+    sweep runs ``sw_greedy`` and ``job_payments`` exactly n times."""
+    calls = {"sw_greedy": 0, "job_payments": 0}
+
+    def counted(name):
+        real = getattr(mechanism, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mechanism, name, counted(name))
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        inst = random_frozen_instance(rng)
+        n = len(inst.costs)
+        for i in range(n):
+            assert len(deviation_grid(inst, i)) == n
+            before = dict(calls)
+            deviation_sweep(inst, i)
+            assert {k: calls[k] - before[k] for k in calls} == {"sw_greedy": n, "job_payments": n}
+
+
+def _assert_one_job_certificate(inst):
+    """x_i(bid) is non-increasing over the sorted rank grid, and no worker
+    gains by a unilateral deviation."""
+    for i in range(len(inst.costs)):
+        fractions = []
+        for b in np.sort(deviation_grid(inst, i)):
+            bids = inst.costs.copy()
+            bids[i] = b
+            fractions.append(sw_greedy(bids, inst.caps).fractions[i])
+        assert np.all(np.diff(fractions) <= 0.0)
+        assert deviation_sweep(inst, i) <= 1e-9
+
+
+@example(inst=TIED)
+@given(inst=tied_instances())
+@settings(max_examples=150, deadline=None)
+def test_one_job_certificate_with_ties_and_zero_caps(inst):
+    _assert_one_job_certificate(inst)
+
+
+def test_one_job_certificate_on_simulator_states():
+    """Frozen desk6 learning states at jobs 1, 10, 100 and 1000: the caps the
+    learner allocates with, and the workers' true costs."""
+    cfg = desk_config(seed=1000, T=1000)
+    sim = Simulator(cfg, desk_recipe(), est_cfg=desk_estimator(cfg), record_tables=False)
+    for t in range(1, cfg.T + 1):
+        if t in (1, 10, 100, 1000):
+            caps = sim.current_caps(t).copy()
+            _assert_one_job_certificate(FrozenInstance(sim.costs, caps, cfg.cost_bounds))
+        sim.step(t)
 
 
 def dense_grid(instance, i):
     """Knots plus a 50-point uniform grid over the cost range, and all
-    midpoints: a superset of ``deviation_grid`` that checks its knots miss no maximum."""
+    midpoints: a superset of ``knot_grid`` that checks the rank grid misses
+    no maximum."""
     lo, hi = instance.cost_bounds
     others = np.delete(instance.costs, i)
     knots = np.concatenate([np.linspace(lo, hi, 50), others, [instance.costs[i]]])
