@@ -10,7 +10,6 @@ import numpy as np
 
 from crowdmarket import (
     FrozenInstance,
-    delta_separation,
     deviation_sweep,
     job_payments,
     sw_greedy,
@@ -47,7 +46,8 @@ def main() -> None:
     print("bids:", bids, " caps:", caps)
     print(f"greedy fractions: {alloc.fractions}  (sum {alloc.fractions.sum()})")
     print(f"boundary worker k_bar = {alloc.k_bar}, cost = {bids @ alloc.fractions:.4f}")
-    print(f"slack left on the boundary worker: {delta_separation(alloc, caps):.4f}")
+    k = alloc.k_bar
+    print(f"slack left on the boundary worker: {caps[k] - alloc.fractions[k]:.4f}")
 
     rec = job_payments(alloc, caps, bids, c_bar)
     print("\neach winner's payment, split by who would absorb its fraction:")

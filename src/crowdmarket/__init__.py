@@ -11,7 +11,6 @@ from .allocation import (
     Allocation,
     InfeasibleJob,
     SortedBids,
-    delta_separation,
     sw_greedy,
     true_cap,
 )
@@ -53,7 +52,6 @@ from .simulation import (
     regret,
     run,
     summary_to_json,
-    trace_payments_to_csv,
     trace_summary,
     trace_to_csv,
 )

@@ -21,7 +21,6 @@ __all__ = [
     "SortedBids",
     "true_cap",
     "sw_greedy",
-    "delta_separation",
 ]
 
 
@@ -139,9 +138,3 @@ def sw_greedy(bids, caps) -> Allocation:
         fractions=fractions, k_bar=int(order[last_pos]), bid_order=order, k_pos=last_pos
     )
 
-
-def delta_separation(oracle_alloc: Allocation, caps) -> float:
-    """Slack left on the most expensive active worker of the given allocation."""
-    c = np.asarray(caps, dtype=float)
-    k = oracle_alloc.k_bar
-    return max(0.0, float(c[k] - oracle_alloc.fractions[k]))

@@ -67,6 +67,14 @@ def _count(minimum: int):
     return count
 
 
+def _file_in_the_way(out: Path) -> Path | None:
+    """The existing non-directory at ``out`` or above it, if any."""
+    for path in (out, *out.parents):
+        if path.exists():
+            return None if path.is_dir() else path
+    return None
+
+
 def _build_estimator(cfg: MarketConfig, overrides: dict[str, float]) -> EstimatorConfig:
     est = EstimatorConfig.defaults(cfg)
     if overrides:
@@ -266,6 +274,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    blocker = _file_in_the_way(Path(args.out))
+    if blocker is not None:
+        print(f"error: --out {args.out}: {blocker} exists and is not a directory", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (InvalidConfig, InvalidRecipe) as exc:

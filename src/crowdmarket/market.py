@@ -308,6 +308,7 @@ _SCALAR_KEYS = {
     "beta_min": float,
     "beta_max": float,
 }
+_OPTIONAL_KEYS = ("sigma_log", "seed")  # MarketConfig's defaults fill them in
 _ESTIMATOR_KEYS = {"alpha": float, "u_rho": float, "u_beta": float}
 _GROUP_FIELDS = ("count", "cost", "rho", "beta")
 
@@ -342,7 +343,11 @@ def load_config(path: str | Path) -> tuple[MarketConfig, PopulationRecipe, dict[
     estimator: dict[str, float] = {}
     groups: dict[int, dict[str, str]] = {}
     seen: dict[str, int] = {}  # key -> line that set it
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -377,21 +382,20 @@ def load_config(path: str | Path) -> tuple[MarketConfig, PopulationRecipe, dict[
         else:
             raise InvalidConfig(f"{path}:{lineno}: unknown key {key!r}")
 
-    missing = [k for k in _SCALAR_KEYS if k not in scalars and k not in ("sigma_log", "seed")]
+    missing = [k for k in _SCALAR_KEYS if k not in scalars and k not in _OPTIONAL_KEYS]
     if missing:
         raise InvalidConfig(f"{path}: missing keys: {', '.join(missing)}")
 
-    cfg = MarketConfig(
-        n=int(scalars["n"]),
-        T=int(scalars["jobs"]),
-        D=float(scalars["deadline"]),
-        epsilon=float(scalars["epsilon"]),
-        delta=float(scalars["delta"]),
-        cost_bounds=(float(scalars["cost_min"]), float(scalars["cost_max"])),
-        rho_bounds=(float(scalars["rho_min"]), float(scalars["rho_max"])),
-        beta_bounds=(float(scalars["beta_min"]), float(scalars["beta_max"])),
-        sigma_log=float(scalars.get("sigma_log", 0.25)),
-        seed=int(scalars.get("seed", 0)),
+    cfg = MarketConfig(  # each scalar already has its key's type
+        n=scalars["n"],
+        T=scalars["jobs"],
+        D=scalars["deadline"],
+        epsilon=scalars["epsilon"],
+        delta=scalars["delta"],
+        cost_bounds=(scalars["cost_min"], scalars["cost_max"]),
+        rho_bounds=(scalars["rho_min"], scalars["rho_max"]),
+        beta_bounds=(scalars["beta_min"], scalars["beta_max"]),
+        **{key: scalars[key] for key in _OPTIONAL_KEYS if key in scalars},
     )
 
     if not groups:

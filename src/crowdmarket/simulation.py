@@ -3,13 +3,14 @@
 Each job refreshes every worker's confidence indices, allocates greedily
 against the pessimistic caps, samples completion times and failure windows for
 the active workers, feeds the observations back into the estimators, and
-records payments and welfare: one :class:`JobRecord` per step, and one trace
-row that :meth:`Simulator.trace` stacks into the per-job series.  The learning
-state of all workers is one :class:`WorkerStats` bank, and each of these
-layers is one call per job.  While the caps repeat bit for bit, the job
-reuses the previous job's allocation and payments instead of recomputing
-them.  A known-means mode pins the caps to the true parameters, which
-reproduces the omniscient baseline and serves as the zero-regret reference.
+records payments and welfare as one trace row, which :meth:`Simulator.trace`
+stacks into the per-job series.  The learning state of all workers is one
+:class:`WorkerStats` bank, and each of these layers is one call per job.
+While the caps repeat bit for bit, the job reuses the previous job's
+allocation, payments and row instead of recomputing them.  A known-means
+mode pins the caps to the true parameters, which reproduces the omniscient
+baseline and serves as the zero-regret reference; it learns nothing, so it
+draws no outcomes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import Allocation, InfeasibleJob, SortedBids, sw_greedy, true_cap
+from .allocation import InfeasibleJob, SortedBids, sw_greedy, true_cap
 from .estimator import EstimatorConfig, WorkerStats
 from .market import (
     MarketConfig,
@@ -35,10 +36,9 @@ from .market import (
     sample_population,
     validate_config,
 )
-from .mechanism import PaymentRecord, job_payments
+from .mechanism import job_payments
 
 __all__ = [
-    "JobRecord",
     "SimulationTrace",
     "Simulator",
     "run",
@@ -47,7 +47,6 @@ __all__ = [
     "trace_to_csv",
     "trace_summary",
     "summary_to_json",
-    "trace_payments_to_csv",
 ]
 
 MODES = ("learning", "known-means")
@@ -72,44 +71,24 @@ _TABLES = [
 ]
 
 
-@dataclass(frozen=True)
-class JobRecord:
-    """Allocation, payments and sampled outcome of one job step.
-
-    ``active`` lists the workers with work, in ascending id, and
-    ``active_completion`` and ``active_window`` hold one entry per listed
-    worker: its completion time, and its window code (1 where the failure
-    window saw a failure, -1 where the work was shorter than the window, so
-    it went unobserved, and 0 otherwise).  An infeasible job has no
-    allocation or payments (``None``) and empty outcome arrays.
-    Consecutive jobs with bitwise-equal caps share one allocation and one
-    payment record, so in known-means mode every job shares them.
-    """
-
-    allocation: Allocation | None
-    payments: PaymentRecord | None
-    active: np.ndarray
-    active_completion: np.ndarray
-    active_window: np.ndarray
-    matches_oracle: bool
-
-
 @dataclass
 class SimulationTrace:
     """Per-job series plus cumulative accounting for one simulation run.
 
     The per-worker tables exist only with ``record_tables=True``; row ``t - 1``
-    of each holds job ``t`` in worker order.  The completion and window rows
-    spread :class:`JobRecord`'s per-active-worker entries over all workers,
-    with NaN completion and window code 0 where a worker got no work (all
-    zeros, NaN completion, for an infeasible job).
+    of each holds job ``t`` in worker order.  A completion row holds each
+    active worker's completion time and a window row its window code (1 where
+    the failure window saw a failure, -1 where the work was shorter than the
+    window, so it went unobserved, and 0 otherwise), with NaN completion and
+    window code 0 where a worker got no work (all zeros, NaN completion, for
+    an infeasible job).  Known-means mode draws no outcomes, so all its
+    completion rows are NaN and its window rows 0.
     """
 
     cfg: MarketConfig
     est: EstimatorConfig
     mode: str
     workers: list[WorkerProfile]
-    oracle_fractions: np.ndarray
     oracle_cost: float
     oracle_active: frozenset[int]
     infeasible: np.ndarray
@@ -210,6 +189,11 @@ class Simulator:
         # The last computed job: its caps' bytes, then what they determine.
         self._caps_key = None
         self._plan = None
+        self._infeasible_row = (True, math.nan, math.nan, 0, math.nan, False)
+        self._no_outcomes = ()
+        if record_tables:  # a scalar fills its whole table row
+            self._no_outcomes = (math.nan, 0)
+            self._infeasible_row += (0.0, 0.0, 0.0) + self._no_outcomes
         tables = [(name, dtype, (cfg.n,)) for name, dtype in _TABLES] if record_tables else []
         self._row_dtype = np.dtype(_SERIES + tables)
         self._rows: list[tuple] = []
@@ -221,7 +205,7 @@ class Simulator:
         self.stats.refresh_indices(t)
         return self.stats.pessimistic_cap(self.cfg.D, self.cfg.epsilon)
 
-    def step(self, t: int) -> JobRecord:
+    def step(self, t: int) -> None:
         """Run job ``t`` (1-based) and append its row to the trace."""
         cfg = self.cfg
         caps = self.current_caps(t)
@@ -230,42 +214,38 @@ class Simulator:
             try:
                 alloc = sw_greedy(self.bids, caps)
             except InfeasibleJob:
-                row = (True, math.nan, math.nan, 0, math.nan, False)
-                if self.record_tables:  # a scalar fills its whole table row
-                    row += (0.0, 0.0, 0.0, math.nan, 0)
-                self._rows.append(row)
-                no_work = np.empty(0, np.intp), np.empty(0), np.empty(0, np.int8)
-                return JobRecord(None, None, *no_work, matches_oracle=False)
+                self._rows.append(self._infeasible_row)
+                return
             rec = job_payments(alloc, caps, self.costs, cfg.cost_bounds[1], true_costs=self.costs)
             active = alloc.fractions.nonzero()[0]
-            match = active.tobytes() == self._oracle_active
             row = (
                 False,
                 float(self.costs @ alloc.fractions),
                 float(rec.payments.sum()),
                 active.size,
                 float(rec.utilities.min()),
-                match,
+                active.tobytes() == self._oracle_active,
             )
+            if self.record_tables:
+                row += (alloc.fractions, rec.payments, rec.utilities)
             self._caps_key = key
-            self._plan = (alloc, rec, active, alloc.fractions[active], match, row)
-        alloc, rec, active, fractions, match, row = self._plan
+            self._plan = (active, alloc.fractions[active], row)
+        active, fractions, row = self._plan
 
-        tau, codes = sample_outcome(self.outcomes, active, fractions)
+        outcomes = self._no_outcomes
         if self.mode == "learning":
+            tau, codes = sample_outcome(self.outcomes, active, fractions)
             self.stats.record_jct_sample(active, tau, fractions)
             observed = codes >= 0
             if np.count_nonzero(observed):  # at n=400 most jobs observe no window
                 self.stats.record_window(active[observed], codes[observed] > 0)
-
-        if self.record_tables:
-            completion = np.full(cfg.n, math.nan)
-            completion[active] = tau
-            window = np.zeros(cfg.n, dtype=np.int8)
-            window[active] = codes
-            row += (alloc.fractions, rec.payments, rec.utilities, completion, window)
-        self._rows.append(row)
-        return JobRecord(alloc, rec, active, tau, codes, matches_oracle=match)
+            if self.record_tables:
+                completion = np.full(cfg.n, math.nan)
+                completion[active] = tau
+                window = np.zeros(cfg.n, dtype=np.int8)
+                window[active] = codes
+                outcomes = (completion, window)
+        self._rows.append(row + outcomes)
 
     def trace(self) -> SimulationTrace:
         rows = np.array(self._rows, dtype=self._row_dtype)
@@ -274,7 +254,6 @@ class Simulator:
             est=self.est,
             mode=self.mode,
             workers=self.workers,
-            oracle_fractions=self.oracle.fractions.copy(),
             oracle_cost=self.oracle_cost,
             oracle_active=self.oracle_active,
             **{name: np.ascontiguousarray(rows[name]) for name in rows.dtype.names},
@@ -351,19 +330,6 @@ def trace_to_csv(trace: SimulationTrace, path: str | Path) -> None:
                     repr(float(ravg[ti])),
                 ]
             )
-
-
-def trace_payments_to_csv(trace: SimulationTrace, path: str | Path) -> None:
-    """Per-worker payment rows (t, worker, fraction, payment, utility) of every
-    allocated worker, in job then worker order."""
-    if trace.fraction_table is None:
-        raise ValueError("payment export requires record_tables=True")
-    tables = (trace.fraction_table, trace.payment_table, trace.utility_table)
-    with Path(path).open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "worker", "fraction", "payment", "utility"])
-        for ti, wid in np.argwhere(trace.fraction_table > 0).tolist():
-            writer.writerow([ti + 1, wid, *(repr(float(table[ti, wid])) for table in tables)])
 
 
 def trace_summary(trace: SimulationTrace) -> dict:

@@ -7,6 +7,8 @@ state became one struct-of-arrays bank; the bank must reproduce its counts,
 kept sums, indices and caps bit for bit.  ``BlockSampler`` serves each
 worker's outcomes one scalar draw at a time by the k-th-activation rule that
 ``crowdmarket.sample_outcome`` implements with pre-drawn blocks.
+``delta_separation`` reads the slack an allocation leaves on its boundary
+worker.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ def truncated_mean(
         if log_term <= 0 or x * x * log_term <= u * k:
             total += x
     return total / s
+
+
+def delta_separation(alloc, caps) -> float:
+    """Slack left on the most expensive active worker of the given allocation."""
+    k = alloc.k_bar
+    return max(0.0, float(caps[k]) - float(alloc.fractions[k]))
 
 
 class TruncatedMeanTracker:

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from crowdmarket import (
     InfeasibleJob,
     SortedBids,
-    delta_separation,
     sample_population,
     sw_greedy,
     true_cap,
 )
 
 from conftest import enumeration_optimum, reference_config, reference_recipe
+from oracles import delta_separation
 
 
 def test_worked_example(worked_instance):

@@ -266,6 +266,43 @@ def test_malformed_input_exits_without_traceback(config_edit, argv, code, tmp_pa
     assert not out.exists()
 
 
+def test_non_utf8_config_exits_3(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(SMALL_CONFIG.replace("group.1", "# caf\u00e9\ngroup.1", 1).encode("latin-1"))
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "UTF-8" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below a file"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate"],
+        ["sweep", "--param", "epsilon", "--values", "0.2"],
+        ["dsic-test", "--instances", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_blocked_by_a_file_exits_2(argv, below, config_file, tmp_path, capsys):
+    """An --out that is, or lies below, an existing regular file ends in one
+    line of message and exit code 2, and nothing is written."""
+    command, flags = argv[0], argv[1:]
+    if command != "dsic-test":
+        flags = ["--config", str(config_file), *flags]
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep me\n")
+    out = blocker / "sub" if below else blocker
+    before = sorted(tmp_path.rglob("*"))
+    assert main([command, "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and str(blocker) in err
+    assert blocker.read_text() == "keep me\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_infeasible_instance_exits_4(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text(INFEASIBLE_CONFIG)

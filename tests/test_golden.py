@@ -14,8 +14,9 @@ Drawing each worker's outcomes in blocks changed the realized draws, and
 with them the desk6 learning trace and summary and its completion and
 window tables; those were pinned again, deliberately, when the blocks came
 in.  The other pins did not move: the desk6 caps stay at their bounds for
-the first 545 jobs, known-means outcomes feed no output but the tables, and
-the reference400 caps never move within the horizon.  So the reference400
+the first 545 jobs, known-means mode draws no outcomes (it learns nothing,
+so none were ever read outside its tables), and the reference400 caps never
+move within the horizon.  So the reference400
 completion and window tables are pinned as well, at 300 jobs, which crosses
 a refill of every active worker's block.
 

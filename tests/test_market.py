@@ -1,7 +1,7 @@
 """Market model: config validation, population sampling, outcome distributions."""
 
 import math
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from crowdmarket import (
     BLOCK,
     InvalidConfig,
     InvalidRecipe,
+    MarketConfig,
     OutcomeBlocks,
     PopulationGroup,
     PopulationRecipe,
@@ -391,6 +392,20 @@ def test_load_config_round_trip(tmp_path):
     assert recipe.groups[0].count == 3
     assert recipe.groups[1].cost_range == (100.0, 100.0)
     assert est == {"alpha": 4.0}
+
+
+def test_load_config_takes_omitted_defaults_from_market_config(tmp_path):
+    """A file that sets neither sigma_log nor seed loads equal to
+    MarketConfig's own defaults for both."""
+    full, bare = tmp_path / "full.cfg", tmp_path / "bare.cfg"
+    full.write_text(CONFIG_TEXT)
+    bare.write_text(CONFIG_TEXT.replace("sigma_log = 0.25\n", "").replace("seed = 3\n", ""))
+    defaults = {f.name: f.default for f in fields(MarketConfig) if f.default is not MISSING}
+    assert set(defaults) == {"sigma_log", "seed"}
+    cfg, recipe, est = load_config(bare)
+    full_cfg, full_recipe, full_est = load_config(full)
+    assert cfg == replace(full_cfg, **defaults)
+    assert (recipe, est) == (full_recipe, full_est)
 
 
 def test_load_config_missing_file(tmp_path):

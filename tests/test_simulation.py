@@ -8,6 +8,7 @@ import pytest
 
 import crowdmarket.simulation
 from crowdmarket import (
+    BLOCK,
     EstimatorConfig,
     InfeasibleJob,
     MarketConfig,
@@ -20,7 +21,6 @@ from crowdmarket import (
     regret,
     run,
     sw_greedy,
-    trace_payments_to_csv,
     trace_summary,
     trace_to_csv,
 )
@@ -95,30 +95,23 @@ def test_different_seed_changes_trace(tmp_path):
 def test_learning_updates_only_active_workers():
     cfg, recipe, est = small_market(T=50)
     sim = Simulator(cfg, recipe, est_cfg=est)
-    rec = sim.step(1)
-    active = rec.allocation.active_set
-    assert sim.stats.N_it.tolist() == [int(i in active) for i in range(cfg.n)]
+    sim.step(1)
+    active = sim.trace().fraction_table[0] > 0
+    assert sim.stats.N_it.tolist() == active.astype(int).tolist()
 
 
 def test_window_updates_only_when_work_covers_delta():
     cfg, recipe, est = small_market(T=30)
-    sim = Simulator(cfg, recipe, est_cfg=est)
-    records = [sim.step(t) for t in range(1, 31)]
-    trace = sim.trace()
-    for t, rec in enumerate(records, start=1):
-        assert rec.active.tolist() == np.flatnonzero(rec.allocation.fractions).tolist()
-        assert rec.active_completion.shape == rec.active_window.shape == rec.active.shape
-        assert not np.isnan(rec.active_completion).any()
-        short = rec.active_completion < cfg.delta
-        assert np.all(rec.active_window[short] == -1)
-        assert np.all(rec.active_window[~short] >= 0)
-        # the table rows spread the same entries over all workers
-        completion, window = trace.completion_table[t - 1], trace.window_table[t - 1]
-        assert completion[rec.active].tobytes() == rec.active_completion.tobytes()
-        assert window[rec.active].tobytes() == rec.active_window.tobytes()
-        idle = np.ones(cfg.n, dtype=bool)
-        idle[rec.active] = False
-        assert np.isnan(completion[idle]).all() and not window[idle].any()
+    trace = run(cfg, recipe, est_cfg=est)
+    for fractions, completion, window in zip(
+        trace.fraction_table, trace.completion_table, trace.window_table
+    ):
+        active = fractions > 0
+        assert not np.isnan(completion[active]).any()
+        short = completion[active] < cfg.delta
+        assert np.all(window[active][short] == -1)
+        assert np.all(window[active][~short] >= 0)
+        assert np.isnan(completion[~active]).all() and not window[~active].any()
 
 
 def test_regret_defining_sum():
@@ -190,13 +183,12 @@ def test_per_job_infeasibility_is_recorded_not_raised():
     assert len(trace) == 5
     summary = trace_summary(trace)
     assert summary["jobs_infeasible"] == int(trace.infeasible.sum())
-    # an infeasible job records no work: empty outcome arrays, an idle table row
-    sim = Simulator(cfg, recipe)
-    rec = sim.step(1)
-    assert rec.allocation is None and rec.payments is None and not rec.matches_oracle
-    assert rec.active.size == rec.active_completion.size == rec.active_window.size == 0
-    first = sim.trace()
-    assert np.isnan(first.completion_table[0]).all() and not first.window_table[0].any()
+    # an infeasible job records no work: an idle table row
+    t = int(np.flatnonzero(trace.infeasible)[0])
+    assert not trace.match[t] and trace.active_size[t] == 0
+    for table in (trace.fraction_table, trace.payment_table, trace.utility_table):
+        assert not table[t].any()
+    assert np.isnan(trace.completion_table[t]).all() and not trace.window_table[t].any()
 
 
 def test_feasible_at_init_stays_feasible():
@@ -211,48 +203,68 @@ def test_allocations_respect_current_caps():
     cfg, recipe, est = small_market(T=40)
     sim = Simulator(cfg, recipe, est_cfg=est)
     for t in range(1, 41):
-        caps = sim.current_caps(t)
+        caps = sim.current_caps(t).copy()
         alloc = sw_greedy(sim.costs, caps)
-        rec = sim.step(t)  # step refreshes again with identical state
-        assert rec.allocation.fractions == pytest.approx(alloc.fractions)
-        assert np.all(rec.allocation.fractions <= caps + 1e-15)
-        assert math.fsum(rec.allocation.fractions) == 1.0
+        sim.step(t)  # step refreshes again with identical state
+        fractions = sim.trace().fraction_table[-1]
+        assert fractions == pytest.approx(alloc.fractions)
+        assert np.all(fractions <= caps + 1e-15)
+        assert math.fsum(fractions) == 1.0
 
 
-def test_repeated_caps_reuse_the_allocation_and_payments():
-    """A job whose caps repeat the previous job's bit for bit shares its
-    allocation and payment record; every job's record equals a fresh
-    computation.  The desk market's caps hold still for 545 jobs, then move."""
+def counting(monkeypatch, name):
+    """Wrap ``crowdmarket.simulation.<name>`` and count the calls the loop makes."""
+    calls = []
+    fn = getattr(crowdmarket.simulation, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(crowdmarket.simulation, name, counted)
+    return calls
+
+
+def test_repeated_caps_reuse_the_allocation_and_payments(monkeypatch):
+    """A job whose caps repeat the last feasible job's bit for bit computes no
+    allocation or payments; every job's table row equals a fresh computation.
+    The desk market's caps hold still for 545 jobs, then move."""
+    greedy_calls = counting(monkeypatch, "sw_greedy")
+    payment_calls = counting(monkeypatch, "job_payments")
     cfg = desk_config(T=600)
-    sim = Simulator(cfg, desk_recipe(), est_cfg=desk_estimator(cfg), record_tables=False)
-    prev_caps, prev, shared = None, None, 0
+    sim = Simulator(cfg, desk_recipe(), est_cfg=desk_estimator(cfg))
+    greedy_calls.clear()  # the oracle allocation
+    prev_caps, computed = None, 0
     for t in range(1, cfg.T + 1):
-        caps = sim.current_caps(t)  # step refreshes again with identical state
+        caps = sim.current_caps(t).copy()  # step refreshes again with identical state
+        computed += caps.tobytes() != prev_caps
+        prev_caps = caps.tobytes()
+        sim.step(t)
+        assert len(greedy_calls) == len(payment_calls) == computed
         alloc = sw_greedy(sim.costs, caps)
         pay = job_payments(alloc, caps, sim.costs, cfg.cost_bounds[1], true_costs=sim.costs)
-        rec = sim.step(t)
-        assert rec.allocation.fractions.tobytes() == alloc.fractions.tobytes()
-        assert rec.payments.payments.tobytes() == pay.payments.tobytes()
-        assert rec.payments.utilities.tobytes() == pay.utilities.tobytes()
-        if t > 1:
-            repeated = caps.tobytes() == prev_caps
-            assert (rec.allocation is prev.allocation) == repeated
-            assert (rec.payments is prev.payments) == repeated
-            shared += repeated
-        prev_caps, prev = caps.tobytes(), rec
-    assert 0 < shared < cfg.T - 1
+        trace = sim.trace()
+        assert not trace.infeasible[-1]
+        assert trace.fraction_table[-1].tobytes() == alloc.fractions.tobytes()
+        assert trace.payment_table[-1].tobytes() == pay.payments.tobytes()
+        assert trace.utility_table[-1].tobytes() == pay.utilities.tobytes()
+    assert 1 < computed < cfg.T
 
 
-def test_known_means_shares_the_oracle_allocation_and_never_learns():
+def test_known_means_shares_the_oracle_allocation_and_never_learns(monkeypatch):
+    """Known-means mode allocates once, draws no outcomes and learns nothing."""
+    greedy_calls = counting(monkeypatch, "sw_greedy")
+    sample_calls = counting(monkeypatch, "sample_outcome")
     cfg, recipe, est = small_market(T=50)
     sim = Simulator(cfg, recipe, est_cfg=est, mode="known-means")
-    first = sim.step(1)
-    assert first.allocation.fractions.tobytes() == sim.oracle.fractions.tobytes()
-    for t in range(2, cfg.T + 1):
-        rec = sim.step(t)
-        assert rec.allocation is first.allocation and rec.payments is first.payments
-        assert rec.active.tolist() == sorted(sim.oracle_active)
-        assert not np.isnan(rec.active_completion).any()
+    for t in range(1, cfg.T + 1):
+        sim.step(t)
+    trace = sim.trace()
+    assert len(greedy_calls) == 2  # the oracle, then the first job
+    assert not sample_calls
+    assert np.all(sim.outcomes.cursor == BLOCK)
+    assert np.all(trace.fraction_table == sim.oracle.fractions)
+    assert np.isnan(trace.completion_table).all() and not trace.window_table.any()
     assert not sim.stats.N_it.any() and not sim.stats.N_beta_it.any()
 
 
@@ -349,24 +361,6 @@ def test_trace_csv_and_summary_share_one_regret_series(tmp_path, jobs):
     total, avg = regret(trace)
     assert total == summary["regret_total"] == float(trace.regret_cum[-1])
     assert avg.tobytes() == trace.regret_avg.tobytes()
-
-
-def test_payment_rows_export(tmp_path):
-    cfg, recipe, est = small_market(T=5)
-    trace = run(cfg, recipe, est_cfg=est)
-    path = tmp_path / "pay.csv"
-    trace_payments_to_csv(trace, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,worker,fraction,payment,utility"
-    assert len(lines) == 1 + int(trace.active_size.sum())
-    # one row per allocated worker, in job then worker order, floats by repr
-    ti, wid = np.argwhere(trace.fraction_table > 0)[0]
-    assert lines[1].split(",") == [
-        str(ti + 1),
-        str(wid),
-        *(repr(float(table[ti, wid]))
-          for table in (trace.fraction_table, trace.payment_table, trace.utility_table)),
-    ]
 
 
 def test_summary_echoes_config():
