@@ -11,7 +11,9 @@ means, and the learner to its pessimistic indices.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -50,6 +52,14 @@ class Allocation:
     @property
     def active_set(self) -> frozenset[int]:
         return frozenset(int(i) for i in np.nonzero(self.fractions > 0)[0])
+
+
+# The one crossover between Python floats and numpy arrays, whose fixed cost
+# is about 1 us a call.  Up to this many entries, a job's allocation and
+# payments (one per worker) and the estimator bank's reductions (one per
+# sample of the job) run on lists, and above it on arrays; each crosses over
+# near 32 entries.
+_LIST_MAX = 32
 
 
 def true_cap(rho, beta, D: float, epsilon: float):
@@ -92,17 +102,26 @@ def sw_greedy(bids, caps) -> Allocation:
     The last active worker takes the exact remainder, so the fractions sum to
     one exactly.  Ties in bids are broken by ascending worker id; a
     :class:`SortedBids` brings that order with it.  Raises
-    :class:`InfeasibleJob` when the caps sum to less than one and
-    ``ValueError`` on non-finite bids or caps outside [0, 1].
+    :class:`InfeasibleJob` when the caps sum to less than one (no workers
+    included) and ``ValueError`` on bids and caps that are not two vectors
+    of one length, on non-finite bids, or on caps outside [0, 1].
+
+    Up to ``_LIST_MAX`` workers the rule runs on Python floats, above it on
+    numpy arrays; both give the same bytes and raise the same errors.
     """
     b = _as_bid_array(bids)
     c = np.asarray(caps, dtype=float)
     if b.shape != c.shape:
         raise ValueError(f"bids and caps disagree in length: {b.shape} vs {c.shape}")
+    if c.ndim != 1:
+        raise ValueError(f"bids and caps must be vectors, got shape {c.shape}")
+    if not c.size:
+        raise InfeasibleJob(0.0)
+    order = bids.order if isinstance(bids, SortedBids) else b.argsort(kind="stable")
+    if c.size <= _LIST_MAX:
+        return _greedy_lists(b, c, order)
     if not ((c >= 0) & (c <= 1)).all():  # also rejects NaN caps
         raise ValueError("caps must lie in [0, 1]")
-
-    order = bids.order if isinstance(bids, SortedBids) else b.argsort(kind="stable")
     # NaN sorts last and -inf first, so the two ends decide finiteness.
     if not (math.isfinite(b[order[0]]) and math.isfinite(b[order[-1]])):
         raise ValueError("bids must be finite")
@@ -114,19 +133,7 @@ def sw_greedy(bids, caps) -> Allocation:
     k_pos = int(cums.searchsorted(1.0))
     # The workers filled up to their caps; a memoryview yields their floats
     # to fsum without building a list.
-    full = memoryview(c_sorted[:k_pos])
-    total = math.fsum(full)
-    rest = max(0.0, 1.0 - total)
-    # One-ulp fix-up so the fractions sum to exactly one under exact summation.
-    # From total >= 0.5 on it has nothing to fix: 1 - total is exact then, and
-    # the exact sum of full and rest is 1 plus at most half an ulp of total,
-    # which rounds to 1 (or rest is 0 both ways).
-    for _ in range(4 if total < 0.5 else 0):
-        gap = 1.0 - math.fsum([*full, rest])
-        if gap == 0.0:
-            break
-        rest = max(0.0, rest + gap)
-    rest = min(rest, float(c_sorted[k_pos]))
+    rest = _remainder(memoryview(c_sorted[:k_pos]), float(c_sorted[k_pos]))
 
     x_sorted = np.zeros(c.shape)
     x_sorted[:k_pos] = c_sorted[:k_pos]
@@ -138,3 +145,44 @@ def sw_greedy(bids, caps) -> Allocation:
         fractions=fractions, k_bar=int(order[last_pos]), bid_order=order, k_pos=last_pos
     )
 
+
+def _remainder(full, cap: float) -> float:
+    """The boundary worker's fraction: what the ``full`` caps leave of the
+    job, at most ``cap``."""
+    total = math.fsum(full)
+    rest = max(0.0, 1.0 - total)
+    # One-ulp fix-up so the fractions sum to exactly one under exact summation.
+    # From total >= 0.5 on it has nothing to fix: 1 - total is exact then, and
+    # the exact sum of full and rest is 1 plus at most half an ulp of total,
+    # which rounds to 1 (or rest is 0 both ways).
+    for _ in range(4 if total < 0.5 else 0):
+        gap = 1.0 - math.fsum([*full, rest])
+        if gap == 0.0:
+            break
+        rest = max(0.0, rest + gap)
+    return min(rest, cap)
+
+
+def _greedy_lists(b: np.ndarray, c: np.ndarray, order: np.ndarray) -> Allocation:
+    """The numpy branch of ``sw_greedy`` on Python floats: ``accumulate`` is
+    the sequential ``cumsum`` and ``bisect_left`` the ``searchsorted``."""
+    cl, o = c.tolist(), order.tolist()
+    # A NaN cap can hide from min and max, but not from the sum.
+    if not (0.0 <= min(cl) and max(cl) <= 1.0 and not math.isnan(sum(cl))):
+        raise ValueError("caps must lie in [0, 1]")
+    if not (math.isfinite(b[o[0]]) and math.isfinite(b[o[-1]])):
+        raise ValueError("bids must be finite")
+    c_sorted = [cl[w] for w in o]
+    cums = list(accumulate(c_sorted))
+    if cums[-1] < 1.0:
+        raise InfeasibleJob(cums[-1])
+
+    k_pos = bisect_left(cums, 1.0)
+    rest = _remainder(c_sorted[:k_pos], c_sorted[k_pos])
+
+    x = [0.0] * len(cl)
+    for w in o[:k_pos]:
+        x[w] = cl[w]
+    x[o[k_pos]] = rest
+    last_pos = k_pos if rest > 0 else next(p for p in reversed(range(k_pos)) if c_sorted[p])
+    return Allocation(fractions=np.array(x), k_bar=o[last_pos], bid_order=order, k_pos=last_pos)

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import true_cap
+from .allocation import _LIST_MAX, true_cap
 from .market import Bounds, InvalidConfig, MarketConfig
 
 __all__ = [
@@ -104,9 +104,6 @@ def surrogate_expectation(beta: float, delta: float) -> float:
 
 
 _RHO, _BETA = 0, 1  # rows of the stacked per-parameter arrays
-# Up to this many samples per call, Python's min and max over lists beat
-# numpy's reductions, whose fixed cost is about 1 us each.
-_LIST_MAX = 32
 
 
 class WorkerStats:

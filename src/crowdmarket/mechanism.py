@@ -9,9 +9,10 @@ the boundary receive nothing and pay nothing.  Each payment is thus the
 integral of a step function of the tail bids (Myerson's identity), so
 ``job_payments`` prices every active worker from prefix sums of the tail
 caps, with one ``searchsorted``, in O(n log n); this is the one form of the
-rule in the library.  The scalar transcription of the rule, worker by
-worker and displaced unit by displaced unit, lives in the tests, as the
-oracle this vectorized path is checked against.
+rule in the library, run on Python floats for small markets and on numpy
+arrays for large ones, with the same bytes.  The scalar transcription of
+the rule, worker by worker and displaced unit by displaced unit, lives in
+the tests, as the oracle both are checked against.
 
 ``deviation_sweep`` re-runs allocation and payments for a grid of unilateral
 bid deviations, the other workers bidding truthfully, and reports the best
@@ -24,11 +25,14 @@ first, which finds the maximum exactly with one allocation per bid order.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .allocation import Allocation, _as_bid_array, sw_greedy
+from .allocation import _LIST_MAX, Allocation, _as_bid_array, sw_greedy
 
 __all__ = [
     "PaymentRecord",
@@ -71,13 +75,26 @@ def job_payments(
     enters as ``r + (b - r)``, with ``r`` the first bid after the boundary,
     so the boundary worker's own bid never prices its own payment, and no
     term is negative for a truthful bid.
+
+    ``caps``, ``bids`` and ``true_costs`` hold one entry per worker of
+    ``alloc`` and ``c_bar`` is finite, or ``ValueError`` is raised.  Up to
+    ``_LIST_MAX`` workers the rule runs on Python floats, above it on numpy
+    arrays; both give the same bytes.
     """
     caps = np.asarray(caps, dtype=float)
     b = _as_bid_array(bids)
     costs = b if true_costs is None else np.asarray(true_costs, dtype=float)
-
     order, k = alloc.bid_order, alloc.k_pos
+    if not caps.shape == b.shape == costs.shape == order.shape:
+        raise ValueError(
+            f"caps, bids and true_costs need one entry per worker of the allocation "
+            f"{order.shape}, got {caps.shape}, {b.shape} and {costs.shape}"
+        )
+    if not math.isfinite(c_bar):
+        raise ValueError(f"c_bar must be finite, got {c_bar}")
     n = order.shape[0]
+    if n <= _LIST_MAX:
+        return _payments_lists(alloc, caps, b, float(c_bar), costs)
     active = order[: k + 1]
     x = alloc.fractions[active]
     b_s = b[order]
@@ -106,6 +123,41 @@ def job_payments(
     payments[active] = b_k * slack + r * done + prem + b_part * part
     utilities[active] = (b_k - c) * slack + (r - c) * done + prem + (b_part - c) * part
     return PaymentRecord(payments=payments, utilities=utilities)
+
+
+def _payments_lists(alloc, caps, b, c_bar: float, costs) -> PaymentRecord:
+    """The numpy branch of ``job_payments`` on Python floats, each term in
+    the same order: ``accumulate`` is the sequential ``np.add.accumulate`` and
+    ``bisect_right`` the ``searchsorted``."""
+    order, k = alloc.bid_order.tolist(), alloc.k_pos
+    bids = b.tolist()
+    c = bids if costs is b else costs.tolist()
+    caps, fractions = caps.tolist(), alloc.fractions.tolist()
+    n = len(order)
+    active = order[: k + 1]
+    b_s = [bids[w] for w in order]
+    b_k = b_s[k]
+    b_next = [*b_s[k + 1 :], c_bar]  # the bid of each tail slot, then the ceiling
+    r = b_next[0]
+    a = [caps[w] for w in order[k + 1 :]]
+    filled = [0.0, *accumulate(a)]  # prefix sums of a
+    premium = [0.0, *accumulate([(bn - r) * ai for bn, ai in zip(b_next, a)])]
+
+    room = caps[active[k]] - fractions[active[k]]  # the boundary worker's slack
+    payments = [0.0] * n
+    utilities = [0.0] * n
+    for q, w in enumerate(active):
+        xq, cq = fractions[w], c[w]
+        # a tie (of signed zeros) takes the second operand, as in np.minimum
+        slack = 0.0 if q == k else (xq if xq < room else room)
+        spill = xq - slack
+        j = bisect_right(filled, spill, 1) - 1  # tail slots filled completely
+        done = filled[j]
+        part = spill - done
+        prem, b_part = premium[j], b_next[j]
+        payments[w] = b_k * slack + r * done + prem + b_part * part
+        utilities[w] = (b_k - cq) * slack + (r - cq) * done + prem + (b_part - cq) * part
+    return PaymentRecord(payments=np.array(payments), utilities=np.array(utilities))
 
 
 @dataclass(frozen=True)
@@ -151,7 +203,8 @@ def deviation_grid(instance: FrozenInstance, i: int) -> np.ndarray:
     bounds, ties by worker id).  A midpoint reaches the rank between two
     distinct bids.  A rank between equal bids, or between a bid on a bound
     and that bound, is reached only by that bid and only if the ids put
-    ``i`` there."""
+    ``i`` there.  Raises ``ValueError`` unless ``0 <= i < n``."""
+    _check_worker(instance, i)
     lo, hi = instance.cost_bounds
     costs = instance.costs.tolist()
     own = (costs[i], i)
@@ -163,6 +216,12 @@ def deviation_grid(instance: FrozenInstance, i: int) -> np.ndarray:
         if r != own_rank and (a < b or ja < i < jb):
             grid.append(0.5 * (a + b) if a < b else a)
     return np.array(grid)
+
+
+def _check_worker(instance: FrozenInstance, i: int) -> None:
+    n = len(instance.costs)
+    if not 0 <= i < n:
+        raise ValueError(f"worker index {i} outside [0, {n})")
 
 
 def _utility_at_bid(instance: FrozenInstance, i: int, bid: float) -> float:
@@ -181,8 +240,10 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
     The learning state (caps) stays frozen, other workers bid truthfully, and
     the return value is ``max_b u_i(b) - u_i(c_i)``; a non-positive result
     certifies that no profitable deviation exists on the grid.  Without a
-    ``grid``, each bid of :func:`deviation_grid` is evaluated once.
+    ``grid``, each bid of :func:`deviation_grid` is evaluated once.  Raises
+    ``ValueError`` unless ``0 <= i < n``.
     """
+    _check_worker(instance, i)
     bids = deviation_grid(instance, i) if grid is None else grid
     u = [_utility_at_bid(instance, i, float(b)) for b in bids]
     truthful = u[0] if grid is None else _utility_at_bid(instance, i, float(instance.costs[i]))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,39 @@ from crowdmarket import (
     MarketConfig,
     PopulationGroup,
     PopulationRecipe,
+    allocation,
+    mechanism,
 )
+
+# Crossovers that send every worker count to one branch of ``sw_greedy`` and
+# ``job_payments``: numpy arrays, or Python floats.
+BRANCHES = {"arrays": 0, "lists": 10**9}
+
+
+@contextmanager
+def crossover(limit: int):
+    """Move the list/array crossover ``_LIST_MAX`` of ``sw_greedy`` and
+    ``job_payments`` to ``limit`` for the body of the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (allocation, mechanism):
+            patch.setattr(module, "_LIST_MAX", limit)
+        yield
+
+
+def on_both_branches(test):
+    """Run ``test`` (or each hypothesis example of it) once on each branch of
+    ``sw_greedy`` and ``job_payments``; a failure names its branch."""
+
+    @functools.wraps(test)
+    def run(*args, **kwargs):
+        for name, limit in BRANCHES.items():
+            with crossover(limit):
+                try:
+                    test(*args, **kwargs)
+                except AssertionError as exc:
+                    raise AssertionError(f"on the {name} branch: {exc}") from exc
+
+    return run
 
 
 def reference_config(**overrides) -> MarketConfig:

@@ -1,4 +1,7 @@
-"""Greedy allocation: optimality vs enumeration, monotonicity, separation."""
+"""Greedy allocation: optimality vs enumeration, monotonicity, separation.
+
+Tests marked ``on_both_branches`` run once on Python floats and once on
+numpy arrays, whatever their worker count."""
 
 import math
 
@@ -15,10 +18,16 @@ from crowdmarket import (
     true_cap,
 )
 
-from conftest import enumeration_optimum, reference_config, reference_recipe
+from conftest import (
+    enumeration_optimum,
+    on_both_branches,
+    reference_config,
+    reference_recipe,
+)
 from oracles import delta_separation
 
 
+@on_both_branches
 def test_worked_example(worked_instance):
     bids, caps = worked_instance
     alloc = sw_greedy(bids, caps)
@@ -28,24 +37,28 @@ def test_worked_example(worked_instance):
     assert enumeration_optimum(bids, caps) == pytest.approx(1.5, abs=1e-12)
 
 
+@on_both_branches
 def test_single_worker_cap_one():
     alloc = sw_greedy([5.0], [1.0])
     assert alloc.fractions == pytest.approx([1.0])
     assert alloc.k_bar == 0
 
 
+@on_both_branches
 def test_infeasible_caps_raise():
     with pytest.raises(InfeasibleJob) as exc:
         sw_greedy([1.0, 2.0], [0.3, 0.3])
     assert exc.value.total_cap == pytest.approx(0.6)
 
 
+@on_both_branches
 def test_tie_break_by_worker_id():
     alloc = sw_greedy([2.0, 2.0, 2.0], [0.4, 0.4, 0.4])
     assert alloc.fractions == pytest.approx([0.4, 0.4, 0.2])
     assert alloc.k_bar == 2
 
 
+@on_both_branches
 def test_caps_must_be_valid():
     with pytest.raises(ValueError):
         sw_greedy([1.0, 2.0], [0.5, 1.5])
@@ -63,6 +76,7 @@ def test_caps_must_be_valid():
         ([-math.inf, 2.0], [0.5, 1.0]),
     ],
 )
+@on_both_branches
 def test_non_finite_bids_or_caps_raise(bids, caps):
     with pytest.raises(ValueError):
         sw_greedy(bids, caps)
@@ -73,6 +87,7 @@ def test_non_finite_bids_or_caps_raise(bids, caps):
     seed=st.integers(min_value=0, max_value=10_000),
 )
 @settings(max_examples=200)
+@on_both_branches
 def test_allocation_invariants_on_random_instances(n, seed):
     rng = np.random.default_rng(seed)
     caps = rng.uniform(0.05, 1.0, size=n)
@@ -115,6 +130,7 @@ def literal_rest(c_sorted, k_pos):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
+@on_both_branches
 def test_sorted_bids_are_byte_equal_and_fix_up_shortcut_is_exact(n, seed):
     rng = np.random.default_rng(seed)
     bids, caps = _random_caps_and_bids(rng, n)
@@ -133,6 +149,7 @@ def test_sorted_bids_are_byte_equal_and_fix_up_shortcut_is_exact(n, seed):
     assert alloc.fractions[alloc.bid_order[k_pos]] == literal_rest(c_sorted, k_pos)
 
 
+@on_both_branches
 def test_fix_up_below_one_half_moves_the_remainder_by_an_ulp():
     """Three full caps summing to 0.2387: 1 - total rounds, and the exact sum
     with that remainder rounds below one, so the loop must add one ulp."""
@@ -144,6 +161,27 @@ def test_fix_up_below_one_half_moves_the_remainder_by_an_ulp():
     assert math.fsum(alloc.fractions) == 1.0
 
 
+@on_both_branches
+def test_boundary_takes_nothing_when_the_full_caps_cover_the_job_exactly():
+    """Ten caps of 0.1 sum to just below one in sequence, which makes the
+    eleventh worker the boundary, but to exactly one under exact summation:
+    the eleventh takes nothing and the tenth is the last active worker."""
+    caps = np.array([0.1] * 10 + [0.5])
+    assert caps.cumsum()[9] < 1.0 == math.fsum(caps[:10].tolist())
+    alloc = sw_greedy(np.arange(11.0), caps)
+    assert alloc.fractions.tolist() == [0.1] * 10 + [0.0]
+    assert (alloc.k_pos, alloc.k_bar) == (9, 9)
+
+
+@on_both_branches
+def test_empty_or_non_vector_inputs_raise():
+    with pytest.raises(InfeasibleJob) as exc:
+        sw_greedy([], [])
+    assert exc.value.total_cap == 0.0
+    with pytest.raises(ValueError, match="vectors"):
+        sw_greedy([[1.0, 2.0]], [[0.5, 0.5]])
+
+
 def test_bid_order_of_wrong_length_raises(worked_instance):
     bids, _ = worked_instance
     for order in (np.arange(2), np.arange(4)):
@@ -152,6 +190,7 @@ def test_bid_order_of_wrong_length_raises(worked_instance):
     assert not SortedBids.of(bids).order.flags.writeable
 
 
+@on_both_branches
 def test_greedy_matches_enumeration_on_grid_caps():
     """Fractional-knapsack optimality against exhaustive vertex enumeration,
     caps on a 0.05 grid."""
@@ -172,6 +211,7 @@ def test_greedy_matches_enumeration_on_grid_caps():
     bump=st.floats(min_value=0.01, max_value=5.0),
 )
 @settings(max_examples=200)
+@on_both_branches
 def test_raising_own_bid_never_increases_fraction(seed, bump):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 8))
@@ -232,6 +272,7 @@ def test_identical_costs_make_any_completion_optimal():
     assert enumeration_optimum(bids, caps) == pytest.approx(3.0)
 
 
+@on_both_branches
 def test_pessimistic_caps_give_superset_active_set():
     """With true means inside the confidence band, pessimistic caps sit below
     the true caps, so the greedy active set can only grow."""

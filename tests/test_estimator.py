@@ -5,7 +5,10 @@ tests here drive a bank of one worker.  ``oracles.WorkerStats`` is the scalar
 per-worker reference that the bank must match bit for bit.
 """
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +19,12 @@ from crowdmarket import (
     EstimatorConfig,
     InvalidConfig,
     WorkerStats,
+    load_config,
     stats_to_csv,
     surrogate_expectation,
 )
 
-from crowdmarket.estimator import _LIST_MAX
+from crowdmarket.allocation import _LIST_MAX
 
 import oracles
 from oracles import truncated_mean
@@ -406,14 +410,44 @@ def test_bank_matches_scalar_oracle(n, jobs):
     _assert_bank_matches(bank, scalars, D, eps)
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _benchmark_sides() -> dict[str, str]:
+    """The side of the one crossover ``_LIST_MAX`` that each benchmark
+    workload runs on, from the worker count of its config (``n``) or of its
+    largest instance (``n_max``)."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    sides = {}
+    for name, w in workloads.WORKLOADS.items():
+        n = getattr(w, "n_max", None) or load_config(ROOT / w.config)[0].n
+        sides[name] = "lists" if n <= _LIST_MAX else "arrays"
+    return sides
+
+
 @pytest.mark.parametrize("n", [6, 400])
 def test_bank_matches_scalar_oracle_on_both_sides_of_the_list_threshold(n):
     """``_add`` reduces its counts and values with Python lists up to
     ``_LIST_MAX`` entries and with numpy above; both give the oracle's
     counts, kept sums and indices bit for bit over 50 jobs.  The last job is
     refreshed again after its samples arrive, which must drop those already
-    due by then, as the oracle's heap does."""
-    assert 6 <= _LIST_MAX < 400
+    due by then, as the oracle's heap does.  The same crossover decides the
+    branch of ``sw_greedy`` and ``job_payments``, and it puts each benchmark
+    workload on its intended side: desk6 (n = 6) and the deviation sweeps
+    (n <= 8) on lists, reference400 on arrays."""
+    assert _benchmark_sides() == {
+        "desk6-learning": "lists",
+        "dsic-sweep": "lists",
+        "ref400-learning": "arrays",
+        "ref400-known-means": "arrays",
+    }
     est = EstimatorConfig(u_rho=40.0, u_beta=3.0, alpha=2.0)
     rho_bounds, beta_bounds, delta, D, eps = (0.1, 30.0), (1.0, 9.0), 0.5, 5.0, 0.2
     jobs = 50

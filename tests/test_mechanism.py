@@ -4,6 +4,8 @@ The externality rows exist only here, in the literal rule that the
 prefix-sum payments of ``job_payments`` are checked against.  So does the
 knot grid (cost bounds, every bid, and the midpoints between them), the
 oracle that the rank grid of ``deviation_grid`` must match order for order.
+Tests marked ``on_both_branches`` run once on Python floats and once on numpy
+arrays, whatever their worker count, against the same literal rule.
 """
 
 import numpy as np
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 
 from crowdmarket import (
     FrozenInstance,
+    InfeasibleJob,
     Simulator,
+    SortedBids,
     deviation_grid,
     deviation_sweep,
     job_payments,
@@ -22,7 +26,14 @@ from crowdmarket import (
     sw_greedy,
 )
 
-from conftest import desk_config, desk_estimator, desk_recipe
+from conftest import (
+    BRANCHES,
+    crossover,
+    desk_config,
+    desk_estimator,
+    desk_recipe,
+    on_both_branches,
+)
 
 
 def literal_externality_row(i, alloc, caps, bids):
@@ -87,6 +98,7 @@ def test_externality_zero_cases(worked):
         assert literal_externality_row(i, alloc, caps, bids)[j] == 0.0
 
 
+@on_both_branches
 def test_worked_payments_and_utilities(worked):
     bids, caps, alloc = worked
     c_bar = 3.0
@@ -108,6 +120,7 @@ def test_worked_payments_and_utilities(worked):
 
 @given(seed=st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=150)
+@on_both_branches
 def test_vectorized_matches_literal_rule(seed):
     rng = np.random.default_rng(seed)
     inst = random_frozen_instance(rng)
@@ -173,6 +186,7 @@ def _check_against_literal_rule(bids, caps, true_costs, c_bar):
 @example((np.array([4.0]), np.array([1.0]), np.array([4.0]), 4.0))
 @given(inst=payment_instances())
 @settings(max_examples=120, deadline=None)
+@on_both_branches
 def test_prefix_sum_payments_match_literal_rule(inst):
     """The prefix-sum payments equal the literal spill rule within 1e-12
     (relative), for tied bids, zero caps, a boundary worker in the last
@@ -180,6 +194,7 @@ def test_prefix_sum_payments_match_literal_rule(inst):
     _check_against_literal_rule(*inst)
 
 
+@on_both_branches
 def test_literal_rule_edge_cases():
     """The edge cases the hypothesis test names, each made to occur."""
     # boundary worker last, and a residual at c_bar: without worker 0 the
@@ -193,6 +208,100 @@ def test_literal_rule_edge_cases():
     alloc, rec = _check_against_literal_rule(bids, np.array([0.0, 0.6, 0.4]), bids, 4.0)
     assert alloc.fractions.tolist() == [0.0, 0.6, 0.4]
     assert rec.payments[0] == 0.0
+
+
+POISON = [np.nan, np.inf, -np.inf]
+
+
+@st.composite
+def branch_instances(draw):
+    """(bids, caps, true_costs, c_bar, presorted) of a job for both branches:
+    n on both sides of the crossover and at it, tied bids, bids on the cost
+    bounds (c_bar is a bid or above all of them), zero caps of either sign,
+    caps that cover the job tightly, loosely or not at all, and now and then
+    a NaN or infinite cap or bid, or a cap outside [0, 1]."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 8, 31, 32, 33]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bids = rng.choice(rng.uniform(1.0, 10.0, draw(st.integers(1, n))), n)
+    bids[rng.random(n) < 0.1] = 1.0
+    c_bar = draw(st.sampled_from([10.0, 12.0]))
+    bids[rng.random(n) < 0.1] = 10.0
+    caps = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-17, 1, n)
+    caps[rng.random(n) < 0.2] = draw(st.sampled_from([0.0, -0.0]))
+    target = draw(st.sampled_from([0.9, 1.0, 1.001, 1.3, 3.0]))
+    caps = np.minimum(1.0, caps / max(caps.sum(), 1e-300) * target)
+    if draw(st.integers(0, 9)) == 0:
+        caps[rng.integers(n)] = draw(st.sampled_from([*POISON, -0.1, 1.5]))
+    if draw(st.integers(0, 9)) == 0:
+        bids[rng.integers(n)] = draw(st.sampled_from(POISON))
+    true_costs = None if draw(st.booleans()) else np.clip(bids + rng.normal(0.0, 2.0, n), 1.0, 10.0)
+    return bids, caps, true_costs, c_bar, draw(st.booleans())
+
+
+def _outcome(bids, caps, true_costs, c_bar, presorted):
+    """The bytes of one job's allocation and payments, or the error it raised."""
+    try:
+        alloc = sw_greedy(SortedBids.of(bids) if presorted else bids, caps)
+        rec = job_payments(alloc, caps, bids, c_bar, true_costs=true_costs)
+    except (ValueError, InfeasibleJob) as exc:
+        return type(exc), str(exc), getattr(exc, "total_cap", None)
+    return (
+        alloc.fractions.tobytes(),
+        alloc.k_pos,
+        alloc.k_bar,
+        alloc.bid_order.tobytes(),
+        rec.payments.tobytes(),
+        rec.utilities.tobytes(),
+    )
+
+
+FIX_UP_CAPS = [0.12897873630177883, 0.015148427668818855, 0.09453055554283875, 1.0]
+
+
+@example((np.arange(4.0), np.array(FIX_UP_CAPS), None, 4.0, False))  # the fix-up moves rest
+@example((np.arange(11.0), np.array([0.1] * 10 + [0.5]), None, 11.0, True))  # rest == 0
+@example((np.array([2.0, 5.0]), np.array([0.7, 0.3]), np.array([3.0, 1.0]), 9.0, False))
+@example((np.ones(33), np.full(33, 1 / 32), None, 1.0, True))  # ties, bids on c_bar
+@given(inst=branch_instances())
+@settings(max_examples=300, deadline=None)
+def test_both_branches_give_the_same_bytes_and_errors(inst):
+    """Python floats and numpy arrays give bit-equal fractions, ``k_pos``,
+    ``k_bar``, bid orders, payments and utilities, or the same exception
+    with the same message."""
+    outcomes = {}
+    for name, limit in BRANCHES.items():
+        with crossover(limit):
+            outcomes[name] = _outcome(*inst)
+    assert outcomes["lists"] == outcomes["arrays"]
+
+
+@on_both_branches
+def test_job_payments_rejects_inputs_that_do_not_fit_the_allocation(worked):
+    bids, caps, alloc = worked
+    for kwargs in (
+        dict(bids=np.append(bids, 4.0)),
+        dict(caps=caps[:2]),
+        dict(true_costs=bids[:2]),
+        dict(true_costs=np.ones((3, 1))),
+    ):
+        args = dict(caps=caps, bids=bids, c_bar=3.0) | kwargs
+        with pytest.raises(ValueError, match="one entry per worker of the allocation"):
+            job_payments(alloc, **args)
+    for c_bar in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="c_bar must be finite"):
+            job_payments(alloc, caps, bids, c_bar)
+
+
+def test_worker_index_outside_the_instance_raises(worked_instance):
+    bids, caps = worked_instance
+    inst = FrozenInstance(costs=bids, caps=caps, cost_bounds=(1.0, 3.0))
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=r"worker index .* outside \[0, 3\)"):
+            deviation_grid(inst, i)
+        with pytest.raises(ValueError, match=r"worker index .* outside \[0, 3\)"):
+            deviation_sweep(inst, i)
+        with pytest.raises(ValueError, match=r"worker index .* outside \[0, 3\)"):
+            deviation_sweep(inst, i, grid=np.array([2.0]))
 
 
 def knot_grid(instance, i):
@@ -209,6 +318,7 @@ def knot_grid(instance, i):
 
 @given(inst=payment_instances())
 @settings(max_examples=60, deadline=None)
+@on_both_branches
 def test_payment_identity_over_the_deviation_grid(inst):
     """Myerson's identity ``P_i = b_i * x_i + integral of x_i(z) from b_i to
     c_bar``: x_i(z) is constant between the knots of the knot grid, so the
@@ -232,6 +342,7 @@ def test_payment_identity_over_the_deviation_grid(inst):
 
 @given(seed=st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=200)
+@on_both_branches
 def test_spill_bounded_and_residual_means_infeasible_without_worker(seed):
     rng = np.random.default_rng(seed)
     inst = random_frozen_instance(rng)
@@ -247,6 +358,7 @@ def test_spill_bounded_and_residual_means_infeasible_without_worker(seed):
 
 @given(seed=st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=200)
+@on_both_branches
 def test_truthful_utilities_nonnegative_exactly(seed):
     rng = np.random.default_rng(seed)
     inst = random_frozen_instance(rng)
@@ -258,6 +370,7 @@ def test_truthful_utilities_nonnegative_exactly(seed):
         assert rec.payments[i] >= inst.costs[i] * alloc.fractions[i] - 1e-12
 
 
+@on_both_branches
 def test_payments_zero_beyond_boundary(worked):
     bids, caps, alloc = worked
     rec = job_payments(alloc, caps, bids, 3.0)
@@ -275,6 +388,7 @@ def test_deviation_overbid_outside_active_set_changes_nothing(worked_instance):
     assert deviation_sweep(inst, 2, grid=grid) == 0.0
 
 
+@on_both_branches
 def test_deviation_underbid_into_active_set_hurts(worked_instance):
     """Worker 2 undercutting to 1.5 wins half the job but is paid below cost."""
     bids, caps = worked_instance
@@ -401,6 +515,7 @@ def _assert_one_job_certificate(inst):
 @example(inst=TIED)
 @given(inst=tied_instances())
 @settings(max_examples=150, deadline=None)
+@on_both_branches
 def test_one_job_certificate_with_ties_and_zero_caps(inst):
     _assert_one_job_certificate(inst)
 
@@ -430,6 +545,7 @@ def dense_grid(instance, i):
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n_max=st.integers(2, 8))
 @settings(max_examples=100, deadline=None)
+@on_both_branches
 def test_deviation_grid_finds_the_dense_grid_maximum(seed, n_max):
     inst = random_frozen_instance(np.random.default_rng(seed), n_max=n_max)
     for i in range(len(inst.costs)):
@@ -439,6 +555,7 @@ def test_deviation_grid_finds_the_dense_grid_maximum(seed, n_max):
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
+@on_both_branches
 def test_no_profitable_deviation_on_random_instances(seed):
     rng = np.random.default_rng(seed)
     inst = random_frozen_instance(rng, n_max=6)
