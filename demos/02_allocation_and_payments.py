@@ -45,8 +45,8 @@ def main() -> None:
     alloc = sw_greedy(bids, caps)
     print("bids:", bids, " caps:", caps)
     print(f"greedy fractions: {alloc.fractions}  (sum {alloc.fractions.sum()})")
-    print(f"boundary worker k_bar = {alloc.k_bar}, cost = {bids @ alloc.fractions:.4f}")
-    k = alloc.k_bar
+    k = alloc.bid_order[alloc.k_pos]
+    print(f"boundary worker k_bar = {k}, cost = {bids @ alloc.fractions:.4f}")
     print(f"slack left on the boundary worker: {caps[k] - alloc.fractions[k]:.4f}")
 
     rec = job_payments(alloc, caps, bids, c_bar)

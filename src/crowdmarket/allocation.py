@@ -34,18 +34,16 @@ class InfeasibleJob(RuntimeError):
         self.total_cap = total_cap
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Allocation:
     """Fractions per worker (original indexing) plus the bid-order bookkeeping.
 
-    ``k_bar`` is the original index of the last worker, in ascending-bid
-    order, that received a positive fraction, and ``k_pos`` its position
-    within ``bid_order``, the sorting permutation (ties broken by ascending
-    worker id).
+    ``k_pos`` is the position within ``bid_order``, the sorting permutation
+    (ties broken by ascending worker id), of the last worker that received a
+    positive fraction; that worker is ``bid_order[k_pos]``.
     """
 
     fractions: np.ndarray
-    k_bar: int
     bid_order: np.ndarray
     k_pos: int
 
@@ -55,18 +53,34 @@ class Allocation:
 
 
 # The one crossover between Python floats and numpy arrays, whose fixed cost
-# is about 1 us a call.  Up to this many entries, a job's allocation and
-# payments (one per worker) and the estimator bank's reductions (one per
-# sample of the job) run on lists, and above it on arrays; each crosses over
-# near 32 entries.
+# is about 1 us a call.  In a market of up to this many workers the whole job
+# step runs on lists: caps, allocation, payments, outcome sampling and the
+# estimator bank; above it on arrays.  Each layer crosses over near 32
+# entries.
 _LIST_MAX = 32
+
+
+def _as_list(values):
+    """``values`` as a list if it is an array (Python scalars for the list
+    form), else unchanged."""
+    return values.tolist() if isinstance(values, np.ndarray) else values
 
 
 def true_cap(rho, beta, D: float, epsilon: float):
     """Per-worker fraction bound ``min(1, min(D, beta * ln(1/(1-epsilon))) / rho)``
     from a mean job-completion time ``rho`` and a mean time to failure
-    ``beta``, scalars or one array entry per worker."""
-    return np.minimum(1.0, np.minimum(D, beta * -math.log1p(-epsilon)) / rho)
+    ``beta``: scalars, one array entry per worker, or one list entry per
+    worker (then a list of floats, bit-equal to the array form)."""
+    budget = -math.log1p(-epsilon)
+    if not isinstance(rho, list):
+        return np.minimum(1.0, np.minimum(D, beta * budget) / rho)
+    caps = []
+    for r, b in zip(rho, beta):
+        # ``c if c < v else v`` is np.minimum(c, v), a NaN v included
+        v = b * budget
+        v = (D if D < v else v) / r
+        caps.append(1.0 if 1.0 < v else v)
+    return caps
 
 
 @dataclass(frozen=True)
@@ -141,9 +155,7 @@ def sw_greedy(bids, caps) -> Allocation:
     last_pos = k_pos if rest > 0 else int(np.flatnonzero(x_sorted)[-1])
     fractions = np.empty(c.shape)
     fractions[order] = x_sorted
-    return Allocation(
-        fractions=fractions, k_bar=int(order[last_pos]), bid_order=order, k_pos=last_pos
-    )
+    return Allocation(fractions=fractions, bid_order=order, k_pos=last_pos)
 
 
 def _remainder(full, cap: float) -> float:
@@ -185,4 +197,4 @@ def _greedy_lists(b: np.ndarray, c: np.ndarray, order: np.ndarray) -> Allocation
         x[w] = cl[w]
     x[o[k_pos]] = rest
     last_pos = k_pos if rest > 0 else next(p for p in reversed(range(k_pos)) if c_sorted[p])
-    return Allocation(fractions=np.array(x), k_bar=o[last_pos], bid_order=order, k_pos=last_pos)
+    return Allocation(fractions=np.array(x), bid_order=order, k_pos=last_pos)

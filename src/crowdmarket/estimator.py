@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .allocation import _LIST_MAX, true_cap
+from .allocation import _LIST_MAX, _as_list, true_cap
 from .market import Bounds, InvalidConfig, MarketConfig
 
 __all__ = [
@@ -103,11 +104,11 @@ def surrogate_expectation(beta: float, delta: float) -> float:
     return delta / -math.expm1(-delta / beta)
 
 
-_RHO, _BETA = 0, 1  # rows of the stacked per-parameter arrays
+_RHO, _BETA = 0, 1  # rows of the stacked per-parameter state
 
 
 class WorkerStats:
-    """Learning state of all ``n`` workers as one set of arrays.
+    """Learning state of all ``n`` workers as one set of arrays (or lists).
 
     Each method is one call per job for the whole population.  ``workers``
     lists distinct worker ids; ``tau``, ``fractions`` and ``failed`` hold one
@@ -128,6 +129,14 @@ class WorkerStats:
     ``_unseen`` is inf for a worker without samples and 0 otherwise, so the
     refresh needs no masks: such a worker gets centre 0 and an infinite
     radius, which the clamp maps to the initialization value.
+
+    For up to ``_LIST_MAX`` workers the same state is held in Python lists,
+    and each method is a scalar loop that applies the array operations in the
+    same order (``math.sqrt`` for ``np.sqrt``, ``bisect_right`` on a list log
+    table for ``searchsorted``, in-order subtraction for ``np.subtract.at``),
+    so both forms hold the same floats.  The readers (``eta``, ``N_it``,
+    ``rho_hat_plus`` and the rest) return arrays in both forms and are
+    read-only; ``pessimistic_cap`` returns a list in the list form.
     """
 
     def __init__(
@@ -143,9 +152,6 @@ class WorkerStats:
         self.beta_bounds = beta_bounds
         self.delta = delta
         self.horizon = horizon
-        self.eta = np.zeros(n, dtype=np.int64)
-        self.rho_hat_plus = np.full(n, rho_bounds[1])
-        self.beta_hat_minus = np.full(n, beta_bounds[0])
         self._u = (est.u_rho, est.u_beta)
         self._alpha = est.alpha
         self._scale = np.array([[u * est.alpha] for u in self._u])
@@ -153,42 +159,81 @@ class WorkerStats:
         self._sign = np.array([[1.0], [-1.0]])
         self._lo = np.array([[rho_bounds[0]], [beta_bounds[0]]])
         self._hi = np.array([[rho_bounds[1]], [beta_bounds[1]]])
-        self._count = np.zeros((2, n))
-        self._kept = np.zeros((2, n))
-        self._mean = np.array([np.full(n, rho_bounds[1]), np.full(n, beta_bounds[0])])
-        self._unseen = np.full((2, n), math.inf)
-        self._center = np.zeros((2, n))
-        self._radius = np.full((2, n), math.inf)
+        self._clamps = [(float(lo), float(hi)) for lo, hi in (rho_bounds, beta_bounds)]
+        initial = np.array([np.full(n, rho_bounds[1]), np.full(n, beta_bounds[0])])
+        self._lists = n <= _LIST_MAX
+        state = {
+            "_eta": np.zeros(n, dtype=np.int64),
+            "_eager": initial,  # rho_hat_plus and beta_hat_minus
+            "_count": np.zeros((2, n)),
+            "_kept": np.zeros((2, n)),
+            "_mean": initial.copy(),
+            "_unseen": np.full((2, n), math.inf),
+        }
+        for name, value in state.items():
+            setattr(self, name, value.tolist() if self._lists else value)
+        # Read by the lazy indices: the centres and radii of the last refresh,
+        # or in the list form the state that refresh read.
+        if self._lists:
+            self._refreshed_state = (0.0, state["_count"], state["_kept"], state["_unseen"])
+        else:
+            self._center, self._radius = np.zeros((2, n)), np.full((2, n), math.inf)
         self._log_horizon = math.log(horizon) if horizon > 1 else 0.0
-        self._logs = np.empty(0)  # math.log(t) for t = 1, 2, ..., grown on demand
+        # math.log(t) for t = 1, 2, ..., grown on demand
+        self._logs = [] if self._lists else np.empty(0)
         self._pending: dict[int, list[tuple[int, int, float, float]]] = {}
         self._refreshed = 0  # last refreshed job
 
     @property
+    def eta(self) -> np.ndarray:
+        return np.asarray(self._eta)
+
+    @property
     def N_it(self) -> np.ndarray:
-        return self._count[_RHO].astype(np.int64)
+        return np.asarray(self._count[_RHO]).astype(np.int64)
 
     @property
     def N_beta_it(self) -> np.ndarray:
-        return self._count[_BETA].astype(np.int64)
+        return np.asarray(self._count[_BETA]).astype(np.int64)
 
     @property
     def rho_hat(self) -> np.ndarray:
-        return self._mean[_RHO]
+        return np.asarray(self._mean[_RHO])
 
     @property
     def beta_hat(self) -> np.ndarray:
-        return self._mean[_BETA]
+        return np.asarray(self._mean[_BETA])
+
+    @property
+    def rho_hat_plus(self) -> np.ndarray:
+        return np.asarray(self._eager[_RHO])
+
+    @property
+    def beta_hat_minus(self) -> np.ndarray:
+        return np.asarray(self._eager[_BETA])
 
     @property
     def rho_hat_minus(self) -> np.ndarray:
         lo, hi = self.rho_bounds
-        return np.minimum(np.maximum(self._center[_RHO] - self._radius[_RHO], lo), hi)
+        center, radius = self._last_indices()
+        return np.minimum(np.maximum(center[_RHO] - radius[_RHO], lo), hi)
 
     @property
     def beta_hat_plus(self) -> np.ndarray:
         lo, hi = self.beta_bounds
-        return np.minimum(np.maximum(self._center[_BETA] + self._radius[_BETA], lo), hi)
+        center, radius = self._last_indices()
+        return np.minimum(np.maximum(center[_BETA] + radius[_BETA], lo), hi)
+
+    def _indices(self, log_t: float, count, kept, unseen):
+        """Centres and radii of both parameters (2 x n arrays) at ``log t``."""
+        denom = np.maximum(count, 1.0)
+        return kept / denom, 4.0 * np.sqrt(self._scale * log_t / denom) + unseen
+
+    def _last_indices(self):
+        """Centres and radii of the last refresh."""
+        if self._lists:
+            return self._indices(*map(np.array, self._refreshed_state))
+        return self._center, self._radius
 
     def _add(self, row: int, workers: np.ndarray, x: np.ndarray) -> None:
         """Record sample ``x[k]`` of parameter ``row`` for worker ``workers[k]``."""
@@ -220,29 +265,61 @@ class WorkerStats:
         workers, keys, x = workers[early], keys[early], x[early]
         # A sample already due is filed under the last refreshed job, which the
         # next refresh, even one repeating that job, visits again.
-        due = np.maximum(self._drop_jobs(keys), self._refreshed)
+        logs = self._log_table(float(keys.max()))
+        due = np.maximum(np.searchsorted(logs, keys, side="right") + 1, self._refreshed)
         pending = self._pending
         for d, *entry in zip(due.tolist(), workers.tolist(), keys.tolist(), x.tolist()):
             pending.setdefault(d, []).append((row, *entry))
 
-    def _drop_jobs(self, keys: np.ndarray) -> np.ndarray:
-        """First job t with ``key < math.log(t)``, for keys below the horizon's
-        log: the comparison a check at every job would make, so a key equal to
-        ``log t`` is kept at t and dropped at t + 1.  The log table doubles
-        until it reaches the largest key."""
-        logs, top = self._logs, float(keys.max())
-        while logs.size == 0 or logs[-1] <= top:
-            size = min(self.horizon, max(64, 2 * logs.size))
-            logs = np.concatenate([logs, [math.log(t) for t in range(logs.size + 1, size + 1)]])
+    def _add_lists(self, row: int, workers: list, x: list) -> None:
+        """``_add`` on the list form, one sample at a time."""
+        counts, kept, means = self._count[row], self._kept[row], self._mean[row]
+        unseen, pending = self._unseen[row], self._pending
+        u, alpha, log_horizon = self._u[row], self._alpha, self._log_horizon
+        for w, v in zip(workers, x):
+            count = counts[w] + 1.0
+            counts[w] = count
+            kept[w] += v
+            if count == 1.0:  # a worker's first sample is its mean
+                means[w] = v
+                unseen[w] = 0.0
+            else:
+                means[w] += (v - means[w]) / count
+            if v > 0:  # a sample <= 0 has key inf
+                key = u * count / (alpha * v * v)
+                if key < log_horizon:
+                    drop = bisect_right(self._log_table(key), key) + 1
+                    pending.setdefault(max(drop, self._refreshed), []).append((row, w, key, v))
+
+    def _log_table(self, top: float):
+        """The table of ``math.log(t)``, doubled until its last entry exceeds
+        ``top``, a key below the horizon's log.  A sample's drop job is the
+        first t with ``key < math.log(t)``, its right insertion point plus
+        one: the comparison a check at every job would make, so a key equal
+        to ``log t`` is kept at t and dropped at t + 1."""
+        logs = self._logs
+        while not len(logs) or logs[-1] <= top:
+            size = min(self.horizon, max(64, 2 * len(logs)))
+            more = [math.log(t) for t in range(len(logs) + 1, size + 1)]
+            logs = logs + more if self._lists else np.concatenate([logs, more])
         self._logs = logs
-        return np.searchsorted(logs, keys, side="right") + 1
+        return logs
 
     def record_jct_sample(self, workers, tau, fractions) -> "WorkerStats":
         """Record one completion observation per listed worker; the sample
         value is tau/fraction."""
+        if self._lists:
+            workers, tau, fractions = _as_list(workers), _as_list(tau), _as_list(fractions)
+            _check_lengths(workers, tau, fractions)
+            if workers:
+                if not all(a > 0 < b for a, b in zip(tau, fractions)):  # also rejects NaN
+                    raise ValueError("tau and fraction must be positive")
+                self._add_lists(_RHO, workers, [a / b for a, b in zip(tau, fractions)])
+            return self
         workers = np.asarray(workers, dtype=np.intp)
         tau = np.asarray(tau, dtype=float)
         fractions = np.asarray(fractions, dtype=float)
+        _check_lengths(workers, tau, fractions)
         if workers.size:
             if not np.minimum(tau, fractions).min() > 0:  # also rejects NaN
                 raise ValueError("tau and fraction must be positive")
@@ -258,9 +335,21 @@ class WorkerStats:
         streak.  Unobserved windows (work shorter than delta) must not be
         reported here at all.
         """
+        eta = self._eta
+        if self._lists:
+            workers, failed = _as_list(workers), _as_list(failed)
+            _check_lengths(workers, failed)
+            closed = [w for w, f in zip(workers, failed) if f]
+            if closed:
+                self._add_lists(_BETA, closed, [self.delta * eta[w] for w in closed])
+            for w in workers:
+                eta[w] += 1
+            for w in closed:
+                eta[w] = 0
+            return self
         workers = np.asarray(workers, dtype=np.intp)
         failed = np.asarray(failed, dtype=bool)
-        eta = self.eta
+        _check_lengths(workers, failed)
         if np.count_nonzero(failed):
             closed = workers[failed]
             self._add(_BETA, closed, self.delta * eta[closed])
@@ -284,20 +373,53 @@ class WorkerStats:
                 due += self._pending.pop(d, ())
             if due:
                 due.sort()  # by row and worker, then (key, value): a heap's pop order
-                rows, workers, _, x = zip(*due)
-                np.subtract.at(self._kept, (np.array(rows), np.array(workers)), x)
+                if self._lists:
+                    for row, w, _, x in due:
+                        self._kept[row][w] -= x
+                else:
+                    rows, workers, _, x = zip(*due)
+                    np.subtract.at(self._kept, (np.array(rows), np.array(workers)), x)
         self._refreshed = t
-        denom = np.maximum(self._count, 1.0)
-        self._center = center = self._kept / denom
-        self._radius = radius = 4.0 * np.sqrt(self._scale * math.log(t) / denom) + self._unseen
-        eager = np.minimum(np.maximum(center + self._sign * radius, self._lo), self._hi)
-        self.rho_hat_plus, self.beta_hat_minus = eager
+        if self._lists:
+            self._refresh_lists(math.log(t))
+            return self
+        self._center, self._radius = center, radius = self._indices(
+            math.log(t), self._count, self._kept, self._unseen
+        )
+        self._eager = np.minimum(np.maximum(center + self._sign * radius, self._lo), self._hi)
         return self
 
-    def pessimistic_cap(self, D: float, epsilon: float) -> np.ndarray:
+    def _refresh_lists(self, log_t: float) -> None:
+        """The array refresh on the list form, one entry at a time; the lazy
+        indices keep a copy of the state it read."""
+        sqrt = math.sqrt
+        self._eager = []
+        for row, sign, (lo, hi) in zip((_RHO, _BETA), (1.0, -1.0), self._clamps):
+            scale = self._u[row] * self._alpha * log_t
+            initial = hi if sign > 0 else lo
+            eager = []
+            for count, kept, unseen in zip(self._count[row], self._kept[row], self._unseen[row]):
+                if unseen:  # the clamp maps an infinite radius to the initial index
+                    eager.append(initial)
+                    continue
+                denom = count if count > 1.0 else 1.0
+                index = kept / denom + sign * (4.0 * sqrt(scale / denom) + unseen)
+                # the array clamp, a NaN index included
+                eager.append(lo if index < lo else hi if index > hi else index)
+            self._eager.append(eager)
+        (c0, c1), (k0, k1), (u0, u1) = self._count, self._kept, self._unseen
+        self._refreshed_state = (log_t, [c0[:], c1[:]], [k0[:], k1[:]], [u0[:], u1[:]])
+
+    def pessimistic_cap(self, D: float, epsilon: float):
         """Largest job fraction allocatable under the pessimistic indices, per
-        worker."""
-        return true_cap(self.rho_hat_plus, self.beta_hat_minus, D, epsilon)
+        worker: a list in the list form, an array otherwise."""
+        return true_cap(self._eager[_RHO], self._eager[_BETA], D, epsilon)
+
+
+def _check_lengths(workers, *values) -> None:
+    for v in values:
+        if len(v) != len(workers):
+            raise ValueError("need one entry per listed worker")
 
 
 def stats_to_csv(stats: WorkerStats, path: str | Path) -> None:

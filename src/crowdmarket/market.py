@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .allocation import _LIST_MAX, _as_list
+
 __all__ = [
     "InvalidConfig",
     "InvalidRecipe",
@@ -218,6 +220,11 @@ class OutcomeBlocks:
     counts the draws worker ``i`` has taken from its block.  A spent block is
     refilled from ``streams[i]``: ``BLOCK`` log-normals, then ``BLOCK``
     exponentials.
+
+    For up to ``_LIST_MAX`` workers ``jct``, ``failed`` and ``cursor`` are
+    lists, and each refilled block is read through ``tolist()`` (``failed``
+    as 0 and 1); above, they are (n, ``BLOCK``) arrays and an array of
+    cursors.  The draws are the same.
     """
 
     def __init__(
@@ -237,20 +244,28 @@ class OutcomeBlocks:
         self.mttf = mttf
         self.sigma_log = sigma_log
         self.delta = delta
-        self.jct = np.empty((n, BLOCK))
-        self.failed = np.empty((n, BLOCK), dtype=bool)
-        self.cursor = np.full(n, BLOCK, dtype=np.intp)  # every block starts spent
+        self._lists = n <= _LIST_MAX
+        if self._lists:
+            self.jct, self.failed = [None] * n, [None] * n  # filled at the first refill
+            self.cursor = [BLOCK] * n  # every block starts spent
+        else:
+            self.jct = np.empty((n, BLOCK))
+            self.failed = np.empty((n, BLOCK), dtype=bool)
+            self.cursor = np.full(n, BLOCK, dtype=np.intp)
 
     def refill(self, workers: list[int]) -> None:
         """Draw a fresh block for each listed worker and rewind its cursor."""
         for i in workers:
             rng = self.streams[i]
-            self.jct[i] = rng.lognormal(self.location[i], self.sigma_log, BLOCK)
-            self.failed[i] = rng.exponential(self.mttf[i], BLOCK) < self.delta
-        self.cursor[workers] = 0
+            jct = rng.lognormal(self.location[i], self.sigma_log, BLOCK)
+            failed = rng.exponential(self.mttf[i], BLOCK) < self.delta
+            if self._lists:
+                jct, failed = jct.tolist(), failed.view(np.int8).tolist()
+            self.jct[i], self.failed[i] = jct, failed
+            self.cursor[i] = 0
 
 
-def sample_outcome(blocks: OutcomeBlocks, workers, fractions) -> tuple[np.ndarray, np.ndarray]:
+def sample_outcome(blocks: OutcomeBlocks, workers, fractions):
     """Sample one job's outcome for each worker in ``workers`` (distinct ids).
 
     Worker ``i = workers[k]``, with job fraction ``fractions[k]``, takes the
@@ -258,8 +273,12 @@ def sample_outcome(blocks: OutcomeBlocks, workers, fractions) -> tuple[np.ndarra
     spent.  Returns, per listed worker, the completion time ``fraction * jct``
     and the window code: 1 when the time to failure falls inside the
     observation window, -1 when the work is shorter than the window (so it
-    went unobserved), and 0 otherwise.
+    went unobserved), and 0 otherwise.  Both are lists of Python floats and
+    ints when ``blocks`` holds lists (up to ``_LIST_MAX`` workers), else a
+    float64 and an int8 array; the values are the same.
     """
+    if blocks._lists:
+        return _sample_lists(blocks, _as_list(workers), _as_list(fractions))
     fractions = np.asarray(fractions, dtype=float)
     workers = np.asarray(workers, dtype=np.intp)
     if fractions.shape != workers.shape:
@@ -278,6 +297,26 @@ def sample_outcome(blocks: OutcomeBlocks, workers, fractions) -> tuple[np.ndarra
     # -1 (all bits set) where the work is shorter than the window, else 0 or 1.
     window = np.negative((tau < blocks.delta).view(np.int8))
     window |= blocks.failed.take(cells).view(np.int8)
+    return tau, window
+
+
+def _sample_lists(blocks: OutcomeBlocks, workers: list, fractions: list):
+    """``sample_outcome`` on the list form, one worker at a time."""
+    if len(fractions) != len(workers):
+        raise ValueError("fractions need one entry per listed worker")
+    if not all(0.0 < f <= 1.0 for f in fractions):  # NaN fails
+        raise ValueError("fractions must lie in (0, 1]")
+    cursor, delta = blocks.cursor, blocks.delta
+    tau, window = [], []
+    for i, f in zip(workers, fractions):
+        pos = cursor[i]
+        if pos == BLOCK:
+            blocks.refill([i])
+            pos = 0
+        cursor[i] = pos + 1
+        x = f * blocks.jct[i][pos]
+        tau.append(x)
+        window.append(-1 if x < delta else blocks.failed[i][pos])
     return tau, window
 
 

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PaymentRecord:
     """Payments and utilities of one job, one entry per worker.
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .allocation import InfeasibleJob, SortedBids, sw_greedy, true_cap
+from .allocation import _LIST_MAX, InfeasibleJob, SortedBids, _as_list, sw_greedy, true_cap
 from .estimator import EstimatorConfig, WorkerStats
 from .market import (
     MarketConfig,
@@ -143,6 +143,11 @@ class Simulator:
     A job whose caps equal, bit for bit, those of the last feasible job reuses
     that job's allocation and payments: both are deterministic in (costs,
     caps, cost_max).
+
+    Up to ``_LIST_MAX`` workers the caps (``true_caps`` too), the reused plan
+    and the outcomes are Python lists, as the bank's and the outcome blocks'
+    state is, and only the allocation and payment records hold arrays; above,
+    everything is an array.  Both forms write the same bytes.
     """
 
     def __init__(
@@ -164,9 +169,11 @@ class Simulator:
         self.costs = np.array([w.cost for w in self.workers])
         # Every worker bids its cost, so the bids are sorted once per run.
         self.bids = SortedBids.of(self.costs)
+        self._lists = cfg.n <= _LIST_MAX
+        form = list if self._lists else np.array
         self.true_caps = true_cap(
-            np.array([w.mjct for w in self.workers]),
-            np.array([w.mttf for w in self.workers]),
+            form([w.mjct for w in self.workers]),
+            form([w.mttf for w in self.workers]),
             cfg.D,
             cfg.epsilon,
         )
@@ -174,7 +181,6 @@ class Simulator:
         self.oracle = sw_greedy(self.bids, self.true_caps)
         self.oracle_cost = float(self.costs @ self.oracle.fractions)
         self.oracle_active = self.oracle.active_set
-        self._oracle_active = self.oracle.fractions.nonzero()[0].tobytes()
 
         self.stats = WorkerStats(
             cfg.n, self.est, cfg.rho_bounds, cfg.beta_bounds, cfg.delta, horizon=cfg.T
@@ -186,8 +192,9 @@ class Simulator:
             sigma_log=cfg.sigma_log,
             delta=cfg.delta,
         )
-        # The last computed job: its caps' bytes, then what they determine.
-        self._caps_key = None
+        # The last computed job: its caps, their key (the bytes of an array),
+        # then what they determine.
+        self._caps = self._caps_key = None
         self._plan = None
         self._infeasible_row = (True, math.nan, math.nan, 0, math.nan, False)
         self._no_outcomes = ()
@@ -198,8 +205,9 @@ class Simulator:
         self._row_dtype = np.dtype(_SERIES + tables)
         self._rows: list[tuple] = []
 
-    def current_caps(self, t: int) -> np.ndarray:
-        """Caps used for job ``t``; refreshes indices in learning mode."""
+    def current_caps(self, t: int):
+        """Caps used for job ``t``, a list up to ``_LIST_MAX`` workers and an
+        array above; refreshes indices in learning mode."""
         if self.mode == "known-means":
             return self.true_caps
         self.stats.refresh_indices(t)
@@ -209,7 +217,10 @@ class Simulator:
         """Run job ``t`` (1-based) and append its row to the trace."""
         cfg = self.cfg
         caps = self.current_caps(t)
-        key = caps.tobytes()
+        if caps is self._caps:  # known-means mode hands out one caps object per run
+            key = self._caps_key
+        else:  # caps are positive floats, so equal lists have equal bytes
+            key = caps if self._lists else caps.tobytes()
         if key != self._caps_key:
             try:
                 alloc = sw_greedy(self.bids, caps)
@@ -217,28 +228,45 @@ class Simulator:
                 self._rows.append(self._infeasible_row)
                 return
             rec = job_payments(alloc, caps, self.costs, cfg.cost_bounds[1], true_costs=self.costs)
-            active = alloc.fractions.nonzero()[0]
+            x = alloc.fractions
+            if self._lists:
+                xs = x.tolist()
+                active = [i for i, xi in enumerate(xs) if xi]
+                fractions = [xs[i] for i in active]
+                # Positive caps and truthful bids make every utility a finite
+                # float other than -0.0, so Python's min is numpy's.
+                utility_min = min(rec.utilities.tolist())
+            else:
+                active = x.nonzero()[0]
+                fractions = x[active]
+                utility_min = float(rec.utilities.min())
+            oracle = self.oracle_active  # distinct ids: equal sizes and a superset is equality
             row = (
                 False,
-                float(self.costs @ alloc.fractions),
+                float(self.costs @ x),
                 float(rec.payments.sum()),
-                active.size,
-                float(rec.utilities.min()),
-                active.tobytes() == self._oracle_active,
+                len(active),
+                utility_min,
+                len(active) == len(oracle) and oracle.issuperset(_as_list(active)),
             )
             if self.record_tables:
-                row += (alloc.fractions, rec.payments, rec.utilities)
-            self._caps_key = key
-            self._plan = (active, alloc.fractions[active], row)
+                row += (x, rec.payments, rec.utilities)
+            self._caps, self._caps_key = caps, key
+            self._plan = (active, fractions, row)
         active, fractions, row = self._plan
 
         outcomes = self._no_outcomes
         if self.mode == "learning":
             tau, codes = sample_outcome(self.outcomes, active, fractions)
             self.stats.record_jct_sample(active, tau, fractions)
-            observed = codes >= 0
-            if np.count_nonzero(observed):  # at n=400 most jobs observe no window
-                self.stats.record_window(active[observed], codes[observed] > 0)
+            if self._lists:
+                observed = [i for i, code in zip(active, codes) if code >= 0]
+                if observed:  # an observed window's code is its failure flag
+                    self.stats.record_window(observed, [code for code in codes if code >= 0])
+            else:
+                observed = codes >= 0
+                if np.count_nonzero(observed):  # at n=400 most jobs observe no window
+                    self.stats.record_window(active[observed], codes[observed] > 0)
             if self.record_tables:
                 completion = np.full(cfg.n, math.nan)
                 completion[active] = tau

@@ -3,38 +3,50 @@
 from __future__ import annotations
 
 import functools
+import importlib
+import pkgutil
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import crowdmarket
 from crowdmarket import (
     EstimatorConfig,
     MarketConfig,
     PopulationGroup,
     PopulationRecipe,
-    allocation,
-    mechanism,
 )
 
-# Crossovers that send every worker count to one branch of ``sw_greedy`` and
-# ``job_payments``: numpy arrays, or Python floats.
+# Crossovers that send every worker count to one branch of the job step:
+# numpy arrays, or Python floats.
 BRANCHES = {"arrays": 0, "lists": 10**9}
+
+
+def crossover_modules() -> list:
+    """Every ``crowdmarket`` module that binds the crossover ``_LIST_MAX``,
+    its own or imported."""
+    modules = [
+        importlib.import_module(f"crowdmarket.{info.name}")
+        for info in pkgutil.iter_modules(crowdmarket.__path__)
+    ]
+    return [module for module in modules if hasattr(module, "_LIST_MAX")]
 
 
 @contextmanager
 def crossover(limit: int):
-    """Move the list/array crossover ``_LIST_MAX`` of ``sw_greedy`` and
-    ``job_payments`` to ``limit`` for the body of the block."""
+    """Move the list/array crossover ``_LIST_MAX`` to ``limit`` in every
+    module that binds it, for the body of the block.  A bank, outcome blocks
+    or simulator picks its form when it is built, so build them inside."""
     with pytest.MonkeyPatch.context() as patch:
-        for module in (allocation, mechanism):
+        for module in crossover_modules():
             patch.setattr(module, "_LIST_MAX", limit)
         yield
 
 
 def on_both_branches(test):
     """Run ``test`` (or each hypothesis example of it) once on each branch of
-    ``sw_greedy`` and ``job_payments``; a failure names its branch."""
+    the job step; a failure names its branch."""
 
     @functools.wraps(test)
     def run(*args, **kwargs):

@@ -51,7 +51,7 @@ def truncated_mean(
 
 def delta_separation(alloc, caps) -> float:
     """Slack left on the most expensive active worker of the given allocation."""
-    k = alloc.k_bar
+    k = alloc.bid_order[alloc.k_pos]
     return max(0.0, float(caps[k]) - float(alloc.fractions[k]))
 
 

@@ -32,7 +32,7 @@ def test_worked_example(worked_instance):
     bids, caps = worked_instance
     alloc = sw_greedy(bids, caps)
     assert alloc.fractions == pytest.approx([0.5, 0.5, 0.0])
-    assert alloc.k_bar == 1
+    assert alloc.bid_order[alloc.k_pos] == 1
     assert float(bids @ alloc.fractions) == pytest.approx(1.5)
     assert enumeration_optimum(bids, caps) == pytest.approx(1.5, abs=1e-12)
 
@@ -41,7 +41,7 @@ def test_worked_example(worked_instance):
 def test_single_worker_cap_one():
     alloc = sw_greedy([5.0], [1.0])
     assert alloc.fractions == pytest.approx([1.0])
-    assert alloc.k_bar == 0
+    assert alloc.bid_order[alloc.k_pos] == 0
 
 
 @on_both_branches
@@ -55,7 +55,7 @@ def test_infeasible_caps_raise():
 def test_tie_break_by_worker_id():
     alloc = sw_greedy([2.0, 2.0, 2.0], [0.4, 0.4, 0.4])
     assert alloc.fractions == pytest.approx([0.4, 0.4, 0.2])
-    assert alloc.k_bar == 2
+    assert alloc.bid_order[alloc.k_pos] == 2
 
 
 @on_both_branches
@@ -142,7 +142,7 @@ def test_sorted_bids_are_byte_equal_and_fix_up_shortcut_is_exact(n, seed):
         return
     presorted = sw_greedy(SortedBids.of(bids), caps)
     assert presorted.fractions.tobytes() == alloc.fractions.tobytes()
-    assert (presorted.k_bar, presorted.k_pos) == (alloc.k_bar, alloc.k_pos)
+    assert presorted.k_pos == alloc.k_pos
     assert presorted.bid_order.tobytes() == alloc.bid_order.tobytes()
     c_sorted = caps[alloc.bid_order]
     k_pos = int(c_sorted.cumsum().searchsorted(1.0))
@@ -170,7 +170,7 @@ def test_boundary_takes_nothing_when_the_full_caps_cover_the_job_exactly():
     assert caps.cumsum()[9] < 1.0 == math.fsum(caps[:10].tolist())
     alloc = sw_greedy(np.arange(11.0), caps)
     assert alloc.fractions.tolist() == [0.1] * 10 + [0.0]
-    assert (alloc.k_pos, alloc.k_bar) == (9, 9)
+    assert (alloc.k_pos, alloc.bid_order[alloc.k_pos]) == (9, 9)
 
 
 @on_both_branches

@@ -28,7 +28,7 @@ from crowdmarket.allocation import _LIST_MAX
 
 import oracles
 from oracles import truncated_mean
-from conftest import reference_config
+from conftest import on_both_branches, reference_config
 
 RHO_BOUNDS = (50.0, 100.0)
 BETA_BOUNDS = (25.0, 35.0)
@@ -116,7 +116,9 @@ def test_record_jct_running_mean_matches_monte_carlo():
 
 def test_record_window_update_rules():
     stats, _ = make_stats()
-    stats.eta[0] = 3
+    for _ in range(3):
+        record_window(stats, failed=False)
+    assert stats.eta[0] == 3 and stats.N_beta_it[0] == 0
     record_window(stats, failed=True)
     assert stats.beta_hat[0] == 1.5  # the one sample, delta * 3
     assert stats.eta[0] == 0
@@ -127,8 +129,8 @@ def test_record_window_update_rules():
     assert stats.N_beta_it[0] == 2
     assert stats.eta[0] == 0
 
-    stats.eta[0] = 3
-    record_window(stats, failed=False)
+    for _ in range(4):
+        record_window(stats, failed=False)
     assert stats.eta[0] == 4
     assert stats.N_beta_it[0] == 2
 
@@ -222,17 +224,18 @@ def test_refresh_clamps_to_bounds():
 
 
 def test_pessimistic_cap_values():
-    stats, _ = make_stats()
+    """The caps of the initial indices, rho+ = rho_max and beta- = beta_min."""
+    stats, est = make_stats()
     # reference regime: rho+ = 100, beta- = 25, D = 50, eps = 0.01
     assert stats.pessimistic_cap(50.0, 0.01)[0] == pytest.approx(0.0025126, abs=1e-7)
 
-    stats.rho_hat_plus[0] = 50.0
-    stats.beta_hat_minus[0] = 5000.0  # failure budget above D: deadline binds
-    assert stats.pessimistic_cap(50.0, 0.5)[0] == pytest.approx(1.0)
+    def initial(rho_plus, beta_minus):
+        bounds = (rho_plus / 2, rho_plus), (beta_minus, 2 * beta_minus)
+        return WorkerStats(1, est, *bounds, 0.1, horizon=HORIZON)
 
-    stats.rho_hat_plus[0] = 2.0
-    stats.beta_hat_minus[0] = 2.0
-    assert stats.pessimistic_cap(1.0, 0.5)[0] == pytest.approx(0.5)
+    # failure budget above D: deadline binds
+    assert initial(50.0, 5000.0).pessimistic_cap(50.0, 0.5)[0] == pytest.approx(1.0)
+    assert initial(2.0, 2.0).pessimistic_cap(1.0, 0.5)[0] == pytest.approx(0.5)
 
 
 def test_surrogate_expectation_closed_forms():
@@ -349,8 +352,8 @@ def test_stats_csv_snapshot(tmp_path):
 
 def _assert_bank_matches(bank: WorkerStats, scalars: list, D: float, eps: float) -> None:
     """Bitwise equality of counts, kept sums, the four indices and the caps."""
-    caps = bank.pessimistic_cap(D, eps).tolist()
-    kept_rho, kept_beta = bank._kept.tolist()  # the running truncated sums
+    caps = np.asarray(bank.pessimistic_cap(D, eps)).tolist()
+    kept_rho, kept_beta = np.asarray(bank._kept).tolist()  # the running truncated sums
     for i, s in enumerate(scalars):
         assert (int(bank.N_it[i]), int(bank.N_beta_it[i]), int(bank.eta[i])) == (
             s.N_it, s.N_beta_it, s.eta
@@ -384,6 +387,7 @@ _VALUES = st.sampled_from([0.1, 0.3, 0.7, 1.1, 1.1, 3.3, 7.7, 20.0])
     ),
 )
 @settings(max_examples=200, deadline=None)
+@on_both_branches
 def test_bank_matches_scalar_oracle(n, jobs):
     """The bank reproduces n scalar heap-based estimators bit for bit, through
     skipped refreshes, zero-valued surrogate samples (key inf, from back-to-back
@@ -433,15 +437,16 @@ def _benchmark_sides() -> dict[str, str]:
 
 
 @pytest.mark.parametrize("n", [6, 400])
+@on_both_branches
 def test_bank_matches_scalar_oracle_on_both_sides_of_the_list_threshold(n):
-    """``_add`` reduces its counts and values with Python lists up to
-    ``_LIST_MAX`` entries and with numpy above; both give the oracle's
-    counts, kept sums and indices bit for bit over 50 jobs.  The last job is
-    refreshed again after its samples arrive, which must drop those already
-    due by then, as the oracle's heap does.  The same crossover decides the
-    branch of ``sw_greedy`` and ``job_payments``, and it puts each benchmark
-    workload on its intended side: desk6 (n = 6) and the deviation sweeps
-    (n <= 8) on lists, reference400 on arrays."""
+    """The bank holds Python lists up to ``_LIST_MAX`` workers and numpy
+    arrays above, and each size runs here in both forms; every run gives the
+    oracle's counts, kept sums and indices bit for bit over 50 jobs.  The
+    last job is refreshed again after its samples arrive, which must drop
+    those already due by then, as the oracle's heap does.  The same
+    crossover decides the form of the whole job step, and it puts each
+    benchmark workload on its intended side: desk6 (n = 6) and the deviation
+    sweeps (n <= 8) on lists, reference400 on arrays."""
     assert _benchmark_sides() == {
         "desk6-learning": "lists",
         "dsic-sweep": "lists",
@@ -478,6 +483,7 @@ def test_bank_matches_scalar_oracle_on_both_sides_of_the_list_threshold(n):
     _assert_bank_matches(bank, scalars, D, eps)
 
 
+@on_both_branches
 def test_drop_boundary_key_equal_to_log_t():
     """A sample whose drop key equals log t exactly is still in at job t and
     out at t + 1, in the bank and in the scalar oracle alike."""
@@ -491,10 +497,11 @@ def test_drop_boundary_key_equal_to_log_t():
     for t, kept in ((t0, 1.0), (t0 + 1, 0.0)):
         bank.refresh_indices(t)
         scalar.refresh_indices(t, est)
-        assert bank._kept[0, 0] == scalar._jct._kept_sum == kept
+        assert bank._kept[0][0] == scalar._jct._kept_sum == kept
         assert bank.rho_hat_plus[0] == scalar.rho_hat_plus
 
 
+@on_both_branches
 def test_stats_csv_bytes_match_scalar_states(tmp_path):
     """The bank's CSV is byte-identical to the per-worker CSV of the same
     states kept by scalar estimators."""

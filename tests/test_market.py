@@ -24,7 +24,7 @@ from crowdmarket import (
     validate_config,
 )
 
-from conftest import reference_config, reference_recipe
+from conftest import on_both_branches, reference_config, reference_recipe
 from oracles import BlockSampler
 
 
@@ -223,7 +223,7 @@ def test_outcome_streams_are_bitwise_reproducible():
     def outcomes():
         blocks = OutcomeBlocks(outcome_streams(cfg), location, mttf, sigma_log=0.25, delta=0.5)
         jobs = [sample_outcome(blocks, [0, 1, 2], [0.5] * 3) for _ in range(BLOCK + 1)]
-        return b"".join(tau.tobytes() + window.tobytes() for tau, window in jobs)
+        return b"".join(np.asarray(part).tobytes() for job in jobs for part in job)
 
     assert outcomes() == outcomes()
 
@@ -283,6 +283,7 @@ def test_batch_outcome_matches_per_worker_draws():
     jobs=st.integers(2 * BLOCK + 1, 3 * BLOCK),
     seed=st.integers(0, 2**32 - 1),
 )
+@on_both_branches
 def test_block_sampler_matches_scalar_oracle(n, jobs, seed):
     """Random activation patterns over more than two blocks: every job's
     completion times and window codes equal the scalar k-th-activation
@@ -304,9 +305,9 @@ def test_block_sampler_matches_scalar_oracle(n, jobs, seed):
         workers = active[t].nonzero()[0]
         tau, window = sample_outcome(blocks, workers, fractions[t, workers])
         expected = [oracle.outcome(i, fractions[t, i]) for i in workers.tolist()]
-        assert tau.tolist() == [e[0] for e in expected]
-        assert window.tolist() == [e[1] for e in expected]
-        codes.update(window.tolist())
+        assert np.asarray(tau).tolist() == [e[0] for e in expected]
+        assert np.asarray(window).tolist() == [e[1] for e in expected]
+        codes.update(np.asarray(window).tolist())
     assert codes == {-1, 0, 1}
 
 

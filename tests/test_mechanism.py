@@ -8,6 +8,8 @@ Tests marked ``on_both_branches`` run once on Python floats and once on numpy
 arrays, whatever their worker count, against the same literal rule.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -248,7 +250,6 @@ def _outcome(bids, caps, true_costs, c_bar, presorted):
     return (
         alloc.fractions.tobytes(),
         alloc.k_pos,
-        alloc.k_bar,
         alloc.bid_order.tobytes(),
         rec.payments.tobytes(),
         rec.utilities.tobytes(),
@@ -266,8 +267,8 @@ FIX_UP_CAPS = [0.12897873630177883, 0.015148427668818855, 0.09453055554283875, 1
 @settings(max_examples=300, deadline=None)
 def test_both_branches_give_the_same_bytes_and_errors(inst):
     """Python floats and numpy arrays give bit-equal fractions, ``k_pos``,
-    ``k_bar``, bid orders, payments and utilities, or the same exception
-    with the same message."""
+    bid orders, payments and utilities, or the same exception with the same
+    message."""
     outcomes = {}
     for name, limit in BRANCHES.items():
         with crossover(limit):
@@ -378,6 +379,20 @@ def test_payments_zero_beyond_boundary(worked):
     for w in alloc.bid_order[k_pos + 1 :]:
         assert rec.payments[w] == 0.0
         assert not any(literal_externality_row(w, alloc, caps, bids).values())
+
+
+def test_job_records_are_slotted_and_replaceable(worked):
+    """``Allocation`` and ``PaymentRecord`` hold their fields in slots, and
+    ``dataclasses.replace`` builds a changed copy, the way perfbench's
+    selftest plants a faulty allocation."""
+    bids, caps, alloc = worked
+    rec = job_payments(alloc, caps, bids, 3.0)
+    for record in (alloc, rec):
+        assert not hasattr(record, "__dict__")
+    scaled = replace(alloc, fractions=alloc.fractions * 2.0)
+    assert type(scaled) is type(alloc) and scaled.k_pos == alloc.k_pos
+    assert scaled.fractions.tolist() == [1.0, 1.0, 0.0]
+    assert replace(rec, utilities=rec.payments).utilities is rec.payments
 
 
 def test_deviation_overbid_outside_active_set_changes_nothing(worked_instance):

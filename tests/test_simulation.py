@@ -1,11 +1,21 @@
-"""Simulation loop: modes, determinism, regret accounting, set matching."""
+"""Simulation loop: modes, determinism, regret accounting, set matching.
 
+Tests marked ``on_both_branches`` run once with the whole job step on Python
+floats and once on numpy arrays, whatever the market's size.
+"""
+
+import importlib
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import crowdmarket
 import crowdmarket.simulation
 from crowdmarket import (
     BLOCK,
@@ -14,18 +24,31 @@ from crowdmarket import (
     MarketConfig,
     PopulationGroup,
     PopulationRecipe,
+    OutcomeBlocks,
     Simulator,
     WorkerStats,
     job_payments,
     optimal_set_match,
     regret,
     run,
+    sample_outcome,
+    stats_to_csv,
+    summary_to_json,
     sw_greedy,
     trace_summary,
     trace_to_csv,
 )
 
-from conftest import desk_config, desk_estimator, desk_recipe, reference_config, reference_recipe
+from conftest import (
+    BRANCHES,
+    crossover,
+    desk_config,
+    desk_estimator,
+    desk_recipe,
+    on_both_branches,
+    reference_config,
+    reference_recipe,
+)
 
 
 def small_market(T: int = 200, seed: int = 11, epsilon: float = 0.18):
@@ -58,12 +81,14 @@ def small_market(T: int = 200, seed: int = 11, epsilon: float = 0.18):
     return cfg, recipe, est
 
 
+@on_both_branches
 def test_initialization_gives_widest_active_set():
     cfg, recipe, est = small_market(T=300)
     trace = run(cfg, recipe, est_cfg=est)
     assert trace.active_size[0] == trace.active_size.max()
 
 
+@on_both_branches
 def test_known_means_mode_tracks_oracle_exactly():
     cfg, recipe, est = small_market(T=100)
     trace = run(cfg, recipe, est_cfg=est, mode="known-means")
@@ -76,6 +101,7 @@ def test_known_means_mode_tracks_oracle_exactly():
     assert np.all(trace.cost == trace.oracle_cost)
 
 
+@on_both_branches
 def test_same_seed_gives_identical_trace_bytes(tmp_path):
     cfg, recipe, est = small_market(T=150)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -84,6 +110,7 @@ def test_same_seed_gives_identical_trace_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@on_both_branches
 def test_different_seed_changes_trace(tmp_path):
     cfg, recipe, est = small_market(T=150)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -92,6 +119,7 @@ def test_different_seed_changes_trace(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+@on_both_branches
 def test_learning_updates_only_active_workers():
     cfg, recipe, est = small_market(T=50)
     sim = Simulator(cfg, recipe, est_cfg=est)
@@ -100,6 +128,7 @@ def test_learning_updates_only_active_workers():
     assert sim.stats.N_it.tolist() == active.astype(int).tolist()
 
 
+@on_both_branches
 def test_window_updates_only_when_work_covers_delta():
     cfg, recipe, est = small_market(T=30)
     trace = run(cfg, recipe, est_cfg=est)
@@ -114,6 +143,7 @@ def test_window_updates_only_when_work_covers_delta():
         assert np.isnan(completion[~active]).all() and not window[~active].any()
 
 
+@on_both_branches
 def test_regret_defining_sum():
     """One job, x = (0.4, 0.6, 0) against x* = (0.5, 0.5, 0), costs (1, 2, 3)."""
     costs = np.array([1.0, 2.0, 3.0])
@@ -131,6 +161,7 @@ def test_regret_defining_sum():
     assert avg[1] == pytest.approx((trace.cost[:2].sum() - 2 * trace.oracle_cost) / 2)
 
 
+@on_both_branches
 def test_regret_is_nonnegative_against_oracle():
     cfg, recipe, est = small_market(T=200)
     trace = run(cfg, recipe, est_cfg=est)
@@ -139,6 +170,7 @@ def test_regret_is_nonnegative_against_oracle():
     assert np.all(trace.cost >= trace.oracle_cost - 1e-9)
 
 
+@on_both_branches
 def test_zero_jobs_gives_empty_trace():
     cfg, recipe, est = small_market(T=0)
     trace = run(cfg, recipe, est_cfg=est)
@@ -147,6 +179,7 @@ def test_zero_jobs_gives_empty_trace():
     assert total == 0.0 and avg.size == 0
 
 
+@on_both_branches
 def test_oracle_infeasibility_raises_upfront():
     # reference-parameter regime at forty workers: caps sum to ~0.2
     cfg = reference_config(n=40, T=10)
@@ -155,6 +188,7 @@ def test_oracle_infeasibility_raises_upfront():
         Simulator(cfg, recipe)
 
 
+@on_both_branches
 def test_per_job_infeasibility_is_recorded_not_raised():
     """Oracle-feasible but pessimistically infeasible at initialization: the
     infeasible jobs land in the trace and the run continues."""
@@ -191,6 +225,7 @@ def test_per_job_infeasibility_is_recorded_not_raised():
     assert np.isnan(trace.completion_table[t]).all() and not trace.window_table[t].any()
 
 
+@on_both_branches
 def test_feasible_at_init_stays_feasible():
     """Clamped indices make pessimistic caps never fall below their initial
     values, so an initially feasible run never hits an infeasible job."""
@@ -199,11 +234,12 @@ def test_feasible_at_init_stays_feasible():
     assert not trace.infeasible.any()
 
 
+@on_both_branches
 def test_allocations_respect_current_caps():
     cfg, recipe, est = small_market(T=40)
     sim = Simulator(cfg, recipe, est_cfg=est)
     for t in range(1, 41):
-        caps = sim.current_caps(t).copy()
+        caps = np.array(sim.current_caps(t))
         alloc = sw_greedy(sim.costs, caps)
         sim.step(t)  # step refreshes again with identical state
         fractions = sim.trace().fraction_table[-1]
@@ -225,6 +261,7 @@ def counting(monkeypatch, name):
     return calls
 
 
+@on_both_branches
 def test_repeated_caps_reuse_the_allocation_and_payments(monkeypatch):
     """A job whose caps repeat the last feasible job's bit for bit computes no
     allocation or payments; every job's table row equals a fresh computation.
@@ -236,7 +273,7 @@ def test_repeated_caps_reuse_the_allocation_and_payments(monkeypatch):
     greedy_calls.clear()  # the oracle allocation
     prev_caps, computed = None, 0
     for t in range(1, cfg.T + 1):
-        caps = sim.current_caps(t).copy()  # step refreshes again with identical state
+        caps = np.array(sim.current_caps(t))  # step refreshes again with identical state
         computed += caps.tobytes() != prev_caps
         prev_caps = caps.tobytes()
         sim.step(t)
@@ -251,6 +288,7 @@ def test_repeated_caps_reuse_the_allocation_and_payments(monkeypatch):
     assert 1 < computed < cfg.T
 
 
+@on_both_branches
 def test_known_means_shares_the_oracle_allocation_and_never_learns(monkeypatch):
     """Known-means mode allocates once, draws no outcomes and learns nothing."""
     greedy_calls = counting(monkeypatch, "sw_greedy")
@@ -262,23 +300,59 @@ def test_known_means_shares_the_oracle_allocation_and_never_learns(monkeypatch):
     trace = sim.trace()
     assert len(greedy_calls) == 2  # the oracle, then the first job
     assert not sample_calls
-    assert np.all(sim.outcomes.cursor == BLOCK)
+    assert np.all(np.asarray(sim.outcomes.cursor) == BLOCK)
     assert np.all(trace.fraction_table == sim.oracle.fractions)
     assert np.isnan(trace.completion_table).all() and not trace.window_table.any()
     assert not sim.stats.N_it.any() and not sim.stats.N_beta_it.any()
 
 
-def test_names_patched_by_the_benchmark_tracer_exist():
+def test_names_patched_by_the_benchmark_tracer_exist(monkeypatch):
     """perfbench/run.py --trace 1 wraps these names through vars(owner)[name];
-    renaming one makes it fail with a KeyError."""
+    renaming one makes it fail with a KeyError.  Its per-layer split needs
+    every job of a list-branch desk run to call each layer through them:
+    once per job, and ``record_window`` once per job that observed a window
+    (every job at desk6's 0.5 window, about a third at a 3.0 window)."""
     module = vars(crowdmarket.simulation)
     for name in ("sample_outcome", "outcome_streams", "sample_population", "sw_greedy",
                  "job_payments"):
         assert callable(module[name]), name
     for name in ("step", "current_caps"):
         assert callable(vars(Simulator)[name]), name
-    for name in ("refresh_indices", "pessimistic_cap", "record_jct_sample", "record_window"):
+    layers = ("refresh_indices", "pessimistic_cap", "record_jct_sample", "record_window")
+    for name in layers:
         assert callable(vars(WorkerStats)[name]), name
+
+    calls = {}
+
+    def count(owner, name):
+        fn = vars(owner)[name]
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in layers:
+        count(WorkerStats, name)
+    count(crowdmarket.simulation, "sample_outcome")
+    for delta in (0.5, 3.0):
+        calls.clear()
+        cfg = replace(desk_config(T=300), delta=delta)
+        sim = Simulator(cfg, desk_recipe(), est_cfg=desk_estimator(cfg))
+        assert sim._lists and sim.stats._lists and sim.outcomes._lists
+        for t in range(1, cfg.T + 1):
+            sim.step(t)
+        trace = sim.trace()
+        observed = ((trace.fraction_table > 0) & (trace.window_table >= 0)).any(axis=1)
+        assert not trace.infeasible.any()
+        assert calls == {
+            "refresh_indices": cfg.T,
+            "pessimistic_cap": cfg.T,
+            "sample_outcome": cfg.T,
+            "record_jct_sample": cfg.T,
+            "record_window": int(observed.sum()),
+        }, delta
 
 
 def test_optimal_set_match_lock_index_logic():
@@ -293,6 +367,7 @@ def test_optimal_set_match_lock_index_logic():
             assert not flags[t_lock - 2]
 
 
+@on_both_branches
 def test_optimal_set_match_against_explicit_oracle():
     cfg, recipe, est = small_market(T=30)
     trace = run(cfg, recipe, est_cfg=est)
@@ -311,6 +386,7 @@ def test_optimal_set_match_against_explicit_oracle():
     assert np.array_equal(flags_stored, flags_recomputed)
 
 
+@on_both_branches
 def test_aggregate_payments_cover_welfare():
     cfg, recipe, est = small_market(T=150)
     trace = run(cfg, recipe, est_cfg=est)
@@ -318,6 +394,7 @@ def test_aggregate_payments_cover_welfare():
     assert np.all(trace.utility_min >= 0.0)
 
 
+@on_both_branches
 def test_cumulative_cost_dominates_oracle_prefixwise():
     cfg, recipe, est = small_market(T=150)
     trace = run(cfg, recipe, est_cfg=est)
@@ -326,6 +403,7 @@ def test_cumulative_cost_dominates_oracle_prefixwise():
     assert km.neg_welfare_cum == pytest.approx(km.oracle_cost_cum)
 
 
+@on_both_branches
 def test_trace_csv_columns_and_consistency(tmp_path):
     cfg, recipe, est = small_market(T=25)
     trace = run(cfg, recipe, est_cfg=est)
@@ -347,6 +425,7 @@ def test_trace_csv_columns_and_consistency(tmp_path):
 
 
 @pytest.mark.parametrize("jobs", [200, 2000])
+@on_both_branches
 def test_trace_csv_and_summary_share_one_regret_series(tmp_path, jobs):
     """The trace CSV's last ``regret_avg`` and the summary's
     ``regret_avg_final`` come from one series, so they agree to the last
@@ -363,6 +442,7 @@ def test_trace_csv_and_summary_share_one_regret_series(tmp_path, jobs):
     assert avg.tobytes() == trace.regret_avg.tobytes()
 
 
+@on_both_branches
 def test_summary_echoes_config():
     cfg, recipe, est = small_market(T=10)
     trace = run(cfg, recipe, est_cfg=est)
@@ -372,3 +452,163 @@ def test_summary_echoes_config():
     assert summary["mode"] == "learning"
     assert summary["jobs_completed"] == 10
     assert summary["min_utility"] >= 0.0
+
+
+def test_crossover_moves_every_module_that_binds_the_list_max():
+    """``on_both_branches`` reaches every module that reads ``_LIST_MAX``,
+    found here from the source text rather than by conftest's search; a
+    module it missed would keep its own branch in both runs."""
+    src = Path(crowdmarket.__file__).parent
+    binding = sorted(p.stem for p in src.glob("*.py") if "_LIST_MAX" in p.read_text())
+    assert binding == ["allocation", "estimator", "market", "mechanism", "simulation"]
+    cfg = desk_config(T=10)
+    for name, limit in BRANCHES.items():
+        with crossover(limit):
+            for stem in binding:
+                assert importlib.import_module(f"crowdmarket.{stem}")._LIST_MAX == limit, stem
+            sim = Simulator(cfg, desk_recipe(), est_cfg=desk_estimator(cfg))
+            forms = {sim._lists, sim.stats._lists, sim.outcomes._lists}
+            assert forms == {name == "lists"}, name
+
+
+def branch_market(n, cover, rho_range, beta_range, u_scale, alpha, jobs, repeat, seed):
+    """A market whose initial pessimistic caps cover ``cover`` jobs in
+    total, on rho and beta bounds (1, 2) with a 0.9 window: completion times
+    near the window give all three window codes, and ``u_scale`` = 1 (the
+    smallest valid second-moment bounds) drops samples early.  Every
+    ``repeat``-th job is refreshed twice (0: none)."""
+    c = 2.0 * cover / n  # initial caps min(1, beta_min * c / rho_max) = min(1, cover / n)
+    cfg = MarketConfig(
+        n=n,
+        T=jobs,
+        D=100.0,
+        epsilon=-math.expm1(-c),
+        delta=0.9,
+        cost_bounds=(1.0, 10.0),
+        rho_bounds=(1.0, 2.0),
+        beta_bounds=(1.0, 2.0),
+        sigma_log=0.25,
+        seed=seed,
+    )
+    recipe = PopulationRecipe(
+        groups=(PopulationGroup(count=n, cost_range=(1.0, 10.0), rho_range=rho_range,
+                                beta_range=beta_range),)
+    )
+    est = EstimatorConfig(u_rho=4.0 * u_scale, u_beta=2.9**2 * u_scale, alpha=alpha)
+    return cfg, recipe, est, repeat
+
+
+@st.composite
+def branch_markets(draw):
+    return branch_market(
+        n=draw(st.sampled_from([1, 2, 5, 8, 31, 32, 33])),
+        cover=draw(st.sampled_from([0.5, 1.2, 3.0])),
+        rho_range=draw(st.sampled_from([(1.0, 2.0), (1.0, 1.0)])),
+        beta_range=draw(st.sampled_from([(1.0, 2.0), (2.0, 2.0)])),
+        u_scale=draw(st.sampled_from([1.0, 100.0])),
+        alpha=draw(st.sampled_from([2.0, 4.0])),
+        jobs=draw(st.sampled_from([1, 30, 300])),
+        repeat=draw(st.sampled_from([0, 1, 7])),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+# Between them: infeasible jobs, all three window codes, samples that drop
+# before the horizon, refilled blocks and repeated refreshes.
+BRANCH_EXAMPLES = [
+    branch_market(5, 0.5, (1.0, 1.0), (2.0, 2.0), 1.0, 2.0, 30, 0, 1),  # every job infeasible
+    branch_market(2, 3.0, (1.0, 1.0), (1.0, 2.0), 1.0, 4.0, 300, 7, 2),
+    branch_market(33, 1.2, (1.0, 2.0), (1.0, 2.0), 1.0, 2.0, 300, 1, 3),
+    branch_market(32, 3.0, (1.0, 2.0), (1.0, 2.0), 100.0, 4.0, 30, 0, 4),
+]
+
+
+def _run_bytes(cfg, recipe, est, repeat):
+    """Every output byte of one run: the trace CSV, the summary JSON, the
+    estimator CSV and the per-worker tables; or the error it raised.  Also
+    the list-branch facts the examples must cover."""
+    try:
+        sim = Simulator(cfg, recipe, est_cfg=est, record_tables=True)
+        for t in range(1, cfg.T + 1):
+            if repeat and t % repeat == 0:
+                sim.current_caps(t)
+            sim.step(t)
+    except (ValueError, InfeasibleJob) as exc:
+        return (type(exc), str(exc)), {}
+    trace = sim.trace()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / name for name in ("trace.csv", "summary.json", "stats.csv")]
+        trace_to_csv(trace, paths[0])
+        summary_to_json(trace_summary(trace), paths[1])
+        stats_to_csv(sim.stats, paths[2])
+        files = [path.read_bytes() for path in paths]
+    tables = [getattr(trace, name).tobytes() for name in (
+        "infeasible", "cost", "payment", "active_size", "utility_min", "match",
+        "fraction_table", "payment_table", "utility_table", "completion_table", "window_table",
+    )]
+    covered = {
+        "infeasible": bool(trace.infeasible.any()),
+        "codes": set(trace.window_table[trace.fraction_table > 0].tolist()),
+        "dropped": len(sim.stats._logs) > 0,  # a key below the horizon's log was filed
+        "refilled": int(sim.stats.N_it.max()) > BLOCK,
+        "repeated": bool(repeat) and cfg.T >= repeat,
+    }
+    return (*files, *tables), covered
+
+
+@settings(max_examples=30, deadline=None)
+@given(market=branch_markets())
+@example(market=BRANCH_EXAMPLES[0])
+@example(market=BRANCH_EXAMPLES[1])
+@example(market=BRANCH_EXAMPLES[2])
+@example(market=BRANCH_EXAMPLES[3])
+def test_both_branches_give_the_same_run_bytes(market):
+    """A whole run on Python floats and on numpy arrays writes the same trace
+    CSV, summary JSON, estimator CSV and per-worker tables, or raises the
+    same error with the same message."""
+    outputs = {}
+    for name, limit in BRANCHES.items():
+        with crossover(limit):
+            outputs[name] = _run_bytes(*market)[0]
+    assert outputs["lists"] == outputs["arrays"]
+
+
+def test_branch_examples_cover_the_job_step():
+    covered = [_run_bytes(*market)[1] for market in BRANCH_EXAMPLES]
+    for fact in ("infeasible", "dropped", "refilled", "repeated"):
+        assert any(c.get(fact) for c in covered), fact
+    assert set().union(*(c.get("codes", set()) for c in covered)) == {-1, 0, 1}
+
+
+def _bank():
+    est = EstimatorConfig(u_rho=40.0, u_beta=3.0, alpha=2.0)
+    return WorkerStats(3, est, (0.1, 30.0), (1.0, 9.0), 0.5, horizon=50)
+
+
+def _blocks():
+    streams = [np.random.default_rng(c) for c in np.random.SeedSequence(5).spawn(3)]
+    return OutcomeBlocks(streams, [1.0] * 3, [2.0] * 3, sigma_log=0.25, delta=0.5)
+
+
+BAD_CALLS = {
+    "nan fraction": lambda: sample_outcome(_blocks(), [0, 2], [0.5, math.nan]),
+    "zero fraction": lambda: sample_outcome(_blocks(), [0, 2], [0.0, 0.5]),
+    "fraction above one": lambda: sample_outcome(_blocks(), [1], [1.5]),
+    "fraction per worker": lambda: sample_outcome(_blocks(), [0, 1], [0.5]),
+    "zero tau": lambda: _bank().record_jct_sample([0, 1], [1.0, 0.0], [0.5, 0.5]),
+    "negative tau": lambda: _bank().record_jct_sample([2], [-1.0], [0.5]),
+    "tau per worker": lambda: _bank().record_jct_sample([0, 1], [1.0], [0.5, 0.5]),
+    "window per worker": lambda: _bank().record_window([0, 1], [True]),
+    "refresh out of order": lambda: _bank().refresh_indices(5).refresh_indices(4),
+}
+
+
+@pytest.mark.parametrize("call", BAD_CALLS.values(), ids=BAD_CALLS.keys())
+def test_both_branches_raise_the_same_errors(call):
+    raised = {}
+    for name, limit in BRANCHES.items():
+        with crossover(limit):
+            with pytest.raises(ValueError) as exc:
+                call()
+            raised[name] = (exc.type, str(exc.value))
+    assert raised["lists"] == raised["arrays"]
