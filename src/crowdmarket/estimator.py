@@ -17,20 +17,20 @@ waiting times for this process.
 arrays, so each of its methods is one call per job.  Truncation needs no
 per-sample history, because inclusion is monotone in t: sample ``x_k`` stays
 in while ``log t <= key = u * k / (alpha * x_k**2)`` (``key = inf`` for
-``x_k <= 0``).  Its *drop job*, the first t with ``key < log t``, is therefore
-fixed when it arrives; it is looked up in a table of ``math.log(t)`` that grows
-by doubling up to the run's horizon, and the sample is filed in that job's
-bucket.  The refresh that reaches a bucket subtracts its samples from the kept
-sums in (key, value) order, which is the order in which a per-worker heap of
-``(key, value)`` would pop them, so the sums are the same floats.  A sample
-that cannot drop before the horizon is added to the sum and never stored.
+``x_k <= 0``).  Its *drop job* d is the first t with ``key < log t``, and
+``log`` increases, so ``d <= t`` holds exactly when ``key < log t``.  A sample
+that can drop before the horizon is filed in one store kept sorted by key, and
+the refresh for job t takes the store's prefix of keys below ``log t``.  It
+subtracts those samples from the kept sums in (key, value) order per worker,
+which is the order in which a per-worker heap of ``(key, value)`` would pop
+them, so the sums are the same floats.  A sample that cannot drop before the
+horizon is added to the sum and never stored.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,19 +124,23 @@ class WorkerStats:
     The two parameters share 2 x n arrays, row 0 for completion times and
     row 1 for failure surrogates, so a refresh is a handful of array
     operations for both.  ``_kept`` sums the samples still inside the
-    truncation; a sample that drops out before the horizon also waits in
-    ``_pending`` under its drop job, as ``(row, worker, key, value)``.
-    ``_unseen`` is inf for a worker without samples and 0 otherwise, so the
-    refresh needs no masks: such a worker gets centre 0 and an infinite
-    radius, which the clamp maps to the initialization value.
+    truncation.  A sample that drops out before the horizon also waits in a
+    store of three 1-D arrays sorted by key: ``_keys``, ``_slots`` (its flat
+    position ``row * n + worker`` in the 2 x n state) and ``_values``.  Its
+    drop job d satisfies ``d <= t`` exactly when ``key < log t``, so the
+    refresh for job t drops the store's prefix of keys below ``log t``, and
+    ``_next_key``, the smallest stored key, tells it in one compare whether
+    anything is due.  ``_unseen`` is inf for a worker without samples and 0
+    otherwise, so the refresh needs no masks: such a worker gets centre 0 and
+    an infinite radius, which the clamp maps to the initialization value.
 
     For up to ``_LIST_MAX`` workers the same state is held in Python lists,
     and each method is a scalar loop that applies the array operations in the
-    same order (``math.sqrt`` for ``np.sqrt``, ``bisect_right`` on a list log
-    table for ``searchsorted``, in-order subtraction for ``np.subtract.at``),
-    so both forms hold the same floats.  The readers (``eta``, ``N_it``,
-    ``rho_hat_plus`` and the rest) return arrays in both forms and are
-    read-only; ``pessimistic_cap`` returns a list in the list form.
+    same order (``math.sqrt`` for ``np.sqrt``, in-order subtraction for
+    ``np.subtract.at``), so both forms hold the same floats; the store is the
+    same arrays in both.  The readers (``eta``, ``N_it``, ``rho_hat_plus`` and
+    the rest) return arrays in both forms and are read-only;
+    ``pessimistic_cap`` returns a list in the list form.
     """
 
     def __init__(
@@ -178,10 +182,10 @@ class WorkerStats:
             self._refreshed_state = (0.0, state["_count"], state["_kept"], state["_unseen"])
         else:
             self._center, self._radius = np.zeros((2, n)), np.full((2, n), math.inf)
+        self._n = n
         self._log_horizon = math.log(horizon) if horizon > 1 else 0.0
-        # math.log(t) for t = 1, 2, ..., grown on demand
-        self._logs = [] if self._lists else np.empty(0)
-        self._pending: dict[int, list[tuple[int, int, float, float]]] = {}
+        self._keys, self._slots, self._values = np.empty(0), np.empty(0, np.intp), np.empty(0)
+        self._next_key = math.inf  # the smallest key in the store
         self._refreshed = 0  # last refreshed job
 
     @property
@@ -243,10 +247,7 @@ class WorkerStats:
         kept[workers] += x
         mean = means[workers]
         means[workers] = mean + (x - mean) / count
-        if count.size <= _LIST_MAX:
-            c_min, x_max = min(count.tolist()), max(x.tolist())
-        else:
-            c_min, x_max = float(count.min()), float(x.max())
+        c_min, x_max = float(count.min()), float(x.max())
         if c_min == 1.0:  # a worker's first sample is its mean
             first = count == 1.0
             means[workers[first]] = x[first]
@@ -260,21 +261,13 @@ class WorkerStats:
         workers, x, count = workers[keep], x[keep], count[keep]
         keys = u * count / (alpha * x * x)
         early = keys < log_horizon
-        if not np.count_nonzero(early):
-            return
-        workers, keys, x = workers[early], keys[early], x[early]
-        # A sample already due is filed under the last refreshed job, which the
-        # next refresh, even one repeating that job, visits again.
-        logs = self._log_table(float(keys.max()))
-        due = np.maximum(np.searchsorted(logs, keys, side="right") + 1, self._refreshed)
-        pending = self._pending
-        for d, *entry in zip(due.tolist(), workers.tolist(), keys.tolist(), x.tolist()):
-            pending.setdefault(d, []).append((row, *entry))
+        if np.count_nonzero(early):
+            self._file(keys[early], workers[early] + row * self._n, x[early])
 
     def _add_lists(self, row: int, workers: list, x: list) -> None:
         """``_add`` on the list form, one sample at a time."""
         counts, kept, means = self._count[row], self._kept[row], self._mean[row]
-        unseen, pending = self._unseen[row], self._pending
+        unseen, early = self._unseen[row], []
         u, alpha, log_horizon = self._u[row], self._alpha, self._log_horizon
         for w, v in zip(workers, x):
             count = counts[w] + 1.0
@@ -288,22 +281,34 @@ class WorkerStats:
             if v > 0:  # a sample <= 0 has key inf
                 key = u * count / (alpha * v * v)
                 if key < log_horizon:
-                    drop = bisect_right(self._log_table(key), key) + 1
-                    pending.setdefault(max(drop, self._refreshed), []).append((row, w, key, v))
+                    early.append((key, row * self._n + w, v))
+        if early:
+            self._file(*zip(*early))
 
-    def _log_table(self, top: float):
-        """The table of ``math.log(t)``, doubled until its last entry exceeds
-        ``top``, a key below the horizon's log.  A sample's drop job is the
-        first t with ``key < math.log(t)``, its right insertion point plus
-        one: the comparison a check at every job would make, so a key equal
-        to ``log t`` is kept at t and dropped at t + 1."""
-        logs = self._logs
-        while not len(logs) or logs[-1] <= top:
-            size = min(self.horizon, max(64, 2 * len(logs)))
-            more = [math.log(t) for t in range(len(logs) + 1, size + 1)]
-            logs = logs + more if self._lists else np.concatenate([logs, more])
-        self._logs = logs
-        return logs
+    def _file(self, keys, slots, values) -> None:
+        """Merge samples that drop before the horizon into the key-sorted store."""
+        keys = np.concatenate((self._keys, keys))
+        order = keys.argsort(kind="stable")
+        self._keys = keys[order]
+        self._slots = np.concatenate((self._slots, slots))[order]
+        self._values = np.concatenate((self._values, values))[order]
+        self._next_key = float(self._keys[0])
+
+    def _drop(self, log_t: float) -> None:
+        """Subtract the stored samples with keys below ``log_t`` from the kept
+        sums, ordered by (row, worker, key, value): a per-worker heap's pop
+        order.  A key equal to ``log t`` is kept at t and dropped at t + 1."""
+        keys, slots, values = self._keys, self._slots, self._values
+        cut = keys.searchsorted(log_t)  # the first key >= log_t
+        order = np.lexsort((values[:cut], keys[:cut], slots[:cut]))
+        if self._lists:
+            n, kept = self._n, self._kept
+            for slot, v in zip(slots[order].tolist(), values[order].tolist()):
+                kept[slot // n][slot % n] -= v
+        else:
+            np.subtract.at(self._kept.reshape(-1), slots[order], values[order])
+        self._keys, self._slots, self._values = keys[cut:], slots[cut:], values[cut:]
+        self._next_key = float(keys[cut]) if cut < keys.size else math.inf
 
     def record_jct_sample(self, workers, tau, fractions) -> "WorkerStats":
         """Record one completion observation per listed worker; the sample
@@ -367,24 +372,14 @@ class WorkerStats:
                 f"job index must lie in [max(1, last refreshed {self._refreshed}), "
                 f"{self.horizon}], got {t}"
             )
-        if self._pending:
-            due = []
-            for d in range(self._refreshed, t + 1):
-                due += self._pending.pop(d, ())
-            if due:
-                due.sort()  # by row and worker, then (key, value): a heap's pop order
-                if self._lists:
-                    for row, w, _, x in due:
-                        self._kept[row][w] -= x
-                else:
-                    rows, workers, _, x = zip(*due)
-                    np.subtract.at(self._kept, (np.array(rows), np.array(workers)), x)
-        self._refreshed = t
+        self._refreshed, log_t = t, math.log(t)
+        if self._next_key < log_t:
+            self._drop(log_t)
         if self._lists:
-            self._refresh_lists(math.log(t))
+            self._refresh_lists(log_t)
             return self
         self._center, self._radius = center, radius = self._indices(
-            math.log(t), self._count, self._kept, self._unseen
+            log_t, self._count, self._kept, self._unseen
         )
         self._eager = np.minimum(np.maximum(center + self._sign * radius, self._lo), self._hi)
         return self

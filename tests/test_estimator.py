@@ -369,8 +369,9 @@ def _assert_bank_matches(bank: WorkerStats, scalars: list, D: float, eps: float)
 
 
 # A few repeated values, small enough that early samples drop out within the
-# horizon and large enough that some never do.
-_VALUES = st.sampled_from([0.1, 0.3, 0.7, 1.1, 1.1, 3.3, 7.7, 20.0])
+# horizon and large enough that some never do.  0.3 and 0.6 are a doubling
+# pair: a worker's k-th sample 0.3 and its 4k-th sample 0.6 have bit-equal keys.
+_VALUES = st.sampled_from([0.1, 0.3, 0.6, 0.7, 1.1, 1.1, 3.3, 7.7, 20.0])
 
 
 @given(
@@ -499,6 +500,36 @@ def test_drop_boundary_key_equal_to_log_t():
         scalar.refresh_indices(t, est)
         assert bank._kept[0][0] == scalar._jct._kept_sum == kept
         assert bank.rho_hat_plus[0] == scalar.rho_hat_plus
+
+
+@pytest.mark.parametrize("n", [1, 40])
+@on_both_branches
+def test_equal_keys_drop_in_value_order(n):
+    """Each worker's sample x (its c-th) and sample 2x (its 4c-th) have
+    bit-equal keys and drop in the same refresh, and the two subtraction
+    orders leave different kept sums.  The bank subtracts x first, as the
+    oracle's heap pops (key, value), on both sides of the list threshold."""
+    est = EstimatorConfig(u_rho=0.1, u_beta=3.0, alpha=2.0)
+    rho_bounds, beta_bounds, delta, D, eps = (0.1, 30.0), (1.0, 9.0), 0.5, 5.0, 0.2
+    x, c, filler = 0.3, 2, 0.01  # a filler's key is at least 500, so it never drops
+    key = est.u_rho * c / (est.alpha * x * x)
+    assert key == est.u_rho * (4 * c) / (est.alpha * (2 * x) * (2 * x))
+    assert math.log(3) < key < math.log(4)
+    bank = WorkerStats(n, est, rho_bounds, beta_bounds, delta, horizon=10)
+    scalars = [oracles.WorkerStats(est, rho_bounds, beta_bounds, delta) for _ in range(n)]
+    for k in range(1, 4 * c + 1):
+        v = x if k == c else 2 * x if k == 4 * c else filler
+        bank.record_jct_sample(list(range(n)), [v] * n, [1.0] * n)
+        for s in scalars:
+            s.record_jct_sample(v, 1.0)
+    for t in (3, 4):  # both samples are kept at job 3 and dropped at job 4
+        kept = np.array(bank._kept)[0].tolist()
+        bank.refresh_indices(t)
+        for s in scalars:
+            s.refresh_indices(t, est)
+        _assert_bank_matches(bank, scalars, D, eps)
+    assert all(b - x - 2 * x != b - 2 * x - x for b in kept)
+    assert np.array(bank._kept)[0].tolist() == [b - x - 2 * x for b in kept]
 
 
 @on_both_branches

@@ -529,6 +529,9 @@ def _run_bytes(cfg, recipe, est, repeat):
     the list-branch facts the examples must cover."""
     try:
         sim = Simulator(cfg, recipe, est_cfg=est, record_tables=True)
+        filed = []  # the keys of samples filed to drop before the horizon
+        file = sim.stats._file
+        sim.stats._file = lambda keys, *rest: (filed.extend(keys), file(keys, *rest))
         for t in range(1, cfg.T + 1):
             if repeat and t % repeat == 0:
                 sim.current_caps(t)
@@ -549,7 +552,7 @@ def _run_bytes(cfg, recipe, est, repeat):
     covered = {
         "infeasible": bool(trace.infeasible.any()),
         "codes": set(trace.window_table[trace.fraction_table > 0].tolist()),
-        "dropped": len(sim.stats._logs) > 0,  # a key below the horizon's log was filed
+        "dropped": any(key < math.log(cfg.T) for key in filed),
         "refilled": int(sim.stats.N_it.max()) > BLOCK,
         "repeated": bool(repeat) and cfg.T >= repeat,
     }
