@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -87,27 +87,47 @@ def true_cap(rho, beta, D: float, epsilon: float):
 class SortedBids:
     """Bids with their ascending order (ties by worker id), for a caller that
     allocates many jobs against the same bids: ``sw_greedy`` then sorts
-    nothing.  Build it with :meth:`of`; the order is read-only."""
+    nothing.  Build it with :meth:`of`; the bids and the order are read-only.
+    Up to ``_LIST_MAX`` bids it also keeps both as Python lists, which the
+    list form of ``sw_greedy`` and ``job_payments`` reads as they are."""
 
     values: np.ndarray
     order: np.ndarray
+    lists: tuple[list, list] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.order.shape != self.values.shape:
             raise ValueError(
                 f"bid order and bids disagree in length: {self.order.shape} vs {self.values.shape}"
             )
+        small = self.values.ndim == 1 and 0 < self.values.size <= _LIST_MAX
+        lists = (self.values.tolist(), self.order.tolist()) if small else None
+        object.__setattr__(self, "lists", lists)
 
     @classmethod
     def of(cls, bids) -> "SortedBids":
-        values = np.asarray(bids, dtype=float)
+        values = np.array(bids, dtype=float)
         order = values.argsort(kind="stable")
-        order.flags.writeable = False
+        values.flags.writeable = order.flags.writeable = False
         return cls(values, order)
 
 
 def _as_bid_array(bids) -> np.ndarray:
     return bids.values if isinstance(bids, SortedBids) else np.asarray(bids, dtype=float)
+
+
+def _list_form(bids, caps: list):
+    """``(bids, bid order, caps)`` as Python lists when ``bids`` is a
+    :class:`SortedBids` that keeps its lists and the list ``caps`` holds as
+    many numbers, as the list-form job step passes them; else ``None``."""
+    if isinstance(bids, SortedBids) and bids.lists is not None:
+        try:  # float() is the conversion np.asarray(caps, dtype=float) makes
+            caps = [*map(float, caps)]
+        except (TypeError, ValueError):
+            return None  # not numbers: the caller's array checks name the fault
+        if len(caps) == len(bids.lists[1]):
+            return (*bids.lists, caps)
+    return None
 
 
 def sw_greedy(bids, caps) -> Allocation:
@@ -123,6 +143,9 @@ def sw_greedy(bids, caps) -> Allocation:
     Up to ``_LIST_MAX`` workers the rule runs on Python floats, above it on
     numpy arrays; both give the same bytes and raise the same errors.
     """
+    form = _list_form(bids, caps) if type(caps) is list else None
+    if form is not None:
+        return _greedy_lists(*form, bids.order)
     b = _as_bid_array(bids)
     c = np.asarray(caps, dtype=float)
     if b.shape != c.shape:
@@ -133,7 +156,7 @@ def sw_greedy(bids, caps) -> Allocation:
         raise InfeasibleJob(0.0)
     order = bids.order if isinstance(bids, SortedBids) else b.argsort(kind="stable")
     if c.size <= _LIST_MAX:
-        return _greedy_lists(b, c, order)
+        return _greedy_lists(b, order.tolist(), c.tolist(), order)
     if not ((c >= 0) & (c <= 1)).all():  # also rejects NaN caps
         raise ValueError("caps must lie in [0, 1]")
     # NaN sorts last and -inf first, so the two ends decide finiteness.
@@ -175,10 +198,10 @@ def _remainder(full, cap: float) -> float:
     return min(rest, cap)
 
 
-def _greedy_lists(b: np.ndarray, c: np.ndarray, order: np.ndarray) -> Allocation:
-    """The numpy branch of ``sw_greedy`` on Python floats: ``accumulate`` is
-    the sequential ``cumsum`` and ``bisect_left`` the ``searchsorted``."""
-    cl, o = c.tolist(), order.tolist()
+def _greedy_lists(b, o: list, cl: list, order: np.ndarray) -> Allocation:
+    """The numpy branch of ``sw_greedy`` on Python floats, with ``o`` the bid
+    ``order`` and ``cl`` the caps as lists: ``accumulate`` is the sequential
+    ``cumsum`` and ``bisect_left`` the ``searchsorted``."""
     # A NaN cap can hide from min and max, but not from the sum.
     if not (0.0 <= min(cl) and max(cl) <= 1.0 and not math.isnan(sum(cl))):
         raise ValueError("caps must lie in [0, 1]")

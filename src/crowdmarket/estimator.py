@@ -29,7 +29,6 @@ horizon is added to the sum and never stored.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import _LIST_MAX, _as_list, true_cap
-from .market import Bounds, InvalidConfig, MarketConfig
+from .market import Bounds, InvalidConfig, MarketConfig, _write_csv
 
 __all__ = [
     "EstimatorConfig",
@@ -419,32 +418,6 @@ def _check_lengths(workers, *values) -> None:
 
 def stats_to_csv(stats: WorkerStats, path: str | Path) -> None:
     """Snapshot estimator state to CSV (one row per worker)."""
-    path = Path(path)
-    columns = (
-        stats.N_it,
-        stats.rho_hat,
-        stats.rho_hat_plus,
-        stats.rho_hat_minus,
-        stats.N_beta_it,
-        stats.beta_hat,
-        stats.beta_hat_minus,
-        stats.eta,
-    )
-    with path.open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            [
-                "id",
-                "N_it",
-                "rho_hat",
-                "rho_hat_plus",
-                "rho_hat_minus",
-                "N_beta_it",
-                "beta_hat",
-                "beta_hat_minus",
-                "eta",
-            ]
-        )
-        # tolist() gives Python ints and floats, whose repr is the old format.
-        for wid, row in enumerate(zip(*(c.tolist() for c in columns))):
-            writer.writerow([wid, *(v if isinstance(v, int) else repr(v) for v in row)])
+    names = "N_it rho_hat rho_hat_plus rho_hat_minus N_beta_it beta_hat beta_hat_minus eta"
+    columns = {name: getattr(stats, name) for name in names.split()}
+    _write_csv(path, {"id": range(len(stats.eta)), **columns})

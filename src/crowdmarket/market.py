@@ -20,7 +20,6 @@ serves one job from them.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -320,14 +319,28 @@ def _sample_lists(blocks: OutcomeBlocks, workers: list, fractions: list):
     return tau, window
 
 
+# Rows formatted per write, so memory stays flat however long the columns
+# are; larger chunks write no faster and hold more strings at once.
+_CSV_CHUNK = 256
+
+
+def _write_csv(path: str | Path, columns: dict) -> None:
+    """Write ``columns``, header name to column (an array, list or range;
+    all of one length), as CSV.  Each field is the ``repr`` of its Python
+    scalar (an array chunk's ``tolist``), which is what ``csv.writer``
+    writes for a float or an int; rows end in CRLF, and no field is quoted."""
+    with Path(path).open("w", newline="", encoding="utf-8") as f:
+        f.write(",".join(columns) + "\r\n")
+        values = list(columns.values())
+        for lo in range(0, len(values[0]), _CSV_CHUNK):
+            fields = [map(repr, _as_list(c[lo : lo + _CSV_CHUNK])) for c in values]
+            f.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+
+
 def population_to_csv(workers: list[WorkerProfile], path: str | Path) -> None:
     """Write the population as CSV with columns id,cost,mjct,mttf."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id", "cost", "mjct", "mttf"])
-        for w in workers:
-            writer.writerow([w.id, repr(w.cost), repr(w.mjct), repr(w.mttf)])
+    names = ("id", "cost", "mjct", "mttf")
+    _write_csv(path, {name: [getattr(w, name) for w in workers] for name in names})
 
 
 # --- plain-text config files -------------------------------------------------

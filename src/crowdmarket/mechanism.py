@@ -32,7 +32,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .allocation import _LIST_MAX, Allocation, _as_bid_array, sw_greedy
+from .allocation import _LIST_MAX, Allocation, _as_bid_array, _list_form, sw_greedy
 
 __all__ = [
     "PaymentRecord",
@@ -81,6 +81,10 @@ def job_payments(
     ``_LIST_MAX`` workers the rule runs on Python floats, above it on numpy
     arrays; both give the same bytes.
     """
+    form = _list_form(bids, caps) if type(caps) is list and true_costs is None else None
+    if form is not None and alloc.bid_order is bids.order and math.isfinite(c_bar):
+        values, order, caps = form
+        return _payments_lists(alloc, caps, values, float(c_bar), values, order)
     caps = np.asarray(caps, dtype=float)
     b = _as_bid_array(bids)
     costs = b if true_costs is None else np.asarray(true_costs, dtype=float)
@@ -94,7 +98,9 @@ def job_payments(
         raise ValueError(f"c_bar must be finite, got {c_bar}")
     n = order.shape[0]
     if n <= _LIST_MAX:
-        return _payments_lists(alloc, caps, b, float(c_bar), costs)
+        bl = b.tolist()
+        costs = bl if costs is b else costs.tolist()
+        return _payments_lists(alloc, caps.tolist(), bl, float(c_bar), costs, order.tolist())
     active = order[: k + 1]
     x = alloc.fractions[active]
     b_s = b[order]
@@ -125,14 +131,12 @@ def job_payments(
     return PaymentRecord(payments=payments, utilities=utilities)
 
 
-def _payments_lists(alloc, caps, b, c_bar: float, costs) -> PaymentRecord:
-    """The numpy branch of ``job_payments`` on Python floats, each term in
-    the same order: ``accumulate`` is the sequential ``np.add.accumulate`` and
+def _payments_lists(alloc, caps, bids, c_bar: float, costs, order) -> PaymentRecord:
+    """The numpy branch of ``job_payments`` on Python floats, with the caps,
+    bids, true costs and bid order as lists, each term in the same order:
+    ``accumulate`` is the sequential ``np.add.accumulate`` and
     ``bisect_right`` the ``searchsorted``."""
-    order, k = alloc.bid_order.tolist(), alloc.k_pos
-    bids = b.tolist()
-    c = bids if costs is b else costs.tolist()
-    caps, fractions = caps.tolist(), alloc.fractions.tolist()
+    k, fractions = alloc.k_pos, alloc.fractions.tolist()
     n = len(order)
     active = order[: k + 1]
     b_s = [bids[w] for w in order]
@@ -147,7 +151,7 @@ def _payments_lists(alloc, caps, b, c_bar: float, costs) -> PaymentRecord:
     payments = [0.0] * n
     utilities = [0.0] * n
     for q, w in enumerate(active):
-        xq, cq = fractions[w], c[w]
+        xq, cq = fractions[w], costs[w]
         # a tie (of signed zeros) takes the second operand, as in np.minimum
         slack = 0.0 if q == k else (xq if xq < room else room)
         spill = xq - slack

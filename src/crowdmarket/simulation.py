@@ -15,7 +15,6 @@ draws no outcomes.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -30,6 +29,7 @@ from .market import (
     OutcomeBlocks,
     PopulationRecipe,
     WorkerProfile,
+    _write_csv,
     jct_location,
     outcome_streams,
     sample_outcome,
@@ -227,7 +227,7 @@ class Simulator:
             except InfeasibleJob:
                 self._rows.append(self._infeasible_row)
                 return
-            rec = job_payments(alloc, caps, self.costs, cfg.cost_bounds[1], true_costs=self.costs)
+            rec = job_payments(alloc, caps, self.bids, cfg.cost_bounds[1])  # truthful bids
             x = alloc.fractions
             if self._lists:
                 xs = x.tolist()
@@ -327,37 +327,22 @@ def optimal_set_match(trace: SimulationTrace):
 
 
 def trace_to_csv(trace: SimulationTrace, path: str | Path) -> None:
-    """Write the per-job series with stable full-precision formatting."""
-    path = Path(path)
-    neg_w = trace.neg_welfare_cum
-    pay = trace.payment_cum
-    oracle = trace.oracle_cost_cum
-    ravg = trace.regret_avg
-    with path.open("w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(
-            [
-                "t",
-                "neg_social_welfare_cum",
-                "payment_cum",
-                "oracle_cost_cum",
-                "active_set_size",
-                "optimal_set_match",
-                "regret_avg",
-            ]
-        )
-        for ti in range(len(trace)):
-            writer.writerow(
-                [
-                    ti + 1,
-                    repr(float(neg_w[ti])),
-                    repr(float(pay[ti])),
-                    repr(float(oracle[ti])),
-                    int(trace.active_size[ti]),
-                    int(trace.match[ti]),
-                    repr(float(ravg[ti])),
-                ]
-            )
+    """Write the per-job series as CSV: a header row, then one row per job.
+
+    Rows end in CRLF, floats are Python's shortest round-trip ``repr``, ``t``
+    and ``active_set_size`` are decimal integers, and ``optimal_set_match``
+    is 0 or 1.
+    """
+    columns = {
+        "t": range(1, len(trace) + 1),
+        "neg_social_welfare_cum": trace.neg_welfare_cum,
+        "payment_cum": trace.payment_cum,
+        "oracle_cost_cum": trace.oracle_cost_cum,
+        "active_set_size": trace.active_size.astype(np.int64, copy=False),
+        "optimal_set_match": trace.match.astype(np.int8),
+        "regret_avg": trace.regret_avg,
+    }
+    _write_csv(path, columns)
 
 
 def trace_summary(trace: SimulationTrace) -> dict:

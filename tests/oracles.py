@@ -8,7 +8,8 @@ kept sums, indices and caps bit for bit.  ``BlockSampler`` serves each
 worker's outcomes one scalar draw at a time by the k-th-activation rule that
 ``crowdmarket.sample_outcome`` implements with pre-drawn blocks.
 ``delta_separation`` reads the slack an allocation leaves on its boundary
-worker.
+worker.  ``trace_to_csv`` writes a trace row by row through ``csv.writer``,
+the literal rule for the library's columnar writer.
 """
 
 from __future__ import annotations
@@ -205,6 +206,40 @@ class WorkerStats:
         """Largest job fraction allocatable under the pessimistic indices."""
         budget = min(D, self.beta_hat_minus * -math.log1p(-epsilon))
         return min(1.0, budget / self.rho_hat_plus)
+
+
+def trace_to_csv(trace, path) -> None:
+    """Write a trace's per-job series to CSV one row at a time, in the
+    library's format."""
+    neg_w = trace.neg_welfare_cum
+    pay = trace.payment_cum
+    oracle = trace.oracle_cost_cum
+    ravg = trace.regret_avg
+    with path.open("w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(
+            [
+                "t",
+                "neg_social_welfare_cum",
+                "payment_cum",
+                "oracle_cost_cum",
+                "active_set_size",
+                "optimal_set_match",
+                "regret_avg",
+            ]
+        )
+        for ti in range(len(trace)):
+            writer.writerow(
+                [
+                    ti + 1,
+                    repr(float(neg_w[ti])),
+                    repr(float(pay[ti])),
+                    repr(float(oracle[ti])),
+                    int(trace.active_size[ti]),
+                    int(trace.match[ti]),
+                    repr(float(ravg[ti])),
+                ]
+            )
 
 
 def stats_to_csv(stats_list: list[WorkerStats], path) -> None:

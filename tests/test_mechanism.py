@@ -27,6 +27,7 @@ from crowdmarket import (
     random_frozen_instance,
     sw_greedy,
 )
+from crowdmarket.allocation import _LIST_MAX, _list_form
 
 from conftest import (
     BRANCHES,
@@ -241,9 +242,12 @@ def branch_instances(draw):
 
 
 def _outcome(bids, caps, true_costs, c_bar, presorted):
-    """The bytes of one job's allocation and payments, or the error it raised."""
+    """The bytes of one job's allocation and payments, or the error it raised;
+    ``presorted`` hands both calls the bids as a :class:`SortedBids`."""
+    if presorted:
+        bids = SortedBids.of(bids)
     try:
-        alloc = sw_greedy(SortedBids.of(bids) if presorted else bids, caps)
+        alloc = sw_greedy(bids, caps)
         rec = job_payments(alloc, caps, bids, c_bar, true_costs=true_costs)
     except (ValueError, InfeasibleJob) as exc:
         return type(exc), str(exc), getattr(exc, "total_cap", None)
@@ -274,6 +278,32 @@ def test_both_branches_give_the_same_bytes_and_errors(inst):
         with crossover(limit):
             outcomes[name] = _outcome(*inst)
     assert outcomes["lists"] == outcomes["arrays"]
+
+
+@given(inst=branch_instances())
+@settings(max_examples=300, deadline=None)
+def test_list_caps_against_sorted_bids_give_the_array_bytes_and_errors(inst):
+    """The job step hands its caps over as a list and its bids as a
+    :class:`SortedBids`.  Up to ``_LIST_MAX`` workers both calls read those
+    lists as they are, with the bytes or the error of array caps."""
+    bids, caps, true_costs, c_bar, _ = inst
+    if len(bids) <= _LIST_MAX:
+        assert _list_form(SortedBids.of(bids), caps.tolist()) is not None
+    assert _outcome(bids, caps.tolist(), true_costs, c_bar, True) == _outcome(
+        bids, caps, true_costs, c_bar, True
+    )
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [[[0.5], [0.6]], [np.array([0.5]), np.array([0.6])], ["x", "y"], ["0.5", "0.6"], [None, 1.0],
+     [1, 0], [0.5]],
+)
+def test_list_caps_of_other_types_act_as_with_unsorted_bids(caps):
+    """List caps that hold other things than floats, or too few of them,
+    give the bytes or the error they give against unsorted bids."""
+    outcomes = [_outcome(np.array([1.0, 2.0]), caps, None, 3.0, presorted) for presorted in (0, 1)]
+    assert outcomes[0] == outcomes[1]
 
 
 @on_both_branches

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import crowdmarket
 import crowdmarket.simulation
+import oracles
 from crowdmarket import (
     BLOCK,
     EstimatorConfig,
@@ -25,6 +26,7 @@ from crowdmarket import (
     PopulationGroup,
     PopulationRecipe,
     OutcomeBlocks,
+    SimulationTrace,
     Simulator,
     WorkerStats,
     job_payments,
@@ -38,6 +40,7 @@ from crowdmarket import (
     trace_summary,
     trace_to_csv,
 )
+from crowdmarket.market import _CSV_CHUNK
 
 from conftest import (
     BRANCHES,
@@ -188,13 +191,12 @@ def test_oracle_infeasibility_raises_upfront():
         Simulator(cfg, recipe)
 
 
-@on_both_branches
-def test_per_job_infeasibility_is_recorded_not_raised():
-    """Oracle-feasible but pessimistically infeasible at initialization: the
-    infeasible jobs land in the trace and the run continues."""
+def pessimistic_market(T: int = 5):
+    """Oracle-feasible, but so wide a rho bound that the initial pessimistic
+    caps cannot cover a job."""
     cfg = MarketConfig(
         n=3,
-        T=5,
+        T=T,
         D=50.0,
         epsilon=0.5,
         delta=0.5,
@@ -212,6 +214,14 @@ def test_per_job_infeasibility_is_recorded_not_raised():
             ),
         )
     )
+    return cfg, recipe
+
+
+@on_both_branches
+def test_per_job_infeasibility_is_recorded_not_raised():
+    """Oracle-feasible but pessimistically infeasible at initialization: the
+    infeasible jobs land in the trace and the run continues."""
+    cfg, recipe = pessimistic_market()
     trace = run(cfg, recipe)
     assert trace.infeasible.any()
     assert len(trace) == 5
@@ -422,6 +432,70 @@ def test_trace_csv_columns_and_consistency(tmp_path):
     assert float(last[6]) == pytest.approx(
         (trace.neg_welfare_cum[-1] - trace.oracle_cost_cum[-1]) / 25
     )
+
+
+def _trace_csv_bytes(trace, tmp_path):
+    """The trace CSV of ``trace`` as the library writes it, column by column,
+    and as the row-by-row rule in ``oracles`` writes it."""
+    columnar, rows = tmp_path / "columnar.csv", tmp_path / "rows.csv"
+    trace_to_csv(trace, columnar)
+    oracles.trace_to_csv(trace, rows)
+    return columnar.read_bytes(), rows.read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, _CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1])
+@on_both_branches
+def test_trace_csv_matches_the_row_by_row_rule(tmp_path, jobs):
+    """No jobs (the header alone), and runs that end just before, at and
+    just after a chunk boundary, so ``t`` runs on across chunks."""
+    cfg, recipe, est = small_market(T=jobs)
+    got, want = _trace_csv_bytes(run(cfg, recipe, est_cfg=est, record_tables=False), tmp_path)
+    assert got == want
+    lines = got.split(b"\r\n")
+    assert len(lines) == jobs + 2 and lines[-1] == b""
+    assert lines[-2].startswith(b"%d," % jobs if jobs else b"t,")
+
+
+@on_both_branches
+def test_trace_csv_of_infeasible_jobs_matches_the_row_by_row_rule(tmp_path):
+    cfg, recipe = pessimistic_market(T=40)
+    trace = run(cfg, recipe, record_tables=False)
+    assert trace.infeasible.all()
+    got, want = _trace_csv_bytes(trace, tmp_path)
+    assert got == want
+
+
+def test_trace_csv_writes_special_floats_as_the_row_by_row_rule(tmp_path):
+    """Signed zero, the smallest subnormal, exponent forms, inf and NaN, and
+    an infeasible job, in a hand-built trace."""
+    cfg, recipe, est = small_market(T=7)
+    values = [-0.0, 5e-324, 1e-05, 1e16, math.inf, math.nan, 1.0]
+    trace = SimulationTrace(
+        cfg=cfg,
+        est=est,
+        mode="learning",
+        workers=[],
+        oracle_cost=-0.0,
+        oracle_active=frozenset(),
+        infeasible=np.array([False] * 6 + [True]),
+        cost=np.array(values),
+        payment=-np.array(values),
+        active_size=np.array([1, 2, 3, 4, 5, 6, 0]),
+        match=np.array([True, False, True, True, False, True, False]),
+        utility_min=np.zeros(7),
+    )
+    got, want = _trace_csv_bytes(trace, tmp_path)
+    assert got == want
+    assert got.split(b"\r\n")[1:] == [
+        b"1,-0.0,0.0,-0.0,1,1,0.0",
+        b"2,5e-324,-5e-324,-0.0,2,0,0.0",
+        b"3,1e-05,-1e-05,-0.0,3,1,3.3333333333333337e-06",
+        b"4,1e+16,-1e+16,-0.0,4,1,2500000000000000.0",
+        b"5,inf,-inf,-0.0,5,0,inf",
+        b"6,nan,nan,-0.0,6,1,nan",
+        b"7,nan,nan,0.0,0,0,nan",
+        b"",
+    ]
 
 
 @pytest.mark.parametrize("jobs", [200, 2000])
