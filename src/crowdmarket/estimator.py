@@ -137,8 +137,9 @@ class WorkerStats:
     and each method is a scalar loop that applies the array operations in the
     same order (``math.sqrt`` for ``np.sqrt``, in-order subtraction for
     ``np.subtract.at``), so both forms hold the same floats; the store is the
-    same arrays in both.  The readers (``eta``, ``N_it``, ``rho_hat_plus`` and
-    the rest) return arrays in both forms and are read-only;
+    same arrays in both.  The array refresh writes into preallocated 2 x n
+    buffers, so the readers (``eta``, ``N_it``, ``rho_hat_plus`` and the
+    rest) return new arrays in both forms, which no later call changes;
     ``pessimistic_cap`` returns a list in the list form.
     """
 
@@ -158,8 +159,6 @@ class WorkerStats:
         self._u = (est.u_rho, est.u_beta)
         self._alpha = est.alpha
         self._scale = np.array([[u * est.alpha] for u in self._u])
-        # The eager indices are centre + radius for rho and centre - radius for beta.
-        self._sign = np.array([[1.0], [-1.0]])
         self._lo = np.array([[rho_bounds[0]], [beta_bounds[0]]])
         self._hi = np.array([[rho_bounds[1]], [beta_bounds[1]]])
         self._clamps = [(float(lo), float(hi)) for lo, hi in (rho_bounds, beta_bounds)]
@@ -179,8 +178,9 @@ class WorkerStats:
         # or in the list form the state that refresh read.
         if self._lists:
             self._refreshed_state = (0.0, state["_count"], state["_kept"], state["_unseen"])
-        else:
-            self._center, self._radius = np.zeros((2, n)), np.full((2, n), math.inf)
+        else:  # the refresh writes them into one buffer, with max(count, 1)
+            self._buffer = np.array([np.zeros((2, n)), np.full((2, n), math.inf), np.ones((2, n))])
+            self._center, self._radius = self._buffer[:2]
         self._n = n
         self._log_horizon = math.log(horizon) if horizon > 1 else 0.0
         self._keys, self._slots, self._values = np.empty(0), np.empty(0, np.intp), np.empty(0)
@@ -189,7 +189,7 @@ class WorkerStats:
 
     @property
     def eta(self) -> np.ndarray:
-        return np.asarray(self._eta)
+        return np.array(self._eta)
 
     @property
     def N_it(self) -> np.ndarray:
@@ -201,19 +201,19 @@ class WorkerStats:
 
     @property
     def rho_hat(self) -> np.ndarray:
-        return np.asarray(self._mean[_RHO])
+        return np.array(self._mean[_RHO])
 
     @property
     def beta_hat(self) -> np.ndarray:
-        return np.asarray(self._mean[_BETA])
+        return np.array(self._mean[_BETA])
 
     @property
     def rho_hat_plus(self) -> np.ndarray:
-        return np.asarray(self._eager[_RHO])
+        return np.array(self._eager[_RHO])
 
     @property
     def beta_hat_minus(self) -> np.ndarray:
-        return np.asarray(self._eager[_BETA])
+        return np.array(self._eager[_BETA])
 
     @property
     def rho_hat_minus(self) -> np.ndarray:
@@ -227,25 +227,34 @@ class WorkerStats:
         center, radius = self._last_indices()
         return np.minimum(np.maximum(center[_BETA] + radius[_BETA], lo), hi)
 
-    def _indices(self, log_t: float, count, kept, unseen):
-        """Centres and radii of both parameters (2 x n arrays) at ``log t``."""
-        denom = np.maximum(count, 1.0)
-        return kept / denom, 4.0 * np.sqrt(self._scale * log_t / denom) + unseen
+    def _indices(self, log_t: float, count, kept, unseen, out):
+        """Centres and radii of both parameters (2 x n arrays) at ``log t``,
+        written into ``out``: centres, radii and ``max(count, 1)``."""
+        center, radius, denom = out
+        np.maximum(count, 1.0, out=denom)
+        np.divide(kept, denom, out=center)
+        np.divide(self._scale * log_t, denom, out=radius)
+        np.sqrt(radius, out=radius)
+        np.multiply(4.0, radius, out=radius)
+        np.add(radius, unseen, out=radius)
+        return center, radius
 
     def _last_indices(self):
         """Centres and radii of the last refresh."""
         if self._lists:
-            return self._indices(*map(np.array, self._refreshed_state))
+            return self._indices(*map(np.array, self._refreshed_state), np.empty((3, 2, self._n)))
         return self._center, self._radius
 
     def _add(self, row: int, workers: np.ndarray, x: np.ndarray) -> None:
         """Record sample ``x[k]`` of parameter ``row`` for worker ``workers[k]``."""
         counts, kept, means = self._count[row], self._kept[row], self._mean[row]
-        count = counts[workers] + 1.0
+        count = counts[workers]
+        count += 1.0
         counts[workers] = count
         kept[workers] += x
         mean = means[workers]
-        means[workers] = mean + (x - mean) / count
+        mean += (x - mean) / count
+        means[workers] = mean
         c_min, x_max = float(count.min()), float(x.max())
         if c_min == 1.0:  # a worker's first sample is its mean
             first = count == 1.0
@@ -295,17 +304,21 @@ class WorkerStats:
 
     def _drop(self, log_t: float) -> None:
         """Subtract the stored samples with keys below ``log_t`` from the kept
-        sums, ordered by (row, worker, key, value): a per-worker heap's pop
+        sums in each worker's (key, value) order: a per-worker heap's pop
         order.  A key equal to ``log t`` is kept at t and dropped at t + 1."""
         keys, slots, values = self._keys, self._slots, self._values
         cut = keys.searchsorted(log_t)  # the first key >= log_t
-        order = np.lexsort((values[:cut], keys[:cut], slots[:cut]))
+        due, due_slots, due_values = keys[:cut], slots[:cut], values[:cut]
+        # Distinct keys put the store in that order already; ties need a sort.
+        if cut > 1 and np.count_nonzero(due[1:] == due[:-1]):
+            order = np.lexsort((due_values, due, due_slots))
+            due_slots, due_values = due_slots[order], due_values[order]
         if self._lists:
             n, kept = self._n, self._kept
-            for slot, v in zip(slots[order].tolist(), values[order].tolist()):
+            for slot, v in zip(due_slots.tolist(), due_values.tolist()):
                 kept[slot // n][slot % n] -= v
         else:
-            np.subtract.at(self._kept.reshape(-1), slots[order], values[order])
+            np.subtract.at(self._kept.reshape(-1), due_slots, due_values)
         self._keys, self._slots, self._values = keys[cut:], slots[cut:], values[cut:]
         self._next_key = float(keys[cut]) if cut < keys.size else math.inf
 
@@ -377,10 +390,12 @@ class WorkerStats:
         if self._lists:
             self._refresh_lists(log_t)
             return self
-        self._center, self._radius = center, radius = self._indices(
-            log_t, self._count, self._kept, self._unseen
-        )
-        self._eager = np.minimum(np.maximum(center + self._sign * radius, self._lo), self._hi)
+        center, radius = self._indices(log_t, self._count, self._kept, self._unseen, self._buffer)
+        eager = self._eager
+        np.add(center[_RHO], radius[_RHO], out=eager[_RHO])
+        np.subtract(center[_BETA], radius[_BETA], out=eager[_BETA])
+        np.maximum(eager, self._lo, out=eager)
+        np.minimum(eager, self._hi, out=eager)
         return self
 
     def _refresh_lists(self, log_t: float) -> None:

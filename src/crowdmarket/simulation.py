@@ -6,8 +6,9 @@ the active workers, feeds the observations back into the estimators, and
 records payments and welfare as one trace row, which :meth:`Simulator.trace`
 stacks into the per-job series.  The learning state of all workers is one
 :class:`WorkerStats` bank, and each of these layers is one call per job.
-While the caps repeat bit for bit, the job reuses the previous job's
-allocation, payments and row instead of recomputing them.  A known-means
+While the indices repeat bit for bit, the job reuses the previous job's caps
+(above ``_LIST_MAX`` workers), and while the caps repeat, its allocation,
+payments and row, instead of recomputing them.  A known-means
 mode pins the caps to the true parameters, which reproduces the omniscient
 baseline and serves as the zero-regret reference; it learns nothing, so it
 draws no outcomes.
@@ -140,7 +141,10 @@ class SimulationTrace:
 class Simulator:
     """Owns the learning state and outcome blocks of one run.
 
-    A job whose caps equal, bit for bit, those of the last feasible job reuses
+    Above ``_LIST_MAX`` workers, a job whose eager indices equal, bit for
+    bit, the last job's reuses that job's caps, a read-only array; this cache
+    is apart from the plan, because the last job may have been infeasible.  A
+    job whose caps equal, bit for bit, those of the last feasible job reuses
     that job's allocation and payments: both are deterministic in (costs,
     caps, cost_max).
 
@@ -192,8 +196,9 @@ class Simulator:
             sigma_log=cfg.sigma_log,
             delta=cfg.delta,
         )
-        # The last computed job: its caps, their key (the bytes of an array),
-        # then what they determine.
+        # The last eager indices' key and caps; then the last computed job: its
+        # caps, their key (the bytes of an array), then what they determine.
+        self._index_key = self._index_caps = None
         self._caps = self._caps_key = None
         self._plan = None
         self._infeasible_row = (True, math.nan, math.nan, 0, math.nan, False)
@@ -207,17 +212,25 @@ class Simulator:
 
     def current_caps(self, t: int):
         """Caps used for job ``t``, a list up to ``_LIST_MAX`` workers and an
-        array above; refreshes indices in learning mode."""
+        array above (the same read-only array while the indices repeat);
+        refreshes indices in learning mode."""
         if self.mode == "known-means":
             return self.true_caps
-        self.stats.refresh_indices(t)
-        return self.stats.pessimistic_cap(self.cfg.D, self.cfg.epsilon)
+        stats = self.stats.refresh_indices(t)
+        if self._lists:  # the caps change on most jobs of a small market
+            return stats.pessimistic_cap(self.cfg.D, self.cfg.epsilon)
+        key = stats._eager.tobytes()
+        if key != self._index_key:
+            caps = stats.pessimistic_cap(self.cfg.D, self.cfg.epsilon)
+            caps.flags.writeable = False  # handed out while the indices repeat
+            self._index_key, self._index_caps = key, caps
+        return self._index_caps
 
     def step(self, t: int) -> None:
         """Run job ``t`` (1-based) and append its row to the trace."""
         cfg = self.cfg
         caps = self.current_caps(t)
-        if caps is self._caps:  # known-means mode hands out one caps object per run
+        if caps is self._caps:  # one caps object serves a known-means run or repeated indices
             key = self._caps_key
         else:  # caps are positive floats, so equal lists have equal bytes
             key = caps if self._lists else caps.tobytes()
@@ -251,8 +264,8 @@ class Simulator:
             )
             if self.record_tables:
                 row += (x, rec.payments, rec.utilities)
-            self._caps, self._caps_key = caps, key
-            self._plan = (active, fractions, row)
+            self._caps_key, self._plan = key, (active, fractions, row)
+        self._caps = caps
         active, fractions, row = self._plan
 
         outcomes = self._no_outcomes
@@ -266,7 +279,7 @@ class Simulator:
             else:
                 observed = codes >= 0
                 if np.count_nonzero(observed):  # at n=400 most jobs observe no window
-                    self.stats.record_window(active[observed], codes[observed] > 0)
+                    self.stats.record_window(active[observed], codes[observed].view(bool))
             if self.record_tables:
                 completion = np.full(cfg.n, math.nan)
                 completion[active] = tau

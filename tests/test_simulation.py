@@ -39,6 +39,7 @@ from crowdmarket import (
     sw_greedy,
     trace_summary,
     trace_to_csv,
+    true_cap,
 )
 from crowdmarket.market import _CSV_CHUNK
 
@@ -296,6 +297,63 @@ def test_repeated_caps_reuse_the_allocation_and_payments(monkeypatch):
         assert trace.payment_table[-1].tobytes() == pay.payments.tobytes()
         assert trace.utility_table[-1].tobytes() == pay.utilities.tobytes()
     assert 1 < computed < cfg.T
+
+
+@on_both_branches
+def test_infeasible_jobs_under_repeated_indices():
+    """Feasible jobs, an infeasible one, jobs whose indices repeat it, then the
+    last feasible indices and the infeasible ones again.  Each job's row is
+    what ``sw_greedy`` makes of the caps of that job's own indices: an
+    infeasible row, or that allocation.  The indices are set by hand after
+    each real refresh."""
+    cfg, recipe = pessimistic_market(T=9)
+    n, beta_minus = cfg.n, [cfg.beta_bounds[0]] * cfg.n
+    wide, other, tiny = [20.0, 25.0, 30.0], [15.0, 30.0, 40.0], [500.0] * n  # rho+
+    script = [wide, wide, other, tiny, tiny, tiny, other, tiny, wide]
+    refresh = WorkerStats.refresh_indices
+
+    def scripted(self, t):
+        refresh(self, t)
+        indices = [script[t - 1], beta_minus]
+        self._eager = indices if self._lists else np.array(indices)
+        return self
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(WorkerStats, "refresh_indices", scripted)
+        sim = Simulator(cfg, recipe)
+        for t in range(1, cfg.T + 1):
+            sim.step(t)
+    trace = sim.trace()
+    for t, rho_plus in enumerate(script, start=1):
+        caps = true_cap(np.array(rho_plus), np.array(beta_minus), cfg.D, cfg.epsilon)
+        try:
+            fractions = sw_greedy(sim.costs, caps).fractions
+        except InfeasibleJob:
+            fractions = np.zeros(n)
+        assert trace.infeasible[t - 1] == (rho_plus is tiny), t
+        assert trace.fraction_table[t - 1].tobytes() == fractions.tobytes(), t
+
+
+def test_caps_handed_out_while_the_indices_repeat_are_read_only(monkeypatch):
+    """At 400 workers the reference market's indices stay clamped, so the caps
+    are computed once and the same array serves every job; no caller can
+    change a later job's caps through it."""
+    calls = []
+    pessimistic_cap = WorkerStats.pessimistic_cap
+    monkeypatch.setattr(
+        WorkerStats, "pessimistic_cap", lambda *args: calls.append(1) or pessimistic_cap(*args)
+    )
+    cfg = reference_config(T=20)
+    sim = Simulator(cfg, reference_recipe())
+    assert not sim._lists
+    caps = sim.current_caps(1)
+    for t in range(1, cfg.T + 1):
+        assert sim.current_caps(t) is caps
+        sim.step(t)
+    assert len(calls) == 1
+    assert not caps.flags.writeable
+    with pytest.raises(ValueError):
+        caps[0] = 1.0
 
 
 @on_both_branches
