@@ -327,11 +327,12 @@ def test_infeasible_jobs_under_repeated_indices():
     for t, rho_plus in enumerate(script, start=1):
         caps = true_cap(np.array(rho_plus), np.array(beta_minus), cfg.D, cfg.epsilon)
         try:
-            fractions = sw_greedy(sim.costs, caps).fractions
+            fractions, infeasible = sw_greedy(sim.costs, caps).fractions, False
         except InfeasibleJob:
-            fractions = np.zeros(n)
-        assert trace.infeasible[t - 1] == (rho_plus is tiny), t
+            fractions, infeasible = np.zeros(n), True
+        assert trace.infeasible[t - 1] == infeasible, t
         assert trace.fraction_table[t - 1].tobytes() == fractions.tobytes(), t
+    assert trace.infeasible.tolist() == [rho_plus is tiny for rho_plus in script]
 
 
 def test_caps_handed_out_while_the_indices_repeat_are_read_only(monkeypatch):
