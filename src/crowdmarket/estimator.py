@@ -137,9 +137,9 @@ class WorkerStats:
     and each method is a scalar loop that applies the array operations in the
     same order (``math.sqrt`` for ``np.sqrt``, in-order subtraction for
     ``np.subtract.at``), so both forms hold the same floats; the store is the
-    same arrays in both.  The array refresh writes into preallocated 2 x n
-    buffers, so the readers (``eta``, ``N_it``, ``rho_hat_plus`` and the
-    rest) return new arrays in both forms, which no later call changes;
+    same arrays in both.  The readers (``eta``, ``N_it``, ``rho_hat_plus`` and
+    the rest) return arrays in both forms and are read-only (``rho_hat_plus``
+    and ``beta_hat_minus`` copy what the refresh rewrites in place);
     ``pessimistic_cap`` returns a list in the list form.
     """
 
@@ -189,7 +189,7 @@ class WorkerStats:
 
     @property
     def eta(self) -> np.ndarray:
-        return np.array(self._eta)
+        return np.asarray(self._eta)
 
     @property
     def N_it(self) -> np.ndarray:
@@ -201,11 +201,11 @@ class WorkerStats:
 
     @property
     def rho_hat(self) -> np.ndarray:
-        return np.array(self._mean[_RHO])
+        return np.asarray(self._mean[_RHO])
 
     @property
     def beta_hat(self) -> np.ndarray:
-        return np.array(self._mean[_BETA])
+        return np.asarray(self._mean[_BETA])
 
     @property
     def rho_hat_plus(self) -> np.ndarray:
@@ -248,13 +248,11 @@ class WorkerStats:
     def _add(self, row: int, workers: np.ndarray, x: np.ndarray) -> None:
         """Record sample ``x[k]`` of parameter ``row`` for worker ``workers[k]``."""
         counts, kept, means = self._count[row], self._kept[row], self._mean[row]
-        count = counts[workers]
-        count += 1.0
+        count = counts[workers] + 1.0
         counts[workers] = count
         kept[workers] += x
         mean = means[workers]
-        mean += (x - mean) / count
-        means[workers] = mean
+        means[workers] = mean + (x - mean) / count
         c_min, x_max = float(count.min()), float(x.max())
         if c_min == 1.0:  # a worker's first sample is its mean
             first = count == 1.0
@@ -294,7 +292,10 @@ class WorkerStats:
             self._file(*zip(*early))
 
     def _file(self, keys, slots, values) -> None:
-        """Merge samples that drop before the horizon into the key-sorted store."""
+        """Merge samples that drop before the horizon into the key-sorted store.
+        The stable sort keeps a worker's tied keys in filing order, which is
+        value order: a batch files one sample per worker and row, and a key
+        equal to an earlier one of the worker has a larger count and value."""
         keys = np.concatenate((self._keys, keys))
         order = keys.argsort(kind="stable")
         self._keys = keys[order]
@@ -304,21 +305,17 @@ class WorkerStats:
 
     def _drop(self, log_t: float) -> None:
         """Subtract the stored samples with keys below ``log_t`` from the kept
-        sums in each worker's (key, value) order: a per-worker heap's pop
-        order.  A key equal to ``log t`` is kept at t and dropped at t + 1."""
+        sums in store order, each worker's (key, value) order (see ``_file``):
+        a per-worker heap's pop order.  A key equal to ``log t`` is kept at t
+        and dropped at t + 1."""
         keys, slots, values = self._keys, self._slots, self._values
         cut = keys.searchsorted(log_t)  # the first key >= log_t
-        due, due_slots, due_values = keys[:cut], slots[:cut], values[:cut]
-        # Distinct keys put the store in that order already; ties need a sort.
-        if cut > 1 and np.count_nonzero(due[1:] == due[:-1]):
-            order = np.lexsort((due_values, due, due_slots))
-            due_slots, due_values = due_slots[order], due_values[order]
         if self._lists:
             n, kept = self._n, self._kept
-            for slot, v in zip(due_slots.tolist(), due_values.tolist()):
+            for slot, v in zip(slots[:cut].tolist(), values[:cut].tolist()):
                 kept[slot // n][slot % n] -= v
         else:
-            np.subtract.at(self._kept.reshape(-1), due_slots, due_values)
+            np.subtract.at(self._kept.reshape(-1), slots[:cut], values[:cut])
         self._keys, self._slots, self._values = keys[cut:], slots[cut:], values[cut:]
         self._next_key = float(keys[cut]) if cut < keys.size else math.inf
 

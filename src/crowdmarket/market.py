@@ -292,8 +292,7 @@ def sample_outcome(blocks: OutcomeBlocks, workers, fractions):
         pos[spent] = 0
     blocks.cursor[workers] = pos + 1
     cells = workers * BLOCK + pos
-    tau = blocks.jct.take(cells)
-    tau *= fractions
+    tau = fractions * blocks.jct.take(cells)
     # -1 (all bits set) where the work is shorter than the window, else 0 or 1.
     window = np.negative((tau < blocks.delta).view(np.int8))
     window |= blocks.failed.take(cells).view(np.int8)

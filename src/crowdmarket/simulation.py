@@ -6,9 +6,9 @@ the active workers, feeds the observations back into the estimators, and
 records payments and welfare as one trace row, which :meth:`Simulator.trace`
 stacks into the per-job series.  The learning state of all workers is one
 :class:`WorkerStats` bank, and each of these layers is one call per job.
-While the indices repeat bit for bit, the job reuses the previous job's caps
-(above ``_LIST_MAX`` workers), and while the caps repeat, its allocation,
-payments and row, instead of recomputing them.  A known-means
+While the caps repeat bit for bit (above ``_LIST_MAX`` workers in learning
+mode: while the indices do), the job reuses the previous job's caps,
+allocation, payments and row instead of recomputing them.  A known-means
 mode pins the caps to the true parameters, which reproduces the omniscient
 baseline and serves as the zero-regret reference; it learns nothing, so it
 draws no outcomes.
@@ -141,12 +141,10 @@ class SimulationTrace:
 class Simulator:
     """Owns the learning state and outcome blocks of one run.
 
-    Above ``_LIST_MAX`` workers, a job whose eager indices equal, bit for
-    bit, the last job's reuses that job's caps, a read-only array; this cache
-    is apart from the plan, because the last job may have been infeasible.  A
-    job whose caps equal, bit for bit, those of the last feasible job reuses
-    that job's allocation and payments: both are deterministic in (costs,
-    caps, cost_max).
+    A job whose caps equal, bit for bit, the last job's reuses its allocation
+    and payments, or its infeasibility: all deterministic in (costs, caps,
+    cost_max).  Above ``_LIST_MAX`` workers the learner keys them on the eager
+    indices, which determine the caps, and repeated indices reuse the caps too.
 
     Up to ``_LIST_MAX`` workers the caps (``true_caps`` too), the reused plan
     and the outcomes are Python lists, as the bank's and the outcome blocks'
@@ -196,9 +194,8 @@ class Simulator:
             sigma_log=cfg.sigma_log,
             delta=cfg.delta,
         )
-        # The last eager indices' key and caps; then the last computed job: its
-        # caps, their key (the bytes of an array), then what they determine.
-        self._index_key = self._index_caps = None
+        # The last job's caps, their key (the eager indices' bytes in the array
+        # learning form), then what they determine: its plan, None until computed.
         self._caps = self._caps_key = None
         self._plan = None
         self._infeasible_row = (True, math.nan, math.nan, 0, math.nan, False)
@@ -220,53 +217,27 @@ class Simulator:
         if self._lists:  # the caps change on most jobs of a small market
             return stats.pessimistic_cap(self.cfg.D, self.cfg.epsilon)
         key = stats._eager.tobytes()
-        if key != self._index_key:
+        if key != self._caps_key:
             caps = stats.pessimistic_cap(self.cfg.D, self.cfg.epsilon)
             caps.flags.writeable = False  # handed out while the indices repeat
-            self._index_key, self._index_caps = key, caps
-        return self._index_caps
+            self._caps, self._caps_key, self._plan = caps, key, None
+        return self._caps
 
     def step(self, t: int) -> None:
         """Run job ``t`` (1-based) and append its row to the trace."""
         cfg = self.cfg
         caps = self.current_caps(t)
-        if caps is self._caps:  # one caps object serves a known-means run or repeated indices
-            key = self._caps_key
-        else:  # caps are positive floats, so equal lists have equal bytes
+        if caps is not self._caps:  # caps are positive floats, so equal lists have equal bytes
             key = caps if self._lists else caps.tobytes()
-        if key != self._caps_key:
-            try:
-                alloc = sw_greedy(self.bids, caps)
-            except InfeasibleJob:
-                self._rows.append(self._infeasible_row)
-                return
-            rec = job_payments(alloc, caps, self.bids, cfg.cost_bounds[1])  # truthful bids
-            x = alloc.fractions
-            if self._lists:
-                xs = x.tolist()
-                active = [i for i, xi in enumerate(xs) if xi]
-                fractions = [xs[i] for i in active]
-                # Positive caps and truthful bids make every utility a finite
-                # float other than -0.0, so Python's min is numpy's.
-                utility_min = min(rec.utilities.tolist())
-            else:
-                active = x.nonzero()[0]
-                fractions = x[active]
-                utility_min = float(rec.utilities.min())
-            oracle = self.oracle_active  # distinct ids: equal sizes and a superset is equality
-            row = (
-                False,
-                float(self.costs @ x),
-                float(rec.payments.sum()),
-                len(active),
-                utility_min,
-                len(active) == len(oracle) and oracle.issuperset(_as_list(active)),
-            )
-            if self.record_tables:
-                row += (x, rec.payments, rec.utilities)
-            self._caps_key, self._plan = key, (active, fractions, row)
-        self._caps = caps
+            if key != self._caps_key:
+                self._caps_key, self._plan = key, None
+            self._caps = caps
+        if self._plan is None:
+            self._plan = self._solve(caps)
         active, fractions, row = self._plan
+        if active is None:  # an infeasible job draws and learns nothing
+            self._rows.append(row)
+            return
 
         outcomes = self._no_outcomes
         if self.mode == "learning":
@@ -279,7 +250,7 @@ class Simulator:
             else:
                 observed = codes >= 0
                 if np.count_nonzero(observed):  # at n=400 most jobs observe no window
-                    self.stats.record_window(active[observed], codes[observed].view(bool))
+                    self.stats.record_window(active[observed], codes[observed] > 0)
             if self.record_tables:
                 completion = np.full(cfg.n, math.nan)
                 completion[active] = tau
@@ -287,6 +258,39 @@ class Simulator:
                 window[active] = codes
                 outcomes = (completion, window)
         self._rows.append(row + outcomes)
+
+    def _solve(self, caps):
+        """A job's plan: its active workers (None if it is infeasible), their
+        fractions and its trace row."""
+        try:
+            alloc = sw_greedy(self.bids, caps)
+        except InfeasibleJob:
+            return None, None, self._infeasible_row
+        rec = job_payments(alloc, caps, self.bids, self.cfg.cost_bounds[1])  # truthful bids
+        x = alloc.fractions
+        if self._lists:
+            xs = x.tolist()
+            active = [i for i, xi in enumerate(xs) if xi]
+            fractions = [xs[i] for i in active]
+            # Positive caps and truthful bids make every utility a finite
+            # float other than -0.0, so Python's min is numpy's.
+            utility_min = min(rec.utilities.tolist())
+        else:
+            active = x.nonzero()[0]
+            fractions = x[active]
+            utility_min = float(rec.utilities.min())
+        oracle = self.oracle_active  # distinct ids: equal sizes and a superset is equality
+        row = (
+            False,
+            float(self.costs @ x),
+            float(rec.payments.sum()),
+            len(active),
+            utility_min,
+            len(active) == len(oracle) and oracle.issuperset(_as_list(active)),
+        )
+        if self.record_tables:
+            row += (x, rec.payments, rec.utilities)
+        return active, fractions, row
 
     def trace(self) -> SimulationTrace:
         rows = np.array(self._rows, dtype=self._row_dtype)

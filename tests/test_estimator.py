@@ -533,43 +533,13 @@ def test_equal_keys_drop_in_value_order(n):
 
 
 @on_both_branches
-def test_tied_keys_filed_out_of_value_order_drop_in_value_order():
-    """Recording files a worker's tied samples in ascending value order (the
-    later sample has the larger count, so a tie needs the larger value), and
-    then the store's order is already the drop order.  So this test files a
-    tie directly, larger value first, beside other workers' samples: the drop
-    must still subtract each worker's samples in (key, value) order, which
-    leaves the kept sums of sequential subtraction in (slot, key, value)
-    order, bit for bit."""
-    n = 3
-    est = EstimatorConfig(u_rho=40.0, u_beta=3.0, alpha=2.0)
-    bank = WorkerStats(n, est, (0.1, 30.0), (1.0, 9.0), 0.5, horizon=10)
-    # keys of at least 40 / (2 * 2.5**2) = 3.2 > log 10: these never drop
-    bank.record_jct_sample([0, 1, 2], [1.1, 2.5, 0.7], [1.0] * n)
-    assert bank._keys.size == 0
-    # (key, slot, value): worker 1's tie, a tie of worker 0 with it, worker 2's beta
-    filed = [(0.5, 1, 0.6), (0.5, 0, 0.2), (0.5, 1, 0.3), (0.3, n + 2, 0.4)]
-    keys, slots, values = zip(*filed)
-    bank._file(np.array(keys), np.array(slots, dtype=np.intp), np.array(values))
-    before = np.array(bank._kept).reshape(-1).tolist()
-    expected = before[:]
-    for _, slot, value in sorted(filed, key=lambda f: (f[1], f[0], f[2])):
-        expected[slot] -= value
-    assert expected[1] != before[1] - 0.6 - 0.3  # the filing order leaves other floats
-    bank.refresh_indices(2)  # every filed key is below log 2
-    assert np.array(bank._kept).reshape(-1).tolist() == expected
-    assert bank._keys.size == 0 and bank._next_key == math.inf
-
-
-@on_both_branches
 def test_readers_return_arrays_that_later_refreshes_leave_alone():
     """The array refresh writes the indices into buffers it keeps; arrays the
-    readers handed out before stay as they were."""
+    index readers handed out before stay as they were."""
     stats, _ = make_stats(n=2, u_rho=110.0)
     record_jct(stats, 60.0, 1.0)
     stats.refresh_indices(10)
-    names = ("rho_hat_plus", "beta_hat_minus", "rho_hat_minus", "beta_hat_plus",
-             "rho_hat", "beta_hat", "eta", "N_it", "N_beta_it")
+    names = ("rho_hat_plus", "beta_hat_minus", "rho_hat_minus", "beta_hat_plus")
     read = {name: getattr(stats, name) for name in names}
     saved = {name: a.copy() for name, a in read.items()}
     for k in range(50):
