@@ -16,6 +16,7 @@ instance in every replicate.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -35,7 +36,7 @@ from .market import (
     validate_config,
 )
 from .mechanism import deviation_sweep, random_frozen_instance
-from .simulation import run, summary_to_json, trace_summary, trace_to_csv
+from .simulation import MODES, run, summary_to_json, trace_summary, trace_to_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -197,9 +198,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     target, cast = _SWEEPABLE[args.param]
     try:
         values = [cast(v) for v in args.values.split(",") if v.strip()]
+        if not all(abs(v) < math.inf for v in values):  # NaN included
+            raise ValueError
     except ValueError:
-        print(f"sweep: --values for {args.param} must be {cast.__name__}s, got {args.values!r}",
-              file=sys.stderr)
+        print(f"sweep: --values for {args.param} must be finite {cast.__name__}s, "
+              f"got {args.values!r}", file=sys.stderr)
         return EXIT_USAGE
     if not values:
         print("sweep: --values must contain at least one value", file=sys.stderr)
@@ -210,6 +213,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cfg = validate_config(replace(cfg, seed=args.seed))
 
     out_root = Path(args.out)
+    out_root.mkdir(parents=True, exist_ok=True)
     results = []
     any_ok = False
     for v in values:
@@ -233,6 +237,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     summary_to_json({"param": args.param, "results": results}, out_root / "sweep.json")
     print(f"sweep: {len(values)} values of {args.param} written to {out_root}")
+    if all("error" in r for r in results):
+        print(f"sweep: no value of {args.param} gave a valid config", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK if any_ok else EXIT_INFEASIBLE
 
 
@@ -243,13 +250,16 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sim = sub.add_parser("simulate", help="run replicated simulations from a config file")
-    sim.add_argument("--config", required=True, help="path to key/value config file")
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--replicates", type=_count(1), default=1)
-    sim.add_argument("--seed", type=int, default=None, help="override the config seed base")
-    sim.add_argument("--mode", choices=["learning", "known-means"], default="learning")
-    sim.add_argument("--parallelism", type=_count(1), default=1)
+    runs = argparse.ArgumentParser(add_help=False)  # the options of simulate and sweep
+    runs.add_argument("--config", required=True, help="path to key/value config file")
+    runs.add_argument("--out", required=True, help="output directory")
+    runs.add_argument("--replicates", type=_count(1), default=1)
+    runs.add_argument("--seed", type=int, default=None, help="override the config seed base")
+    runs.add_argument("--mode", choices=MODES, default="learning")
+    runs.add_argument("--parallelism", type=_count(1), default=1)
+
+    sim = sub.add_parser("simulate", parents=[runs],
+                         help="run replicated simulations from a config file")
     sim.set_defaults(func=_cmd_simulate)
 
     dsic = sub.add_parser("dsic-test", help="deviation sweeps over random frozen instances")
@@ -259,15 +269,9 @@ def _parser() -> argparse.ArgumentParser:
     dsic.add_argument("--seed", type=_count(0), default=0)
     dsic.set_defaults(func=_cmd_dsic_test)
 
-    swp = sub.add_parser("sweep", help="vary one config key over a list of values")
-    swp.add_argument("--config", required=True)
-    swp.add_argument("--out", required=True)
+    swp = sub.add_parser("sweep", parents=[runs], help="vary one config key over a list of values")
     swp.add_argument("--param", required=True, help=f"one of {', '.join(sorted(_SWEEPABLE))}")
     swp.add_argument("--values", required=True, help="comma-separated list")
-    swp.add_argument("--replicates", type=_count(1), default=1)
-    swp.add_argument("--seed", type=int, default=None)
-    swp.add_argument("--mode", choices=["learning", "known-means"], default="learning")
-    swp.add_argument("--parallelism", type=_count(1), default=1)
     swp.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -152,16 +152,12 @@ class WorkerStats:
         delta: float,
         horizon: int,
     ) -> None:
-        self.rho_bounds = rho_bounds
-        self.beta_bounds = beta_bounds
         self.delta = delta
         self.horizon = horizon
         self._u = (est.u_rho, est.u_beta)
         self._alpha = est.alpha
         self._scale = np.array([[u * est.alpha] for u in self._u])
-        self._lo = np.array([[rho_bounds[0]], [beta_bounds[0]]])
-        self._hi = np.array([[rho_bounds[1]], [beta_bounds[1]]])
-        self._clamps = [(float(lo), float(hi)) for lo, hi in (rho_bounds, beta_bounds)]
+        self._bounds = np.array([rho_bounds, beta_bounds], dtype=float)  # (lo, hi) rows
         initial = np.array([np.full(n, rho_bounds[1]), np.full(n, beta_bounds[0])])
         self._lists = n <= _LIST_MAX
         state = {
@@ -217,13 +213,13 @@ class WorkerStats:
 
     @property
     def rho_hat_minus(self) -> np.ndarray:
-        lo, hi = self.rho_bounds
+        lo, hi = self._bounds[_RHO]
         center, radius = self._last_indices()
         return np.minimum(np.maximum(center[_RHO] - radius[_RHO], lo), hi)
 
     @property
     def beta_hat_plus(self) -> np.ndarray:
-        lo, hi = self.beta_bounds
+        lo, hi = self._bounds[_BETA]
         center, radius = self._last_indices()
         return np.minimum(np.maximum(center[_BETA] + radius[_BETA], lo), hi)
 
@@ -391,8 +387,8 @@ class WorkerStats:
         eager = self._eager
         np.add(center[_RHO], radius[_RHO], out=eager[_RHO])
         np.subtract(center[_BETA], radius[_BETA], out=eager[_BETA])
-        np.maximum(eager, self._lo, out=eager)
-        np.minimum(eager, self._hi, out=eager)
+        np.maximum(eager, self._bounds[:, :1], out=eager)
+        np.minimum(eager, self._bounds[:, 1:], out=eager)
         return self
 
     def _refresh_lists(self, log_t: float) -> None:
@@ -400,7 +396,7 @@ class WorkerStats:
         indices keep a copy of the state it read."""
         sqrt = math.sqrt
         self._eager = []
-        for row, sign, (lo, hi) in zip((_RHO, _BETA), (1.0, -1.0), self._clamps):
+        for row, sign, (lo, hi) in zip((_RHO, _BETA), (1.0, -1.0), self._bounds.tolist()):
             scale = self._u[row] * self._alpha * log_t
             initial = hi if sign > 0 else lo
             eager = []

@@ -6,12 +6,12 @@ the active workers, feeds the observations back into the estimators, and
 records payments and welfare as one trace row, which :meth:`Simulator.trace`
 stacks into the per-job series.  The learning state of all workers is one
 :class:`WorkerStats` bank, and each of these layers is one call per job.
-While the caps repeat bit for bit (above ``_LIST_MAX`` workers in learning
-mode: while the indices do), the job reuses the previous job's caps,
-allocation, payments and row instead of recomputing them.  A known-means
-mode pins the caps to the true parameters, which reproduces the omniscient
-baseline and serves as the zero-regret reference; it learns nothing, so it
-draws no outcomes.
+With truthful bids a job's caps and plan (allocation, payments and row) are
+determined by its eager indices, so while those repeat the job reuses the
+previous job's instead of recomputing them.  A known-means mode pins the caps
+to the true parameters and solves its one plan at job 1, which reproduces the
+omniscient baseline and serves as the zero-regret reference; it learns
+nothing, so it draws no outcomes.
 """
 
 from __future__ import annotations
@@ -141,10 +141,11 @@ class SimulationTrace:
 class Simulator:
     """Owns the learning state and outcome blocks of one run.
 
-    A job whose caps equal, bit for bit, the last job's reuses its allocation
-    and payments, or its infeasibility: all deterministic in (costs, caps,
-    cost_max).  Above ``_LIST_MAX`` workers the learner keys them on the eager
-    indices, which determine the caps, and repeated indices reuse the caps too.
+    A job's plan (its allocation and payments, or its infeasibility) is
+    deterministic in (costs, caps, cost_max), and its caps are deterministic
+    in its eager indices.  So in learning mode one key, the eager indices,
+    guards the caps and the plan in both forms: a job whose indices equal the
+    last job's reuses both.  Known-means mode solves its plan at job 1 and keeps it.
 
     Up to ``_LIST_MAX`` workers the caps (``true_caps`` too), the reused plan
     and the outcomes are Python lists, as the bank's and the outcome blocks'
@@ -194,10 +195,9 @@ class Simulator:
             sigma_log=cfg.sigma_log,
             delta=cfg.delta,
         )
-        # The last job's caps, their key (the eager indices' bytes in the array
-        # learning form), then what they determine: its plan, None until computed.
-        self._caps = self._caps_key = None
-        self._plan = None
+        # The last job's caps, their key (its eager indices) and the plan they
+        # determine, None until computed.  Known-means caps never change.
+        self._caps, self._key, self._plan = self.true_caps, None, None
         self._infeasible_row = (True, math.nan, math.nan, 0, math.nan, False)
         self._no_outcomes = ()
         if record_tables:  # a scalar fills its whole table row
@@ -208,30 +208,26 @@ class Simulator:
         self._rows: list[tuple] = []
 
     def current_caps(self, t: int):
-        """Caps used for job ``t``, a list up to ``_LIST_MAX`` workers and an
-        array above (the same read-only array while the indices repeat);
-        refreshes indices in learning mode."""
-        if self.mode == "known-means":
-            return self.true_caps
-        stats = self.stats.refresh_indices(t)
-        if self._lists:  # the caps change on most jobs of a small market
-            return stats.pessimistic_cap(self.cfg.D, self.cfg.epsilon)
-        key = stats._eager.tobytes()
-        if key != self._caps_key:
-            caps = stats.pessimistic_cap(self.cfg.D, self.cfg.epsilon)
-            caps.flags.writeable = False  # handed out while the indices repeat
-            self._caps, self._caps_key, self._plan = caps, key, None
+        """Caps used for job ``t``, a list up to ``_LIST_MAX`` workers and a
+        read-only array above, the same object while the eager indices repeat;
+        refreshes the indices in learning mode.  A change of indices clears
+        the plan, the one place that does."""
+        if self.mode == "learning":
+            stats = self.stats.refresh_indices(t)
+            # The list refresh rebinds _eager and never writes into the old
+            # lists, so the key can hold them and compare them by value.
+            key = stats._eager if self._lists else stats._eager.tobytes()
+            if key != self._key:
+                caps = stats.pessimistic_cap(self.cfg.D, self.cfg.epsilon)
+                if not self._lists:
+                    caps.flags.writeable = False  # handed out while the indices repeat
+                self._caps, self._key, self._plan = caps, key, None
         return self._caps
 
     def step(self, t: int) -> None:
         """Run job ``t`` (1-based) and append its row to the trace."""
         cfg = self.cfg
         caps = self.current_caps(t)
-        if caps is not self._caps:  # caps are positive floats, so equal lists have equal bytes
-            key = caps if self._lists else caps.tobytes()
-            if key != self._caps_key:
-                self._caps_key, self._plan = key, None
-            self._caps = caps
         if self._plan is None:
             self._plan = self._solve(caps)
         active, fractions, row = self._plan

@@ -239,10 +239,13 @@ def test_repeated_config_key_exits_3(tmp_path, capsys):
         (None, ["dsic-test", "--seed", "-1"], 2),
         (None, ["sweep", "--param", "seed", "--values", "1.5"], 2),
         (None, ["sweep", "--param", "epsilon", "--values", "abc"], 2),
+        (None, ["sweep", "--param", "delta", "--values", "nan,0.4"], 2),
+        (None, ["sweep", "--param", "delta", "--values", "0.4,-inf"], 2),
     ],
     ids=[
         "group count 2.5", "group cost abc", "simulate seed -1", "config seed -3",
-        "dsic-test seed -1", "sweep seed 1.5", "sweep epsilon abc",
+        "dsic-test seed -1", "sweep seed 1.5", "sweep epsilon abc", "sweep delta nan",
+        "sweep delta -inf",
     ],
 )
 def test_malformed_input_exits_without_traceback(config_edit, argv, code, tmp_path, capsys):
@@ -325,6 +328,15 @@ def test_dsic_test_reports_tiny_max_gain(tmp_path, capsys):
     assert "max utility gain" in capsys.readouterr().out
 
 
+def _strict_json(path):
+    """Parse ``path`` as standard JSON, which has no NaN or Infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_sweep_over_epsilon(config_file, tmp_path):
     out = tmp_path / "sweep"
     code = main(
@@ -334,7 +346,7 @@ def test_sweep_over_epsilon(config_file, tmp_path):
         ]
     )
     assert code == 0
-    summary = json.loads((out / "sweep.json").read_text())
+    summary = _strict_json(out / "sweep.json")
     assert {r["value"] for r in summary["results"]} == {0.15, 0.2}
     assert (out / "epsilon_0.15" / "replicate_000.csv").is_file()
     assert (out / "epsilon_0.2" / "aggregate.json").is_file()
@@ -354,6 +366,19 @@ def test_sweep_records_an_invalid_value_and_goes_on(config_file, tmp_path, param
     assert good["exit"] == 0 and "error" not in good
     assert failed["value"] == bad and failed["error"]
     assert sorted(p.name for p in out.iterdir()) == [f"{param}_{good['value']}", "sweep.json"]
+
+
+def test_sweep_with_no_valid_value_exits_3(config_file, tmp_path, capsys):
+    """A sweep whose every value is invalid still writes ``sweep.json``,
+    with one error entry per value, and exits 3 without a traceback."""
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(config_file), "--out", str(out), "--param", "epsilon"]
+    assert main(argv + ["--values", "2,1.5"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1 and "epsilon" in err
+    results = _strict_json(out / "sweep.json")["results"]
+    assert [r["value"] for r in results] == [2.0, 1.5] and all(r["error"] for r in results)
+    assert [p.name for p in out.iterdir()] == ["sweep.json"]
 
 
 def test_sweep_rejects_unknown_param(config_file, tmp_path, capsys):

@@ -335,26 +335,33 @@ def test_infeasible_jobs_under_repeated_indices():
     assert trace.infeasible.tolist() == [rho_plus is tiny for rho_plus in script]
 
 
+@on_both_branches
 def test_caps_handed_out_while_the_indices_repeat_are_read_only(monkeypatch):
-    """At 400 workers the reference market's indices stay clamped, so the caps
-    are computed once and the same array serves every job; no caller can
-    change a later job's caps through it."""
-    calls = []
+    """The reference market's indices stay clamped, and the desk market's
+    hold still for its first 545 jobs, so the caps are computed once and the
+    same object serves every job; no caller can change a later job's caps
+    through an array."""
     pessimistic_cap = WorkerStats.pessimistic_cap
-    monkeypatch.setattr(
-        WorkerStats, "pessimistic_cap", lambda *args: calls.append(1) or pessimistic_cap(*args)
-    )
-    cfg = reference_config(T=20)
-    sim = Simulator(cfg, reference_recipe())
-    assert not sim._lists
-    caps = sim.current_caps(1)
-    for t in range(1, cfg.T + 1):
-        assert sim.current_caps(t) is caps
-        sim.step(t)
-    assert len(calls) == 1
-    assert not caps.flags.writeable
-    with pytest.raises(ValueError):
-        caps[0] = 1.0
+    desk = desk_config(T=20)
+    for cfg, recipe, est in (
+        (reference_config(T=20), reference_recipe(), None),
+        (desk, desk_recipe(), desk_estimator(desk)),
+    ):
+        calls = []
+        monkeypatch.setattr(
+            WorkerStats, "pessimistic_cap",
+            lambda *args: calls.append(1) or pessimistic_cap(*args),
+        )
+        sim = Simulator(cfg, recipe, est_cfg=est)
+        caps = sim.current_caps(1)
+        for t in range(1, cfg.T + 1):
+            assert sim.current_caps(t) is caps
+            sim.step(t)
+        assert len(calls) == 1
+        if not sim._lists:
+            assert not caps.flags.writeable
+            with pytest.raises(ValueError):
+                caps[0] = 1.0
 
 
 @on_both_branches
@@ -379,7 +386,8 @@ def test_names_patched_by_the_benchmark_tracer_exist(monkeypatch):
     """perfbench/run.py --trace 1 wraps these names through vars(owner)[name];
     renaming one makes it fail with a KeyError.  Its per-layer split needs
     every job of a list-branch desk run to call each layer through them:
-    once per job, and ``record_window`` once per job that observed a window
+    once per job, ``pessimistic_cap`` once per job whose eager indices
+    changed, and ``record_window`` once per job that observed a window
     (every job at desk6's 0.5 window, about a third at a 3.0 window)."""
     module = vars(crowdmarket.simulation)
     for name in ("sample_outcome", "outcome_streams", "sample_population", "sw_greedy",
@@ -410,14 +418,18 @@ def test_names_patched_by_the_benchmark_tracer_exist(monkeypatch):
         cfg = replace(desk_config(T=300), delta=delta)
         sim = Simulator(cfg, desk_recipe(), est_cfg=desk_estimator(cfg))
         assert sim._lists and sim.stats._lists and sim.outcomes._lists
+        indices, moved = None, 0
         for t in range(1, cfg.T + 1):
             sim.step(t)
+            last = indices
+            indices = sim.stats.rho_hat_plus.tobytes() + sim.stats.beta_hat_minus.tobytes()
+            moved += indices != last
         trace = sim.trace()
         observed = ((trace.fraction_table > 0) & (trace.window_table >= 0)).any(axis=1)
         assert not trace.infeasible.any()
         assert calls == {
             "refresh_indices": cfg.T,
-            "pessimistic_cap": cfg.T,
+            "pessimistic_cap": moved,
             "sample_outcome": cfg.T,
             "record_jct_sample": cfg.T,
             "record_window": int(observed.sum()),
