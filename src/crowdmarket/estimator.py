@@ -64,11 +64,15 @@ class EstimatorConfig:
         """
         rho_hi = cfg.rho_bounds[1]
         beta_hi = cfg.beta_bounds[1]
-        return cls(
-            u_rho=rho_hi * rho_hi * math.exp(cfg.sigma_log * cfg.sigma_log),
-            u_beta=2.0 * (beta_hi + cfg.delta) ** 2,
-            alpha=alpha,
-        )
+        try:
+            u_rho = rho_hi * rho_hi * math.exp(cfg.sigma_log * cfg.sigma_log)
+            u_beta = 2.0 * (beta_hi + cfg.delta) ** 2
+        except OverflowError:
+            raise InvalidConfig(
+                f"sigma_log={cfg.sigma_log}, beta_max={beta_hi} and delta={cfg.delta} "
+                "overflow the default second-moment bounds"
+            ) from None
+        return cls(u_rho=u_rho, u_beta=u_beta, alpha=alpha)
 
     def validate(self, cfg: MarketConfig) -> "EstimatorConfig":
         rho_hi = cfg.rho_bounds[1]
@@ -82,7 +86,7 @@ class EstimatorConfig:
                 f"u_rho={self.u_rho} is below rho_max**2={rho_hi * rho_hi}; "
                 "not a valid second-moment bound"
             )
-        min_u_beta = (beta_hi + cfg.delta) ** 2
+        min_u_beta = (beta_hi + cfg.delta) * (beta_hi + cfg.delta)  # inf on overflow
         if self.u_beta < min_u_beta:
             raise InvalidConfig(
                 f"u_beta={self.u_beta} is below (beta_max + delta)**2={min_u_beta}"
@@ -117,8 +121,9 @@ class WorkerStats:
     and are always clamped to the configured parameter bounds.  The caps read
     only ``rho_hat_plus`` and ``beta_hat_minus``, so only those two are
     refreshed eagerly; ``rho_hat_minus`` and ``beta_hat_plus`` are computed
-    when read, from the centres and radii of the last refresh.  Jobs are
-    refreshed in non-decreasing order, up to ``horizon``.
+    when read, from the centres and radii of the last refresh, which both
+    forms keep in ``_center`` and ``_radius``.  Jobs are refreshed in
+    non-decreasing order, up to ``horizon``.
 
     The two parameters share 2 x n arrays, row 0 for completion times and
     row 1 for failure surrogates, so a refresh is a handful of array
@@ -138,9 +143,8 @@ class WorkerStats:
     same order (``math.sqrt`` for ``np.sqrt``, in-order subtraction for
     ``np.subtract.at``), so both forms hold the same floats; the store is the
     same arrays in both.  The readers (``eta``, ``N_it``, ``rho_hat_plus`` and
-    the rest) return arrays in both forms and are read-only (``rho_hat_plus``
-    and ``beta_hat_minus`` copy what the refresh rewrites in place);
-    ``pessimistic_cap`` returns a list in the list form.
+    the rest) return fresh arrays in both forms, which later calls leave
+    alone; ``pessimistic_cap`` returns a list in the list form.
     """
 
     def __init__(
@@ -170,13 +174,10 @@ class WorkerStats:
         }
         for name, value in state.items():
             setattr(self, name, value.tolist() if self._lists else value)
-        # Read by the lazy indices: the centres and radii of the last refresh,
-        # or in the list form the state that refresh read.
-        if self._lists:
-            self._refreshed_state = (0.0, state["_count"], state["_kept"], state["_unseen"])
-        else:  # the refresh writes them into one buffer, with max(count, 1)
-            self._buffer = np.array([np.zeros((2, n)), np.full((2, n), math.inf), np.ones((2, n))])
-            self._center, self._radius = self._buffer[:2]
+        # The centres and radii of the last refresh, read by the lazy indices;
+        # the array refresh writes them into one buffer, with max(count, 1).
+        self._buffer = np.array([np.zeros((2, n)), np.full((2, n), math.inf), np.ones((2, n))])
+        self._center, self._radius = self._buffer[:2].tolist() if self._lists else self._buffer[:2]
         self._n = n
         self._log_horizon = math.log(horizon) if horizon > 1 else 0.0
         self._keys, self._slots, self._values = np.empty(0), np.empty(0, np.intp), np.empty(0)
@@ -185,7 +186,7 @@ class WorkerStats:
 
     @property
     def eta(self) -> np.ndarray:
-        return np.asarray(self._eta)
+        return np.array(self._eta)
 
     @property
     def N_it(self) -> np.ndarray:
@@ -197,11 +198,11 @@ class WorkerStats:
 
     @property
     def rho_hat(self) -> np.ndarray:
-        return np.asarray(self._mean[_RHO])
+        return np.array(self._mean[_RHO])
 
     @property
     def beta_hat(self) -> np.ndarray:
-        return np.asarray(self._mean[_BETA])
+        return np.array(self._mean[_BETA])
 
     @property
     def rho_hat_plus(self) -> np.ndarray:
@@ -214,32 +215,12 @@ class WorkerStats:
     @property
     def rho_hat_minus(self) -> np.ndarray:
         lo, hi = self._bounds[_RHO]
-        center, radius = self._last_indices()
-        return np.minimum(np.maximum(center[_RHO] - radius[_RHO], lo), hi)
+        return np.minimum(np.maximum(np.subtract(self._center[_RHO], self._radius[_RHO]), lo), hi)
 
     @property
     def beta_hat_plus(self) -> np.ndarray:
         lo, hi = self._bounds[_BETA]
-        center, radius = self._last_indices()
-        return np.minimum(np.maximum(center[_BETA] + radius[_BETA], lo), hi)
-
-    def _indices(self, log_t: float, count, kept, unseen, out):
-        """Centres and radii of both parameters (2 x n arrays) at ``log t``,
-        written into ``out``: centres, radii and ``max(count, 1)``."""
-        center, radius, denom = out
-        np.maximum(count, 1.0, out=denom)
-        np.divide(kept, denom, out=center)
-        np.divide(self._scale * log_t, denom, out=radius)
-        np.sqrt(radius, out=radius)
-        np.multiply(4.0, radius, out=radius)
-        np.add(radius, unseen, out=radius)
-        return center, radius
-
-    def _last_indices(self):
-        """Centres and radii of the last refresh."""
-        if self._lists:
-            return self._indices(*map(np.array, self._refreshed_state), np.empty((3, 2, self._n)))
-        return self._center, self._radius
+        return np.minimum(np.maximum(np.add(self._center[_BETA], self._radius[_BETA]), lo), hi)
 
     def _add(self, row: int, workers: np.ndarray, x: np.ndarray) -> None:
         """Record sample ``x[k]`` of parameter ``row`` for worker ``workers[k]``."""
@@ -383,7 +364,13 @@ class WorkerStats:
         if self._lists:
             self._refresh_lists(log_t)
             return self
-        center, radius = self._indices(log_t, self._count, self._kept, self._unseen, self._buffer)
+        center, radius, denom = self._buffer
+        np.maximum(self._count, 1.0, out=denom)
+        np.divide(self._kept, denom, out=center)
+        np.divide(self._scale * log_t, denom, out=radius)
+        np.sqrt(radius, out=radius)
+        np.multiply(4.0, radius, out=radius)
+        np.add(radius, self._unseen, out=radius)
         eager = self._eager
         np.add(center[_RHO], radius[_RHO], out=eager[_RHO])
         np.subtract(center[_BETA], radius[_BETA], out=eager[_BETA])
@@ -392,25 +379,27 @@ class WorkerStats:
         return self
 
     def _refresh_lists(self, log_t: float) -> None:
-        """The array refresh on the list form, one entry at a time; the lazy
-        indices keep a copy of the state it read."""
-        sqrt = math.sqrt
-        self._eager = []
+        """The array refresh on the list form, one entry at a time, into new
+        lists of indices, centres and radii."""
+        sqrt, inf = math.sqrt, math.inf
+        self._eager, self._center, self._radius = [], [], []
         for row, sign, (lo, hi) in zip((_RHO, _BETA), (1.0, -1.0), self._bounds.tolist()):
             scale = self._u[row] * self._alpha * log_t
-            initial = hi if sign > 0 else lo
-            eager = []
+            eager, centers, radii = [], [], []
             for count, kept, unseen in zip(self._count[row], self._kept[row], self._unseen[row]):
-                if unseen:  # the clamp maps an infinite radius to the initial index
-                    eager.append(initial)
-                    continue
-                denom = count if count > 1.0 else 1.0
-                index = kept / denom + sign * (4.0 * sqrt(scale / denom) + unseen)
+                if unseen:  # centre 0 and an infinite radius, as in the array refresh
+                    center, radius = 0.0, inf
+                else:
+                    denom = count if count > 1.0 else 1.0
+                    center, radius = kept / denom, 4.0 * sqrt(scale / denom)
+                centers.append(center)
+                radii.append(radius)
+                index = center + sign * radius
                 # the array clamp, a NaN index included
                 eager.append(lo if index < lo else hi if index > hi else index)
             self._eager.append(eager)
-        (c0, c1), (k0, k1), (u0, u1) = self._count, self._kept, self._unseen
-        self._refreshed_state = (log_t, [c0[:], c1[:]], [k0[:], k1[:]], [u0[:], u1[:]])
+            self._center.append(centers)
+            self._radius.append(radii)
 
     def pessimistic_cap(self, D: float, epsilon: float):
         """Largest job fraction allocatable under the pessimistic indices, per

@@ -9,7 +9,9 @@ worker's outcomes one scalar draw at a time by the k-th-activation rule that
 ``crowdmarket.sample_outcome`` implements with pre-drawn blocks.
 ``delta_separation`` reads the slack an allocation leaves on its boundary
 worker.  ``trace_to_csv`` writes a trace row by row through ``csv.writer``,
-the literal rule for the library's columnar writer.
+the literal rule for the library's columnar writer.  ``run_literal`` runs
+the paper's job loop from these scalar parts, recomputing every job with no
+cache, as the reference for a whole ``crowdmarket.Simulator`` run.
 """
 
 from __future__ import annotations
@@ -19,7 +21,17 @@ import heapq
 import math
 from collections import deque
 
-from crowdmarket import EstimatorConfig
+import numpy as np
+
+from crowdmarket import (
+    EstimatorConfig,
+    InfeasibleJob,
+    jct_location,
+    job_payments,
+    outcome_streams,
+    sample_population,
+    sw_greedy,
+)
 from crowdmarket.market import BLOCK, Bounds
 
 
@@ -305,3 +317,70 @@ class BlockSampler:
         if tau < self.delta:
             return tau, -1
         return tau, int(ttf < self.delta)
+
+
+SERIES = ("infeasible", "cost", "payment", "active_size", "utility_min", "match")
+
+
+def run_literal(cfg, recipe, est: EstimatorConfig, mode: str) -> dict:
+    """One whole run by the paper's job loop, with no cache.
+
+    Each job refreshes one scalar :class:`WorkerStats` per worker (learning
+    mode) and takes its caps, or takes the true caps (known-means mode);
+    calls ``sw_greedy`` and ``job_payments`` afresh on plain arrays; and, in
+    learning mode, draws each active worker's outcome from a
+    :class:`BlockSampler` and records it.  Returns the trace's six per-job
+    ``SERIES`` as lists, the run's ``true_caps``, and per job its ``caps``,
+    ``fractions`` and ``utilities`` (zeros for an infeasible job) and
+    ``covered``: whether each worker's indices cover its true means.
+    """
+    workers = sample_population(cfg, recipe)
+    costs = np.array([w.cost for w in workers])
+    budget = -math.log1p(-cfg.epsilon)
+    true_caps = [min(1.0, min(cfg.D, w.mttf * budget) / w.mjct) for w in workers]
+    oracle_active = set(np.flatnonzero(sw_greedy(costs, true_caps).fractions).tolist())
+    stats = [WorkerStats(est, cfg.rho_bounds, cfg.beta_bounds, cfg.delta) for _ in workers]
+    sampler = BlockSampler(
+        outcome_streams(cfg),
+        [jct_location(w.mjct, cfg.sigma_log) for w in workers],
+        [w.mttf for w in workers],
+        sigma_log=cfg.sigma_log,
+        delta=cfg.delta,
+    )
+    out = {name: [] for name in (*SERIES, "caps", "fractions", "utilities", "covered")}
+    out["true_caps"] = true_caps
+    zeros = [0.0] * cfg.n
+    for t in range(1, cfg.T + 1):
+        caps = true_caps
+        if mode == "learning":
+            caps = [s.refresh_indices(t, est).pessimistic_cap(cfg.D, cfg.epsilon) for s in stats]
+        out["caps"].append(caps)
+        out["covered"].append(
+            [s.rho_hat_plus >= w.mjct and s.beta_hat_minus <= w.mttf for s, w in zip(stats, workers)]
+        )
+        try:
+            alloc = sw_greedy(costs, caps)
+        except InfeasibleJob:
+            row, x, utilities = (True, math.nan, math.nan, 0, math.nan, False), zeros, zeros
+        else:
+            rec = job_payments(alloc, caps, costs, cfg.cost_bounds[1])
+            x, utilities = alloc.fractions.tolist(), rec.utilities.tolist()
+            active = [i for i, xi in enumerate(x) if xi]
+            row = (
+                False,
+                float(costs @ alloc.fractions),
+                float(rec.payments.sum()),
+                len(active),
+                float(rec.utilities.min()),
+                set(active) == oracle_active,
+            )
+            for i in active if mode == "learning" else ():
+                tau, code = sampler.outcome(i, x[i])
+                stats[i].record_jct_sample(tau, x[i])
+                if code >= 0:
+                    stats[i].record_window(code == 1)
+        for name, value in zip(SERIES, row):
+            out[name].append(value)
+        out["fractions"].append(x)
+        out["utilities"].append(utilities)
+    return out

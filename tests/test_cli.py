@@ -236,6 +236,8 @@ def test_repeated_config_key_exits_3(tmp_path, capsys):
         (("group.1.cost = 10 50", "group.1.cost = abc"), ["simulate"], 3),
         (None, ["simulate", "--seed", "-1"], 3),
         (("seed = 11", "seed = -3"), ["simulate"], 3),
+        (("sigma_log = 0.25", "sigma_log = 30"), ["simulate"], 3),
+        (("beta_max = 35", "beta_max = 1e308"), ["simulate"], 3),
         (None, ["dsic-test", "--seed", "-1"], 2),
         (None, ["sweep", "--param", "seed", "--values", "1.5"], 2),
         (None, ["sweep", "--param", "epsilon", "--values", "abc"], 2),
@@ -244,6 +246,7 @@ def test_repeated_config_key_exits_3(tmp_path, capsys):
     ],
     ids=[
         "group count 2.5", "group cost abc", "simulate seed -1", "config seed -3",
+        "sigma_log 30", "beta_max 1e308",
         "dsic-test seed -1", "sweep seed 1.5", "sweep epsilon abc", "sweep delta nan",
         "sweep delta -inf",
     ],
@@ -266,6 +269,7 @@ def test_malformed_input_exits_without_traceback(config_edit, argv, code, tmp_pa
     assert got == code
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.strip()
+    assert code != 3 or err.count("\n") == 1
     assert not out.exists()
 
 
@@ -353,7 +357,13 @@ def test_sweep_over_epsilon(config_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "param, values, bad", [("epsilon", "0.2,1.5", 1.5), ("seed", "11,-1", -1), ("alpha", "2,1", 1.0)]
+    "param, values, bad",
+    [
+        ("epsilon", "0.2,1.5", 1.5),
+        ("seed", "11,-1", -1),
+        ("alpha", "2,1", 1.0),
+        ("sigma_log", "0.25,30", 30.0),
+    ],
 )
 def test_sweep_records_an_invalid_value_and_goes_on(config_file, tmp_path, param, values, bad):
     """An invalid value, of the market config or of the estimator, becomes an

@@ -534,21 +534,27 @@ def test_equal_keys_drop_in_value_order(n):
 
 @on_both_branches
 def test_readers_return_arrays_that_later_refreshes_leave_alone():
-    """The array refresh writes the indices into buffers it keeps; arrays the
-    index readers handed out before stay as they were."""
+    """The array form records samples and refreshes the indices in place, in
+    arrays it keeps; arrays the readers handed out before stay as they were,
+    in both forms."""
     stats, _ = make_stats(n=2, u_rho=110.0)
     record_jct(stats, 60.0, 1.0)
+    record_window(stats, False)
     stats.refresh_indices(10)
-    names = ("rho_hat_plus", "beta_hat_minus", "rho_hat_minus", "beta_hat_plus")
+    names = (
+        "rho_hat_plus", "beta_hat_minus", "rho_hat_minus", "beta_hat_plus",
+        "eta", "rho_hat", "beta_hat", "N_it", "N_beta_it",
+    )
     read = {name: getattr(stats, name) for name in names}
     saved = {name: a.copy() for name, a in read.items()}
     for k in range(50):
         record_jct(stats, 40.0 + k, 1.0)
-        record_window(stats, k % 3 == 0)
+        record_window(stats, k % 3 == 1)
     stats.refresh_indices(1000)
     for name in names:
         assert read[name].tobytes() == saved[name].tobytes(), name
     assert stats.rho_hat_plus[0] < saved["rho_hat_plus"][0]  # the refresh moved it
+    assert stats.eta[0] != saved["eta"][0] and stats.N_beta_it[0] > saved["N_beta_it"][0]
 
 
 @on_both_branches

@@ -599,6 +599,49 @@ def test_summary_echoes_config():
     assert summary["min_utility"] >= 0.0
 
 
+def desk48_market(seed: int):
+    """desk6's three groups at 16 workers each: an array-form market whose
+    indices move on most jobs, as desk6's do."""
+    cfg = replace(desk_config(seed, T=1500), n=48)
+    return cfg, PopulationRecipe(groups=tuple(replace(g, count=16) for g in desk_recipe().groups))
+
+
+LITERAL_RUNS = {
+    **{f"desk6 seed {s}": (desk_config(s, T=3000), desk_recipe(), "learning") for s in (1000, 1, 2)},
+    "desk6 known-means": (desk_config(1, T=500), desk_recipe(), "known-means"),
+    **{f"desk48 seed {s}": (*desk48_market(s), "learning") for s in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("cfg, recipe, mode", LITERAL_RUNS.values(), ids=LITERAL_RUNS.keys())
+def test_runs_match_the_literal_loop_and_keep_the_invariants(cfg, recipe, mode):
+    """A whole run gives the six series of the paper's loop recomputed every
+    job with no cache (``oracles.run_literal``), bit for bit.  On every job
+    of that loop the fractions sum to exactly 1, none exceeds its cap, every
+    truthful utility is >= 0 exactly, and a worker whose indices cover its
+    true means gets at most its true cap."""
+    est = desk_estimator(cfg)
+    trace = run(cfg, recipe, est_cfg=est, mode=mode, record_tables=False)
+    literal = oracles.run_literal(cfg, recipe, est, mode)
+    for name in oracles.SERIES:
+        series = getattr(trace, name)
+        assert np.array(literal[name], dtype=series.dtype).tobytes() == series.tobytes(), name
+    jobs = zip(literal["fractions"], literal["caps"], literal["utilities"], literal["covered"])
+    checked = 0
+    for t, (x, caps, utilities, covered) in enumerate(jobs, start=1):
+        assert math.fsum(x) == 1.0, t
+        assert all(xi <= cap for xi, cap in zip(x, caps)), t
+        assert min(utilities) >= 0.0, t
+        for xi, true, cov in zip(x, literal["true_caps"], covered):
+            if cov and xi:
+                assert xi <= true, t
+                checked += 1
+    assert checked >= cfg.T  # every job has an active worker with covered indices
+    if mode == "learning":  # the caps, and so the indices, move on most jobs
+        caps = literal["caps"]
+        assert sum(a != b for a, b in zip(caps, caps[1:])) > cfg.T // 2
+
+
 def test_crossover_moves_every_module_that_binds_the_list_max():
     """``on_both_branches`` reaches every module that reads ``_LIST_MAX``,
     found here from the source text rather than by conftest's search; a
