@@ -30,8 +30,8 @@ def main() -> None:
     est = replace(EstimatorConfig.defaults(cfg), **est_overrides)
 
     print(f"running {cfg.T} jobs, n={cfg.n}, epsilon={cfg.epsilon}, seed={cfg.seed} ...")
-    learning = run(cfg, recipe, est_cfg=est, record_tables=False)
-    baseline = run(cfg, recipe, est_cfg=est, mode="known-means", record_tables=False)
+    learning = run(cfg, recipe, est_cfg=est)
+    baseline = run(cfg, recipe, est_cfg=est, mode="known-means")
 
     _, avg = regret(learning)
     flags, t_lock = optimal_set_match(learning)

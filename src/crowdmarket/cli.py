@@ -87,7 +87,7 @@ def _run_replicate(payload) -> dict:
     """Run one replicate and write its trace CSV; returns the summary dict."""
     cfg, recipe, est, mode, out_file = payload
     try:
-        trace = run(cfg, recipe, est_cfg=est, mode=mode, record_tables=False)
+        trace = run(cfg, recipe, est_cfg=est, mode=mode)
     except InfeasibleJob as exc:
         return {"seed": cfg.seed, "infeasible": True, "total_cap": exc.total_cap}
     trace_to_csv(trace, out_file)

@@ -238,11 +238,12 @@ class WorkerStats:
         # Rounding is monotone, so no key is below the one built from the
         # smallest count and the largest value: most jobs file nothing.
         u, alpha, log_horizon = self._u[row], self._alpha, self._log_horizon
-        if x_max <= 0 or u * c_min / (alpha * x_max * x_max) >= log_horizon:
+        if x_max * x_max <= 0 or u * c_min / (alpha * x_max * x_max) >= log_horizon:
             return
-        keep = x > 0  # a sample <= 0 has key inf
-        workers, x, count = workers[keep], x[keep], count[keep]
-        keys = u * count / (alpha * x * x)
+        # As on Python floats, a key overflows to inf, and so does a sample's
+        # whose square is 0 (it is 0, or its square underflows): it never drops.
+        with np.errstate(divide="ignore", over="ignore"):
+            keys = u * count / (alpha * x * x)
         early = keys < log_horizon
         if np.count_nonzero(early):
             self._file(keys[early], workers[early] + row * self._n, x[early])
@@ -261,7 +262,7 @@ class WorkerStats:
                 unseen[w] = 0.0
             else:
                 means[w] += (v - means[w]) / count
-            if v > 0:  # a sample <= 0 has key inf
+            if v * v > 0:  # a sample >= 0 whose square is 0 has key inf
                 key = u * count / (alpha * v * v)
                 if key < log_horizon:
                     early.append((key, row * self._n + w, v))

@@ -53,8 +53,7 @@ __all__ = [
 MODES = ("learning", "known-means")
 
 
-# One trace row per job: the scalar series, then (with ``record_tables``) the
-# per-worker rows that SimulationTrace stacks into its tables.
+# One trace row per job, which SimulationTrace stacks into its per-job series.
 _SERIES = [
     ("infeasible", bool),
     ("cost", float),
@@ -63,27 +62,14 @@ _SERIES = [
     ("utility_min", float),
     ("match", bool),
 ]
-_TABLES = [
-    ("fraction_table", float),
-    ("payment_table", float),
-    ("utility_table", float),
-    ("completion_table", float),
-    ("window_table", np.int8),
-]
 
 
 @dataclass
 class SimulationTrace:
     """Per-job series plus cumulative accounting for one simulation run.
 
-    The per-worker tables exist only with ``record_tables=True``; row ``t - 1``
-    of each holds job ``t`` in worker order.  A completion row holds each
-    active worker's completion time and a window row its window code (1 where
-    the failure window saw a failure, -1 where the work was shorter than the
-    window, so it went unobserved, and 0 otherwise), with NaN completion and
-    window code 0 where a worker got no work (all zeros, NaN completion, for
-    an infeasible job).  Known-means mode draws no outcomes, so all its
-    completion rows are NaN and its window rows 0.
+    Element ``t - 1`` of each series holds job ``t``.  The six series are
+    the whole per-job record of a run: no per-worker value of a job is kept.
     """
 
     cfg: MarketConfig
@@ -98,11 +84,6 @@ class SimulationTrace:
     active_size: np.ndarray
     match: np.ndarray
     utility_min: np.ndarray
-    fraction_table: np.ndarray | None = None
-    payment_table: np.ndarray | None = None
-    utility_table: np.ndarray | None = None
-    completion_table: np.ndarray | None = None
-    window_table: np.ndarray | None = None
 
     def __len__(self) -> int:
         return int(self.cost.shape[0])
@@ -151,6 +132,9 @@ class Simulator:
     and the outcomes are Python lists, as the bank's and the outcome blocks'
     state is, and only the allocation and payment records hold arrays; above,
     everything is an array.  Both forms write the same bytes.
+
+    A step appends one row of the six trace series; the plan of the last job
+    is ``_plan``, and the outcomes it draws go only to the learning state.
     """
 
     def __init__(
@@ -159,14 +143,15 @@ class Simulator:
         recipe: PopulationRecipe,
         est_cfg: EstimatorConfig | None = None,
         mode: str = "learning",
-        record_tables: bool = True,
+        record_tables: bool = False,
     ) -> None:
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        if record_tables is not False:  # no per-worker tables; perfbench passes False
+            raise ValueError(f"record_tables must be False, got {record_tables!r}")
         self.cfg = validate_config(cfg)
         self.est = (est_cfg or EstimatorConfig.defaults(cfg)).validate(cfg)
         self.mode = mode
-        self.record_tables = record_tables
 
         self.workers = sample_population(cfg, recipe)
         self.costs = np.array([w.cost for w in self.workers])
@@ -198,13 +183,6 @@ class Simulator:
         # The last job's caps, their key (its eager indices) and the plan they
         # determine, None until computed.  Known-means caps never change.
         self._caps, self._key, self._plan = self.true_caps, None, None
-        self._infeasible_row = (True, math.nan, math.nan, 0, math.nan, False)
-        self._no_outcomes = ()
-        if record_tables:  # a scalar fills its whole table row
-            self._no_outcomes = (math.nan, 0)
-            self._infeasible_row += (0.0, 0.0, 0.0) + self._no_outcomes
-        tables = [(name, dtype, (cfg.n,)) for name, dtype in _TABLES] if record_tables else []
-        self._row_dtype = np.dtype(_SERIES + tables)
         self._rows: list[tuple] = []
 
     def current_caps(self, t: int):
@@ -226,17 +204,13 @@ class Simulator:
 
     def step(self, t: int) -> None:
         """Run job ``t`` (1-based) and append its row to the trace."""
-        cfg = self.cfg
         caps = self.current_caps(t)
         if self._plan is None:
             self._plan = self._solve(caps)
         active, fractions, row = self._plan
-        if active is None:  # an infeasible job draws and learns nothing
-            self._rows.append(row)
-            return
-
-        outcomes = self._no_outcomes
-        if self.mode == "learning":
+        self._rows.append(row)
+        # An infeasible job draws and learns nothing, and neither does known-means mode.
+        if active is not None and self.mode == "learning":
             tau, codes = sample_outcome(self.outcomes, active, fractions)
             self.stats.record_jct_sample(active, tau, fractions)
             if self._lists:
@@ -247,13 +221,6 @@ class Simulator:
                 observed = codes >= 0
                 if np.count_nonzero(observed):  # at n=400 most jobs observe no window
                     self.stats.record_window(active[observed], codes[observed] > 0)
-            if self.record_tables:
-                completion = np.full(cfg.n, math.nan)
-                completion[active] = tau
-                window = np.zeros(cfg.n, dtype=np.int8)
-                window[active] = codes
-                outcomes = (completion, window)
-        self._rows.append(row + outcomes)
 
     def _solve(self, caps):
         """A job's plan: its active workers (None if it is infeasible), their
@@ -261,7 +228,7 @@ class Simulator:
         try:
             alloc = sw_greedy(self.bids, caps)
         except InfeasibleJob:
-            return None, None, self._infeasible_row
+            return None, None, (True, math.nan, math.nan, 0, math.nan, False)
         rec = job_payments(alloc, caps, self.bids, self.cfg.cost_bounds[1])  # truthful bids
         x = alloc.fractions
         if self._lists:
@@ -284,12 +251,10 @@ class Simulator:
             utility_min,
             len(active) == len(oracle) and oracle.issuperset(_as_list(active)),
         )
-        if self.record_tables:
-            row += (x, rec.payments, rec.utilities)
         return active, fractions, row
 
     def trace(self) -> SimulationTrace:
-        rows = np.array(self._rows, dtype=self._row_dtype)
+        rows = np.array(self._rows, dtype=_SERIES)
         return SimulationTrace(
             cfg=self.cfg,
             est=self.est,
@@ -306,10 +271,9 @@ def run(
     recipe: PopulationRecipe,
     est_cfg: EstimatorConfig | None = None,
     mode: str = "learning",
-    record_tables: bool = True,
 ) -> SimulationTrace:
     """Execute all ``cfg.T`` jobs and return the trace."""
-    sim = Simulator(cfg, recipe, est_cfg=est_cfg, mode=mode, record_tables=record_tables)
+    sim = Simulator(cfg, recipe, est_cfg=est_cfg, mode=mode)
     for t in range(1, cfg.T + 1):
         sim.step(t)
     return sim.trace()

@@ -9,14 +9,22 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import crowdmarket
+import oracles
 from crowdmarket import (
     EstimatorConfig,
     MarketConfig,
     PopulationGroup,
     PopulationRecipe,
+    Simulator,
+    stats_to_csv,
 )
+
+# CI runs pass --hypothesis-profile=ci: every run draws the same examples, so
+# a failure there reproduces locally with the same flag.
+settings.register_profile("ci", derandomize=True, database=None)
 
 # Crossovers that send every worker count to one branch of the job step:
 # numpy arrays, or Python floats.
@@ -58,6 +66,26 @@ def on_both_branches(test):
                     raise AssertionError(f"on the {name} branch: {exc}") from exc
 
     return run
+
+
+def run_against_literal(cfg, recipe, est, mode, tmp_path):
+    """Run ``cfg`` once through ``Simulator`` and once through the literal
+    loop ``oracles.run_literal``; assert that the six series and the final
+    estimator CSVs are equal bit for bit, and return the trace and the
+    literal run."""
+    sim = Simulator(cfg, recipe, est_cfg=est, mode=mode)
+    for t in range(1, cfg.T + 1):
+        sim.step(t)
+    trace = sim.trace()
+    literal = oracles.run_literal(cfg, recipe, est, mode)
+    for name in oracles.SERIES:
+        series = getattr(trace, name)
+        assert np.array(literal[name], dtype=series.dtype).tobytes() == series.tobytes(), name
+    got, want = tmp_path / "stats.csv", tmp_path / "literal_stats.csv"
+    stats_to_csv(sim.stats, got)
+    oracles.stats_to_csv(literal["stats"], want)
+    assert got.read_bytes() == want.read_bytes()
+    return trace, literal
 
 
 def reference_config(**overrides) -> MarketConfig:

@@ -90,7 +90,8 @@ class TruncatedMeanTracker:
     def add(self, x: float) -> None:
         self.count += 1
         self._samples.append(x)
-        drop_key = math.inf if x <= 0 else self.u * self.count / (self.alpha * x * x)
+        # A sample >= 0 whose square is 0 (x = 0, or x*x underflows) never drops.
+        drop_key = math.inf if x * x <= 0 else self.u * self.count / (self.alpha * x * x)
         self._kept_sum += x
         heapq.heappush(self._heap, (drop_key, x))
 
@@ -330,9 +331,12 @@ def run_literal(cfg, recipe, est: EstimatorConfig, mode: str) -> dict:
     calls ``sw_greedy`` and ``job_payments`` afresh on plain arrays; and, in
     learning mode, draws each active worker's outcome from a
     :class:`BlockSampler` and records it.  Returns the trace's six per-job
-    ``SERIES`` as lists, the run's ``true_caps``, and per job its ``caps``,
-    ``fractions`` and ``utilities`` (zeros for an infeasible job) and
-    ``covered``: whether each worker's indices cover its true means.
+    ``SERIES`` as lists, the run's ``true_caps``, the final scalar ``stats``,
+    and per job, one entry per worker: its ``caps``; its ``fractions``,
+    ``payments`` and ``utilities`` (zeros for an infeasible job); its
+    ``completion`` times and ``window`` codes (NaN and 0 where a worker drew
+    no outcome, as every worker does in known-means mode); and ``covered``,
+    whether each worker's indices cover its true means.
     """
     workers = sample_population(cfg, recipe)
     costs = np.array([w.cost for w in workers])
@@ -347,8 +351,9 @@ def run_literal(cfg, recipe, est: EstimatorConfig, mode: str) -> dict:
         sigma_log=cfg.sigma_log,
         delta=cfg.delta,
     )
-    out = {name: [] for name in (*SERIES, "caps", "fractions", "utilities", "covered")}
-    out["true_caps"] = true_caps
+    per_job = ("caps", "fractions", "payments", "utilities", "completion", "window", "covered")
+    out = {name: [] for name in (*SERIES, *per_job)}
+    out["true_caps"], out["stats"] = true_caps, stats
     zeros = [0.0] * cfg.n
     for t in range(1, cfg.T + 1):
         caps = true_caps
@@ -358,13 +363,16 @@ def run_literal(cfg, recipe, est: EstimatorConfig, mode: str) -> dict:
         out["covered"].append(
             [s.rho_hat_plus >= w.mjct and s.beta_hat_minus <= w.mttf for s, w in zip(stats, workers)]
         )
+        completion, window = [math.nan] * cfg.n, [0] * cfg.n
         try:
             alloc = sw_greedy(costs, caps)
         except InfeasibleJob:
-            row, x, utilities = (True, math.nan, math.nan, 0, math.nan, False), zeros, zeros
+            row = (True, math.nan, math.nan, 0, math.nan, False)
+            x = payments = utilities = zeros
         else:
             rec = job_payments(alloc, caps, costs, cfg.cost_bounds[1])
-            x, utilities = alloc.fractions.tolist(), rec.utilities.tolist()
+            x, payments = alloc.fractions.tolist(), rec.payments.tolist()
+            utilities = rec.utilities.tolist()
             active = [i for i, xi in enumerate(x) if xi]
             row = (
                 False,
@@ -376,11 +384,12 @@ def run_literal(cfg, recipe, est: EstimatorConfig, mode: str) -> dict:
             )
             for i in active if mode == "learning" else ():
                 tau, code = sampler.outcome(i, x[i])
+                completion[i], window[i] = tau, code
                 stats[i].record_jct_sample(tau, x[i])
                 if code >= 0:
                     stats[i].record_window(code == 1)
-        for name, value in zip(SERIES, row):
+        tables = {"fractions": x, "payments": payments, "utilities": utilities,
+                  "completion": completion, "window": window}
+        for name, value in (*zip(SERIES, row), *tables.items()):
             out[name].append(value)
-        out["fractions"].append(x)
-        out["utilities"].append(utilities)
     return out

@@ -38,6 +38,7 @@ from conftest import (
     enumeration_optimum,
     reference_config,
     reference_recipe,
+    run_against_literal,
 )
 
 DESK_SEEDS = range(1000, 1020)
@@ -54,8 +55,8 @@ def desk_runs():
     for seed in DESK_SEEDS:
         cfg = desk_config(seed=seed)
         est = desk_estimator(cfg)
-        learning = run(cfg, desk_recipe(), est_cfg=est, record_tables=False)
-        baseline = run(cfg, desk_recipe(), est_cfg=est, mode="known-means", record_tables=False)
+        learning = run(cfg, desk_recipe(), est_cfg=est)
+        baseline = run(cfg, desk_recipe(), est_cfg=est, mode="known-means")
         pairs.append((learning, baseline))
     return pairs
 
@@ -78,7 +79,7 @@ def test_criterion_1_dsic_deviation_sweeps():
     assert elapsed < 60.0
 
 
-def test_criterion_2_individual_rationality(desk_runs):
+def test_criterion_2_individual_rationality(desk_runs, tmp_path):
     """Truthful utilities non-negative in every job of every acceptance run,
     exactly (no tolerance)."""
     worst = math.inf
@@ -88,10 +89,12 @@ def test_criterion_2_individual_rationality(desk_runs):
             feasible = ~tr.infeasible
             worst = min(worst, float(tr.utility_min[feasible].min()))
             jobs += int(feasible.sum())
-    # add a reference-scale run with per-worker tables for a direct check
+    # add a reference-scale run, checked worker by worker through the
+    # utilities of the literal loop, whose series equal that run's own
     cfg = reference_config(T=50, seed=123)
-    tr = run(cfg, reference_recipe(), record_tables=True)
-    worst = min(worst, float(tr.utility_table.min()))
+    est = EstimatorConfig.defaults(cfg)
+    tr, literal = run_against_literal(cfg, reference_recipe(), est, "learning", tmp_path)
+    worst = min(worst, min(map(min, literal["utilities"])))
     jobs += len(tr)
     ok = worst >= 0.0
     _report("2 ir", ok, f"min utility {worst:.3e} across {jobs} jobs")
@@ -168,7 +171,7 @@ def test_criterion_5_literal_forty_worker_instance():
     locked = 0
     for seed in DESK_SEEDS:
         cfg = reference_config(n=40, T=10_000, seed=seed)
-        trace = run(cfg, reference_recipe(n_fast=25, n_slow=15), record_tables=False)
+        trace = run(cfg, reference_recipe(n_fast=25, n_slow=15))
         _, t_lock = optimal_set_match(trace)
         locked += t_lock is not None and t_lock < cfg.T
     _report("5 optimal-set (literal)", locked >= 19, f"{locked}/20 replicates locked")
@@ -208,7 +211,7 @@ def test_criterion_5_optimal_set_lock_in(desk_runs):
 )
 def test_criterion_6_literal_forty_worker_instance():
     cfg = reference_config(n=40, T=10_000, seed=1000)
-    trace = run(cfg, reference_recipe(n_fast=25, n_slow=15), record_tables=False)
+    trace = run(cfg, reference_recipe(n_fast=25, n_slow=15))
     _, avg = regret(trace)
     _report("6 convergence (literal)", False, "instance infeasible")
     assert avg[-1] <= 0.2 * avg[99]

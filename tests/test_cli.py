@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, determinism, aggregation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -412,3 +413,27 @@ def test_known_means_mode_flag(config_file, tmp_path):
     ) == 0
     aggregate = json.loads((out / "aggregate.json").read_text())
     assert aggregate["runs"][0]["regret_total"] == 0.0
+
+
+DESK6 = Path(__file__).resolve().parent.parent / "configs" / "desk6.cfg"
+DESK6_LINES = DESK6.read_text().splitlines()
+DESK6_KEYS = [line.partition("=")[0].strip() for line in DESK6_LINES
+              if "=" in line and not line.startswith("#")]
+FUZZ_VALUES = ["0", "-1", "1e-300", "1e300", "1e308", "nan", "inf", "-inf",
+               "26", "30", "1", "2", "1e6", "5e-324"]
+
+
+@pytest.mark.parametrize("key", DESK6_KEYS)
+def test_every_desk6_value_mutation_exits_with_a_documented_code(key, tmp_path, capsys):
+    """Each key of desk6.cfg, set alone to each of a set of edge values (40
+    jobs unless the key is ``jobs``), ends in success or a documented exit
+    code: no exception escapes and no warning is raised."""
+    for k, value in enumerate(FUZZ_VALUES):
+        lines = [f"{key} = {value}" if line.startswith(f"{key} =")
+                 else "jobs = 40" if line.startswith("jobs =") else line
+                 for line in DESK6_LINES]
+        path = tmp_path / f"{k}.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["simulate", "--config", str(path), "--out", str(tmp_path / f"out{k}")])
+        assert code in (0, 2, 3, 4), (key, value)
+        assert "Traceback" not in capsys.readouterr().err, (key, value)

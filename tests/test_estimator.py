@@ -502,6 +502,33 @@ def test_drop_boundary_key_equal_to_log_t():
         assert bank.rho_hat_plus[0] == scalar.rho_hat_plus
 
 
+@on_both_branches
+def test_samples_whose_square_underflows_never_drop():
+    """A positive sample whose square is 0 or subnormal has drop key inf, or
+    one too large to reach, and is kept for good, as a sample of 0 is; in a
+    batch with samples that do drop, and with huge ones whose square
+    overflows (key 0), alike in the bank and the scalar oracle."""
+    est = EstimatorConfig(u_rho=40.0, u_beta=3.0, alpha=2.0)
+    rho_bounds, beta_bounds, delta, D, eps = (0.1, 30.0), (1.0, 9.0), 0.5, 5.0, 0.2
+    batches = ([1e-170, 1e-160, 20.0], [20.0, 1e-170, 1e-160], [1e-320, 1e160, 1e-160])
+    bank = WorkerStats(3, est, rho_bounds, beta_bounds, delta, horizon=50)
+    scalars = [oracles.WorkerStats(est, rho_bounds, beta_bounds, delta) for _ in range(3)]
+    for t, tau in enumerate(batches, start=1):
+        bank.refresh_indices(t)
+        bank.record_jct_sample([0, 1, 2], tau, [1.0] * 3)
+        for s, x in zip(scalars, tau):
+            s.refresh_indices(t, est)
+            s.record_jct_sample(x, 1.0)
+    for t in (10, 50):
+        bank.refresh_indices(t)
+        for s in scalars:
+            s.refresh_indices(t, est)
+        _assert_bank_matches(bank, scalars, D, eps)
+    # Only the samples 20.0 and 1e160 drop; worker 2 keeps both of its
+    # 1e-160, and the drops leave workers 0 and 1 what rounding kept of the rest.
+    assert np.asarray(bank._kept)[0].tolist() == [1e-320, 0.0, 2e-160]
+
+
 @pytest.mark.parametrize("n", [1, 40])
 @on_both_branches
 def test_equal_keys_drop_in_value_order(n):

@@ -3,9 +3,13 @@
 The hashes were recorded before the job record, payment record and trace
 bookkeeping were reshaped, and every later refactor must reproduce them bit
 for bit.  A change that is meant to alter outputs (new sampling, new payment
-arithmetic) updates them deliberately and says so.  The per-worker tables are
-only built with ``record_tables=True``, which the CLI and the benchmark never
-use, so this is the one check on that path.  The DSIC report and the
+arithmetic) updates them deliberately and says so.  The per-worker tables
+(fractions, payments, utilities, completion times and window codes, one row
+per job) were pinned from the simulator, which once recorded them; it now
+records only its per-job series, so the tables are hashed from the literal
+job loop in ``oracles.run_literal`` and tied to the simulator by its six
+series and its estimator CSV, which must equal the loop's on the same run.
+The pins passed unedited when the tables moved.  The DSIC report and the
 deviation gains were pinned before the deviation grid was cut down to its
 knots and midpoints.  The 2000-job reference400 learning run was pinned
 before the per-worker estimators became one struct-of-arrays bank.
@@ -55,6 +59,8 @@ from crowdmarket import (
 )
 from crowdmarket.cli import main
 
+from conftest import run_against_literal
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 OUTPUT_HASHES = {
@@ -88,7 +94,7 @@ LEARNER_HASHES = (
     "07ae9077f6c614ecf123da3177aad4d776dce6562cd66ec2b253c9ddccf5d726",
 )
 
-# desk6.cfg, 500 jobs, learning mode, record_tables=True.
+# desk6.cfg, 500 jobs, learning mode, the tables of oracles.run_literal.
 TABLE_HASHES = {
     "fraction_table": "839259fea5e575eff7ee5e477f23e8445f15efb1fcc4c309638549911f9fbd2c",
     "payment_table": "1e7768441560ea00f6de7c7aa0face0c306264aa7a94095ed8ad7b365d277d03",
@@ -97,7 +103,7 @@ TABLE_HASHES = {
     "window_table": "5e8bfb885f6f4f743976381d1f4bf25f573a3de6ee46f55702bbddd20d314b9c",
 }
 
-# reference400.cfg, 300 jobs, learning mode, record_tables=True.
+# reference400.cfg, 300 jobs, learning mode, the tables of oracles.run_literal.
 REFERENCE_DRAW_HASHES = {
     "completion_table": "47059a10095e4d8d596f66304eb7efa7632e04b19c8a1c421755c54e6c1da813",
     "window_table": "bde59a546b7b327e7757fcbe987d547c80fec6a12f6121642a405811b9e2de1b",
@@ -117,18 +123,39 @@ def _setup(config: str, jobs: int):
     return cfg, recipe, est
 
 
-def _run(config: str, jobs: int, mode: str, record_tables: bool):
+def _run(config: str, jobs: int, mode: str):
     cfg, recipe, est = _setup(config, jobs)
-    return run(cfg, recipe, est_cfg=est, mode=mode, record_tables=record_tables)
+    return run(cfg, recipe, est_cfg=est, mode=mode)
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# Each pinned table and the run_literal entry it is hashed from.
+TABLES = {
+    "fraction_table": ("fractions", np.float64),
+    "payment_table": ("payments", np.float64),
+    "utility_table": ("utilities", np.float64),
+    "completion_table": ("completion", np.float64),
+    "window_table": ("window", np.int8),
+}
+
+
+def _table_hashes(config: str, jobs: int, names, tmp_path) -> dict:
+    """Hashes of the named tables of the literal learning loop, after
+    checking that a ``Simulator`` run gives that loop's six series and final
+    estimator CSV bit for bit."""
+    _, literal = run_against_literal(*_setup(config, jobs), "learning", tmp_path)
+    return {
+        name: _sha(np.array(literal[TABLES[name][0]], dtype=TABLES[name][1]).tobytes())
+        for name in names
+    }
+
+
 @pytest.mark.parametrize("key", sorted(OUTPUT_HASHES), ids=lambda k: f"{k[0]}-{k[1]}-{k[2]}")
 def test_trace_and_summary_bytes(key, tmp_path):
-    trace = _run(*key, record_tables=False)
+    trace = _run(*key)
     csv_path, json_path = tmp_path / "trace.csv", tmp_path / "summary.json"
     trace_to_csv(trace, csv_path)
     summary_to_json(trace_summary(trace), json_path)
@@ -138,7 +165,7 @@ def test_trace_and_summary_bytes(key, tmp_path):
 
 def test_reference_learner_bytes(tmp_path):
     cfg, recipe, est = _setup("reference400.cfg", 3000)
-    sim = Simulator(cfg, recipe, est_cfg=est, record_tables=False)
+    sim = Simulator(cfg, recipe, est_cfg=est)
     for t in range(1, cfg.T + 1):
         sim.step(t)
     trace = sim.trace()
@@ -149,15 +176,12 @@ def test_reference_learner_bytes(tmp_path):
     assert tuple(_sha(path.read_bytes()) for path in paths) == LEARNER_HASHES
 
 
-def test_per_worker_table_bytes():
-    trace = _run("desk6.cfg", 500, "learning", record_tables=True)
-    got = {name: _sha(getattr(trace, name).tobytes()) for name in TABLE_HASHES}
-    assert got == TABLE_HASHES
+def test_per_worker_table_bytes(tmp_path):
+    assert _table_hashes("desk6.cfg", 500, TABLE_HASHES, tmp_path) == TABLE_HASHES
 
 
-def test_reference_outcome_draw_bytes():
-    trace = _run("reference400.cfg", 300, "learning", record_tables=True)
-    got = {name: _sha(getattr(trace, name).tobytes()) for name in REFERENCE_DRAW_HASHES}
+def test_reference_outcome_draw_bytes(tmp_path):
+    got = _table_hashes("reference400.cfg", 300, REFERENCE_DRAW_HASHES, tmp_path)
     assert got == REFERENCE_DRAW_HASHES
 
 

@@ -569,7 +569,7 @@ def test_one_job_certificate_on_simulator_states():
     """Frozen desk6 learning states at jobs 1, 10, 100 and 1000: the caps the
     learner allocates with, and the workers' true costs."""
     cfg = desk_config(seed=1000, T=1000)
-    sim = Simulator(cfg, desk_recipe(), est_cfg=desk_estimator(cfg), record_tables=False)
+    sim = Simulator(cfg, desk_recipe(), est_cfg=desk_estimator(cfg))
     for t in range(1, cfg.T + 1):
         if t in (1, 10, 100, 1000):
             caps = sim.current_caps(t).copy()

@@ -52,6 +52,7 @@ from conftest import (
     on_both_branches,
     reference_config,
     reference_recipe,
+    run_against_literal,
 )
 
 
@@ -83,6 +84,16 @@ def small_market(T: int = 200, seed: int = 11, epsilon: float = 0.18):
     )
     est = EstimatorConfig.defaults(cfg, alpha=2.0)
     return cfg, recipe, est
+
+
+def planned_fractions(sim) -> np.ndarray:
+    """Every worker's fraction in the plan of ``sim``'s last job, zeros for an
+    infeasible job: the plan keeps only its active workers' fractions."""
+    active, fractions, _ = sim._plan
+    x = np.zeros(sim.cfg.n)
+    if active is not None:
+        x[np.asarray(active, dtype=np.intp)] = fractions
+    return x
 
 
 @on_both_branches
@@ -128,23 +139,27 @@ def test_learning_updates_only_active_workers():
     cfg, recipe, est = small_market(T=50)
     sim = Simulator(cfg, recipe, est_cfg=est)
     sim.step(1)
-    active = sim.trace().fraction_table[0] > 0
+    active = planned_fractions(sim) > 0
     assert sim.stats.N_it.tolist() == active.astype(int).tolist()
 
 
 @on_both_branches
-def test_window_updates_only_when_work_covers_delta():
+def test_window_updates_only_when_work_covers_delta(monkeypatch):
+    """Each job draws one outcome per active worker, and only those: a
+    window is unobserved (code -1) exactly when the work is shorter than it."""
+    draws = counting(monkeypatch, "sample_outcome")
     cfg, recipe, est = small_market(T=30)
-    trace = run(cfg, recipe, est_cfg=est)
-    for fractions, completion, window in zip(
-        trace.fraction_table, trace.completion_table, trace.window_table
-    ):
-        active = fractions > 0
-        assert not np.isnan(completion[active]).any()
-        short = completion[active] < cfg.delta
-        assert np.all(window[active][short] == -1)
-        assert np.all(window[active][~short] >= 0)
-        assert np.isnan(completion[~active]).all() and not window[~active].any()
+    sim = Simulator(cfg, recipe, est_cfg=est)
+    for t in range(1, cfg.T + 1):
+        sim.step(t)
+        (_, active, _), (tau, codes) = draws[-1]
+        assert np.flatnonzero(planned_fractions(sim)).tolist() == list(active)
+        tau, codes = np.array(tau), np.array(codes)
+        assert tau.shape == codes.shape == (len(active),) and np.isfinite(tau).all()
+        short = tau < cfg.delta
+        assert np.all(codes[short] == -1)
+        assert np.all(codes[~short] >= 0)
+    assert len(draws) == cfg.T
 
 
 @on_both_branches
@@ -219,21 +234,21 @@ def pessimistic_market(T: int = 5):
 
 
 @on_both_branches
-def test_per_job_infeasibility_is_recorded_not_raised():
+def test_per_job_infeasibility_is_recorded_not_raised(monkeypatch):
     """Oracle-feasible but pessimistically infeasible at initialization: the
-    infeasible jobs land in the trace and the run continues."""
+    infeasible jobs land in the trace, draw no outcome, and the run continues."""
+    draws = counting(monkeypatch, "sample_outcome")
     cfg, recipe = pessimistic_market()
     trace = run(cfg, recipe)
     assert trace.infeasible.any()
     assert len(trace) == 5
     summary = trace_summary(trace)
     assert summary["jobs_infeasible"] == int(trace.infeasible.sum())
-    # an infeasible job records no work: an idle table row
+    # an infeasible job records no work: an idle row
     t = int(np.flatnonzero(trace.infeasible)[0])
     assert not trace.match[t] and trace.active_size[t] == 0
-    for table in (trace.fraction_table, trace.payment_table, trace.utility_table):
-        assert not table[t].any()
-    assert np.isnan(trace.completion_table[t]).all() and not trace.window_table[t].any()
+    assert np.isnan([trace.cost[t], trace.payment[t], trace.utility_min[t]]).all()
+    assert len(draws) == trace.completed
 
 
 @on_both_branches
@@ -253,20 +268,22 @@ def test_allocations_respect_current_caps():
         caps = np.array(sim.current_caps(t))
         alloc = sw_greedy(sim.costs, caps)
         sim.step(t)  # step refreshes again with identical state
-        fractions = sim.trace().fraction_table[-1]
+        fractions = planned_fractions(sim)
         assert fractions == pytest.approx(alloc.fractions)
         assert np.all(fractions <= caps + 1e-15)
         assert math.fsum(fractions) == 1.0
 
 
 def counting(monkeypatch, name):
-    """Wrap ``crowdmarket.simulation.<name>`` and count the calls the loop makes."""
+    """Wrap ``crowdmarket.simulation.<name>`` and record the calls the loop
+    makes, each as its arguments and result."""
     calls = []
     fn = getattr(crowdmarket.simulation, name)
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return fn(*args, **kwargs)
+        result = fn(*args, **kwargs)
+        calls.append((args, result))
+        return result
 
     monkeypatch.setattr(crowdmarket.simulation, name, counted)
     return calls
@@ -275,14 +292,15 @@ def counting(monkeypatch, name):
 @on_both_branches
 def test_repeated_caps_reuse_the_allocation_and_payments(monkeypatch):
     """A job whose caps repeat the last feasible job's bit for bit computes no
-    allocation or payments; every job's table row equals a fresh computation.
-    The desk market's caps hold still for 545 jobs, then move."""
+    allocation or payments; every job's planned fractions, and its row's total
+    payment and least utility, equal a fresh computation.  The desk market's
+    caps hold still for 545 jobs, then move."""
     greedy_calls = counting(monkeypatch, "sw_greedy")
     payment_calls = counting(monkeypatch, "job_payments")
     cfg = desk_config(T=600)
     sim = Simulator(cfg, desk_recipe(), est_cfg=desk_estimator(cfg))
     greedy_calls.clear()  # the oracle allocation
-    prev_caps, computed = None, 0
+    prev_caps, computed, rows = None, 0, []
     for t in range(1, cfg.T + 1):
         caps = np.array(sim.current_caps(t))  # step refreshes again with identical state
         computed += caps.tobytes() != prev_caps
@@ -291,11 +309,11 @@ def test_repeated_caps_reuse_the_allocation_and_payments(monkeypatch):
         assert len(greedy_calls) == len(payment_calls) == computed
         alloc = sw_greedy(sim.costs, caps)
         pay = job_payments(alloc, caps, sim.costs, cfg.cost_bounds[1], true_costs=sim.costs)
-        trace = sim.trace()
-        assert not trace.infeasible[-1]
-        assert trace.fraction_table[-1].tobytes() == alloc.fractions.tobytes()
-        assert trace.payment_table[-1].tobytes() == pay.payments.tobytes()
-        assert trace.utility_table[-1].tobytes() == pay.utilities.tobytes()
+        assert planned_fractions(sim).tobytes() == alloc.fractions.tobytes()
+        rows.append((float(pay.payments.sum()), float(pay.utilities.min())))
+    trace = sim.trace()
+    assert not trace.infeasible.any()
+    assert list(zip(trace.payment.tolist(), trace.utility_min.tolist())) == rows
     assert 1 < computed < cfg.T
 
 
@@ -318,11 +336,13 @@ def test_infeasible_jobs_under_repeated_indices():
         self._eager = indices if self._lists else np.array(indices)
         return self
 
+    plans = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(WorkerStats, "refresh_indices", scripted)
         sim = Simulator(cfg, recipe)
         for t in range(1, cfg.T + 1):
             sim.step(t)
+            plans.append(planned_fractions(sim))
     trace = sim.trace()
     for t, rho_plus in enumerate(script, start=1):
         caps = true_cap(np.array(rho_plus), np.array(beta_minus), cfg.D, cfg.epsilon)
@@ -331,7 +351,7 @@ def test_infeasible_jobs_under_repeated_indices():
         except InfeasibleJob:
             fractions, infeasible = np.zeros(n), True
         assert trace.infeasible[t - 1] == infeasible, t
-        assert trace.fraction_table[t - 1].tobytes() == fractions.tobytes(), t
+        assert plans[t - 1].tobytes() == fractions.tobytes(), t
     assert trace.infeasible.tolist() == [rho_plus is tiny for rho_plus in script]
 
 
@@ -373,12 +393,10 @@ def test_known_means_shares_the_oracle_allocation_and_never_learns(monkeypatch):
     sim = Simulator(cfg, recipe, est_cfg=est, mode="known-means")
     for t in range(1, cfg.T + 1):
         sim.step(t)
-    trace = sim.trace()
+        assert planned_fractions(sim).tobytes() == sim.oracle.fractions.tobytes(), t
     assert len(greedy_calls) == 2  # the oracle, then the first job
     assert not sample_calls
     assert np.all(np.asarray(sim.outcomes.cursor) == BLOCK)
-    assert np.all(trace.fraction_table == sim.oracle.fractions)
-    assert np.isnan(trace.completion_table).all() and not trace.window_table.any()
     assert not sim.stats.N_it.any() and not sim.stats.N_beta_it.any()
 
 
@@ -412,9 +430,10 @@ def test_names_patched_by_the_benchmark_tracer_exist(monkeypatch):
 
     for name in layers:
         count(WorkerStats, name)
-    count(crowdmarket.simulation, "sample_outcome")
+    draws = counting(monkeypatch, "sample_outcome")
     for delta in (0.5, 3.0):
         calls.clear()
+        draws.clear()
         cfg = replace(desk_config(T=300), delta=delta)
         sim = Simulator(cfg, desk_recipe(), est_cfg=desk_estimator(cfg))
         assert sim._lists and sim.stats._lists and sim.outcomes._lists
@@ -424,15 +443,14 @@ def test_names_patched_by_the_benchmark_tracer_exist(monkeypatch):
             last = indices
             indices = sim.stats.rho_hat_plus.tobytes() + sim.stats.beta_hat_minus.tobytes()
             moved += indices != last
-        trace = sim.trace()
-        observed = ((trace.fraction_table > 0) & (trace.window_table >= 0)).any(axis=1)
-        assert not trace.infeasible.any()
-        assert calls == {
+        observed = sum(any(code >= 0 for code in codes) for _, (_, codes) in draws)
+        assert not sim.trace().infeasible.any()
+        assert {**calls, "sample_outcome": len(draws)} == {
             "refresh_indices": cfg.T,
             "pessimistic_cap": moved,
             "sample_outcome": cfg.T,
             "record_jct_sample": cfg.T,
-            "record_window": int(observed.sum()),
+            "record_window": observed,
         }, delta
 
 
@@ -451,7 +469,12 @@ def test_optimal_set_match_lock_index_logic():
 @on_both_branches
 def test_optimal_set_match_against_explicit_oracle():
     cfg, recipe, est = small_market(T=30)
-    trace = run(cfg, recipe, est_cfg=est)
+    sim = Simulator(cfg, recipe, est_cfg=est)
+    plans = []
+    for t in range(1, cfg.T + 1):
+        sim.step(t)
+        plans.append(planned_fractions(sim))
+    trace = sim.trace()
     flags_stored, _ = optimal_set_match(trace)
     oracle = sw_greedy(
         np.array([w.cost for w in trace.workers]),
@@ -461,7 +484,7 @@ def test_optimal_set_match_against_explicit_oracle():
     flags_recomputed = np.array(
         [
             not infeasible and np.array_equal(row > 0, target)
-            for infeasible, row in zip(trace.infeasible, trace.fraction_table)
+            for infeasible, row in zip(trace.infeasible, plans)
         ]
     )
     assert np.array_equal(flags_stored, flags_recomputed)
@@ -520,7 +543,7 @@ def test_trace_csv_matches_the_row_by_row_rule(tmp_path, jobs):
     """No jobs (the header alone), and runs that end just before, at and
     just after a chunk boundary, so ``t`` runs on across chunks."""
     cfg, recipe, est = small_market(T=jobs)
-    got, want = _trace_csv_bytes(run(cfg, recipe, est_cfg=est, record_tables=False), tmp_path)
+    got, want = _trace_csv_bytes(run(cfg, recipe, est_cfg=est), tmp_path)
     assert got == want
     lines = got.split(b"\r\n")
     assert len(lines) == jobs + 2 and lines[-1] == b""
@@ -530,7 +553,7 @@ def test_trace_csv_matches_the_row_by_row_rule(tmp_path, jobs):
 @on_both_branches
 def test_trace_csv_of_infeasible_jobs_matches_the_row_by_row_rule(tmp_path):
     cfg, recipe = pessimistic_market(T=40)
-    trace = run(cfg, recipe, record_tables=False)
+    trace = run(cfg, recipe)
     assert trace.infeasible.all()
     got, want = _trace_csv_bytes(trace, tmp_path)
     assert got == want
@@ -576,7 +599,7 @@ def test_trace_csv_and_summary_share_one_regret_series(tmp_path, jobs):
     ``regret_avg_final`` come from one series, so they agree to the last
     digit (cumulating cost and oracle cost apart would not)."""
     cfg, recipe, est = small_market(T=jobs, seed=1)
-    trace = run(cfg, recipe, est_cfg=est, record_tables=False)
+    trace = run(cfg, recipe, est_cfg=est)
     path = tmp_path / "trace.csv"
     trace_to_csv(trace, path)
     last = path.read_text().strip().splitlines()[-1].split(",")
@@ -614,18 +637,13 @@ LITERAL_RUNS = {
 
 
 @pytest.mark.parametrize("cfg, recipe, mode", LITERAL_RUNS.values(), ids=LITERAL_RUNS.keys())
-def test_runs_match_the_literal_loop_and_keep_the_invariants(cfg, recipe, mode):
-    """A whole run gives the six series of the paper's loop recomputed every
-    job with no cache (``oracles.run_literal``), bit for bit.  On every job
-    of that loop the fractions sum to exactly 1, none exceeds its cap, every
-    truthful utility is >= 0 exactly, and a worker whose indices cover its
-    true means gets at most its true cap."""
-    est = desk_estimator(cfg)
-    trace = run(cfg, recipe, est_cfg=est, mode=mode, record_tables=False)
-    literal = oracles.run_literal(cfg, recipe, est, mode)
-    for name in oracles.SERIES:
-        series = getattr(trace, name)
-        assert np.array(literal[name], dtype=series.dtype).tobytes() == series.tobytes(), name
+def test_runs_match_the_literal_loop_and_keep_the_invariants(cfg, recipe, mode, tmp_path):
+    """A whole run gives the six series and the final estimator CSV of the
+    paper's loop recomputed every job with no cache (``oracles.run_literal``),
+    bit for bit.  On every job of that loop the fractions sum to exactly 1,
+    none exceeds its cap, every truthful utility is >= 0 exactly, and a
+    worker whose indices cover its true means gets at most its true cap."""
+    _, literal = run_against_literal(cfg, recipe, desk_estimator(cfg), mode, tmp_path)
     jobs = zip(literal["fractions"], literal["caps"], literal["utilities"], literal["covered"])
     checked = 0
     for t, (x, caps, utilities, covered) in enumerate(jobs, start=1):
@@ -640,6 +658,15 @@ def test_runs_match_the_literal_loop_and_keep_the_invariants(cfg, recipe, mode):
     if mode == "learning":  # the caps, and so the indices, move on most jobs
         caps = literal["caps"]
         assert sum(a != b for a, b in zip(caps, caps[1:])) > cfg.T // 2
+
+
+@on_both_branches
+def test_completion_samples_whose_square_underflows_match_the_literal_loop(tmp_path):
+    """At sigma_log = 26 about a quarter of the completion samples are so
+    small that their square is 0 or subnormal.  They never drop, and the run
+    is the literal loop's, with no error or warning."""
+    cfg = replace(desk_config(T=200), sigma_log=26.0)
+    run_against_literal(cfg, desk_recipe(), desk_estimator(cfg), "learning", tmp_path)
 
 
 def test_crossover_moves_every_module_that_binds_the_list_max():
@@ -713,17 +740,22 @@ BRANCH_EXAMPLES = [
 
 def _run_bytes(cfg, recipe, est, repeat):
     """Every output byte of one run: the trace CSV, the summary JSON, the
-    estimator CSV and the per-worker tables; or the error it raised.  Also
+    estimator CSV, the six series, each job's planned fractions and each
+    draw's completion times and window codes; or the error it raised.  Also
     the list-branch facts the examples must cover."""
+    plans = []
     try:
-        sim = Simulator(cfg, recipe, est_cfg=est, record_tables=True)
-        filed = []  # the keys of samples filed to drop before the horizon
-        file = sim.stats._file
-        sim.stats._file = lambda keys, *rest: (filed.extend(keys), file(keys, *rest))
-        for t in range(1, cfg.T + 1):
-            if repeat and t % repeat == 0:
-                sim.current_caps(t)
-            sim.step(t)
+        with pytest.MonkeyPatch.context() as patch:
+            draws = counting(patch, "sample_outcome")
+            sim = Simulator(cfg, recipe, est_cfg=est)
+            filed = []  # the keys of samples filed to drop before the horizon
+            file = sim.stats._file
+            sim.stats._file = lambda keys, *rest: (filed.extend(keys), file(keys, *rest))
+            for t in range(1, cfg.T + 1):
+                if repeat and t % repeat == 0:
+                    sim.current_caps(t)
+                sim.step(t)
+                plans.append(planned_fractions(sim).tobytes())
     except (ValueError, InfeasibleJob) as exc:
         return (type(exc), str(exc)), {}
     trace = sim.trace()
@@ -733,18 +765,17 @@ def _run_bytes(cfg, recipe, est, repeat):
         summary_to_json(trace_summary(trace), paths[1])
         stats_to_csv(sim.stats, paths[2])
         files = [path.read_bytes() for path in paths]
-    tables = [getattr(trace, name).tobytes() for name in (
-        "infeasible", "cost", "payment", "active_size", "utility_min", "match",
-        "fraction_table", "payment_table", "utility_table", "completion_table", "window_table",
-    )]
+    series = [getattr(trace, name).tobytes() for name in oracles.SERIES]
+    outcomes = [(np.array(tau).tobytes(), np.array(codes, dtype=np.int8).tobytes())
+                for _, (tau, codes) in draws]
     covered = {
         "infeasible": bool(trace.infeasible.any()),
-        "codes": set(trace.window_table[trace.fraction_table > 0].tolist()),
+        "codes": {int(code) for _, (_, codes) in draws for code in codes},
         "dropped": any(key < math.log(cfg.T) for key in filed),
         "refilled": int(sim.stats.N_it.max()) > BLOCK,
         "repeated": bool(repeat) and cfg.T >= repeat,
     }
-    return (*files, *tables), covered
+    return (*files, *series, *plans, *outcomes), covered
 
 
 @settings(max_examples=30, deadline=None)
@@ -755,8 +786,8 @@ def _run_bytes(cfg, recipe, est, repeat):
 @example(market=BRANCH_EXAMPLES[3])
 def test_both_branches_give_the_same_run_bytes(market):
     """A whole run on Python floats and on numpy arrays writes the same trace
-    CSV, summary JSON, estimator CSV and per-worker tables, or raises the
-    same error with the same message."""
+    CSV, summary JSON and estimator CSV, gives the same series, plans and
+    draws, or raises the same error with the same message."""
     outputs = {}
     for name, limit in BRANCHES.items():
         with crossover(limit):
