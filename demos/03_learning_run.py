@@ -8,7 +8,6 @@ Trace CSVs land in demos/out/.
 Run from the repository root:  python3 demos/03_learning_run.py
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 from crowdmarket import (
@@ -27,7 +26,7 @@ OUT = Path(__file__).resolve().parent / "out"
 
 def main() -> None:
     cfg, recipe, est_overrides = load_config(CONFIG)
-    est = replace(EstimatorConfig.defaults(cfg), **est_overrides)
+    est = EstimatorConfig.defaults(cfg, **est_overrides)
 
     print(f"running {cfg.T} jobs, n={cfg.n}, epsilon={cfg.epsilon}, seed={cfg.seed} ...")
     learning = run(cfg, recipe, est_cfg=est)

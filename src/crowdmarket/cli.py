@@ -77,10 +77,7 @@ def _file_in_the_way(out: Path) -> Path | None:
 
 
 def _build_estimator(cfg: MarketConfig, overrides: dict[str, float]) -> EstimatorConfig:
-    est = EstimatorConfig.defaults(cfg)
-    if overrides:
-        est = replace(est, **{k: float(v) for k, v in overrides.items()})
-    return est.validate(cfg)
+    return EstimatorConfig.defaults(cfg, **overrides).validate(cfg)
 
 
 def _run_replicate(payload) -> dict:

@@ -55,24 +55,28 @@ class EstimatorConfig:
     alpha: float = 4.0
 
     @classmethod
-    def defaults(cls, cfg: MarketConfig, alpha: float = 4.0) -> "EstimatorConfig":
+    def defaults(cls, cfg: MarketConfig, alpha: float = 4.0, **bounds: float) -> "EstimatorConfig":
         """Valid second-moment bounds for the configured distributions.
 
         A log-normal with mean m and shape s has raw second moment
         m**2 * exp(s**2); the failure surrogate delta*eta is dominated by
-        2 * (beta_max + delta)**2.
+        2 * (beta_max + delta)**2.  A bound given in ``bounds`` (``u_rho`` or
+        ``u_beta``) is kept, and its default is not computed.
         """
         rho_hi = cfg.rho_bounds[1]
         beta_hi = cfg.beta_bounds[1]
         try:
-            u_rho = rho_hi * rho_hi * math.exp(cfg.sigma_log * cfg.sigma_log)
-            u_beta = 2.0 * (beta_hi + cfg.delta) ** 2
+            if "u_rho" not in bounds:
+                bounds["u_rho"] = rho_hi * rho_hi * math.exp(cfg.sigma_log * cfg.sigma_log)
+            if "u_beta" not in bounds:
+                bounds["u_beta"] = 2.0 * (beta_hi + cfg.delta) ** 2
         except OverflowError:
+            name = "u_beta" if "u_rho" in bounds else "u_rho"
             raise InvalidConfig(
-                f"sigma_log={cfg.sigma_log}, beta_max={beta_hi} and delta={cfg.delta} "
-                "overflow the default second-moment bounds"
+                f"the default {name} overflows at sigma_log={cfg.sigma_log}, rho_max={rho_hi}, "
+                f"beta_max={beta_hi} and delta={cfg.delta}; the config may set {name} instead"
             ) from None
-        return cls(u_rho=u_rho, u_beta=u_beta, alpha=alpha)
+        return cls(alpha=alpha, **bounds)
 
     def validate(self, cfg: MarketConfig) -> "EstimatorConfig":
         rho_hi = cfg.rho_bounds[1]

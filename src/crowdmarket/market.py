@@ -181,21 +181,20 @@ def outcome_streams(cfg: MarketConfig) -> list[np.random.Generator]:
 def sample_population(cfg: MarketConfig, recipe: PopulationRecipe) -> list[WorkerProfile]:
     """Draw the worker population; deterministic given ``cfg.seed``.
 
-    Per worker the draws are taken in the order cost, mjct, mttf, uniformly
-    from the group's ranges (degenerate ranges give constants).
+    One call draws three standard uniforms ``u`` per worker (cost, mjct, mttf),
+    each scaled as ``Generator.uniform`` does, to ``lo + (hi - lo) * u`` over
+    the group's range: the values of three scalar ``uniform`` draws per worker.
     """
     validate_config(cfg)
     _validate_recipe(cfg, recipe)
-    rng = population_streams(cfg)
+    u = iter(population_streams(cfg).random(3 * cfg.n).tolist())
     workers: list[WorkerProfile] = []
-    wid = 0
     for g in recipe.groups:
+        ranges = (g.cost_range, g.rho_range, g.beta_range)
+        (c, dc), (r, dr), (b, db) = [(float(lo), float(hi) - float(lo)) for lo, hi in ranges]
         for _ in range(g.count):
-            cost = float(rng.uniform(*g.cost_range))
-            mjct = float(rng.uniform(*g.rho_range))
-            mttf = float(rng.uniform(*g.beta_range))
-            workers.append(WorkerProfile(id=wid, cost=cost, mjct=mjct, mttf=mttf))
-            wid += 1
+            cost, mjct, mttf = c + dc * next(u), r + dr * next(u), b + db * next(u)
+            workers.append(WorkerProfile(len(workers), cost, mjct, mttf))
     return workers
 
 

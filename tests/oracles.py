@@ -6,7 +6,10 @@ one call per worker and sample, exactly as the estimator worked before its
 state became one struct-of-arrays bank; the bank must reproduce its counts,
 kept sums, indices and caps bit for bit.  ``BlockSampler`` serves each
 worker's outcomes one scalar draw at a time by the k-th-activation rule that
-``crowdmarket.sample_outcome`` implements with pre-drawn blocks.
+``crowdmarket.sample_outcome`` implements with pre-drawn blocks, and
+``sample_population`` draws the population with three scalar draws per
+worker, the values ``crowdmarket.sample_population`` computes from one draw
+of standard uniforms.
 ``delta_separation`` reads the slack an allocation leaves on its boundary
 worker.  ``trace_to_csv`` writes a trace row by row through ``csv.writer``,
 the literal rule for the library's columnar writer.  ``run_literal`` runs
@@ -26,10 +29,11 @@ import numpy as np
 from crowdmarket import (
     EstimatorConfig,
     InfeasibleJob,
+    WorkerProfile,
     jct_location,
     job_payments,
+    market,
     outcome_streams,
-    sample_population,
     sw_greedy,
 )
 from crowdmarket.market import BLOCK, Bounds
@@ -320,12 +324,28 @@ class BlockSampler:
         return tau, int(ttf < self.delta)
 
 
+def sample_population(cfg, recipe) -> list[WorkerProfile]:
+    """The population of a valid ``cfg`` and ``recipe``: worker by worker,
+    one scalar uniform draw each for cost, mjct and mttf, in that order, from
+    the population stream."""
+    rng = market.population_streams(cfg)
+    workers = []
+    for g in recipe.groups:
+        for _ in range(g.count):
+            cost = float(rng.uniform(*g.cost_range))
+            mjct = float(rng.uniform(*g.rho_range))
+            mttf = float(rng.uniform(*g.beta_range))
+            workers.append(WorkerProfile(id=len(workers), cost=cost, mjct=mjct, mttf=mttf))
+    return workers
+
+
 SERIES = ("infeasible", "cost", "payment", "active_size", "utility_min", "match")
 
 
 def run_literal(cfg, recipe, est: EstimatorConfig, mode: str) -> dict:
     """One whole run by the paper's job loop, with no cache.
 
+    The population comes from this module's :func:`sample_population`.
     Each job refreshes one scalar :class:`WorkerStats` per worker (learning
     mode) and takes its caps, or takes the true caps (known-means mode);
     calls ``sw_greedy`` and ``job_payments`` afresh on plain arrays; and, in

@@ -437,3 +437,35 @@ def test_every_desk6_value_mutation_exits_with_a_documented_code(key, tmp_path, 
         code = main(["simulate", "--config", str(path), "--out", str(tmp_path / f"out{k}")])
         assert code in (0, 2, 3, 4), (key, value)
         assert "Traceback" not in capsys.readouterr().err, (key, value)
+
+
+def _desk6_at_sigma_log_30(tmp_path, bounds: str) -> Path:
+    """desk6.cfg with ``sigma_log = 30`` and the estimator lines ``bounds``."""
+    text = DESK6.read_text()
+    assert "sigma_log = 0.25\n" in text
+    path = tmp_path / "desk6_sigma_log_30.cfg"
+    path.write_text(text.replace("sigma_log = 0.25\n", "sigma_log = 30\n") + bounds)
+    return path
+
+
+def test_config_bounds_replace_defaults_that_would_overflow(tmp_path):
+    """With ``sigma_log = 30`` the default ``u_rho`` overflows, but a config
+    that sets both bounds never computes the defaults: all 10^4 desk6 jobs run,
+    none infeasible, under the warnings-as-errors setting."""
+    path = _desk6_at_sigma_log_30(tmp_path, "u_rho = 1000\nu_beta = 5000\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+    (summary,) = json.loads((out / "aggregate.json").read_text())["runs"]
+    assert summary["estimator"]["u_rho"] == 1000.0 and summary["estimator"]["u_beta"] == 5000.0
+    assert summary["jobs_completed"] == 10_000 and summary["jobs_infeasible"] == 0
+
+
+def test_an_overflowing_default_is_named(tmp_path, capsys):
+    """With only ``u_beta`` set, the default ``u_rho`` still overflows at
+    ``sigma_log = 30``: exit 3 with one line of message naming ``u_rho``."""
+    path = _desk6_at_sigma_log_30(tmp_path, "u_beta = 5000\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "default u_rho overflows" in err and "Traceback" not in err
+    assert not out.exists()

@@ -17,13 +17,16 @@ from crowdmarket import (
     PopulationRecipe,
     jct_location,
     load_config,
+    market,
     outcome_streams,
     population_to_csv,
     sample_outcome,
     sample_population,
     validate_config,
 )
+from crowdmarket.market import population_streams
 
+import oracles
 from conftest import on_both_branches, reference_config, reference_recipe
 from oracles import BlockSampler
 
@@ -127,6 +130,58 @@ def test_recipe_count_mismatch_is_rejected():
     cfg = reference_config(n=10)
     with pytest.raises(InvalidRecipe):
         sample_population(cfg, reference_recipe(n_fast=5, n_slow=4))
+
+
+_POINT = st.one_of(st.integers(1, 1000), st.floats(1.0, 1000.0))
+_RANGE = st.one_of(
+    _POINT.map(lambda v: (v, v)), st.tuples(_POINT, _POINT).map(lambda r: tuple(sorted(r)))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    groups=st.lists(
+        st.builds(
+            PopulationGroup,
+            count=st.integers(1, 60),
+            cost_range=_RANGE,
+            rho_range=_RANGE,
+            beta_range=_RANGE,
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_population_matches_the_per_worker_draws(groups, seed):
+    """Random recipes (1-6 groups of 1-60 workers; degenerate or wide ranges
+    with integer or real ends): the population scaled from one draw of
+    standard uniforms equals the oracle's three scalar ``uniform`` draws per
+    worker bit for bit, and both leave the population stream at the same
+    place."""
+    recipe = PopulationRecipe(tuple(groups))
+    wide = (1.0, 1000.0)
+    cfg = reference_config(
+        n=recipe.total, seed=seed, cost_bounds=wide, rho_bounds=wide, beta_bounds=wide
+    )
+    streams = []
+
+    def kept(cfg):
+        streams.append(population_streams(cfg))
+        return streams[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market, "population_streams", kept)
+        got = sample_population(cfg, recipe)
+        expected = oracles.sample_population(cfg, recipe)
+
+    def exact(workers):
+        return [(w.id, float.hex(w.cost), float.hex(w.mjct), float.hex(w.mttf)) for w in workers]
+
+    assert exact(got) == exact(expected)
+    assert {type(v) for w in got for v in (w.cost, w.mjct, w.mttf)} == {float}
+    library, oracle = streams
+    assert library.random() == oracle.random()
 
 
 def test_outcome_zero_shape_is_exact():
