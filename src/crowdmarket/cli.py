@@ -28,6 +28,9 @@ import numpy as np
 from .allocation import InfeasibleJob
 from .estimator import EstimatorConfig
 from .market import (
+    _ESTIMATOR_KEYS,
+    _FIELDS,
+    _KEY_TYPES,
     InvalidConfig,
     InvalidRecipe,
     MarketConfig,
@@ -43,17 +46,13 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_INFEASIBLE = 4
 
-_SWEEPABLE = {
-    "epsilon": ("cfg", float),
-    "deadline": ("cfg:D", float),
-    "delta": ("cfg", float),
-    "jobs": ("cfg:T", int),
-    "sigma_log": ("cfg", float),
-    "seed": ("cfg", int),
-    "alpha": ("est", float),
-    "u_rho": ("est", float),
-    "u_beta": ("est", float),
-}
+# dsic-test's bound on a deviation's utility gain, within rounding of 0.
+DSIC_TOLERANCE = 1e-9
+
+# The config keys sweep may vary; market knows each one's type and target.
+_SWEEPABLE = (
+    "epsilon", "deadline", "delta", "jobs", "sigma_log", "seed", "alpha", "u_rho", "u_beta",
+)
 
 
 def _count(minimum: int):
@@ -74,6 +73,14 @@ def _file_in_the_way(out: Path) -> Path | None:
         if path.exists():
             return None if path.is_dir() else path
     return None
+
+
+def _load(args: argparse.Namespace) -> tuple[MarketConfig, PopulationRecipe, dict[str, float]]:
+    """``load_config`` of ``--config``, with ``--seed`` in place of its seed if given."""
+    cfg, recipe, est_overrides = load_config(args.config)
+    if args.seed is not None:
+        cfg = validate_config(replace(cfg, seed=args.seed))
+    return cfg, recipe, est_overrides
 
 
 def _build_estimator(cfg: MarketConfig, overrides: dict[str, float]) -> EstimatorConfig:
@@ -137,9 +144,7 @@ def _simulate(
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg, recipe, est_overrides = load_config(args.config)
-    if args.seed is not None:
-        cfg = validate_config(replace(cfg, seed=args.seed))
+    cfg, recipe, est_overrides = _load(args)
     est = _build_estimator(cfg, est_overrides)
     code, aggregate = _simulate(
         cfg,
@@ -177,8 +182,8 @@ def _cmd_dsic_test(args: argparse.Namespace) -> int:
         "sweeps": sweeps,
         "max_gain": float(worst),
         "worst_case": worst_case,
-        "tolerance": 1e-9,
-        "dsic_holds": bool(worst <= 1e-9),
+        "tolerance": DSIC_TOLERANCE,
+        "dsic_holds": bool(worst <= DSIC_TOLERANCE),
     }
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -192,7 +197,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep: unknown parameter {args.param!r}; choose from "
               f"{', '.join(sorted(_SWEEPABLE))}", file=sys.stderr)
         return EXIT_USAGE
-    target, cast = _SWEEPABLE[args.param]
+    cast = _KEY_TYPES[args.param]
     try:
         values = [cast(v) for v in args.values.split(",") if v.strip()]
         if not all(abs(v) < math.inf for v in values):  # NaN included
@@ -205,9 +210,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("sweep: --values must contain at least one value", file=sys.stderr)
         return EXIT_USAGE
 
-    cfg, recipe, est_overrides = load_config(args.config)
-    if args.seed is not None:
-        cfg = validate_config(replace(cfg, seed=args.seed))
+    cfg, recipe, est_overrides = _load(args)
 
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -215,11 +218,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     any_ok = False
     for v in values:
         cfg_v, overrides_v = cfg, dict(est_overrides)
-        if target.startswith("cfg"):
-            fieldname = target.split(":")[1] if ":" in target else args.param
-            cfg_v = replace(cfg, **{fieldname: v})
-        else:
+        if args.param in _ESTIMATOR_KEYS:
             overrides_v[args.param] = v
+        else:
+            cfg_v = replace(cfg, **{_FIELDS.get(args.param, args.param): v})
         try:
             est_v = _build_estimator(validate_config(cfg_v), overrides_v)
         except InvalidConfig as exc:

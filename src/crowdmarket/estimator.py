@@ -55,28 +55,28 @@ class EstimatorConfig:
     alpha: float = 4.0
 
     @classmethod
-    def defaults(cls, cfg: MarketConfig, alpha: float = 4.0, **bounds: float) -> "EstimatorConfig":
+    def defaults(cls, cfg: MarketConfig, **given: float) -> "EstimatorConfig":
         """Valid second-moment bounds for the configured distributions.
 
         A log-normal with mean m and shape s has raw second moment
         m**2 * exp(s**2); the failure surrogate delta*eta is dominated by
-        2 * (beta_max + delta)**2.  A bound given in ``bounds`` (``u_rho`` or
-        ``u_beta``) is kept, and its default is not computed.
+        2 * (beta_max + delta)**2.  A value in ``given`` (``u_rho``, ``u_beta``
+        or ``alpha``) is kept, and a bound given there is not computed.
         """
         rho_hi = cfg.rho_bounds[1]
         beta_hi = cfg.beta_bounds[1]
         try:
-            if "u_rho" not in bounds:
-                bounds["u_rho"] = rho_hi * rho_hi * math.exp(cfg.sigma_log * cfg.sigma_log)
-            if "u_beta" not in bounds:
-                bounds["u_beta"] = 2.0 * (beta_hi + cfg.delta) ** 2
+            if "u_rho" not in given:
+                given["u_rho"] = rho_hi * rho_hi * math.exp(cfg.sigma_log * cfg.sigma_log)
+            if "u_beta" not in given:
+                given["u_beta"] = 2.0 * (beta_hi + cfg.delta) ** 2
         except OverflowError:
-            name = "u_beta" if "u_rho" in bounds else "u_rho"
+            name = "u_beta" if "u_rho" in given else "u_rho"
             raise InvalidConfig(
                 f"the default {name} overflows at sigma_log={cfg.sigma_log}, rho_max={rho_hi}, "
                 f"beta_max={beta_hi} and delta={cfg.delta}; the config may set {name} instead"
             ) from None
-        return cls(alpha=alpha, **bounds)
+        return cls(**given)
 
     def validate(self, cfg: MarketConfig) -> "EstimatorConfig":
         rho_hi = cfg.rho_bounds[1]
@@ -146,8 +146,11 @@ class WorkerStats:
     and each method is a scalar loop that applies the array operations in the
     same order (``math.sqrt`` for ``np.sqrt``, in-order subtraction for
     ``np.subtract.at``), so both forms hold the same floats; the store is the
-    same arrays in both.  The readers (``eta``, ``N_it``, ``rho_hat_plus`` and
-    the rest) return fresh arrays in both forms, which later calls leave
+    same arrays in both.  ``record_window`` is one loop over the listed
+    workers in both forms, and ``_eta`` a list in both: at n = 400 a job step
+    passes it about one observed window per call (at most 5), so an array
+    branch would only cost.  The readers (``eta``, ``N_it``, ``rho_hat_plus``
+    and the rest) return fresh arrays in both forms, which later calls leave
     alone; ``pessimistic_cap`` returns a list in the list form.
     """
 
@@ -169,7 +172,6 @@ class WorkerStats:
         initial = np.array([np.full(n, rho_bounds[1]), np.full(n, beta_bounds[0])])
         self._lists = n <= _LIST_MAX
         state = {
-            "_eta": np.zeros(n, dtype=np.int64),
             "_eager": initial,  # rho_hat_plus and beta_hat_minus
             "_count": np.zeros((2, n)),
             "_kept": np.zeros((2, n)),
@@ -183,6 +185,7 @@ class WorkerStats:
         self._buffer = np.array([np.zeros((2, n)), np.full((2, n), math.inf), np.ones((2, n))])
         self._center, self._radius = self._buffer[:2].tolist() if self._lists else self._buffer[:2]
         self._n = n
+        self._eta = [0] * n  # each worker's streak of clean windows, a list in both forms
         self._log_horizon = math.log(horizon) if horizon > 1 else 0.0
         self._keys, self._slots, self._values = np.empty(0), np.empty(0, np.intp), np.empty(0)
         self._next_key = math.inf  # the smallest key in the store
@@ -329,30 +332,24 @@ class WorkerStats:
         A failure closes the current streak: the sample ``delta * eta`` is
         recorded and the streak resets.  A clean window just extends the
         streak.  Unobserved windows (work shorter than delta) must not be
-        reported here at all.
+        reported here at all.  One loop over the listed workers serves both
+        forms, handing the closed streaks to ``_add_lists`` or ``_add``: a job
+        step observes about one window per call, even at n = 400.
         """
-        eta = self._eta
-        if self._lists:
-            workers, failed = _as_list(workers), _as_list(failed)
-            _check_lengths(workers, failed)
-            closed = [w for w, f in zip(workers, failed) if f]
-            if closed:
-                self._add_lists(_BETA, closed, [self.delta * eta[w] for w in closed])
-            for w in workers:
-                eta[w] += 1
-            for w in closed:
-                eta[w] = 0
-            return self
-        workers = np.asarray(workers, dtype=np.intp)
-        failed = np.asarray(failed, dtype=bool)
+        workers, failed = _as_list(workers), _as_list(failed)
         _check_lengths(workers, failed)
-        if np.count_nonzero(failed):
-            closed = workers[failed]
-            self._add(_BETA, closed, self.delta * eta[closed])
-            eta[workers] += 1
-            eta[closed] = 0
-        else:
-            eta[workers] += 1
+        eta = self._eta
+        closed = [w for w, f in zip(workers, failed) if f]
+        if closed:
+            x = [self.delta * eta[w] for w in closed]
+            if self._lists:
+                self._add_lists(_BETA, closed, x)
+            else:
+                self._add(_BETA, np.array(closed, dtype=np.intp), np.array(x))
+        for w in workers:
+            eta[w] += 1
+        for w in closed:
+            eta[w] = 0
         return self
 
     def refresh_indices(self, t: int) -> "WorkerStats":

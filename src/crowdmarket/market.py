@@ -361,6 +361,11 @@ _SCALAR_KEYS = {
 }
 _OPTIONAL_KEYS = ("sigma_log", "seed")  # MarketConfig's defaults fill them in
 _ESTIMATOR_KEYS = {"alpha": float, "u_rho": float, "u_beta": float}
+_KEY_TYPES = {**_SCALAR_KEYS, **_ESTIMATOR_KEYS}
+# A scalar key sets the MarketConfig field of its own name, except the two
+# renamed here and the bounds: <name>_min and <name>_max set <name>_bounds.
+_FIELDS = {"jobs": "T", "deadline": "D"}
+_BOUNDS = ("cost", "rho", "beta")
 _GROUP_FIELDS = ("count", "cost", "rho", "beta")
 
 
@@ -418,16 +423,12 @@ def load_config(path: str | Path) -> tuple[MarketConfig, PopulationRecipe, dict[
         first = seen.setdefault(key, lineno)
         if first != lineno:
             raise InvalidConfig(f"{path}: key {key!r} is set on lines {first} and {lineno}")
-        if key in _SCALAR_KEYS:
+        if key in _KEY_TYPES:
             try:
-                scalars[key] = _SCALAR_KEYS[key](value)
+                typed = _KEY_TYPES[key](value)
             except ValueError as exc:
                 raise InvalidConfig(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
-        elif key in _ESTIMATOR_KEYS:
-            try:
-                estimator[key] = float(value)
-            except ValueError as exc:
-                raise InvalidConfig(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+            (estimator if key in _ESTIMATOR_KEYS else scalars)[key] = typed
         elif key.startswith("group."):
             groups.setdefault(idx, {})[parts[2]] = value
         else:
@@ -437,17 +438,12 @@ def load_config(path: str | Path) -> tuple[MarketConfig, PopulationRecipe, dict[
     if missing:
         raise InvalidConfig(f"{path}: missing keys: {', '.join(missing)}")
 
-    cfg = MarketConfig(  # each scalar already has its key's type
-        n=scalars["n"],
-        T=scalars["jobs"],
-        D=scalars["deadline"],
-        epsilon=scalars["epsilon"],
-        delta=scalars["delta"],
-        cost_bounds=(scalars["cost_min"], scalars["cost_max"]),
-        rho_bounds=(scalars["rho_min"], scalars["rho_max"]),
-        beta_bounds=(scalars["beta_min"], scalars["beta_max"]),
-        **{key: scalars[key] for key in _OPTIONAL_KEYS if key in scalars},
-    )
+    # Each scalar already has its key's type; MarketConfig's defaults fill in
+    # the optional keys left out.
+    fields = {_FIELDS.get(key, key): value for key, value in scalars.items()}
+    for name in _BOUNDS:
+        fields[f"{name}_bounds"] = (fields.pop(f"{name}_min"), fields.pop(f"{name}_max"))
+    cfg = MarketConfig(**fields)
 
     if not groups:
         raise InvalidConfig(f"{path}: no population groups defined")

@@ -11,7 +11,8 @@ worker's outcomes one scalar draw at a time by the k-th-activation rule that
 worker, the values ``crowdmarket.sample_population`` computes from one draw
 of standard uniforms.
 ``delta_separation`` reads the slack an allocation leaves on its boundary
-worker.  ``trace_to_csv`` writes a trace row by row through ``csv.writer``,
+worker, and ``knot_grid`` lists bids at which a worker reaches every bid
+order open to it.  ``trace_to_csv`` writes a trace row by row through ``csv.writer``,
 the literal rule for the library's columnar writer.  ``run_literal`` runs
 the paper's job loop from these scalar parts, recomputing every job with no
 cache, as the reference for a whole ``crowdmarket.Simulator`` run.
@@ -70,6 +71,18 @@ def delta_separation(alloc, caps) -> float:
     """Slack left on the most expensive active worker of the given allocation."""
     k = alloc.bid_order[alloc.k_pos]
     return max(0.0, float(caps[k]) - float(alloc.fractions[k]))
+
+
+def knot_grid(instance, i):
+    """The cost bounds, every bid (the crossing points) and the midpoints
+    between consecutive ones: between knots the bid order is fixed, so this
+    grid reaches every bid order worker ``i`` can reach, most of them twice."""
+    lo, hi = instance.cost_bounds
+    others = np.delete(instance.costs, i)
+    knots = np.concatenate([[lo, hi], others, [instance.costs[i]]])
+    knots = np.unique(np.clip(knots, lo, hi))
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    return np.unique(np.concatenate([knots, mids]))
 
 
 class TruncatedMeanTracker:

@@ -1,11 +1,14 @@
 """Command-line interface: outputs, exit codes, determinism, aggregation."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from crowdmarket import cli
+from crowdmarket import EstimatorConfig, cli, load_config
 from crowdmarket.cli import main
 
 SMALL_CONFIG = """
@@ -469,3 +472,62 @@ def test_an_overflowing_default_is_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "default u_rho overflows" in err and "Traceback" not in err
     assert not out.exists()
+
+
+# Each sweepable key of a 30-job desk6 copy, at the value the config already
+# has: as written in the file, or as ``repr`` of the estimator default.
+DESK6_30 = ["jobs = 30" if line.startswith("jobs =") else line for line in DESK6_LINES]
+DESK6_30_VALUES = {key.strip(): value.strip() for key, _, value in
+                   (line.partition("=") for line in DESK6_30 if not line.startswith("#"))}
+
+
+@pytest.mark.parametrize("key", cli._SWEEPABLE)
+def test_sweep_to_the_config_value_runs_the_simulated_config(key, tmp_path):
+    """A sweep of any key to the value the config holds writes the trace
+    ``simulate`` writes for that config, byte for byte: a key sent to the
+    wrong config field or to the wrong type changes the run or fails it."""
+    path = tmp_path / "desk6_30.cfg"
+    path.write_text("\n".join(DESK6_30) + "\n")
+    value = DESK6_30_VALUES.get(key)
+    if value is None:
+        cfg, _, overrides = load_config(path)
+        value = repr(getattr(EstimatorConfig.defaults(cfg, **overrides), key))
+    config = ["--config", str(path)]
+    assert main(["simulate", *config, "--out", str(tmp_path / "sim")]) == 0
+    out = tmp_path / "sweep"
+    assert main(["sweep", *config, "--out", str(out), "--param", key, "--values", value]) == 0
+    (run_dir,) = [p for p in out.iterdir() if p.is_dir()]
+    trace = (tmp_path / "sim" / "replicate_000.csv").read_bytes()
+    assert (run_dir / "replicate_000.csv").read_bytes() == trace
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize(
+    "argv, code, last_err_line",
+    [
+        (["dsic-test", "--instances", "2"], 0, None),
+        (["dsic-test", "--instances", "0"], 2, "argument --instances: must be at least 1, got 0"),
+        (["simulate", "--config", "missing.cfg"], 3, "error: config file not found: missing.cfg"),
+    ],
+    ids=["ok", "count below its minimum", "missing config"],
+)
+def test_module_entry_point_exit_codes(argv, code, last_err_line, tmp_path):
+    """``python -m crowdmarket.cli`` in a fresh process exits with ``main``'s
+    code; a bad count gets argparse's usage and error, a bad config one line,
+    and no traceback reaches stderr."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "crowdmarket.cli", *argv, "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if last_err_line is None:
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr.splitlines()[-1].endswith(last_err_line)
+    if code == 3:
+        assert proc.stderr.count("\n") == 1

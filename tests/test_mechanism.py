@@ -1,9 +1,10 @@
 """Payments: hand-checked externalities, incentive properties, deviation sweeps.
 
 The externality rows exist only here, in the literal rule that the
-prefix-sum payments of ``job_payments`` are checked against.  So does the
-knot grid (cost bounds, every bid, and the midpoints between them), the
-oracle that the rank grid of ``deviation_grid`` must match order for order.
+prefix-sum payments of ``job_payments`` are checked against.  The knot grid
+(``oracles.knot_grid``: cost bounds, every bid, and the midpoints between
+them) is the oracle that the rank grid of ``deviation_grid`` must match order
+for order.
 Tests marked ``on_both_branches`` run once on Python floats and once on numpy
 arrays, whatever their worker count, against the same literal rule.
 """
@@ -29,6 +30,7 @@ from crowdmarket import (
 )
 from crowdmarket.allocation import _LIST_MAX, _list_form
 
+from oracles import knot_grid
 from conftest import (
     BRANCHES,
     crossover,
@@ -333,18 +335,6 @@ def test_worker_index_outside_the_instance_raises(worked_instance):
             deviation_sweep(inst, i)
         with pytest.raises(ValueError, match=r"worker index .* outside \[0, 3\)"):
             deviation_sweep(inst, i, grid=np.array([2.0]))
-
-
-def knot_grid(instance, i):
-    """The cost bounds, every bid (the crossing points) and the midpoints
-    between consecutive ones: between knots the bid order is fixed, so this
-    grid reaches every bid order worker ``i`` can reach, most of them twice."""
-    lo, hi = instance.cost_bounds
-    others = np.delete(instance.costs, i)
-    knots = np.concatenate([[lo, hi], others, [instance.costs[i]]])
-    knots = np.unique(np.clip(knots, lo, hi))
-    mids = 0.5 * (knots[:-1] + knots[1:])
-    return np.unique(np.concatenate([knots, mids]))
 
 
 @given(inst=payment_instances())

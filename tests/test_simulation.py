@@ -21,6 +21,7 @@ import oracles
 from crowdmarket import (
     BLOCK,
     EstimatorConfig,
+    FrozenInstance,
     InfeasibleJob,
     MarketConfig,
     PopulationGroup,
@@ -642,7 +643,10 @@ def test_runs_match_the_literal_loop_and_keep_the_invariants(cfg, recipe, mode, 
     paper's loop recomputed every job with no cache (``oracles.run_literal``),
     bit for bit.  On every job of that loop the fractions sum to exactly 1,
     none exceeds its cap, every truthful utility is >= 0 exactly, and a
-    worker whose indices cover its true means gets at most its true cap."""
+    worker whose indices cover its true means gets at most its true cap.  On
+    every ``IDENTITY_EVERY``-th feasible job each active worker is paid by
+    Myerson's identity, ``P_i = b_i * x_i + integral of x_i(z) from b_i to
+    c_bar``."""
     _, literal = run_against_literal(cfg, recipe, desk_estimator(cfg), mode, tmp_path)
     jobs = zip(literal["fractions"], literal["caps"], literal["utilities"], literal["covered"])
     checked = 0
@@ -658,6 +662,33 @@ def test_runs_match_the_literal_loop_and_keep_the_invariants(cfg, recipe, mode, 
     if mode == "learning":  # the caps, and so the indices, move on most jobs
         caps = literal["caps"]
         assert sum(a != b for a, b in zip(caps, caps[1:])) > cfg.T // 2
+    # Myerson's payment identity on every IDENTITY_EVERY-th feasible job.
+    bids = np.array([w.cost for w in oracles.sample_population(cfg, recipe)])
+    feasible = [t for t, infeasible in enumerate(literal["infeasible"]) if not infeasible]
+    for t in feasible[::IDENTITY_EVERY]:
+        caps = np.array(literal["caps"][t])
+        for i, (xi, pay) in enumerate(zip(literal["fractions"][t], literal["payments"][t])):
+            if xi:
+                expected = bids[i] * xi + fraction_integral(bids, caps, cfg.cost_bounds, i)
+                assert pay == pytest.approx(expected, rel=1e-9, abs=1e-12), (t + 1, i)
+
+
+IDENTITY_EVERY = 25
+
+
+def fraction_integral(bids, caps, cost_bounds, i):
+    """The integral of worker ``i``'s fraction x_i(z) over its bid z from
+    ``bids[i]`` to ``cost_bounds[1]``, the others bidding ``bids``: x_i(z) is
+    constant between the knots of ``oracles.knot_grid``, so it is a sum over
+    their segments, as in ``test_payment_identity_over_the_deviation_grid``."""
+    knots = oracles.knot_grid(FrozenInstance(costs=bids, caps=caps, cost_bounds=cost_bounds), i)
+    knots = knots[knots >= bids[i]]
+    integral = 0.0
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        z = bids.copy()
+        z[i] = 0.5 * (lo + hi)
+        integral += sw_greedy(z, caps).fractions[i] * (hi - lo)
+    return integral
 
 
 @on_both_branches
