@@ -209,6 +209,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         print("sweep: --values must contain at least one value", file=sys.stderr)
         return EXIT_USAGE
+    # Values that cast equal would run into one directory, the last overwriting the rest.
+    names = [f"{args.param}_{v}" for v in values]
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        print(f"sweep: --values {args.values!r} name the directory {repeated} twice",
+              file=sys.stderr)
+        return EXIT_USAGE
 
     cfg, recipe, est_overrides = _load(args)
 
@@ -216,7 +223,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     results = []
     any_ok = False
-    for v in values:
+    for v, name in zip(values, names):
         cfg_v, overrides_v = cfg, dict(est_overrides)
         if args.param in _ESTIMATOR_KEYS:
             overrides_v[args.param] = v
@@ -227,9 +234,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         except InvalidConfig as exc:
             results.append({"value": v, "error": str(exc)})
             continue
-        sub_dir = out_root / f"{args.param}_{v}"
         code, aggregate = _simulate(
-            cfg_v, recipe, est_v, sub_dir, args.replicates, args.mode, args.parallelism
+            cfg_v, recipe, est_v, out_root / name, args.replicates, args.mode, args.parallelism
         )
         any_ok = any_ok or code == EXIT_OK
         results.append({"value": v, "exit": code, "totals": aggregate["totals"]})

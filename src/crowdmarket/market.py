@@ -323,16 +323,32 @@ def _sample_lists(blocks: OutcomeBlocks, workers: list, fractions: list):
 _CSV_CHUNK = 256
 
 
+def _bits(column):
+    """An array column's dtype and bytes, None for a list or range."""
+    if isinstance(column, np.ndarray):
+        return column.dtype, memoryview(np.ascontiguousarray(column)).cast("B")
+    return None
+
+
 def _write_csv(path: str | Path, columns: dict) -> None:
     """Write ``columns``, header name to column (an array, list or range;
     all of one length), as CSV.  Each field is the ``repr`` of its Python
     scalar (an array chunk's ``tolist``), which is what ``csv.writer``
-    writes for a float or an int; rows end in CRLF, and no field is quoted."""
+    writes for a float or an int; rows end in CRLF, and no field is quoted.
+    An array bit for bit equal to an earlier one (same dtype and bytes, so
+    -0.0 is not 0.0) reuses that column's strings instead of formatting them."""
+    values = list(columns.values())
+    keys = [_bits(c) for c in values]
+    first = [i if key is None else keys.index(key) for i, key in enumerate(keys)]
     with Path(path).open("w", newline="", encoding="utf-8") as f:
         f.write(",".join(columns) + "\r\n")
-        values = list(columns.values())
         for lo in range(0, len(values[0]), _CSV_CHUNK):
-            fields = [map(repr, _as_list(c[lo : lo + _CSV_CHUNK])) for c in values]
+            hi, fields = lo + _CSV_CHUNK, []
+            for c, j in zip(values, first):
+                if j < len(fields):  # bit-equal to column j
+                    fields.append(fields[j])
+                else:
+                    fields.append(list(map(repr, _as_list(c[lo:hi]))))
             f.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 

@@ -3,9 +3,10 @@
 Each job refreshes every worker's confidence indices, allocates greedily
 against the pessimistic caps, samples completion times and failure windows for
 the active workers, feeds the observations back into the estimators, and
-records payments and welfare as one trace row, which :meth:`Simulator.trace`
-stacks into the per-job series.  The learning state of all workers is one
-:class:`WorkerStats` bank, and each of these layers is one call per job.
+records payments and welfare as one trace row, kept once per plan, which
+:meth:`Simulator.trace` stacks and gathers into the per-job series.  The
+learning state of all workers is one :class:`WorkerStats` bank, and each of
+these layers is one call per job.
 With truthful bids a job's caps and plan (allocation, payments and row) are
 determined by its eager indices, so while those repeat the job reuses the
 previous job's instead of recomputing them.  A known-means mode pins the caps
@@ -133,8 +134,10 @@ class Simulator:
     state is, and only the allocation and payment records hold arrays; above,
     everything is an array.  Both forms write the same bytes.
 
-    A step appends one row of the six trace series; the plan of the last job
-    is ``_plan``, and the outcomes it draws go only to the learning state.
+    Each plan's row of the six trace series is kept once, in ``_rows``, and
+    a step appends the index of its plan's row to ``_jobs``, so a plan
+    reused for many jobs stores one row.  The plan of the last job is
+    ``_plan``, and the outcomes it draws go only to the learning state.
     """
 
     def __init__(
@@ -184,6 +187,7 @@ class Simulator:
         # determine, None until computed.  Known-means caps never change.
         self._caps, self._key, self._plan = self.true_caps, None, None
         self._rows: list[tuple] = []
+        self._jobs: list[int] = []
 
     def current_caps(self, t: int):
         """Caps used for job ``t``, a list up to ``_LIST_MAX`` workers and a
@@ -207,8 +211,8 @@ class Simulator:
         caps = self.current_caps(t)
         if self._plan is None:
             self._plan = self._solve(caps)
-        active, fractions, row = self._plan
-        self._rows.append(row)
+        active, fractions, index = self._plan
+        self._jobs.append(index)
         # An infeasible job draws and learns nothing, and neither does known-means mode.
         if active is not None and self.mode == "learning":
             tau, codes = sample_outcome(self.outcomes, active, fractions)
@@ -224,11 +228,11 @@ class Simulator:
 
     def _solve(self, caps):
         """A job's plan: its active workers (None if it is infeasible), their
-        fractions and its trace row."""
+        fractions and the index of its trace row, which it appends to ``_rows``."""
         try:
             alloc = sw_greedy(self.bids, caps)
         except InfeasibleJob:
-            return None, None, (True, math.nan, math.nan, 0, math.nan, False)
+            return None, None, self._keep((True, math.nan, math.nan, 0, math.nan, False))
         rec = job_payments(alloc, caps, self.bids, self.cfg.cost_bounds[1])  # truthful bids
         x = alloc.fractions
         if self._lists:
@@ -251,10 +255,17 @@ class Simulator:
             utility_min,
             len(active) == len(oracle) and oracle.issuperset(_as_list(active)),
         )
-        return active, fractions, row
+        return active, fractions, self._keep(row)
+
+    def _keep(self, row: tuple) -> int:
+        self._rows.append(row)
+        return len(self._rows) - 1
 
     def trace(self) -> SimulationTrace:
+        """The per-job series: each plan's row stacked once, then gathered by
+        each job's row index."""
         rows = np.array(self._rows, dtype=_SERIES)
+        jobs = np.array(self._jobs, dtype=np.intp)
         return SimulationTrace(
             cfg=self.cfg,
             est=self.est,
@@ -262,7 +273,7 @@ class Simulator:
             workers=self.workers,
             oracle_cost=self.oracle_cost,
             oracle_active=self.oracle_active,
-            **{name: np.ascontiguousarray(rows[name]) for name in rows.dtype.names},
+            **{name: rows[name][jobs] for name in rows.dtype.names},
         )
 
 

@@ -13,7 +13,7 @@ of standard uniforms.
 ``delta_separation`` reads the slack an allocation leaves on its boundary
 worker, and ``knot_grid`` lists bids at which a worker reaches every bid
 order open to it.  ``trace_to_csv`` writes a trace row by row through ``csv.writer``,
-the literal rule for the library's columnar writer.  ``run_literal`` runs
+and ``write_csv`` any columns, the literal rules for the library's columnar writer.  ``run_literal`` runs
 the paper's job loop from these scalar parts, recomputing every job with no
 cache, as the reference for a whole ``crowdmarket.Simulator`` run.
 """
@@ -270,6 +270,18 @@ def trace_to_csv(trace, path) -> None:
                     repr(float(ravg[ti])),
                 ]
             )
+
+
+def write_csv(columns: dict, path) -> None:
+    """Write header name to column (an array, list or range) as CSV one row
+    at a time through ``csv.writer``, each array entry as its Python scalar:
+    the literal rule for the library's columnar writer."""
+    lists = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns.values()]
+    with path.open("w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        for row in zip(*lists):
+            writer.writerow(row)
 
 
 def stats_to_csv(stats_list: list[WorkerStats], path) -> None:

@@ -395,6 +395,24 @@ def test_sweep_with_no_valid_value_exits_3(config_file, tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == ["sweep.json"]
 
 
+@pytest.mark.parametrize(
+    "param, values, repeated",
+    [("deadline", "50,50.0,40", "deadline_50.0"), ("seed", "1,01", "seed_1")],
+)
+def test_sweep_rejects_values_that_share_a_directory(
+    config_file, tmp_path, capsys, param, values, repeated
+):
+    """Two values that cast equal would run into one directory, the second
+    overwriting the first: the sweep names the directory and exits 2 before
+    any run."""
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(config_file), "--out", str(out), "--param", param]
+    assert main(argv + ["--values", values]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and repeated in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_rejects_unknown_param(config_file, tmp_path, capsys):
     code = main(
         [

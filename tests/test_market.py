@@ -1,11 +1,14 @@
 """Market model: config validation, population sampling, outcome distributions."""
 
 import math
+import tempfile
 from dataclasses import MISSING, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from crowdmarket import (
     BLOCK,
@@ -24,7 +27,7 @@ from crowdmarket import (
     sample_population,
     validate_config,
 )
-from crowdmarket.market import population_streams
+from crowdmarket.market import _CSV_CHUNK, _write_csv, population_streams
 
 import oracles
 from conftest import on_both_branches, reference_config, reference_recipe
@@ -410,6 +413,70 @@ def test_population_csv_export(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[1]) == workers[0].cost
+
+
+def csv_column(length: int):
+    """A float, int or bool array, a list of floats and ints, or a range."""
+    return st.one_of(
+        hnp.arrays(np.float64, length, elements=st.floats(width=64)),
+        hnp.arrays(st.sampled_from([np.int64, np.int8, np.bool_]), length),
+        st.lists(st.floats() | st.integers(-(2**53), 2**53), min_size=length, max_size=length),
+        st.integers(-3, 3).map(lambda start: range(start, start + length)),
+    )
+
+
+# How a column's twin differs from it: not at all (the same object or a
+# copy), in the dtype or type, or in one entry of a float column.
+TWINS = ["same", "copy", "dtype", "list", "zero", "nan", "inf", "ulp"]
+
+
+@st.composite
+def csv_columns(draw) -> dict:
+    """Columns of one length, up to 3 chunks and a row, some with twins."""
+    length = draw(st.integers(0, 3 * _CSV_CHUNK + 1) | st.sampled_from([0, 3 * _CSV_CHUNK + 1]))
+    columns = draw(st.lists(csv_column(length), min_size=1, max_size=4))
+    for _ in range(draw(st.integers(0, 4))):
+        c = draw(st.sampled_from(columns))
+        kind = draw(st.sampled_from(TWINS))
+        floats = isinstance(c, list) or (isinstance(c, np.ndarray) and c.dtype == np.float64)
+        if kind in ("zero", "nan", "inf", "ulp") and not (floats and length):
+            kind = "copy"
+        if kind == "same":
+            twin = c
+        elif kind == "dtype" and isinstance(c, np.ndarray) and c.dtype != np.float64:
+            twin = c.astype(np.int8 if c.dtype == np.bool_ else np.float64)
+        elif kind == "list":
+            twin = c.tolist() if isinstance(c, np.ndarray) else list(c)
+        else:
+            twin = c.copy() if not isinstance(c, range) else c
+        if kind in ("zero", "nan", "inf", "ulp"):
+            k = draw(st.integers(0, length - 1))
+            if kind == "zero":
+                c[k], twin[k] = 0.0, -0.0
+            elif kind == "ulp":
+                twin[k] = math.nextafter(c[k], math.inf)
+            else:
+                twin[k] = math.nan if kind == "nan" else math.inf
+        columns.insert(draw(st.integers(0, len(columns))), twin)
+    return {f"c{i}": c for i, c in enumerate(columns)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=csv_columns())
+@example(columns={"a": np.array([0.0, 1.0]), "b": np.array([-0.0, 1.0])})
+@example(columns={"a": np.array([1, 2]), "b": np.array([1.0, 2.0])})
+@example(columns={"a": np.array([True]), "b": np.array([1], dtype=np.int8)})
+@example(columns={"a": [0.0], "b": [-0.0], "c": np.array([-0.0])})
+def test_csv_writer_matches_csv_writer_row_by_row(columns):
+    """Columns of every kind and length up to three chunks and a row, with
+    exact and near twins: a column shares an earlier one's strings only when
+    both are arrays of one dtype and the same bytes, so the bytes equal the
+    row-by-row oracle's whatever repeats."""
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        _write_csv(got, columns)
+        oracles.write_csv(columns, want)
+        assert got.read_bytes() == want.read_bytes()
 
 
 CONFIG_TEXT = """

@@ -318,34 +318,45 @@ def test_repeated_caps_reuse_the_allocation_and_payments(monkeypatch):
     assert 1 < computed < cfg.T
 
 
-@on_both_branches
-def test_infeasible_jobs_under_repeated_indices():
-    """Feasible jobs, an infeasible one, jobs whose indices repeat it, then the
-    last feasible indices and the infeasible ones again.  Each job's row is
-    what ``sw_greedy`` makes of the caps of that job's own indices: an
-    infeasible row, or that allocation.  The indices are set by hand after
-    each real refresh."""
-    cfg, recipe = pessimistic_market(T=9)
-    n, beta_minus = cfg.n, [cfg.beta_bounds[0]] * cfg.n
-    wide, other, tiny = [20.0, 25.0, 30.0], [15.0, 30.0, 40.0], [500.0] * n  # rho+
-    script = [wide, wide, other, tiny, tiny, tiny, other, tiny, wide]
+# rho+ indices of the three workers of pessimistic_market: feasible jobs,
+# an infeasible one, jobs whose indices repeat it, then the last feasible
+# indices and the infeasible ones again.
+WIDE, OTHER, TINY = [20.0, 25.0, 30.0], [15.0, 30.0, 40.0], [500.0] * 3
+SCRIPT = [WIDE, WIDE, OTHER, TINY, TINY, TINY, OTHER, TINY, WIDE]
+
+
+def scripted_run(after_step):
+    """Run the jobs of ``SCRIPT`` on ``pessimistic_market``, each job's
+    indices set by hand after its real refresh, and call ``after_step(sim)``
+    after each step; return the simulator."""
+    cfg, recipe = pessimistic_market(T=len(SCRIPT))
+    beta_minus = [cfg.beta_bounds[0]] * cfg.n
     refresh = WorkerStats.refresh_indices
 
     def scripted(self, t):
         refresh(self, t)
-        indices = [script[t - 1], beta_minus]
+        indices = [SCRIPT[t - 1], beta_minus]
         self._eager = indices if self._lists else np.array(indices)
         return self
 
-    plans = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(WorkerStats, "refresh_indices", scripted)
         sim = Simulator(cfg, recipe)
         for t in range(1, cfg.T + 1):
             sim.step(t)
-            plans.append(planned_fractions(sim))
-    trace = sim.trace()
-    for t, rho_plus in enumerate(script, start=1):
+            after_step(sim)
+    return sim
+
+
+@on_both_branches
+def test_infeasible_jobs_under_repeated_indices():
+    """Each job of ``SCRIPT``'s row is what ``sw_greedy`` makes of the caps of
+    that job's own indices: an infeasible row, or that allocation."""
+    plans = []
+    sim = scripted_run(lambda sim: plans.append(planned_fractions(sim)))
+    cfg, trace = sim.cfg, sim.trace()
+    n, beta_minus = cfg.n, [cfg.beta_bounds[0]] * cfg.n
+    for t, rho_plus in enumerate(SCRIPT, start=1):
         caps = true_cap(np.array(rho_plus), np.array(beta_minus), cfg.D, cfg.epsilon)
         try:
             fractions, infeasible = sw_greedy(sim.costs, caps).fractions, False
@@ -353,7 +364,34 @@ def test_infeasible_jobs_under_repeated_indices():
             fractions, infeasible = np.zeros(n), True
         assert trace.infeasible[t - 1] == infeasible, t
         assert plans[t - 1].tobytes() == fractions.tobytes(), t
-    assert trace.infeasible.tolist() == [rho_plus is tiny for rho_plus in script]
+    assert trace.infeasible.tolist() == [rho_plus is TINY for rho_plus in SCRIPT]
+
+
+@on_both_branches
+def test_trace_equals_the_rows_of_each_job_stacked_one_by_one():
+    """``trace()`` stacks each distinct row once and gathers them by job; that
+    equals the rows of the jobs stacked in job order, across feasible and
+    infeasible rows that each serve several jobs."""
+    rows = []
+    sim = scripted_run(lambda sim: rows.append(sim._rows[sim._plan[2]]))
+    stacked = np.array(rows, dtype=crowdmarket.simulation._SERIES)
+    trace = sim.trace()
+    for name in stacked.dtype.names:
+        series = getattr(trace, name)
+        assert series.flags.c_contiguous, name
+        assert series.tobytes() == np.ascontiguousarray(stacked[name]).tobytes(), name
+    assert len(sim._rows) == 6 < len(SCRIPT)  # wide, other, tiny, other, tiny, wide
+
+
+@on_both_branches
+def test_known_means_keeps_one_distinct_row():
+    """A known-means run solves one plan, so it holds one trace row and one
+    index per job."""
+    sim = Simulator(reference_config(T=2000), reference_recipe(), mode="known-means")
+    for t in range(1, sim.cfg.T + 1):
+        sim.step(t)
+    assert len(sim._rows) == 1 and sim._jobs == [0] * sim.cfg.T
+    assert np.all(sim.trace().cost == sim.oracle_cost)
 
 
 @on_both_branches
