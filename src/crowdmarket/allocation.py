@@ -89,7 +89,7 @@ class SortedBids:
     allocates many jobs against the same bids: ``sw_greedy`` then sorts
     nothing.  Build it with :meth:`of`; the bids and the order are read-only.
     Up to ``_LIST_MAX`` bids it also keeps both as Python lists, which the
-    list form of ``sw_greedy`` and ``job_payments`` reads as they are."""
+    job step hands to ``_payments_lists`` as they are."""
 
     values: np.ndarray
     order: np.ndarray
@@ -116,20 +116,6 @@ def _as_bid_array(bids) -> np.ndarray:
     return bids.values if isinstance(bids, SortedBids) else np.asarray(bids, dtype=float)
 
 
-def _list_form(bids, caps: list):
-    """``(bids, bid order, caps)`` as Python lists when ``bids`` is a
-    :class:`SortedBids` that keeps its lists and the list ``caps`` holds as
-    many numbers, as the list-form job step passes them; else ``None``."""
-    if isinstance(bids, SortedBids) and bids.lists is not None:
-        try:  # float() is the conversion np.asarray(caps, dtype=float) makes
-            caps = [*map(float, caps)]
-        except (TypeError, ValueError):
-            return None  # not numbers: the caller's array checks name the fault
-        if len(caps) == len(bids.lists[1]):
-            return (*bids.lists, caps)
-    return None
-
-
 def sw_greedy(bids, caps) -> Allocation:
     """Fill the job greedily in ascending-bid order, each worker up to its cap.
 
@@ -140,12 +126,10 @@ def sw_greedy(bids, caps) -> Allocation:
     included) and ``ValueError`` on bids and caps that are not two vectors
     of one length, on non-finite bids, or on caps outside [0, 1].
 
-    Up to ``_LIST_MAX`` workers the rule runs on Python floats, above it on
-    numpy arrays; both give the same bytes and raise the same errors.
+    Up to ``_LIST_MAX`` workers the rule runs on Python floats, in
+    ``_greedy_lists``, and the fractions are wrapped in an array; above it
+    on numpy arrays.  Both give the same bytes and raise the same errors.
     """
-    form = _list_form(bids, caps) if type(caps) is list else None
-    if form is not None:
-        return _greedy_lists(*form, bids.order)
     b = _as_bid_array(bids)
     c = np.asarray(caps, dtype=float)
     if b.shape != c.shape:
@@ -156,7 +140,8 @@ def sw_greedy(bids, caps) -> Allocation:
         raise InfeasibleJob(0.0)
     order = bids.order if isinstance(bids, SortedBids) else b.argsort(kind="stable")
     if c.size <= _LIST_MAX:
-        return _greedy_lists(b, order.tolist(), c.tolist(), order)
+        x, k_pos = _greedy_lists(b, order.tolist(), c.tolist())
+        return Allocation(fractions=np.array(x), bid_order=order, k_pos=k_pos)
     if not ((c >= 0) & (c <= 1)).all():  # also rejects NaN caps
         raise ValueError("caps must lie in [0, 1]")
     # NaN sorts last and -inf first, so the two ends decide finiteness.
@@ -198,10 +183,11 @@ def _remainder(full, cap: float) -> float:
     return min(rest, cap)
 
 
-def _greedy_lists(b, o: list, cl: list, order: np.ndarray) -> Allocation:
-    """The numpy branch of ``sw_greedy`` on Python floats, with ``o`` the bid
-    ``order`` and ``cl`` the caps as lists: ``accumulate`` is the sequential
-    ``cumsum`` and ``bisect_left`` the ``searchsorted``."""
+def _greedy_lists(b, o: list, cl: list) -> tuple[list, int]:
+    """The numpy branch of ``sw_greedy`` on lists of Python floats: bids ``b``
+    (the array too, as only its two ends are read), their order ``o`` and caps
+    ``cl`` in, fractions and ``k_pos`` out.  ``accumulate`` is the sequential
+    ``cumsum``, ``bisect_left`` the ``searchsorted``."""
     # A NaN cap can hide from min and max, but not from the sum.
     if not (0.0 <= min(cl) and max(cl) <= 1.0 and not math.isnan(sum(cl))):
         raise ValueError("caps must lie in [0, 1]")
@@ -220,4 +206,4 @@ def _greedy_lists(b, o: list, cl: list, order: np.ndarray) -> Allocation:
         x[w] = cl[w]
     x[o[k_pos]] = rest
     last_pos = k_pos if rest > 0 else next(p for p in reversed(range(k_pos)) if c_sorted[p])
-    return Allocation(fractions=np.array(x), bid_order=order, k_pos=last_pos)
+    return x, last_pos

@@ -32,7 +32,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .allocation import _LIST_MAX, Allocation, _as_bid_array, _list_form, sw_greedy
+from .allocation import _LIST_MAX, Allocation, _as_bid_array, sw_greedy
 
 __all__ = [
     "PaymentRecord",
@@ -78,13 +78,10 @@ def job_payments(
 
     ``caps``, ``bids`` and ``true_costs`` hold one entry per worker of
     ``alloc`` and ``c_bar`` is finite, or ``ValueError`` is raised.  Up to
-    ``_LIST_MAX`` workers the rule runs on Python floats, above it on numpy
-    arrays; both give the same bytes.
+    ``_LIST_MAX`` workers the rule runs on Python floats, in
+    ``_payments_lists``, and both results are wrapped in arrays; above it on
+    numpy arrays.  Both give the same bytes.
     """
-    form = _list_form(bids, caps) if type(caps) is list and true_costs is None else None
-    if form is not None and alloc.bid_order is bids.order and math.isfinite(c_bar):
-        values, order, caps = form
-        return _payments_lists(alloc, caps, values, float(c_bar), values, order)
     caps = np.asarray(caps, dtype=float)
     b = _as_bid_array(bids)
     costs = b if true_costs is None else np.asarray(true_costs, dtype=float)
@@ -98,9 +95,9 @@ def job_payments(
         raise ValueError(f"c_bar must be finite, got {c_bar}")
     n = order.shape[0]
     if n <= _LIST_MAX:
-        bl = b.tolist()
-        costs = bl if costs is b else costs.tolist()
-        return _payments_lists(alloc, caps.tolist(), bl, float(c_bar), costs, order.tolist())
+        x, cl, bl, ol = alloc.fractions.tolist(), caps.tolist(), b.tolist(), order.tolist()
+        p, u = _payments_lists(x, k, cl, bl, float(c_bar), costs.tolist(), ol)
+        return PaymentRecord(payments=np.array(p), utilities=np.array(u))
     active = order[: k + 1]
     x = alloc.fractions[active]
     b_s = b[order]
@@ -131,12 +128,11 @@ def job_payments(
     return PaymentRecord(payments=payments, utilities=utilities)
 
 
-def _payments_lists(alloc, caps, bids, c_bar: float, costs, order) -> PaymentRecord:
-    """The numpy branch of ``job_payments`` on Python floats, with the caps,
-    bids, true costs and bid order as lists, each term in the same order:
-    ``accumulate`` is the sequential ``np.add.accumulate`` and
-    ``bisect_right`` the ``searchsorted``."""
-    k, fractions = alloc.k_pos, alloc.fractions.tolist()
+def _payments_lists(fractions, k: int, caps, bids, c_bar: float, costs, order) -> tuple:
+    """The numpy branch of ``job_payments`` on lists of Python floats, each term
+    in the same order: fractions, caps, bids, true costs and bid order in, with
+    ``k`` the allocation's ``k_pos``; payments and utilities out.  ``accumulate``
+    is the sequential ``np.add.accumulate``, ``bisect_right`` the ``searchsorted``."""
     n = len(order)
     active = order[: k + 1]
     b_s = [bids[w] for w in order]
@@ -161,7 +157,7 @@ def _payments_lists(alloc, caps, bids, c_bar: float, costs, order) -> PaymentRec
         prem, b_part = premium[j], b_next[j]
         payments[w] = b_k * slack + r * done + prem + b_part * part
         utilities[w] = (b_k - cq) * slack + (r - cq) * done + prem + (b_part - cq) * part
-    return PaymentRecord(payments=np.array(payments), utilities=np.array(utilities))
+    return payments, utilities
 
 
 @dataclass(frozen=True)

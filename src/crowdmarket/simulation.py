@@ -20,11 +20,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property, reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
 
-from .allocation import _LIST_MAX, InfeasibleJob, SortedBids, _as_list, sw_greedy, true_cap
+from .allocation import _LIST_MAX, InfeasibleJob, SortedBids, sw_greedy, true_cap
 from .estimator import EstimatorConfig, WorkerStats
 from .market import (
     MarketConfig,
@@ -38,7 +40,7 @@ from .market import (
     sample_population,
     validate_config,
 )
-from .mechanism import job_payments
+from .mechanism import _payments_lists, job_payments
 
 __all__ = [
     "SimulationTrace",
@@ -65,12 +67,15 @@ _SERIES = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationTrace:
     """Per-job series plus cumulative accounting for one simulation run.
 
     Element ``t - 1`` of each series holds job ``t``.  The six series are
     the whole per-job record of a run: no per-worker value of a job is kept.
+    The trace is frozen, and each cumulative series is computed on its first
+    read and kept, so its readers (``regret`` too) share one array and must
+    not write into it.
     """
 
     cfg: MarketConfig
@@ -97,25 +102,25 @@ class SimulationTrace:
     def job_index(self) -> np.ndarray:
         return np.arange(1, len(self) + 1)
 
-    @property
+    @cached_property
     def neg_welfare_cum(self) -> np.ndarray:
         return np.where(self.infeasible, 0.0, self.cost).cumsum()
 
-    @property
+    @cached_property
     def payment_cum(self) -> np.ndarray:
         return np.where(self.infeasible, 0.0, self.payment).cumsum()
 
-    @property
+    @cached_property
     def oracle_cost_cum(self) -> np.ndarray:
         return np.where(self.infeasible, 0.0, self.oracle_cost).cumsum()
 
-    @property
+    @cached_property
     def regret_cum(self) -> np.ndarray:
         """Running sum of each job's cost minus the oracle cost (0 for an
         infeasible job): the one regret series of the trace CSV and summary."""
         return np.where(self.infeasible, 0.0, self.cost - self.oracle_cost).cumsum()
 
-    @property
+    @cached_property
     def regret_avg(self) -> np.ndarray:
         return self.regret_cum / self.job_index
 
@@ -129,10 +134,12 @@ class Simulator:
     guards the caps and the plan in both forms: a job whose indices equal the
     last job's reuses both.  Known-means mode solves its plan at job 1 and keeps it.
 
-    Up to ``_LIST_MAX`` workers the caps (``true_caps`` too), the reused plan
-    and the outcomes are Python lists, as the bank's and the outcome blocks'
-    state is, and only the allocation and payment records hold arrays; above,
-    everything is an array.  Both forms write the same bytes.
+    Up to ``_LIST_MAX`` workers the caps (``true_caps`` too), the plan and
+    the outcomes are Python lists, as the bank's and the outcome blocks' state
+    is: a plan reads the fractions of ``sw_greedy`` as a list, hands them to
+    ``_payments_lists``, the list rule behind ``job_payments``, and builds its
+    row from lists.  Above, everything is an array.  Both forms write the
+    same bytes.  Both call ``sw_greedy`` once per plan computed.
 
     Each plan's row of the six trace series is kept once, in ``_rows``, and
     a step appends the index of its plan's row to ``_jobs``, so a plan
@@ -229,33 +236,29 @@ class Simulator:
     def _solve(self, caps):
         """A job's plan: its active workers (None if it is infeasible), their
         fractions and the index of its trace row, which it appends to ``_rows``."""
+        c_bar = float(self.cfg.cost_bounds[1])
         try:
             alloc = sw_greedy(self.bids, caps)
         except InfeasibleJob:
             return None, None, self._keep((True, math.nan, math.nan, 0, math.nan, False))
-        rec = job_payments(alloc, caps, self.bids, self.cfg.cost_bounds[1])  # truthful bids
-        x = alloc.fractions
-        if self._lists:
-            xs = x.tolist()
-            active = [i for i, xi in enumerate(xs) if xi]
-            fractions = [xs[i] for i in active]
+        x, cost = alloc.fractions, float(self.costs @ alloc.fractions)
+        if self._lists:  # truthful bids: the bids are the costs
+            bids, order = self.bids.lists
+            x = x.tolist()
+            payments, utilities = _payments_lists(x, alloc.k_pos, caps, bids, c_bar, bids, order)
+            active = ids = [i for i, xi in enumerate(x) if xi]
+            fractions = [x[i] for i in active]
             # Positive caps and truthful bids make every utility a finite
             # float other than -0.0, so Python's min is numpy's.
-            utility_min = min(rec.utilities.tolist())
+            payment, utility_min = _add_reduce(payments), min(utilities)
         else:
+            rec = job_payments(alloc, caps, self.bids, c_bar)
             active = x.nonzero()[0]
-            fractions = x[active]
-            utility_min = float(rec.utilities.min())
+            fractions, ids = x[active], active.tolist()
+            payment, utility_min = float(rec.payments.sum()), float(rec.utilities.min())
         oracle = self.oracle_active  # distinct ids: equal sizes and a superset is equality
-        row = (
-            False,
-            float(self.costs @ x),
-            float(rec.payments.sum()),
-            len(active),
-            utility_min,
-            len(active) == len(oracle) and oracle.issuperset(_as_list(active)),
-        )
-        return active, fractions, self._keep(row)
+        match = len(ids) == len(oracle) and oracle.issuperset(ids)
+        return active, fractions, self._keep((False, cost, payment, len(ids), utility_min, match))
 
     def _keep(self, row: tuple) -> int:
         self._rows.append(row)
@@ -275,6 +278,21 @@ class Simulator:
             oracle_active=self.oracle_active,
             **{name: rows[name][jobs] for name in rows.dtype.names},
         )
+
+
+def _add_reduce(values: list) -> float:
+    """``np.add.reduce`` of a list of up to ``_LIST_MAX`` floats, bit for
+    bit: numpy's pairwise sum, which starts from 0.0 and so is never -0.0.
+    It adds eight interleaved partial sums pairwise, then the rest in
+    sequence."""
+    n = len(values)
+    head, total = n - n % 8, 0.0  # below 8 values all are added in sequence
+    if head:
+        r = [reduce(add, values[j:head:8]) for j in range(8)]
+        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for value in values[head:]:
+        total += value
+    return total
 
 
 def run(

@@ -28,7 +28,6 @@ from crowdmarket import (
     random_frozen_instance,
     sw_greedy,
 )
-from crowdmarket.allocation import _LIST_MAX, _list_form
 
 from oracles import knot_grid
 from conftest import (
@@ -285,12 +284,9 @@ def test_both_branches_give_the_same_bytes_and_errors(inst):
 @given(inst=branch_instances())
 @settings(max_examples=300, deadline=None)
 def test_list_caps_against_sorted_bids_give_the_array_bytes_and_errors(inst):
-    """The job step hands its caps over as a list and its bids as a
-    :class:`SortedBids`.  Up to ``_LIST_MAX`` workers both calls read those
-    lists as they are, with the bytes or the error of array caps."""
+    """Caps handed over as a list, against bids given as a
+    :class:`SortedBids`, give the bytes or the error of array caps."""
     bids, caps, true_costs, c_bar, _ = inst
-    if len(bids) <= _LIST_MAX:
-        assert _list_form(SortedBids.of(bids), caps.tolist()) is not None
     assert _outcome(bids, caps.tolist(), true_costs, c_bar, True) == _outcome(
         bids, caps, true_costs, c_bar, True
     )

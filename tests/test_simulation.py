@@ -42,7 +42,9 @@ from crowdmarket import (
     trace_to_csv,
     true_cap,
 )
+from crowdmarket.allocation import _LIST_MAX
 from crowdmarket.market import _CSV_CHUNK
+from crowdmarket.simulation import _add_reduce
 
 from conftest import (
     BRANCHES,
@@ -263,16 +265,33 @@ def test_feasible_at_init_stays_feasible():
 
 @on_both_branches
 def test_allocations_respect_current_caps():
-    cfg, recipe, est = small_market(T=40)
-    sim = Simulator(cfg, recipe, est_cfg=est)
-    for t in range(1, 41):
-        caps = np.array(sim.current_caps(t))
-        alloc = sw_greedy(sim.costs, caps)
-        sim.step(t)  # step refreshes again with identical state
-        fractions = planned_fractions(sim)
-        assert fractions == pytest.approx(alloc.fractions)
-        assert np.all(fractions <= caps + 1e-15)
-        assert math.fsum(fractions) == 1.0
+    """On every job the planned fractions sum to exactly 1 under ``fsum`` and
+    none exceeds its cap, and the plan's fractions, its row's payment total
+    and its least utility are bit-equal to the public ``sw_greedy`` and
+    ``job_payments`` on the same caps.  The small market solves one plan;
+    the desk market (``configs/desk6.cfg``, as ``test_configs`` checks)
+    moves its caps on most of its jobs, so most of them check a plan
+    computed afresh."""
+    desk = desk_config(T=2000)
+    markets = {
+        "small": (small_market(T=40), 1),
+        "desk6.cfg": ((desk, desk_recipe(), desk_estimator(desk)), 1456),
+    }
+    for name, ((cfg, recipe, est), plans) in markets.items():
+        sim = Simulator(cfg, recipe, est_cfg=est)
+        for t in range(1, cfg.T + 1):
+            caps = np.array(sim.current_caps(t))
+            sim.step(t)  # step refreshes again with identical state
+            alloc = sw_greedy(sim.costs, caps)
+            pay = job_payments(alloc, caps, sim.costs, cfg.cost_bounds[1])
+            fractions = planned_fractions(sim)
+            assert math.fsum(fractions) == 1.0, (name, t)
+            assert np.all(fractions <= caps), (name, t)
+            assert fractions.tobytes() == alloc.fractions.tobytes(), (name, t)
+            _, _, payment, _, utility_min, _ = sim._rows[sim._plan[2]]
+            want = np.array([pay.payments.sum(), pay.utilities.min()]).tobytes()
+            assert np.array([payment, utility_min]).tobytes() == want, (name, t)
+        assert len(sim._rows) == plans, name
 
 
 def counting(monkeypatch, name):
@@ -290,15 +309,23 @@ def counting(monkeypatch, name):
     return calls
 
 
+def plan_calls(monkeypatch, n: int):
+    """Record the allocation and payment calls the job step makes to plan a
+    job of ``n`` workers: ``sw_greedy`` on both branches, then the list rule
+    ``_payments_lists`` up to ``_LIST_MAX`` workers and ``job_payments`` above."""
+    lists = n <= crowdmarket.simulation._LIST_MAX
+    names = ("sw_greedy", "_payments_lists" if lists else "job_payments")
+    return [counting(monkeypatch, name) for name in names]
+
+
 @on_both_branches
 def test_repeated_caps_reuse_the_allocation_and_payments(monkeypatch):
     """A job whose caps repeat the last feasible job's bit for bit computes no
     allocation or payments; every job's planned fractions, and its row's total
     payment and least utility, equal a fresh computation.  The desk market's
     caps hold still for 545 jobs, then move."""
-    greedy_calls = counting(monkeypatch, "sw_greedy")
-    payment_calls = counting(monkeypatch, "job_payments")
     cfg = desk_config(T=600)
+    greedy_calls, payment_calls = plan_calls(monkeypatch, cfg.n)
     sim = Simulator(cfg, desk_recipe(), est_cfg=desk_estimator(cfg))
     greedy_calls.clear()  # the oracle allocation
     prev_caps, computed, rows = None, 0, []
@@ -425,15 +452,16 @@ def test_caps_handed_out_while_the_indices_repeat_are_read_only(monkeypatch):
 
 @on_both_branches
 def test_known_means_shares_the_oracle_allocation_and_never_learns(monkeypatch):
-    """Known-means mode allocates once, draws no outcomes and learns nothing."""
-    greedy_calls = counting(monkeypatch, "sw_greedy")
-    sample_calls = counting(monkeypatch, "sample_outcome")
+    """Known-means mode plans once, draws no outcomes and learns nothing."""
     cfg, recipe, est = small_market(T=50)
+    greedy_calls, payment_calls = plan_calls(monkeypatch, cfg.n)
+    sample_calls = counting(monkeypatch, "sample_outcome")
     sim = Simulator(cfg, recipe, est_cfg=est, mode="known-means")
+    greedy_calls.clear()  # the oracle allocation
     for t in range(1, cfg.T + 1):
         sim.step(t)
         assert planned_fractions(sim).tobytes() == sim.oracle.fractions.tobytes(), t
-    assert len(greedy_calls) == 2  # the oracle, then the first job
+    assert len(greedy_calls) == len(payment_calls) == 1  # the first job
     assert not sample_calls
     assert np.all(np.asarray(sim.outcomes.cursor) == BLOCK)
     assert not sim.stats.N_it.any() and not sim.stats.N_beta_it.any()
@@ -442,10 +470,12 @@ def test_known_means_shares_the_oracle_allocation_and_never_learns(monkeypatch):
 def test_names_patched_by_the_benchmark_tracer_exist(monkeypatch):
     """perfbench/run.py --trace 1 wraps these names through vars(owner)[name];
     renaming one makes it fail with a KeyError.  Its per-layer split needs
-    every job of a list-branch desk run to call each layer through them:
-    once per job, ``pessimistic_cap`` once per job whose eager indices
+    every job of a list-branch desk run to call each layer below through
+    them: once per job, ``pessimistic_cap`` once per job whose eager indices
     changed, and ``record_window`` once per job that observed a window
-    (every job at desk6's 0.5 window, about a third at a 3.0 window)."""
+    (every job at desk6's 0.5 window, about a third at a 3.0 window).  Every
+    plan calls ``sw_greedy``, whose fractions the tracer checks; a
+    list-branch plan calls ``_payments_lists``, not ``job_payments``."""
     module = vars(crowdmarket.simulation)
     for name in ("sample_outcome", "outcome_streams", "sample_population", "sw_greedy",
                  "job_payments"):
@@ -647,6 +677,46 @@ def test_trace_csv_and_summary_share_one_regret_series(tmp_path, jobs):
     total, avg = regret(trace)
     assert total == summary["regret_total"] == float(trace.regret_cum[-1])
     assert avg.tobytes() == trace.regret_avg.tobytes()
+
+
+CUMULATIVE = ["neg_welfare_cum", "payment_cum", "oracle_cost_cum", "regret_cum", "regret_avg"]
+
+
+@on_both_branches
+def test_cumulative_series_are_computed_once_per_trace(tmp_path):
+    """A replicate's summary and trace CSV read the cumulative series 12
+    times between them.  Each is computed on its first read and kept, so a
+    later read returns the same array, with the bytes of a first read of an
+    equal trace; the run has feasible and infeasible jobs."""
+    trace, fresh = (scripted_run(lambda sim: None).trace() for _ in range(2))
+    trace_summary(trace)
+    trace_to_csv(trace, tmp_path / "trace.csv")
+    kept = {name: vars(trace)[name] for name in CUMULATIVE}
+    assert trace.infeasible.any() and not trace.infeasible.all()
+    for name in CUMULATIVE:
+        assert getattr(trace, name) is kept[name], name
+        assert kept[name].tobytes() == getattr(fresh, name).tobytes(), name
+    assert regret(trace)[1] is kept["regret_avg"]
+
+
+TOTAL_VALUES = st.one_of(
+    st.floats(-1e3, 1e3),  # alike magnitudes, whose sum shows the order of addition
+    st.floats(allow_nan=False),  # subnormal to near overflow, and infinities
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+)
+
+
+@example(values=[-0.0] * 9)
+@example(values=[0.1] * 10)  # eight partial sums, then two in sequence
+@given(values=st.lists(TOTAL_VALUES, min_size=1, max_size=_LIST_MAX))
+@settings(max_examples=400, deadline=None)
+def test_payment_total_is_numpys_sum_bit_for_bit(values):
+    """The list form's payment total equals ``np.add.reduce`` bit for bit:
+    a sum in sequence below 8 entries, eight interleaved partial sums from 8
+    on."""
+    with np.errstate(all="ignore"):  # inf - inf and overflow
+        want = np.add.reduce(np.array(values))
+    assert np.float64(_add_reduce(values)).tobytes() == want.tobytes()
 
 
 @on_both_branches
