@@ -21,6 +21,8 @@ worker's own bid never prices its own payment, so a worker's utility depends
 on its bid only through its rank among the other bids (ties broken by worker
 id).  The grid holds one bid per rank the worker can reach, its own cost
 first, which finds the maximum exactly with one allocation per bid order.
+Each grid bid calls ``sw_greedy``, and ``_payments_lists`` at any n only if
+the worker ranks at or before the boundary; past it the rule writes ``0.0``.
 """
 
 from __future__ import annotations
@@ -203,7 +205,7 @@ def deviation_grid(instance: FrozenInstance, i: int) -> np.ndarray:
     bounds, ties by worker id).  A midpoint reaches the rank between two
     distinct bids.  A rank between equal bids, or between a bid on a bound
     and that bound, is reached only by that bid and only if the ids put
-    ``i`` there.  Raises ``ValueError`` unless ``0 <= i < n``."""
+    ``i`` there.  Raises ``ValueError`` on an instance or ``i`` as a sweep does."""
     _check_worker(instance, i)
     lo, hi = instance.cost_bounds
     costs = instance.costs.tolist()
@@ -219,19 +221,15 @@ def deviation_grid(instance: FrozenInstance, i: int) -> np.ndarray:
 
 
 def _check_worker(instance: FrozenInstance, i: int) -> None:
-    n = len(instance.costs)
+    costs, caps = instance.costs, instance.caps
+    if not (costs.ndim == 1 and costs.shape == caps.shape):
+        raise ValueError(f"costs and caps must be 1-D of one length: {costs.shape}, {caps.shape}")
+    lo, hi = instance.cost_bounds
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ValueError(f"cost bounds must be finite with lo <= hi, got {instance.cost_bounds}")
+    n = len(costs)
     if not 0 <= i < n:
         raise ValueError(f"worker index {i} outside [0, {n})")
-
-
-def _utility_at_bid(instance: FrozenInstance, i: int, bid: float) -> float:
-    bids = instance.costs.copy()
-    bids[i] = bid
-    alloc = sw_greedy(bids, instance.caps)
-    rec = job_payments(
-        alloc, instance.caps, bids, instance.cost_bounds[1], true_costs=instance.costs
-    )
-    return float(rec.utilities[i])
 
 
 def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
@@ -240,11 +238,28 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
     The learning state (caps) stays frozen, other workers bid truthfully, and
     the return value is ``max_b u_i(b) - u_i(c_i)``; a non-positive result
     certifies that no profitable deviation exists on the grid.  Without a
-    ``grid``, each bid of :func:`deviation_grid` is evaluated once.  Raises
-    ``ValueError`` unless ``0 <= i < n``.
+    ``grid``, each bid of :func:`deviation_grid` is evaluated once; a given
+    ``grid`` is evaluated after the truthful bid.  Each utility is
+    ``job_payments``'s at ``c_bar`` = the upper cost bound, bit for bit.
+    Raises ``ValueError`` unless ``0 <= i < n``, costs and caps are vectors
+    of one length and the bounds are finite with ``lo <= hi``, on a
+    non-finite bid, a cap outside [0, 1] or an empty ``grid``; and
+    :class:`InfeasibleJob` when the caps sum to less than one.
     """
     _check_worker(instance, i)
-    bids = deviation_grid(instance, i) if grid is None else grid
-    u = [_utility_at_bid(instance, i, float(b)) for b in bids]
-    truthful = u[0] if grid is None else _utility_at_bid(instance, i, float(instance.costs[i]))
-    return max(u) - truthful
+    first = int(grid is not None)  # a given grid follows the truthful bid
+    grid = [instance.costs[i], *grid] if first else deviation_grid(instance, i).tolist()
+    c_bar = float(instance.cost_bounds[1])
+    costs, caps = instance.costs.tolist(), instance.caps.tolist()
+    bids, bid_list = instance.costs.copy(), costs.copy()
+    u = []
+    for b in grid:
+        bids[i] = bid_list[i] = float(b)
+        alloc = sw_greedy(bids, instance.caps)
+        order, k = alloc.bid_order.tolist(), alloc.k_pos
+        if i in order[: k + 1]:
+            x = alloc.fractions.tolist()
+            u.append(_payments_lists(x, k, caps, bid_list, c_bar, costs, order)[1][i])
+        else:  # past the boundary the rule writes 0.0
+            u.append(0.0)
+    return max(u[first:]) - u[0]

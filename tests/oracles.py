@@ -12,7 +12,10 @@ worker, the values ``crowdmarket.sample_population`` computes from one draw
 of standard uniforms.
 ``delta_separation`` reads the slack an allocation leaves on its boundary
 worker, and ``knot_grid`` lists bids at which a worker reaches every bid
-order open to it.  ``trace_to_csv`` writes a trace row by row through ``csv.writer``,
+order open to it.  ``literal_sweep`` is a deviation sweep built from
+``utility_at_bid``, one public ``sw_greedy`` and ``job_payments`` call per bid,
+which ``crowdmarket.deviation_sweep`` must match bit for bit.
+``trace_to_csv`` writes a trace row by row through ``csv.writer``,
 and ``write_csv`` any columns, the literal rules for the library's columnar writer.  ``run_literal`` runs
 the paper's job loop from these scalar parts, recomputing every job with no
 cache, as the reference for a whole ``crowdmarket.Simulator`` run.
@@ -29,8 +32,10 @@ import numpy as np
 
 from crowdmarket import (
     EstimatorConfig,
+    FrozenInstance,
     InfeasibleJob,
     WorkerProfile,
+    deviation_grid,
     jct_location,
     job_payments,
     market,
@@ -83,6 +88,29 @@ def knot_grid(instance, i):
     knots = np.unique(np.clip(knots, lo, hi))
     mids = 0.5 * (knots[:-1] + knots[1:])
     return np.unique(np.concatenate([knots, mids]))
+
+
+def utility_at_bid(instance: FrozenInstance, i: int, bid: float) -> float:
+    """Worker ``i``'s utility at ``bid``, the others bidding their costs:
+    the public ``sw_greedy`` and ``job_payments``, at ``c_bar`` the upper
+    cost bound."""
+    bids = instance.costs.copy()
+    bids[i] = bid
+    alloc = sw_greedy(bids, instance.caps)
+    rec = job_payments(
+        alloc, instance.caps, bids, instance.cost_bounds[1], true_costs=instance.costs
+    )
+    return float(rec.utilities[i])
+
+
+def literal_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
+    """The best gain of worker ``i`` over ``grid`` (by default the rank grid
+    of ``deviation_grid``, whose first bid is truthful) against its truthful
+    utility, one ``utility_at_bid`` per bid."""
+    bids = deviation_grid(instance, i) if grid is None else grid
+    u = [utility_at_bid(instance, i, float(b)) for b in bids]
+    truthful = u[0] if grid is None else utility_at_bid(instance, i, float(instance.costs[i]))
+    return max(u) - truthful
 
 
 class TruncatedMeanTracker:

@@ -4,7 +4,9 @@ The externality rows exist only here, in the literal rule that the
 prefix-sum payments of ``job_payments`` are checked against.  The knot grid
 (``oracles.knot_grid``: cost bounds, every bid, and the midpoints between
 them) is the oracle that the rank grid of ``deviation_grid`` must match order
-for order.
+for order, and ``oracles.literal_sweep`` (public ``sw_greedy`` and
+``job_payments`` per bid) the one that ``deviation_sweep`` must match bit for
+bit.
 Tests marked ``on_both_branches`` run once on Python floats and once on numpy
 arrays, whatever their worker count, against the same literal rule.
 """
@@ -29,7 +31,7 @@ from crowdmarket import (
     sw_greedy,
 )
 
-from oracles import knot_grid
+from oracles import knot_grid, literal_sweep
 from conftest import (
     BRANCHES,
     crossover,
@@ -464,11 +466,12 @@ def _orders(inst, i, grid):
 
 
 @st.composite
-def tied_instances(draw):
-    """Feasible frozen instances with cost bounds (1, 5) and costs on the
-    integer levels between them or uniform over them: tied other bids, bids
-    on either bound, own costs tied with another bid, and some zero caps."""
-    n = draw(st.integers(1, 8))
+def tied_instances(draw, sizes=(1, 8)):
+    """Feasible frozen instances of ``sizes`` workers with cost bounds (1, 5)
+    and costs on the integer levels between them or uniform over them: tied
+    other bids, bids on either bound, own costs tied with another bid, and
+    some zero caps."""
+    n = draw(st.integers(*sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         costs = rng.integers(1, 6, n).astype(float)
@@ -503,10 +506,20 @@ def test_rank_grid_reaches_the_knot_grid_orders_once_each(inst):
         assert set(orders) == set(_orders(inst, i, knot_grid(inst, i)))
 
 
+def _ranks_by_boundary(inst, i, b):
+    """True when worker ``i``, bidding ``b``, ranks at or before the boundary."""
+    bids = inst.costs.copy()
+    bids[i] = b
+    alloc = sw_greedy(bids, inst.caps)
+    return alloc.bid_order.tolist().index(i) <= alloc.k_pos
+
+
 def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
     """With distinct costs inside the bounds every rank is reachable, so a
-    sweep runs ``sw_greedy`` and ``job_payments`` exactly n times."""
-    calls = {"sw_greedy": 0, "job_payments": 0}
+    sweep runs ``sw_greedy`` exactly n times.  It prices the worker with
+    ``_payments_lists`` once per bid that leaves it at or before the
+    boundary, and never calls ``job_payments``."""
+    calls = {"sw_greedy": 0, "_payments_lists": 0, "job_payments": 0}
 
     def counted(name):
         real = getattr(mechanism, name)
@@ -520,14 +533,20 @@ def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
     for name in calls:
         monkeypatch.setattr(mechanism, name, counted(name))
     rng = np.random.default_rng(5)
+    skipped = 0
     for _ in range(30):
         inst = random_frozen_instance(rng)
         n = len(inst.costs)
         for i in range(n):
-            assert len(deviation_grid(inst, i)) == n
+            grid = deviation_grid(inst, i)
+            assert len(grid) == n
+            priced = sum(_ranks_by_boundary(inst, i, b) for b in grid)
+            skipped += n - priced
             before = dict(calls)
             deviation_sweep(inst, i)
-            assert {k: calls[k] - before[k] for k in calls} == {"sw_greedy": n, "job_payments": n}
+            counts = {k: calls[k] - before[k] for k in calls}
+            assert counts == {"sw_greedy": n, "_payments_lists": priced, "job_payments": 0}
+    assert skipped > 0
 
 
 def _assert_one_job_certificate(inst):
@@ -582,6 +601,106 @@ def test_deviation_grid_finds_the_dense_grid_maximum(seed, n_max):
     for i in range(len(inst.costs)):
         gain = deviation_sweep(inst, i)
         assert repr(gain) == repr(deviation_sweep(inst, i, dense_grid(inst, i)))
+
+
+# Small instances, and wide ones past the list crossover of 32 workers.
+SWEPT_INSTANCES = st.one_of(tied_instances(), tied_instances(sizes=(33, 40)))
+
+
+def _swept_workers(inst):
+    """Every worker of a small instance, and five spread over a wide one."""
+    n = len(inst.costs)
+    return range(n) if n <= 8 else range(0, n, n // 5 + 1)
+
+
+@example(inst=TIED, grid_seed=0)
+@given(inst=SWEPT_INSTANCES, grid_seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+@on_both_branches
+def test_sweep_matches_the_public_payment_oracle_bit_for_bit(inst, grid_seed):
+    """``deviation_sweep`` equals a sweep of public ``sw_greedy`` and
+    ``job_payments`` calls, by ``repr``, on the rank grid and on given grids:
+    bids tied with other costs, on the bounds, outside them and in between."""
+    rng = np.random.default_rng(grid_seed)
+    lo, hi = inst.cost_bounds
+    for i in _swept_workers(inst):
+        given_grid = np.concatenate(
+            [rng.choice(inst.costs, 3), [lo, hi], rng.uniform(lo - 1.0, hi + 1.0, 3)]
+        )
+        for grid in (None, given_grid, given_grid[:1]):
+            assert repr(deviation_sweep(inst, i, grid)) == repr(literal_sweep(inst, i, grid))
+
+
+@example(inst=TIED)
+@given(inst=SWEPT_INSTANCES)
+@settings(max_examples=60, deadline=None)
+@on_both_branches
+def test_utility_past_the_boundary_is_exactly_zero(inst):
+    """At every grid bid that ranks the worker after the boundary,
+    ``job_payments`` gives it a utility of exactly ``0.0``: the value the
+    sweep takes there without pricing."""
+    c_bar = inst.cost_bounds[1]
+    for i in _swept_workers(inst):
+        for b in deviation_grid(inst, i):
+            bids = inst.costs.copy()
+            bids[i] = b
+            alloc = sw_greedy(bids, inst.caps)
+            if alloc.bid_order.tolist().index(i) > alloc.k_pos:
+                rec = job_payments(alloc, inst.caps, bids, c_bar, true_costs=inst.costs)
+                assert repr(float(rec.utilities[i])) == "0.0"
+
+
+@on_both_branches
+def test_sweep_prices_the_bid_it_deviates_to():
+    """A boundary worker's own bid enters its utility only as ``(b - c) *
+    0.0``, which is NaN when ``b - c`` overflows: the sweep prices the bid of
+    the deviation, as ``job_payments`` does, not the truthful one."""
+    inst = FrozenInstance(costs=np.array([1.5e308, 2.0]), caps=np.array([1.0, 0.5]),
+                          cost_bounds=(1.0, 5.0))
+    grid = np.array([-1.5e308])  # worker 0 bids first and takes the whole job
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert repr(deviation_sweep(inst, 0, grid)) == repr(literal_sweep(inst, 0, grid)) == "nan"
+
+
+def _bad(costs=(1.0, 2.0, 3.0), caps=(0.5, 0.4, 0.6), cost_bounds=(1.0, 5.0)):
+    return FrozenInstance(costs=np.array(costs), caps=np.array(caps), cost_bounds=cost_bounds)
+
+
+BAD_INSTANCES = {
+    "2-D costs and caps": _bad(costs=[[1.0, 2.0], [3.0, 4.0]], caps=[[0.5, 0.5], [0.5, 0.5]]),
+    "0-D costs and caps": _bad(costs=2.0, caps=1.0),
+    "caps longer than costs": _bad(caps=(0.5, 0.4, 0.6, 0.2)),
+    "NaN upper bound": _bad(cost_bounds=(1.0, np.nan)),
+    "NaN lower bound": _bad(cost_bounds=(np.nan, 5.0)),
+    "infinite upper bound": _bad(cost_bounds=(1.0, np.inf)),
+    "infinite lower bound": _bad(cost_bounds=(-np.inf, 5.0)),
+    "bounds out of order": _bad(cost_bounds=(5.0, 2.0)),
+    "NaN cost": _bad(costs=(1.0, np.nan, 3.0)),
+    "infinite cost": _bad(costs=(1.0, 2.0, np.inf)),
+    "NaN cap": _bad(caps=(0.5, np.nan, 0.6)),
+    "cap above one": _bad(caps=(0.5, 1.5, 0.6)),
+    "negative cap": _bad(caps=(0.5, -0.1, 0.6)),
+    "caps short of the job": _bad(caps=(0.3, 0.3, 0.3)),
+}
+
+
+@pytest.mark.parametrize("inst", BAD_INSTANCES.values(), ids=BAD_INSTANCES.keys())
+@on_both_branches
+def test_sweep_of_a_bad_instance_raises(inst):
+    """A bad instance raises ``ValueError`` or ``InfeasibleJob``, with no
+    grid and with a given one; it never returns a number."""
+    for grid in (None, np.array([2.0, 4.0])):
+        with pytest.raises((ValueError, InfeasibleJob)):
+            deviation_sweep(inst, 0, grid)
+
+
+@on_both_branches
+def test_sweep_over_a_bad_grid_raises():
+    """An empty grid, or one with a NaN or infinite bid, raises ``ValueError``."""
+    inst = _bad()
+    for grid in ([], [2.0, np.nan], [np.inf], [-np.inf, 2.0]):
+        with pytest.raises(ValueError):
+            deviation_sweep(inst, 0, np.array(grid))
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
