@@ -46,12 +46,15 @@ def main() -> None:
         outcome_streams(cfg)[:1], [jct_location(w.mjct, cfg.sigma_log)], [w.mttf],
         sigma_log=cfg.sigma_log, delta=cfg.delta,
     )
-    tau, window = map(np.concatenate, zip(*(
-        sample_outcome(blocks, [0], [0.5]) for _ in range(50_000)
-    )))
-    draws = tau / 0.5
-    observed = int((window >= 0).sum())
-    failures = int((window == 1).sum())
+    # each draw returns the completion times, the workers whose work covered
+    # the observation window delta, and whether each of those windows failed
+    tau, observed, failures = [], 0, 0
+    for _ in range(50_000):
+        times, seen, failed = sample_outcome(blocks, [0], [0.5])
+        tau += times
+        observed += len(seen)
+        failures += sum(failed)
+    draws = np.array(tau) / 0.5
     print(f"\nworker 0: true mjct = {w.mjct:.2f}, empirical mean of tau/fraction = "
           f"{draws.mean():.2f} (se {draws.std() / math.sqrt(draws.size):.3f})")
     p_true = 1.0 - math.exp(-cfg.delta / w.mttf)

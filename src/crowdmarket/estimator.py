@@ -147,11 +147,13 @@ class WorkerStats:
     same order (``math.sqrt`` for ``np.sqrt``, in-order subtraction for
     ``np.subtract.at``), so both forms hold the same floats; the store is the
     same arrays in both.  ``record_window`` is one loop over the listed
-    workers in both forms, and ``_eta`` a list in both: at n = 400 a job step
-    passes it about one observed window per call (at most 5), so an array
-    branch would only cost.  The readers (``eta``, ``N_it``, ``rho_hat_plus``
-    and the rest) return fresh arrays in both forms, which later calls leave
-    alone; ``pessimistic_cap`` returns a list in the list form.
+    workers in both forms, ``_eta`` a list in both, and the streaks it
+    closes go to ``_add_lists`` in both: at n = 400 a job step passes it
+    about one observed window per call, so an array branch would only cost;
+    ``_add`` takes only completion samples.  The readers (``eta``, ``N_it``,
+    ``rho_hat_plus`` and the rest) return fresh arrays in both forms, which
+    later calls leave alone; ``pessimistic_cap`` returns a list in the list
+    form.
     """
 
     def __init__(
@@ -229,8 +231,9 @@ class WorkerStats:
         lo, hi = self._bounds[_BETA]
         return np.minimum(np.maximum(np.add(self._center[_BETA], self._radius[_BETA]), lo), hi)
 
-    def _add(self, row: int, workers: np.ndarray, x: np.ndarray) -> None:
-        """Record sample ``x[k]`` of parameter ``row`` for worker ``workers[k]``."""
+    def _add(self, workers: np.ndarray, x: np.ndarray) -> None:
+        """Record completion sample ``x[k]`` for worker ``workers[k]``."""
+        row = _RHO
         counts, kept, means = self._count[row], self._kept[row], self._mean[row]
         count = counts[workers] + 1.0
         counts[workers] = count
@@ -256,12 +259,14 @@ class WorkerStats:
             self._file(keys[early], workers[early] + row * self._n, x[early])
 
     def _add_lists(self, row: int, workers: list, x: list) -> None:
-        """``_add`` on the list form, one sample at a time."""
+        """``_add`` one sample at a time, for parameter ``row``, on either
+        form; ``float`` keeps an array count a Python float, whose key
+        overflows to inf silently."""
         counts, kept, means = self._count[row], self._kept[row], self._mean[row]
         unseen, early = self._unseen[row], []
         u, alpha, log_horizon = self._u[row], self._alpha, self._log_horizon
         for w, v in zip(workers, x):
-            count = counts[w] + 1.0
+            count = float(counts[w]) + 1.0
             counts[w] = count
             kept[w] += v
             if count == 1.0:  # a worker's first sample is its mean
@@ -322,7 +327,7 @@ class WorkerStats:
         if workers.size:
             if not np.minimum(tau, fractions).min() > 0:  # also rejects NaN
                 raise ValueError("tau and fraction must be positive")
-            self._add(_RHO, workers, tau / fractions)
+            self._add(workers, tau / fractions)
         return self
 
     def record_window(self, workers, failed) -> "WorkerStats":
@@ -333,19 +338,15 @@ class WorkerStats:
         recorded and the streak resets.  A clean window just extends the
         streak.  Unobserved windows (work shorter than delta) must not be
         reported here at all.  One loop over the listed workers serves both
-        forms, handing the closed streaks to ``_add_lists`` or ``_add``: a job
-        step observes about one window per call, even at n = 400.
+        forms, handing the closed streaks to ``_add_lists``: a job step
+        observes about one window per call, even at n = 400.
         """
         workers, failed = _as_list(workers), _as_list(failed)
         _check_lengths(workers, failed)
         eta = self._eta
         closed = [w for w, f in zip(workers, failed) if f]
         if closed:
-            x = [self.delta * eta[w] for w in closed]
-            if self._lists:
-                self._add_lists(_BETA, closed, x)
-            else:
-                self._add(_BETA, np.array(closed, dtype=np.intp), np.array(x))
+            self._add_lists(_BETA, closed, [self.delta * eta[w] for w in closed])
         for w in workers:
             eta[w] += 1
         for w in closed:

@@ -220,9 +220,9 @@ class OutcomeBlocks:
     exponentials.
 
     For up to ``_LIST_MAX`` workers ``jct``, ``failed`` and ``cursor`` are
-    lists, and each refilled block is read through ``tolist()`` (``failed``
-    as 0 and 1); above, they are (n, ``BLOCK``) arrays and an array of
-    cursors.  The draws are the same.
+    lists, and each refilled block is read through ``tolist()``; above, they
+    are (n, ``BLOCK``) arrays and an array of cursors.  The draws are the
+    same, and ``failed`` holds bools in both forms.
     """
 
     def __init__(
@@ -258,7 +258,7 @@ class OutcomeBlocks:
             jct = rng.lognormal(self.location[i], self.sigma_log, BLOCK)
             failed = rng.exponential(self.mttf[i], BLOCK) < self.delta
             if self._lists:
-                jct, failed = jct.tolist(), failed.view(np.int8).tolist()
+                jct, failed = jct.tolist(), failed.tolist()
             self.jct[i], self.failed[i] = jct, failed
             self.cursor[i] = 0
 
@@ -268,12 +268,12 @@ def sample_outcome(blocks: OutcomeBlocks, workers, fractions):
 
     Worker ``i = workers[k]``, with job fraction ``fractions[k]``, takes the
     next draw of its block in ``blocks``, refilling the block first when it is
-    spent.  Returns, per listed worker, the completion time ``fraction * jct``
-    and the window code: 1 when the time to failure falls inside the
-    observation window, -1 when the work is shorter than the window (so it
-    went unobserved), and 0 otherwise.  Both are lists of Python floats and
-    ints when ``blocks`` holds lists (up to ``_LIST_MAX`` workers), else a
-    float64 and an int8 array; the values are the same.
+    spent.  Returns ``(tau, seen, failed)``: each listed worker's completion
+    time ``fraction * jct``, a list of Python floats when ``blocks`` holds
+    lists (up to ``_LIST_MAX`` workers), else a float64 array; the workers
+    whose work reached the observation window (``tau >= delta``), in listed
+    order; and whether each of those windows saw a failure.  ``seen`` and
+    ``failed`` are lists of ints and bools in both forms.
     """
     if blocks._lists:
         return _sample_lists(blocks, _as_list(workers), _as_list(fractions))
@@ -292,10 +292,8 @@ def sample_outcome(blocks: OutcomeBlocks, workers, fractions):
     blocks.cursor[workers] = pos + 1
     cells = workers * BLOCK + pos
     tau = fractions * blocks.jct.take(cells)
-    # -1 (all bits set) where the work is shorter than the window, else 0 or 1.
-    window = np.negative((tau < blocks.delta).view(np.int8))
-    window |= blocks.failed.take(cells).view(np.int8)
-    return tau, window
+    observed = (tau >= blocks.delta).nonzero()[0]
+    return tau, workers[observed].tolist(), blocks.failed.take(cells[observed]).tolist()
 
 
 def _sample_lists(blocks: OutcomeBlocks, workers: list, fractions: list):
@@ -305,7 +303,7 @@ def _sample_lists(blocks: OutcomeBlocks, workers: list, fractions: list):
     if not all(0.0 < f <= 1.0 for f in fractions):  # NaN fails
         raise ValueError("fractions must lie in (0, 1]")
     cursor, delta = blocks.cursor, blocks.delta
-    tau, window = [], []
+    tau, seen, failed = [], [], []
     for i, f in zip(workers, fractions):
         pos = cursor[i]
         if pos == BLOCK:
@@ -314,8 +312,10 @@ def _sample_lists(blocks: OutcomeBlocks, workers: list, fractions: list):
         cursor[i] = pos + 1
         x = f * blocks.jct[i][pos]
         tau.append(x)
-        window.append(-1 if x < delta else blocks.failed[i][pos])
-    return tau, window
+        if x >= delta:
+            seen.append(i)
+            failed.append(blocks.failed[i][pos])
+    return tau, seen, failed
 
 
 # Rows formatted per write, so memory stays flat however long the columns

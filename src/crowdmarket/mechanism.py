@@ -8,11 +8,11 @@ fraction that nobody could absorb is paid at the cost ceiling.  Workers above
 the boundary receive nothing and pay nothing.  Each payment is thus the
 integral of a step function of the tail bids (Myerson's identity), so
 ``job_payments`` prices every active worker from prefix sums of the tail
-caps, with one ``searchsorted``, in O(n log n); this is the one form of the
-rule in the library, run on Python floats for small markets and on numpy
-arrays for large ones, with the same bytes.  The scalar transcription of
-the rule, worker by worker and displaced unit by displaced unit, lives in
-the tests, as the oracle both are checked against.
+caps, with one ``searchsorted``, in O(n log n); ``_payments_lists`` is the
+same rule on Python floats, with the same bytes, for small job steps and
+for ``deviation_sweep``.  The scalar transcription of the rule, worker by
+worker and displaced unit by displaced unit, lives in the tests, as the
+oracle both are checked against.
 
 ``deviation_sweep`` re-runs allocation and payments for a grid of unilateral
 bid deviations, the other workers bidding truthfully, and reports the best
@@ -34,7 +34,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .allocation import _LIST_MAX, Allocation, _as_bid_array, sw_greedy
+from .allocation import Allocation, _as_bid_array, sw_greedy
 
 __all__ = [
     "PaymentRecord",
@@ -79,10 +79,9 @@ def job_payments(
     term is negative for a truthful bid.
 
     ``caps``, ``bids`` and ``true_costs`` hold one entry per worker of
-    ``alloc`` and ``c_bar`` is finite, or ``ValueError`` is raised.  Up to
-    ``_LIST_MAX`` workers the rule runs on Python floats, in
-    ``_payments_lists``, and both results are wrapped in arrays; above it on
-    numpy arrays.  Both give the same bytes.
+    ``alloc`` and ``c_bar`` is finite, or ``ValueError`` is raised.  The rule
+    runs on numpy arrays at every n; ``_payments_lists`` is its list form,
+    with the same bytes.
     """
     caps = np.asarray(caps, dtype=float)
     b = _as_bid_array(bids)
@@ -96,10 +95,6 @@ def job_payments(
     if not math.isfinite(c_bar):
         raise ValueError(f"c_bar must be finite, got {c_bar}")
     n = order.shape[0]
-    if n <= _LIST_MAX:
-        x, cl, bl, ol = alloc.fractions.tolist(), caps.tolist(), b.tolist(), order.tolist()
-        p, u = _payments_lists(x, k, cl, bl, float(c_bar), costs.tolist(), ol)
-        return PaymentRecord(payments=np.array(p), utilities=np.array(u))
     active = order[: k + 1]
     x = alloc.fractions[active]
     b_s = b[order]
@@ -131,10 +126,10 @@ def job_payments(
 
 
 def _payments_lists(fractions, k: int, caps, bids, c_bar: float, costs, order) -> tuple:
-    """The numpy branch of ``job_payments`` on lists of Python floats, each term
-    in the same order: fractions, caps, bids, true costs and bid order in, with
-    ``k`` the allocation's ``k_pos``; payments and utilities out.  ``accumulate``
-    is the sequential ``np.add.accumulate``, ``bisect_right`` the ``searchsorted``."""
+    """``job_payments`` on lists of Python floats, each term in the same
+    order: fractions, caps, bids, true costs and bid order in, with ``k`` the
+    allocation's ``k_pos``; payments and utilities out.  ``accumulate`` is
+    the sequential ``np.add.accumulate``, ``bisect_right`` the ``searchsorted``."""
     n = len(order)
     active = order[: k + 1]
     b_s = [bids[w] for w in order]

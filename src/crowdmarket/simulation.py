@@ -135,11 +135,12 @@ class Simulator:
     last job's reuses both.  Known-means mode solves its plan at job 1 and keeps it.
 
     Up to ``_LIST_MAX`` workers the caps (``true_caps`` too), the plan and
-    the outcomes are Python lists, as the bank's and the outcome blocks' state
-    is: a plan reads the fractions of ``sw_greedy`` as a list, hands them to
-    ``_payments_lists``, the list rule behind ``job_payments``, and builds its
-    row from lists.  Above, everything is an array.  Both forms write the
-    same bytes.  Both call ``sw_greedy`` once per plan computed.
+    the completion times are Python lists, as the bank's and the outcome
+    blocks' state is: a plan reads the fractions of ``sw_greedy`` as a list,
+    hands them to ``_payments_lists``, the list form of ``job_payments``,
+    and builds its row from lists.  Above, everything is an array.  Both
+    forms write the same bytes, and the observed windows are lists in both.
+    Both call ``sw_greedy`` once per plan computed.
 
     Each plan's row of the six trace series is kept once, in ``_rows``, and
     a step appends the index of its plan's row to ``_jobs``, so a plan
@@ -222,16 +223,10 @@ class Simulator:
         self._jobs.append(index)
         # An infeasible job draws and learns nothing, and neither does known-means mode.
         if active is not None and self.mode == "learning":
-            tau, codes = sample_outcome(self.outcomes, active, fractions)
+            tau, seen, failed = sample_outcome(self.outcomes, active, fractions)
             self.stats.record_jct_sample(active, tau, fractions)
-            if self._lists:
-                observed = [i for i, code in zip(active, codes) if code >= 0]
-                if observed:  # an observed window's code is its failure flag
-                    self.stats.record_window(observed, [code for code in codes if code >= 0])
-            else:
-                observed = codes >= 0
-                if np.count_nonzero(observed):  # at n=400 most jobs observe no window
-                    self.stats.record_window(active[observed], codes[observed] > 0)
+            if seen:  # at n=400 most jobs observe no window
+                self.stats.record_window(seen, failed)
 
     def _solve(self, caps):
         """A job's plan: its active workers (None if it is infeasible), their

@@ -26,6 +26,14 @@ def test_every_demo_runs_cleanly(tmp_path):
         )
         for demo in demos
     ]
+    # Wait for every demo before asserting, so none is left running.
+    results = []
     for demo, proc in zip(demos, procs):
-        _, err = proc.communicate(timeout=60)
-        assert (demo.name, proc.returncode, err) == (demo.name, 0, "")
+        try:
+            _, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            _, err = proc.communicate()
+            err += "\n(killed after 60 s)"
+        results.append((demo.name, proc.returncode, err))
+    assert results == [(demo.name, 0, "") for demo in demos]

@@ -415,6 +415,18 @@ def test_bank_matches_scalar_oracle(n, jobs):
     _assert_bank_matches(bank, scalars, D, eps)
 
 
+@on_both_branches
+def test_a_surrogate_whose_key_overflows_is_kept_without_a_warning():
+    """A failure surrogate ``delta * eta`` whose square is subnormal gives a
+    key that overflows to inf, so it never drops out; both forms record it
+    without a warning (which the test run would raise)."""
+    est = EstimatorConfig(u_rho=40.0, u_beta=3.0, alpha=2.0)
+    bank = WorkerStats(2, est, (0.1, 30.0), (1.0, 9.0), 1e-160, horizon=50)
+    bank.record_window([0, 1], [False, False]).record_window([1, 0], [False, True])
+    assert bank.N_beta_it.tolist() == [1, 0] and bank.beta_hat.tolist() == [1e-160, 1.0]
+    assert bank._keys.size == 0 and bank._next_key == math.inf
+
+
 ROOT = Path(__file__).resolve().parent.parent
 
 

@@ -40,9 +40,9 @@ def one_outcome(w, fraction, rng, *, sigma_log, delta):
     blocks = OutcomeBlocks(
         [rng], [jct_location(w.mjct, sigma_log)], [w.mttf], sigma_log=sigma_log, delta=delta
     )
-    tau, window = sample_outcome(blocks, [0], [fraction])
-    code = int(window[0])
-    return float(tau[0]), None if code == -1 else bool(code)
+    tau, seen, failed = sample_outcome(blocks, [0], [fraction])
+    assert len(seen) == len(failed) and seen in ([], [0])
+    return float(tau[0]), failed[0] if seen else None
 
 
 def test_reference_config_is_valid():
@@ -229,7 +229,8 @@ def test_failure_probability_closed_form_vs_monte_carlo():
 
 def _identical_workers_outcomes(mjct, mttf, fraction, delta, seed, workers=100, jobs=1000):
     """``jobs`` batch draws over ``workers`` copies of one profile, each copy on
-    its own stream: the completion times and window codes, stacked."""
+    its own stream: the completion times, stacked, and the failure flags of
+    the observed windows, chained."""
     streams = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(workers)]
     ids = list(range(workers))
     blocks = OutcomeBlocks(
@@ -237,15 +238,15 @@ def _identical_workers_outcomes(mjct, mttf, fraction, delta, seed, workers=100, 
         sigma_log=0.25, delta=delta,
     )
     draws = [sample_outcome(blocks, ids, [fraction] * workers) for _ in range(jobs)]
-    return np.concatenate([d[0] for d in draws]), np.concatenate([d[1] for d in draws])
+    return np.concatenate([d[0] for d in draws]), [f for d in draws for f in d[2]]
 
 
 def test_sample_outcome_failure_frequency_matches_closed_form():
     beta, delta = 25.0, 0.5
-    _, window = _identical_workers_outcomes(50.0, beta, 1.0, delta, seed=7)
-    n = window.size
-    observed = int((window >= 0).sum())
-    fails = int((window == 1).sum())
+    tau, failed = _identical_workers_outcomes(50.0, beta, 1.0, delta, seed=7)
+    n = tau.size
+    observed = len(failed)
+    fails = sum(failed)
     p = 1.0 - math.exp(-delta / beta)
     se = math.sqrt(p * (1 - p) / observed)
     assert observed > 0.99 * n  # mjct=50 makes tau < delta vanishingly rare
@@ -303,11 +304,13 @@ def test_per_worker_streams_are_independent_of_allocation_order():
     def blocks():
         return OutcomeBlocks(outcome_streams(cfg), location, mttf, sigma_log=0.25, delta=0.5)
 
-    # worker 1's draw must be identical whether or not worker 0 drew first
-    with_draw = sample_outcome(blocks(), [0, 1], [0.5, 0.5])
-    without_draw = sample_outcome(blocks(), [1], [0.5])
-    assert with_draw[0][1] == without_draw[0][0]
-    assert with_draw[1][1] == without_draw[1][0]
+    # worker 1's draw must be identical whether or not worker 0 drew first;
+    # half of a mean completion time of 50 or more always covers the window
+    tau_with, seen_with, failed_with = sample_outcome(blocks(), [0, 1], [0.5, 0.5])
+    tau_without, seen_without, failed_without = sample_outcome(blocks(), [1], [0.5])
+    assert (seen_with, seen_without) == ([0, 1], [1])
+    assert tau_with[1] == tau_without[0]
+    assert failed_with[1] == failed_without[0]
 
 
 def test_batch_outcome_matches_per_worker_draws():
@@ -324,15 +327,19 @@ def test_batch_outcome_matches_per_worker_draws():
     listed, fractions = [0, 2, 3], [0.4, 0.001, 0.599]
     jobs = [sample_outcome(blocks, listed, fractions) for _ in range(2)]
     streams = outcome_streams(cfg)
-    for k, (i, f) in enumerate(zip(listed, fractions)):
+    expected = [([], [], []) for _ in jobs]  # per job: tau, seen, failed
+    for i, f in zip(listed, fractions):
         rng = streams[i]
         jct = rng.lognormal(mean=location[i], sigma=cfg.sigma_log, size=BLOCK)
         ttf = rng.exponential(workers[i].mttf, size=BLOCK)
-        for j, (tau, window) in enumerate(jobs):
-            expected = f * jct[j]
-            assert tau[k] == expected
-            assert window[k] == (-1 if expected < cfg.delta else int(ttf[j] < cfg.delta))
-    assert jobs[0][1][1] == -1  # a 0.001 share finishes inside the window
+        for j, (tau, seen, failed) in enumerate(expected):
+            tau.append(f * jct[j])
+            if tau[-1] >= cfg.delta:
+                seen.append(i)
+                failed.append(bool(ttf[j] < cfg.delta))
+    for (tau, seen, failed), want in zip(jobs, expected):
+        assert (np.asarray(tau).tolist(), seen, failed) == want
+    assert jobs[0][1] == [0, 3]  # a 0.001 share finishes inside the window
 
 
 @settings(max_examples=40, deadline=None)
@@ -344,9 +351,10 @@ def test_batch_outcome_matches_per_worker_draws():
 @on_both_branches
 def test_block_sampler_matches_scalar_oracle(n, jobs, seed):
     """Random activation patterns over more than two blocks: every job's
-    completion times and window codes equal the scalar k-th-activation
-    oracle's bit for bit.  Tiny fractions give -1 codes and short mean times
-    to failure give both 1 and 0."""
+    completion times and observed windows equal the scalar k-th-activation
+    oracle's bit for bit, a window seen where the oracle's code is 0 or 1
+    and failed where it is 1.  Tiny fractions give unobserved windows (code
+    -1) and short mean times to failure give both 1 and 0."""
     rng = np.random.default_rng(seed)
     location = list(rng.uniform(2.0, 4.0, n))
     mttf = list(rng.uniform(0.3, 2.0, n))
@@ -361,12 +369,37 @@ def test_block_sampler_matches_scalar_oracle(n, jobs, seed):
     codes = set()
     for t in range(jobs):
         workers = active[t].nonzero()[0]
-        tau, window = sample_outcome(blocks, workers, fractions[t, workers])
-        expected = [oracle.outcome(i, fractions[t, i]) for i in workers.tolist()]
-        assert np.asarray(tau).tolist() == [e[0] for e in expected]
-        assert np.asarray(window).tolist() == [e[1] for e in expected]
-        codes.update(np.asarray(window).tolist())
+        tau, seen, failed = sample_outcome(blocks, workers, fractions[t, workers])
+        expected = [(i, *oracle.outcome(i, fractions[t, i])) for i in workers.tolist()]
+        assert np.asarray(tau).tolist() == [x for _, x, _ in expected]
+        assert seen == [i for i, _, code in expected if code >= 0]
+        assert failed == [code == 1 for _, _, code in expected if code >= 0]
+        codes.update(code for _, _, code in expected)
     assert codes == {-1, 0, 1}
+
+
+@on_both_branches
+def test_observed_windows_are_lists_of_the_workers_whose_work_reaches_delta():
+    """``seen`` and ``failed`` are lists of Python ints and bools in both
+    forms, and a listed worker is in ``seen`` exactly when its completion
+    time reaches the window; its flag in ``failed`` sits at its place there.
+    The workers are listed out of id order (3, 1, 0), and the fractions mix
+    work shorter and longer than the window, over a refill of every block."""
+    n, delta = 4, 0.5
+    streams = [np.random.default_rng(c) for c in np.random.SeedSequence(11).spawn(n)]
+    blocks = OutcomeBlocks(streams, [0.0] * n, [0.4] * n, sigma_log=0.5, delta=delta)
+    listed = np.array([3, 1, 0])
+    fractions = np.array([0.3, 0.6, 1.0])
+    sizes, flags = set(), set()
+    for _ in range(BLOCK + 2):
+        tau, seen, failed = sample_outcome(blocks, listed, fractions)
+        assert type(seen) is list and type(failed) is list
+        assert all(type(i) is int for i in seen) and all(type(f) is bool for f in failed)
+        assert seen == [i for i, x in zip(listed.tolist(), np.asarray(tau).tolist()) if x >= delta]
+        assert len(failed) == len(seen)
+        sizes.add(len(seen))
+        flags.update(failed)
+    assert sizes - {0, len(listed)} and flags == {False, True}
 
 
 def test_worker_draws_are_paired_across_refills():
@@ -388,9 +421,12 @@ def test_worker_draws_are_paired_across_refills():
         )
         draws = []
         for on in worker0:
-            tau, window = sample_outcome(blocks, [0, 1] if on else [1], [0.5, 0.5] if on else [0.5])
-            draws.append((tau[-1], window[-1]))
-        seen.add(np.array(draws).tobytes())
+            tau, observed, failed = sample_outcome(
+                blocks, [0, 1] if on else [1], [0.5, 0.5] if on else [0.5]
+            )
+            window = failed[-1] if observed[-1:] == [1] else None  # worker 1 is listed last
+            draws.append((tau[-1].hex(), window))
+        seen.add(tuple(draws))
     assert len(seen) == 1
 
 

@@ -9,6 +9,9 @@ for order, and ``oracles.literal_sweep`` (public ``sw_greedy`` and
 bit.
 Tests marked ``on_both_branches`` run once on Python floats and once on numpy
 arrays, whatever their worker count, against the same literal rule.
+``job_payments`` runs on numpy arrays on both; its list form
+``_payments_lists``, which the job step and the sweep call, is held to it
+bit for bit.
 """
 
 from dataclasses import replace
@@ -292,6 +295,37 @@ def test_list_caps_against_sorted_bids_give_the_array_bytes_and_errors(inst):
     assert _outcome(bids, caps.tolist(), true_costs, c_bar, True) == _outcome(
         bids, caps, true_costs, c_bar, True
     )
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), *range(33, 41)])
+def test_list_payment_rule_matches_job_payments_bit_for_bit(n):
+    """``_payments_lists``, which the job step and the deviation sweep call
+    directly, gives ``job_payments``'s payments and utilities bit for bit
+    (``repr``) at true costs apart from the bids, on both sides of the
+    crossover: tied bids, bids on the ceiling ``c_bar`` or below it, zero
+    caps of either sign, caps from 1e-17 to 1 that cover the job tightly or
+    loosely, and a boundary worker anywhere in the order."""
+    rng = np.random.default_rng(n)
+    priced = 0
+    while priced < 40:
+        bids = rng.choice(rng.uniform(1.0, 10.0, rng.integers(1, n + 1)), n)
+        bids[rng.random(n) < 0.1] = 10.0
+        caps = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-17, 1, n)
+        caps[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+        caps = np.minimum(1.0, caps / max(caps.sum(), 1e-300) * rng.choice([1.0, 1.3, 3.0]))
+        true_costs = np.clip(bids + rng.normal(0.0, 2.0, n), 1.0, 10.0)
+        c_bar = float(rng.choice([10.0, 12.0]))
+        try:
+            alloc = sw_greedy(bids, caps)
+        except InfeasibleJob:
+            continue
+        priced += 1
+        rec = job_payments(alloc, caps, bids, c_bar, true_costs=true_costs)
+        got = mechanism._payments_lists(
+            alloc.fractions.tolist(), alloc.k_pos, caps.tolist(), bids.tolist(), c_bar,
+            true_costs.tolist(), alloc.bid_order.tolist(),
+        )
+        assert repr(got) == repr((rec.payments.tolist(), rec.utilities.tolist())), (n, priced)
 
 
 @pytest.mark.parametrize(

@@ -149,19 +149,23 @@ def test_learning_updates_only_active_workers():
 @on_both_branches
 def test_window_updates_only_when_work_covers_delta(monkeypatch):
     """Each job draws one outcome per active worker, and only those: a
-    window is unobserved (code -1) exactly when the work is shorter than it."""
+    window is observed exactly when the work covers it, and the bank counts
+    one failure surrogate per failed observed window."""
     draws = counting(monkeypatch, "sample_outcome")
     cfg, recipe, est = small_market(T=30)
     sim = Simulator(cfg, recipe, est_cfg=est)
+    closed = np.zeros(cfg.n, dtype=np.int64)
     for t in range(1, cfg.T + 1):
         sim.step(t)
-        (_, active, _), (tau, codes) = draws[-1]
-        assert np.flatnonzero(planned_fractions(sim)).tolist() == list(active)
-        tau, codes = np.array(tau), np.array(codes)
-        assert tau.shape == codes.shape == (len(active),) and np.isfinite(tau).all()
-        short = tau < cfg.delta
-        assert np.all(codes[short] == -1)
-        assert np.all(codes[~short] >= 0)
+        (_, active, _), (tau, seen, failed) = draws[-1]
+        active = list(active)
+        assert np.flatnonzero(planned_fractions(sim)).tolist() == active
+        tau = np.array(tau)
+        assert tau.shape == (len(active),) and np.isfinite(tau).all()
+        assert seen == [i for i, x in zip(active, tau.tolist()) if x >= cfg.delta]
+        assert len(failed) == len(seen)
+        np.add.at(closed, [i for i, f in zip(seen, failed) if f], 1)
+        assert sim.stats.N_beta_it.tolist() == closed.tolist()
     assert len(draws) == cfg.T
 
 
@@ -512,7 +516,7 @@ def test_names_patched_by_the_benchmark_tracer_exist(monkeypatch):
             last = indices
             indices = sim.stats.rho_hat_plus.tobytes() + sim.stats.beta_hat_minus.tobytes()
             moved += indices != last
-        observed = sum(any(code >= 0 for code in codes) for _, (_, codes) in draws)
+        observed = sum(bool(seen) for _, (_, seen, _) in draws)
         assert not sim.trace().infeasible.any()
         assert {**calls, "sample_outcome": len(draws)} == {
             "refresh_indices": cfg.T,
@@ -814,7 +818,7 @@ def test_crossover_moves_every_module_that_binds_the_list_max():
     module it missed would keep its own branch in both runs."""
     src = Path(crowdmarket.__file__).parent
     binding = sorted(p.stem for p in src.glob("*.py") if "_LIST_MAX" in p.read_text())
-    assert binding == ["allocation", "estimator", "market", "mechanism", "simulation"]
+    assert binding == ["allocation", "estimator", "market", "simulation"]
     cfg = desk_config(T=10)
     for name, limit in BRANCHES.items():
         with crossover(limit):
@@ -828,9 +832,9 @@ def test_crossover_moves_every_module_that_binds_the_list_max():
 def branch_market(n, cover, rho_range, beta_range, u_scale, alpha, jobs, repeat, seed):
     """A market whose initial pessimistic caps cover ``cover`` jobs in
     total, on rho and beta bounds (1, 2) with a 0.9 window: completion times
-    near the window give all three window codes, and ``u_scale`` = 1 (the
-    smallest valid second-moment bounds) drops samples early.  Every
-    ``repeat``-th job is refreshed twice (0: none)."""
+    near the window give unobserved, clean and failed windows, and
+    ``u_scale`` = 1 (the smallest valid second-moment bounds) drops samples
+    early.  Every ``repeat``-th job is refreshed twice (0: none)."""
     c = 2.0 * cover / n  # initial caps min(1, beta_min * c / rho_max) = min(1, cover / n)
     cfg = MarketConfig(
         n=n,
@@ -867,8 +871,8 @@ def branch_markets(draw):
     )
 
 
-# Between them: infeasible jobs, all three window codes, samples that drop
-# before the horizon, refilled blocks and repeated refreshes.
+# Between them: infeasible jobs, unobserved, clean and failed windows,
+# samples that drop before the horizon, refilled blocks and repeated refreshes.
 BRANCH_EXAMPLES = [
     branch_market(5, 0.5, (1.0, 1.0), (2.0, 2.0), 1.0, 2.0, 30, 0, 1),  # every job infeasible
     branch_market(2, 3.0, (1.0, 1.0), (1.0, 2.0), 1.0, 4.0, 300, 7, 2),
@@ -880,8 +884,8 @@ BRANCH_EXAMPLES = [
 def _run_bytes(cfg, recipe, est, repeat):
     """Every output byte of one run: the trace CSV, the summary JSON, the
     estimator CSV, the six series, each job's planned fractions and each
-    draw's completion times and window codes; or the error it raised.  Also
-    the list-branch facts the examples must cover."""
+    draw's completion times and observed windows; or the error it raised.
+    Also the list-branch facts the examples must cover."""
     plans = []
     try:
         with pytest.MonkeyPatch.context() as patch:
@@ -905,11 +909,12 @@ def _run_bytes(cfg, recipe, est, repeat):
         stats_to_csv(sim.stats, paths[2])
         files = [path.read_bytes() for path in paths]
     series = [getattr(trace, name).tobytes() for name in oracles.SERIES]
-    outcomes = [(np.array(tau).tobytes(), np.array(codes, dtype=np.int8).tobytes())
-                for _, (tau, codes) in draws]
+    outcomes = [(np.array(tau).tobytes(), seen, failed) for _, (tau, seen, failed) in draws]
+    windows = {"unobserved" for _, (tau, seen, _) in draws if len(seen) < len(tau)}
+    windows.update("failed" if f else "clean" for _, (_, _, failed) in draws for f in failed)
     covered = {
         "infeasible": bool(trace.infeasible.any()),
-        "codes": {int(code) for _, (_, codes) in draws for code in codes},
+        "windows": windows,
         "dropped": any(key < math.log(cfg.T) for key in filed),
         "refilled": int(sim.stats.N_it.max()) > BLOCK,
         "repeated": bool(repeat) and cfg.T >= repeat,
@@ -938,7 +943,8 @@ def test_branch_examples_cover_the_job_step():
     covered = [_run_bytes(*market)[1] for market in BRANCH_EXAMPLES]
     for fact in ("infeasible", "dropped", "refilled", "repeated"):
         assert any(c.get(fact) for c in covered), fact
-    assert set().union(*(c.get("codes", set()) for c in covered)) == {-1, 0, 1}
+    windows = set().union(*(c.get("windows", set()) for c in covered))
+    assert windows == {"unobserved", "clean", "failed"}
 
 
 def _bank():
