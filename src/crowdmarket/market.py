@@ -21,6 +21,7 @@ serves one job from them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -126,6 +127,12 @@ def validate_config(cfg: MarketConfig) -> MarketConfig:
     _check(cfg.n >= 1, f"worker count must be >= 1, got {cfg.n}")
     _check(cfg.T >= 0, f"job count must be >= 0, got {cfg.T}")
     _check(0 < c_lo <= c_hi, f"cost bounds must satisfy 0 < lo <= hi, got [{c_lo}, {c_hi}]")
+    # A job's totals are at most c_hi and a run's at most T * c_hi: keep them finite.
+    half = sys.float_info.max / 2
+    _check(
+        max(cfg.T, 1) <= half / c_hi,
+        f"cost_max times the job count must be at most {half:.6g}, got {c_hi} and {cfg.T} jobs",
+    )
     _check(0 < r_lo <= r_hi, f"rho bounds must satisfy 0 < lo <= hi, got [{r_lo}, {r_hi}]")
     _check(0 < b_lo <= b_hi, f"beta bounds must satisfy 0 < lo <= hi, got [{b_lo}, {b_hi}]")
     _check(0 < cfg.epsilon < 1, f"epsilon must lie strictly in (0, 1), got {cfg.epsilon}")

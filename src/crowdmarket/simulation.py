@@ -20,8 +20,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property, reduce
-from operator import add
+from functools import cached_property
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +140,10 @@ class Simulator:
     hands them to ``_payments_lists``, the list form of ``job_payments``,
     and builds its row from lists.  Above, everything is an array.  Both
     forms write the same bytes, and the observed windows are lists in both.
-    Both call ``sw_greedy`` once per plan computed.
+    Both call ``sw_greedy`` once per plan computed.  A row's cost (the sum
+    of ``c_i * x_i``) and its payment total, like the oracle cost, are the
+    ``math.fsum`` of their terms: correctly rounded, so the same in both
+    forms and on every BLAS kernel.
 
     Each plan's row of the six trace series is kept once, in ``_rows``, and
     a step appends the index of its plan's row to ``_jobs``, so a plan
@@ -178,7 +181,7 @@ class Simulator:
         )
         # Oracle feasibility is a precondition of the whole run.
         self.oracle = sw_greedy(self.bids, self.true_caps)
-        self.oracle_cost = float(self.costs @ self.oracle.fractions)
+        self.oracle_cost = math.fsum(memoryview(self.costs * self.oracle.fractions))
         self.oracle_active = self.oracle.active_set
 
         self.stats = WorkerStats(
@@ -230,27 +233,31 @@ class Simulator:
 
     def _solve(self, caps):
         """A job's plan: its active workers (None if it is infeasible), their
-        fractions and the index of its trace row, which it appends to ``_rows``."""
+        fractions and the index of its trace row, which it appends to ``_rows``.
+        Both forms ``fsum`` all ``n`` terms of the row's cost and payment total."""
         c_bar = float(self.cfg.cost_bounds[1])
         try:
             alloc = sw_greedy(self.bids, caps)
         except InfeasibleJob:
             return None, None, self._keep((True, math.nan, math.nan, 0, math.nan, False))
-        x, cost = alloc.fractions, float(self.costs @ alloc.fractions)
+        x = alloc.fractions
         if self._lists:  # truthful bids: the bids are the costs
             bids, order = self.bids.lists
             x = x.tolist()
             payments, utilities = _payments_lists(x, alloc.k_pos, caps, bids, c_bar, bids, order)
             active = ids = [i for i, xi in enumerate(x) if xi]
             fractions = [x[i] for i in active]
+            cost, payment = math.fsum(map(mul, bids, x)), math.fsum(payments)
             # Positive caps and truthful bids make every utility a finite
             # float other than -0.0, so Python's min is numpy's.
-            payment, utility_min = _add_reduce(payments), min(utilities)
+            utility_min = min(utilities)
         else:
             rec = job_payments(alloc, caps, self.bids, c_bar)
             active = x.nonzero()[0]
             fractions, ids = x[active], active.tolist()
-            payment, utility_min = float(rec.payments.sum()), float(rec.utilities.min())
+            cost = math.fsum(memoryview(self.costs * x))
+            payment = math.fsum(memoryview(rec.payments))
+            utility_min = float(rec.utilities.min())
         oracle = self.oracle_active  # distinct ids: equal sizes and a superset is equality
         match = len(ids) == len(oracle) and oracle.issuperset(ids)
         return active, fractions, self._keep((False, cost, payment, len(ids), utility_min, match))
@@ -273,21 +280,6 @@ class Simulator:
             oracle_active=self.oracle_active,
             **{name: rows[name][jobs] for name in rows.dtype.names},
         )
-
-
-def _add_reduce(values: list) -> float:
-    """``np.add.reduce`` of a list of up to ``_LIST_MAX`` floats, bit for
-    bit: numpy's pairwise sum, which starts from 0.0 and so is never -0.0.
-    It adds eight interleaved partial sums pairwise, then the rest in
-    sequence."""
-    n = len(values)
-    head, total = n - n % 8, 0.0  # below 8 values all are added in sequence
-    if head:
-        r = [reduce(add, values[j:head:8]) for j in range(8)]
-        total += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for value in values[head:]:
-        total += value
-    return total
 
 
 def run(

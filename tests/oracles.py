@@ -403,13 +403,14 @@ def run_literal(cfg, recipe, est: EstimatorConfig, mode: str) -> dict:
     mode) and takes its caps, or takes the true caps (known-means mode);
     calls ``sw_greedy`` and ``job_payments`` afresh on plain arrays; and, in
     learning mode, draws each active worker's outcome from a
-    :class:`BlockSampler` and records it.  Returns the trace's six per-job
-    ``SERIES`` as lists, the run's ``true_caps``, the final scalar ``stats``,
-    and per job, one entry per worker: its ``caps``; its ``fractions``,
-    ``payments`` and ``utilities`` (zeros for an infeasible job); its
-    ``completion`` times and ``window`` codes (NaN and 0 where a worker drew
-    no outcome, as every worker does in known-means mode); and ``covered``,
-    whether each worker's indices cover its true means.
+    :class:`BlockSampler` and records it.  A row's cost and payment total
+    are the ``math.fsum`` of their per-worker terms.  Returns the trace's
+    six per-job ``SERIES`` as lists, the run's ``true_caps``, the final
+    scalar ``stats``, and per job, one entry per worker: its ``caps``; its
+    ``fractions``, ``payments`` and ``utilities`` (zeros for an infeasible
+    job); its ``completion`` times and ``window`` codes (NaN and 0 where a
+    worker drew no outcome, as every worker does in known-means mode); and
+    ``covered``, whether each worker's indices cover its true means.
     """
     workers = sample_population(cfg, recipe)
     costs = np.array([w.cost for w in workers])
@@ -449,8 +450,8 @@ def run_literal(cfg, recipe, est: EstimatorConfig, mode: str) -> dict:
             active = [i for i, xi in enumerate(x) if xi]
             row = (
                 False,
-                float(costs @ alloc.fractions),
-                float(rec.payments.sum()),
+                math.fsum(c * xi for c, xi in zip(costs.tolist(), x)),
+                math.fsum(payments),
                 len(active),
                 float(rec.utilities.min()),
                 set(active) == oracle_active,

@@ -242,6 +242,9 @@ def test_repeated_config_key_exits_3(tmp_path, capsys):
         (("seed = 11", "seed = -3"), ["simulate"], 3),
         (("sigma_log = 0.25", "sigma_log = 30"), ["simulate"], 3),
         (("beta_max = 35", "beta_max = 1e308"), ["simulate"], 3),
+        # costs up to DBL_MAX, or at 1e307 over 60 jobs: the totals could overflow
+        (("cost_max = 100", "cost_max = 1.7976931348623157e+308"), ["simulate"], 3),
+        (("cost_max = 100", "cost_max = 1e307"), ["simulate"], 3),
         (None, ["dsic-test", "--seed", "-1"], 2),
         (None, ["sweep", "--param", "seed", "--values", "1.5"], 2),
         (None, ["sweep", "--param", "epsilon", "--values", "abc"], 2),
@@ -250,7 +253,7 @@ def test_repeated_config_key_exits_3(tmp_path, capsys):
     ],
     ids=[
         "group count 2.5", "group cost abc", "simulate seed -1", "config seed -3",
-        "sigma_log 30", "beta_max 1e308",
+        "sigma_log 30", "beta_max 1e308", "cost_max DBL_MAX", "cost_max 1e307 x 60 jobs",
         "dsic-test seed -1", "sweep seed 1.5", "sweep epsilon abc", "sweep delta nan",
         "sweep delta -inf",
     ],
@@ -490,6 +493,31 @@ def test_an_overflowing_default_is_named(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "default u_rho overflows" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_costs_just_inside_the_limit_keep_every_total_finite(tmp_path):
+    """desk6 with every cost scaled by 1e303 over 300 jobs: cost_max times
+    the job count, 3e307, stays below half of DBL_MAX.  The run completes
+    and aggregate.json is strict JSON with finite totals."""
+    text = DESK6.read_text()
+    for old, new in [("jobs = 10000", "jobs = 300"), ("cost_min = 10", "cost_min = 1e304"),
+                     ("cost_max = 100", "cost_max = 1e305"),
+                     ("group.1.cost = 10 11", "group.1.cost = 1e304 1.1e304"),
+                     ("group.2.cost = 48 50", "group.2.cost = 4.8e304 5e304"),
+                     ("group.3.cost = 100", "group.3.cost = 1e305")]:
+        assert text.count(f"\n{old}\n") == 1, old
+        text = text.replace(f"\n{old}\n", f"\n{new}\n")
+    path = tmp_path / "desk6_1e303.cfg"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} in aggregate.json")
+
+    totals = json.loads((out / "aggregate.json").read_text(), parse_constant=reject)["totals"]
+    assert totals["jobs_completed"] == 300
+    assert 300 * 1e304 <= totals["neg_social_welfare_total"] <= totals["payment_total"] <= 300 * 1e305
 
 
 # Each sweepable key of a 30-job desk6 copy, at the value the config already

@@ -8,6 +8,7 @@ import importlib
 import math
 import tempfile
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -42,9 +43,7 @@ from crowdmarket import (
     trace_to_csv,
     true_cap,
 )
-from crowdmarket.allocation import _LIST_MAX
 from crowdmarket.market import _CSV_CHUNK
-from crowdmarket.simulation import _add_reduce
 
 from conftest import (
     BRANCHES,
@@ -270,12 +269,12 @@ def test_feasible_at_init_stays_feasible():
 @on_both_branches
 def test_allocations_respect_current_caps():
     """On every job the planned fractions sum to exactly 1 under ``fsum`` and
-    none exceeds its cap, and the plan's fractions, its row's payment total
-    and its least utility are bit-equal to the public ``sw_greedy`` and
-    ``job_payments`` on the same caps.  The small market solves one plan;
-    the desk market (``configs/desk6.cfg``, as ``test_configs`` checks)
-    moves its caps on most of its jobs, so most of them check a plan
-    computed afresh."""
+    none exceeds its cap, the plan's fractions and its row's least utility
+    are bit-equal to the public ``sw_greedy`` and ``job_payments`` on the
+    same caps, and its payment total is the ``fsum`` of their payments.  The
+    small market solves one plan; the desk market (``configs/desk6.cfg``, as
+    ``test_configs`` checks) moves its caps on most of its jobs, so most of
+    them check a plan computed afresh."""
     desk = desk_config(T=2000)
     markets = {
         "small": (small_market(T=40), 1),
@@ -293,7 +292,7 @@ def test_allocations_respect_current_caps():
             assert np.all(fractions <= caps), (name, t)
             assert fractions.tobytes() == alloc.fractions.tobytes(), (name, t)
             _, _, payment, _, utility_min, _ = sim._rows[sim._plan[2]]
-            want = np.array([pay.payments.sum(), pay.utilities.min()]).tobytes()
+            want = np.array([math.fsum(pay.payments), pay.utilities.min()]).tobytes()
             assert np.array([payment, utility_min]).tobytes() == want, (name, t)
         assert len(sim._rows) == plans, name
 
@@ -326,8 +325,8 @@ def plan_calls(monkeypatch, n: int):
 def test_repeated_caps_reuse_the_allocation_and_payments(monkeypatch):
     """A job whose caps repeat the last feasible job's bit for bit computes no
     allocation or payments; every job's planned fractions, and its row's total
-    payment and least utility, equal a fresh computation.  The desk market's
-    caps hold still for 545 jobs, then move."""
+    payment (an ``fsum``) and least utility, equal a fresh computation.  The
+    desk market's caps hold still for 545 jobs, then move."""
     cfg = desk_config(T=600)
     greedy_calls, payment_calls = plan_calls(monkeypatch, cfg.n)
     sim = Simulator(cfg, desk_recipe(), est_cfg=desk_estimator(cfg))
@@ -342,7 +341,7 @@ def test_repeated_caps_reuse_the_allocation_and_payments(monkeypatch):
         alloc = sw_greedy(sim.costs, caps)
         pay = job_payments(alloc, caps, sim.costs, cfg.cost_bounds[1], true_costs=sim.costs)
         assert planned_fractions(sim).tobytes() == alloc.fractions.tobytes()
-        rows.append((float(pay.payments.sum()), float(pay.utilities.min())))
+        rows.append((math.fsum(pay.payments), float(pay.utilities.min())))
     trace = sim.trace()
     assert not trace.infeasible.any()
     assert list(zip(trace.payment.tolist(), trace.utility_min.tolist())) == rows
@@ -703,26 +702,6 @@ def test_cumulative_series_are_computed_once_per_trace(tmp_path):
     assert regret(trace)[1] is kept["regret_avg"]
 
 
-TOTAL_VALUES = st.one_of(
-    st.floats(-1e3, 1e3),  # alike magnitudes, whose sum shows the order of addition
-    st.floats(allow_nan=False),  # subnormal to near overflow, and infinities
-    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
-)
-
-
-@example(values=[-0.0] * 9)
-@example(values=[0.1] * 10)  # eight partial sums, then two in sequence
-@given(values=st.lists(TOTAL_VALUES, min_size=1, max_size=_LIST_MAX))
-@settings(max_examples=400, deadline=None)
-def test_payment_total_is_numpys_sum_bit_for_bit(values):
-    """The list form's payment total equals ``np.add.reduce`` bit for bit:
-    a sum in sequence below 8 entries, eight interleaved partial sums from 8
-    on."""
-    with np.errstate(all="ignore"):  # inf - inf and overflow
-        want = np.add.reduce(np.array(values))
-    assert np.float64(_add_reduce(values)).tobytes() == want.tobytes()
-
-
 @on_both_branches
 def test_summary_echoes_config():
     cfg, recipe, est = small_market(T=10)
@@ -801,6 +780,54 @@ def fraction_integral(bids, caps, cost_bounds, i):
         z[i] = 0.5 * (lo + hi)
         integral += sw_greedy(z, caps).fractions[i] * (hi - lo)
     return integral
+
+
+def exact_sum(terms) -> float:
+    """The correctly rounded sum of the floats ``terms``: their exact
+    rational sum, rounded once."""
+    return float(sum(map(Fraction, terms)))
+
+
+def products(costs, x) -> list:
+    """The rounded products ``c_i * x_i`` of two arrays, as floats."""
+    return [c * xi for c, xi in zip(costs.tolist(), x.tolist())]
+
+
+# Markets whose plans move, each with its estimator: desk6, the array-form
+# desk48, and reference400 (seed 7, as configs/reference400.cfg), whose caps
+# move from job 2,067 on.
+CERTIFIED_RUNS = {
+    "desk6": (desk_config(T=2000), desk_recipe(), desk_estimator),
+    "desk48": (*desk48_market(1), desk_estimator),
+    "reference400": (reference_config(T=2200, seed=7), reference_recipe(), EstimatorConfig.defaults),
+}
+CERTIFY_EVERY = 5
+
+
+@pytest.mark.parametrize("cfg, recipe, estimator", CERTIFIED_RUNS.values(), ids=CERTIFIED_RUNS.keys())
+@on_both_branches
+def test_row_totals_are_correctly_rounded(cfg, recipe, estimator):
+    """The oracle cost, and on every ``CERTIFY_EVERY``-th plan computed the
+    row's cost and payment total, equal the exact sum of their rounded terms
+    (the products ``c_i * x_i`` and the payments of ``job_payments``),
+    rounded once.  So they do not depend on the order of addition, the form
+    of the job step or the BLAS kernel."""
+    sim = Simulator(cfg, recipe, est_cfg=estimator(cfg))
+    assert sim.oracle_cost == exact_sum(products(sim.costs, sim.oracle.fractions))
+    certified = set()
+    for t in range(1, cfg.T + 1):
+        sim.step(t)
+        index = sim._plan[2]
+        if index % CERTIFY_EVERY or index in certified:
+            continue
+        certified.add(index)
+        infeasible, cost, payment, *_ = sim._rows[index]
+        assert not infeasible, t
+        caps = np.array(sim._caps)  # the caps of job t
+        pay = job_payments(sw_greedy(sim.costs, caps), caps, sim.costs, cfg.cost_bounds[1])
+        assert cost == exact_sum(products(sim.costs, planned_fractions(sim))), t
+        assert payment == exact_sum(pay.payments.tolist()), t
+    assert len(certified) == -(-len(sim._rows) // CERTIFY_EVERY) > 20
 
 
 @on_both_branches
