@@ -183,14 +183,19 @@ def _remainder(full, cap: float) -> float:
     return min(rest, cap)
 
 
+def _check_caps(cl: list) -> None:
+    """Raise ``ValueError`` unless every cap of the list ``cl`` lies in [0, 1]."""
+    # A NaN cap can hide from min and max, but not from the sum.
+    if not (0.0 <= min(cl) and max(cl) <= 1.0 and not math.isnan(sum(cl))):
+        raise ValueError("caps must lie in [0, 1]")
+
+
 def _greedy_lists(b, o: list, cl: list) -> tuple[list, int]:
     """The numpy branch of ``sw_greedy`` on lists of Python floats: bids ``b``
     (the array too, as only its two ends are read), their order ``o`` and caps
     ``cl`` in, fractions and ``k_pos`` out.  ``accumulate`` is the sequential
     ``cumsum``, ``bisect_left`` the ``searchsorted``."""
-    # A NaN cap can hide from min and max, but not from the sum.
-    if not (0.0 <= min(cl) and max(cl) <= 1.0 and not math.isnan(sum(cl))):
-        raise ValueError("caps must lie in [0, 1]")
+    _check_caps(cl)
     if not (math.isfinite(b[o[0]]) and math.isfinite(b[o[-1]])):
         raise ValueError("bids must be finite")
     c_sorted = [cl[w] for w in o]

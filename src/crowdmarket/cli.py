@@ -87,6 +87,17 @@ def _build_estimator(cfg: MarketConfig, overrides: dict[str, float]) -> Estimato
     return EstimatorConfig.defaults(cfg, **overrides).validate(cfg)
 
 
+def _check_totals(cfg: MarketConfig, replicates: int) -> None:
+    """Raise ``InvalidConfig`` unless the aggregate totals stay finite: each
+    replicate's are at most ``max(T, 1) * cost_max``, and they add up."""
+    half = sys.float_info.max / 2
+    if replicates * max(cfg.T, 1) > half / cfg.cost_bounds[1]:
+        raise InvalidConfig(
+            f"replicates times the job count times cost_max must be at most {half:.6g}, "
+            f"got {replicates}, {cfg.T} jobs and {cfg.cost_bounds[1]}"
+        )
+
+
 def _run_replicate(payload) -> dict:
     """Run one replicate and write its trace CSV; returns the summary dict."""
     cfg, recipe, est, mode, out_file = payload
@@ -146,6 +157,7 @@ def _simulate(
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg, recipe, est_overrides = _load(args)
     est = _build_estimator(cfg, est_overrides)
+    _check_totals(cfg, args.replicates)
     code, aggregate = _simulate(
         cfg,
         recipe,
@@ -231,6 +243,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             cfg_v = replace(cfg, **{_FIELDS.get(args.param, args.param): v})
         try:
             est_v = _build_estimator(validate_config(cfg_v), overrides_v)
+            _check_totals(cfg_v, args.replicates)
         except InvalidConfig as exc:
             results.append({"value": v, "error": str(exc)})
             continue

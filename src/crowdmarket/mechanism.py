@@ -20,21 +20,23 @@ achievable utility gain.  ``sw_greedy`` reads only the bid order, and a
 worker's own bid never prices its own payment, so a worker's utility depends
 on its bid only through its rank among the other bids (ties broken by worker
 id).  The grid holds one bid per rank the worker can reach, its own cost
-first, which finds the maximum exactly with one allocation per bid order.
-Each grid bid calls ``sw_greedy``, and ``_payments_lists`` at any n only if
-the worker ranks at or before the boundary; past it the rule writes ``0.0``.
+first, which finds the maximum exactly.  Where the other workers' caps
+cover the job ahead of the worker's rank, it is past the boundary and the
+rule writes ``0.0``: such a bid, unless truthful, is not allocated.  Every
+other bid calls ``sw_greedy``, and ``_payments_lists`` prices the worker's row alone, at
+any n, if it ranks at or before the boundary.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .allocation import Allocation, _as_bid_array, sw_greedy
+from .allocation import Allocation, _as_bid_array, _check_caps, sw_greedy
 
 __all__ = [
     "PaymentRecord",
@@ -125,13 +127,14 @@ def job_payments(
     return PaymentRecord(payments=payments, utilities=utilities)
 
 
-def _payments_lists(fractions, k: int, caps, bids, c_bar: float, costs, order) -> tuple:
+def _payments_lists(fractions, k: int, caps, bids, c_bar: float, costs, order, rows=None) -> tuple:
     """``job_payments`` on lists of Python floats, each term in the same
     order: fractions, caps, bids, true costs and bid order in, with ``k`` the
-    allocation's ``k_pos``; payments and utilities out.  ``accumulate`` is
-    the sequential ``np.add.accumulate``, ``bisect_right`` the ``searchsorted``."""
+    allocation's ``k_pos``; payments and utilities out.  ``rows`` selects the
+    bid-order positions to price, by default all active ones; the others
+    read ``0.0``.  ``accumulate`` is the sequential ``np.add.accumulate``,
+    ``bisect_right`` the ``searchsorted``."""
     n = len(order)
-    active = order[: k + 1]
     b_s = [bids[w] for w in order]
     b_k = b_s[k]
     b_next = [*b_s[k + 1 :], c_bar]  # the bid of each tail slot, then the ceiling
@@ -140,10 +143,11 @@ def _payments_lists(fractions, k: int, caps, bids, c_bar: float, costs, order) -
     filled = [0.0, *accumulate(a)]  # prefix sums of a
     premium = [0.0, *accumulate([(bn - r) * ai for bn, ai in zip(b_next, a)])]
 
-    room = caps[active[k]] - fractions[active[k]]  # the boundary worker's slack
+    room = caps[order[k]] - fractions[order[k]]  # the boundary worker's slack
     payments = [0.0] * n
     utilities = [0.0] * n
-    for q, w in enumerate(active):
+    for q in range(k + 1) if rows is None else rows:
+        w = order[q]
         xq, cq = fractions[w], costs[w]
         # a tie (of signed zeros) takes the second operand, as in np.minimum
         slack = 0.0 if q == k else (xq if xq < room else room)
@@ -200,10 +204,15 @@ def deviation_grid(instance: FrozenInstance, i: int) -> np.ndarray:
     bounds, ties by worker id).  A midpoint reaches the rank between two
     distinct bids.  A rank between equal bids, or between a bid on a bound
     and that bound, is reached only by that bid and only if the ids put
-    ``i`` there.  Raises ``ValueError`` on an instance or ``i`` as a sweep does."""
+    ``i`` there.  Raises ``ValueError`` on an instance or ``i`` as a sweep
+    does: non-finite costs and caps outside [0, 1] included, so a sweep
+    over this grid checks its instance here, once."""
     _check_worker(instance, i)
     lo, hi = instance.cost_bounds
     costs = instance.costs.tolist()
+    if not all(map(math.isfinite, costs)):
+        raise ValueError("costs must be finite")
+    _check_caps(instance.caps.tolist())
     own = (costs[i], i)
     others = sorted((min(max(c, lo), hi), j) for j, c in enumerate(costs) if j != i)
     own_rank = sum(o < own for o in others)
@@ -236,25 +245,45 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
     ``grid``, each bid of :func:`deviation_grid` is evaluated once; a given
     ``grid`` is evaluated after the truthful bid.  Each utility is
     ``job_payments``'s at ``c_bar`` = the upper cost bound, bit for bit.
+
+    The other workers are sorted once, by (cost, id) as ``sw_greedy`` sorts
+    them, and their caps summed in that order as it sums them.  A finite bid
+    that ranks ``i`` after a prefix that covers the job leaves it past the
+    boundary, where the rule writes ``0.0``, so it is not allocated.  Every
+    other bid, the truthful one always, calls ``sw_greedy``, and
+    ``_payments_lists`` prices ``i``'s row alone if ``i`` ranks at or before
+    the boundary.
+
     Raises ``ValueError`` unless ``0 <= i < n``, costs and caps are vectors
     of one length and the bounds are finite with ``lo <= hi``, on a
     non-finite bid, a cap outside [0, 1] or an empty ``grid``; and
     :class:`InfeasibleJob` when the caps sum to less than one.
     """
-    _check_worker(instance, i)
-    first = int(grid is not None)  # a given grid follows the truthful bid
-    grid = [instance.costs[i], *grid] if first else deviation_grid(instance, i).tolist()
+    if grid is None:
+        first, grid = 0, deviation_grid(instance, i).tolist()  # checks the instance
+    else:  # a given grid follows the truthful bid
+        _check_worker(instance, i)
+        first, grid = 1, [instance.costs[i], *grid]
     c_bar = float(instance.cost_bounds[1])
     costs, caps = instance.costs.tolist(), instance.caps.tolist()
+    others = sorted((c, j) for j, c in enumerate(costs) if j != i)
+    # the position of the other whose cap completes the job; a rank after it
+    # leaves i past the boundary
+    cover = bisect_left(list(accumulate(caps[j] for _, j in others)), 1.0)
     bids, bid_list = instance.costs.copy(), costs.copy()
     u = []
-    for b in grid:
-        bids[i] = bid_list[i] = float(b)
+    for q, b in enumerate(grid):
+        b = float(b)
+        r = bisect_left(others, (b, i))  # i's position in the bid order
+        if q and r > cover and math.isfinite(b):  # the rule writes 0.0 there
+            u.append(0.0)
+            continue
+        bids[i] = bid_list[i] = b
         alloc = sw_greedy(bids, instance.caps)
-        order, k = alloc.bid_order.tolist(), alloc.k_pos
-        if i in order[: k + 1]:
-            x = alloc.fractions.tolist()
-            u.append(_payments_lists(x, k, caps, bid_list, c_bar, costs, order)[1][i])
+        k = alloc.k_pos
+        if r <= k:
+            x, order = alloc.fractions.tolist(), alloc.bid_order.tolist()
+            u.append(_payments_lists(x, k, caps, bid_list, c_bar, costs, order, (r,))[1][i])
         else:  # past the boundary the rule writes 0.0
             u.append(0.0)
     return max(u[first:]) - u[0]

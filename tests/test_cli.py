@@ -280,6 +280,38 @@ def test_malformed_input_exits_without_traceback(config_edit, argv, code, tmp_pa
     assert not out.exists()
 
 
+# Costs near the top of the float range, over one job.
+HUGE_COST_CONFIG = (
+    SMALL_CONFIG.replace("jobs = 60", "jobs = 1")
+    .replace("cost_min = 10", "cost_min = 1e306")
+    .replace("cost_max = 100", "cost_max = 8e307")
+    .replace("group.1.cost = 10 50", "group.1.cost = 1e307 5e307")
+    .replace("group.2.cost = 100", "group.2.cost = 8e307")
+)
+
+
+def test_replicates_whose_totals_would_overflow_exit_3(tmp_path, capsys):
+    """Six replicates of one job at costs up to 8e307 could sum to more than
+    the largest float: ``simulate`` exits 3 and writes nothing, and ``sweep``
+    lists the value as invalid.  One replicate runs and writes finite totals."""
+    path = tmp_path / "huge.cfg"
+    path.write_text(HUGE_COST_CONFIG)
+    simulate = ["simulate", "--config", str(path)]
+    assert main([*simulate, "--out", str(tmp_path / "six"), "--replicates", "6"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "replicates" in err and "Traceback" not in err
+    assert not (tmp_path / "six").exists()
+
+    sweep = ["sweep", "--config", str(path), "--out", str(tmp_path / "sweep"), "--replicates", "6"]
+    assert main([*sweep, "--param", "seed", "--values", "11"]) == 3
+    (result,) = _strict_json(tmp_path / "sweep" / "sweep.json")["results"]
+    assert result["value"] == 11 and "replicates" in result["error"]
+
+    assert main([*simulate, "--out", str(tmp_path / "one"), "--replicates", "1"]) == 0
+    totals = _strict_json(tmp_path / "one" / "aggregate.json")["totals"]
+    assert totals["jobs_completed"] == 1 and totals["payment_total"] > 1e306
+
+
 def test_non_utf8_config_exits_3(tmp_path, capsys):
     path = tmp_path / "latin1.cfg"
     path.write_bytes(SMALL_CONFIG.replace("group.1", "# caf\u00e9\ngroup.1", 1).encode("latin-1"))

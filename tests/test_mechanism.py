@@ -304,7 +304,8 @@ def test_list_payment_rule_matches_job_payments_bit_for_bit(n):
     (``repr``) at true costs apart from the bids, on both sides of the
     crossover: tied bids, bids on the ceiling ``c_bar`` or below it, zero
     caps of either sign, caps from 1e-17 to 1 that cover the job tightly or
-    loosely, and a boundary worker anywhere in the order."""
+    loosely, and a boundary worker anywhere in the order.  Each active row
+    priced alone, as the sweep prices its worker, gives the same bytes."""
     rng = np.random.default_rng(n)
     priced = 0
     while priced < 40:
@@ -321,11 +322,15 @@ def test_list_payment_rule_matches_job_payments_bit_for_bit(n):
             continue
         priced += 1
         rec = job_payments(alloc, caps, bids, c_bar, true_costs=true_costs)
-        got = mechanism._payments_lists(
+        args = (
             alloc.fractions.tolist(), alloc.k_pos, caps.tolist(), bids.tolist(), c_bar,
             true_costs.tolist(), alloc.bid_order.tolist(),
         )
+        got = mechanism._payments_lists(*args)
         assert repr(got) == repr((rec.payments.tolist(), rec.utilities.tolist())), (n, priced)
+        for q, w in enumerate(alloc.bid_order[: alloc.k_pos + 1].tolist()):
+            pay, util = mechanism._payments_lists(*args, rows=(q,))
+            assert repr((pay[w], util[w])) == repr((got[0][w], got[1][w])), (n, priced, q)
 
 
 @pytest.mark.parametrize(
@@ -548,11 +553,45 @@ def _ranks_by_boundary(inst, i, b):
     return alloc.bid_order.tolist().index(i) <= alloc.k_pos
 
 
+# Worker 0 bids first; the others' caps cover the job at exactly 1.0 in bid
+# order, so its rank-3 bid leaves it past the boundary.
+EXACT_COVER = FrozenInstance(
+    costs=np.array([1.5, 2.0, 3.0, 4.0]), caps=np.array([0.6, 0.5, 0.25, 0.25]),
+    cost_bounds=(1.0, 5.0),
+)
+# Workers 2, 3 and 0 cap 0.7, 0.2 and 0.1: 0.9999999999999999 in bid order,
+# 1.0 by fsum.  Worker 1 bidding 3.0 ranks after them and still takes its
+# cap of 2e-17, as the boundary worker; grid seed 17 gives it the grid [3.0].
+SHORT_COVER = FrozenInstance(
+    costs=np.array([3.0, 1.5, 2.0, 2.5, 4.0]), caps=np.array([0.1, 2e-17, 0.7, 0.2, 0.5]),
+    cost_bounds=(1.0, 5.0),
+)
+# Worker 1's bid of 2.0 ties with worker 0's cost and with worker 2's and
+# ranks between them, where the others' caps reach 0.5, not yet 1.0.
+TIED_AROUND = FrozenInstance(
+    costs=np.array([2.0, 1.5, 2.0, 4.0]), caps=np.array([0.5, 0.6, 0.5, 0.5]),
+    cost_bounds=(1.0, 5.0),
+)
+
+
+def _covered_before(inst, i, b):
+    """True when the caps of the workers that bid before worker ``i``,
+    bidding ``b``, sum to at least one, added up in bid order."""
+    bids = inst.costs.copy()
+    bids[i] = b
+    order = bids.argsort(kind="stable").tolist()
+    before = order[: order.index(i)]
+    return bool(before) and np.cumsum(inst.caps[before])[-1] >= 1.0
+
+
 def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
-    """With distinct costs inside the bounds every rank is reachable, so a
-    sweep runs ``sw_greedy`` exactly n times.  It prices the worker with
-    ``_payments_lists`` once per bid that leaves it at or before the
-    boundary, and never calls ``job_payments``."""
+    """With distinct costs inside the bounds every rank is reachable, so the
+    grid holds n bids, on random instances and on the two whose caps cover
+    the job exactly or just short of it.  A sweep runs ``sw_greedy`` on the
+    truthful bid and on every other bid that the others' caps do not cover
+    the job ahead of.  It prices the worker with ``_payments_lists`` once
+    per bid that leaves it at or before the boundary, and never calls
+    ``job_payments``."""
     calls = {"sw_greedy": 0, "_payments_lists": 0, "job_payments": 0}
 
     def counted(name):
@@ -568,18 +607,18 @@ def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
         monkeypatch.setattr(mechanism, name, counted(name))
     rng = np.random.default_rng(5)
     skipped = 0
-    for _ in range(30):
-        inst = random_frozen_instance(rng)
+    for inst in [EXACT_COVER, SHORT_COVER, *(random_frozen_instance(rng) for _ in range(30))]:
         n = len(inst.costs)
         for i in range(n):
             grid = deviation_grid(inst, i)
             assert len(grid) == n
+            allocated = 1 + sum(not _covered_before(inst, i, b) for b in grid[1:])
             priced = sum(_ranks_by_boundary(inst, i, b) for b in grid)
-            skipped += n - priced
+            skipped += n - allocated
             before = dict(calls)
             deviation_sweep(inst, i)
             counts = {k: calls[k] - before[k] for k in calls}
-            assert counts == {"sw_greedy": n, "_payments_lists": priced, "job_payments": 0}
+            assert counts == {"sw_greedy": allocated, "_payments_lists": priced, "job_payments": 0}
     assert skipped > 0
 
 
@@ -648,6 +687,9 @@ def _swept_workers(inst):
 
 
 @example(inst=TIED, grid_seed=0)
+@example(inst=EXACT_COVER, grid_seed=0)
+@example(inst=SHORT_COVER, grid_seed=17)
+@example(inst=TIED_AROUND, grid_seed=0)
 @given(inst=SWEPT_INSTANCES, grid_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 @on_both_branches
@@ -721,11 +763,25 @@ BAD_INSTANCES = {
 @pytest.mark.parametrize("inst", BAD_INSTANCES.values(), ids=BAD_INSTANCES.keys())
 @on_both_branches
 def test_sweep_of_a_bad_instance_raises(inst):
-    """A bad instance raises ``ValueError`` or ``InfeasibleJob``, with no
-    grid and with a given one; it never returns a number."""
-    for grid in (None, np.array([2.0, 4.0])):
-        with pytest.raises((ValueError, InfeasibleJob)):
-            deviation_sweep(inst, 0, grid)
+    """A bad instance raises ``ValueError`` or ``InfeasibleJob`` for every
+    worker, with no grid and with a given one; it never returns a number."""
+    for i in range(3):  # every worker of the three-worker instances
+        for grid in (None, np.array([2.0, 4.0])):
+            with pytest.raises((ValueError, InfeasibleJob)):
+                deviation_sweep(inst, i, grid)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [inst for name, inst in BAD_INSTANCES.items() if name != "caps short of the job"],
+    ids=[name for name in BAD_INSTANCES if name != "caps short of the job"],
+)
+def test_grid_of_a_bad_instance_raises(inst):
+    """``deviation_grid`` rejects what a sweep rejects, short caps apart,
+    which only an allocation finds: ``ValueError`` for every worker."""
+    for i in range(3):
+        with pytest.raises(ValueError):
+            deviation_grid(inst, i)
 
 
 @on_both_branches
