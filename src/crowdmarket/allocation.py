@@ -30,7 +30,7 @@ class InfeasibleJob(RuntimeError):
     """The caps cannot cover a whole job (their sum is below one)."""
 
     def __init__(self, total_cap: float) -> None:
-        super().__init__(f"caps sum to {total_cap:.6g} < 1; job cannot be fully allocated")
+        super().__init__(f"caps sum to {total_cap!r} < 1; job cannot be fully allocated")
         self.total_cap = total_cap
 
 

@@ -9,22 +9,25 @@ the boundary receive nothing and pay nothing.  Each payment is thus the
 integral of a step function of the tail bids (Myerson's identity), so
 ``job_payments`` prices every active worker from prefix sums of the tail
 caps, with one ``searchsorted``, in O(n log n); ``_payments_lists`` is the
-same rule on Python floats, with the same bytes, for small job steps and
-for ``deviation_sweep``.  The scalar transcription of the rule, worker by
-worker and displaced unit by displaced unit, lives in the tests, as the
-oracle both are checked against.
+same rule on Python floats, with the same bytes, for small job steps.  It
+builds the tail's prefix sums with ``_payment_tail`` and prices each row
+with ``_payment_row``, the two helpers ``deviation_sweep`` shares.  The
+scalar transcription of the rule, worker by worker and displaced unit by
+displaced unit, lives in the tests, as the oracle both are checked against.
 
-``deviation_sweep`` re-runs allocation and payments for a grid of unilateral
-bid deviations, the other workers bidding truthfully, and reports the best
-achievable utility gain.  ``sw_greedy`` reads only the bid order, and a
-worker's own bid never prices its own payment, so a worker's utility depends
-on its bid only through its rank among the other bids (ties broken by worker
-id).  The grid holds one bid per rank the worker can reach, its own cost
-first, which finds the maximum exactly.  Where the other workers' caps
-cover the job ahead of the worker's rank, it is past the boundary and the
-rule writes ``0.0``: such a bid, unless truthful, is not allocated.  Every
-other bid calls ``sw_greedy``, and ``_payments_lists`` prices the worker's row alone, at
-any n, if it ranks at or before the boundary.
+``deviation_sweep`` evaluates a grid of unilateral bid deviations, the other
+workers bidding truthfully, and reports the best achievable utility gain.
+``sw_greedy`` reads only the bid order, and a worker's own bid never prices
+its own payment, so a worker's utility depends on its bid only through its
+rank among the other bids (ties broken by worker id).  The grid holds one
+bid per rank the worker can reach, its own cost first, which finds the
+maximum exactly.  ``sw_greedy`` allocates the truthful bid once per sweep,
+for its checks; every bid is then solved in rank space.  Where the other
+workers' caps cover the job ahead of the worker's rank, it is past the
+boundary and the rule writes ``0.0``.  At any other rank the boundary comes
+from the others' caps summed in bid order, with the worker's own cap added
+at its rank, and the payment tail, built once per boundary position, prices
+the worker's row.
 """
 
 from __future__ import annotations
@@ -36,7 +39,14 @@ from itertools import accumulate
 
 import numpy as np
 
-from .allocation import Allocation, _as_bid_array, _check_caps, sw_greedy
+from .allocation import (
+    Allocation,
+    InfeasibleJob,
+    _as_bid_array,
+    _check_caps,
+    _remainder,
+    sw_greedy,
+)
 
 __all__ = [
     "PaymentRecord",
@@ -127,38 +137,59 @@ def job_payments(
     return PaymentRecord(payments=payments, utilities=utilities)
 
 
-def _payments_lists(fractions, k: int, caps, bids, c_bar: float, costs, order, rows=None) -> tuple:
+def _payments_lists(fractions, k: int, caps, bids, c_bar: float, costs, order) -> tuple:
     """``job_payments`` on lists of Python floats, each term in the same
     order: fractions, caps, bids, true costs and bid order in, with ``k`` the
-    allocation's ``k_pos``; payments and utilities out.  ``rows`` selects the
-    bid-order positions to price, by default all active ones; the others
-    read ``0.0``.  ``accumulate`` is the sequential ``np.add.accumulate``,
-    ``bisect_right`` the ``searchsorted``."""
+    allocation's ``k_pos``; payments and utilities out, ``0.0`` past the
+    boundary.  ``_payment_tail`` and ``_payment_row`` hold the rule, which
+    ``deviation_sweep`` calls too."""
     n = len(order)
-    b_s = [bids[w] for w in order]
-    b_k = b_s[k]
-    b_next = [*b_s[k + 1 :], c_bar]  # the bid of each tail slot, then the ceiling
-    r = b_next[0]
-    a = [caps[w] for w in order[k + 1 :]]
-    filled = [0.0, *accumulate(a)]  # prefix sums of a
-    premium = [0.0, *accumulate([(bn - r) * ai for bn, ai in zip(b_next, a)])]
-
+    after = order[k + 1 :]
+    tail = _payment_tail([bids[w] for w in after], [caps[w] for w in after], c_bar)
+    b_k = bids[order[k]]
     room = caps[order[k]] - fractions[order[k]]  # the boundary worker's slack
     payments = [0.0] * n
     utilities = [0.0] * n
-    for q in range(k + 1) if rows is None else rows:
+    for q in range(k + 1):
         w = order[q]
-        xq, cq = fractions[w], costs[w]
-        # a tie (of signed zeros) takes the second operand, as in np.minimum
-        slack = 0.0 if q == k else (xq if xq < room else room)
-        spill = xq - slack
-        j = bisect_right(filled, spill, 1) - 1  # tail slots filled completely
-        done = filled[j]
-        part = spill - done
-        prem, b_part = premium[j], b_next[j]
-        payments[w] = b_k * slack + r * done + prem + b_part * part
-        utilities[w] = (b_k - cq) * slack + (r - cq) * done + prem + (b_part - cq) * part
+        # the boundary worker's row skips its own slack
+        payments[w], utilities[w] = _payment_row(
+            tail, b_k, 0.0 if q == k else room, fractions[w], costs[w]
+        )
     return payments, utilities
+
+
+def _payment_tail(bids, caps, c_bar: float) -> tuple:
+    """What a row's spill is priced at: the bids of the workers after the
+    boundary, in bid order, then ``c_bar``, with the prefix sums of their
+    caps and of their bid's premium over the first such bid.
+    ``accumulate`` is the sequential ``np.add.accumulate``."""
+    b_next = [*bids, c_bar]  # the bid of each tail slot, then the ceiling
+    r = b_next[0]
+    filled = [0.0, *accumulate(caps)]
+    premium = [0.0, *accumulate([(bn - r) * a for bn, a in zip(b_next, caps)])]
+    return b_next, filled, premium
+
+
+def _payment_row(tail, b_k: float, room: float, x: float, c: float) -> tuple:
+    """One active row of ``job_payments``: the payment and utility, at true
+    cost ``c``, of a fraction ``x`` that first fills ``room`` of the
+    boundary worker's slack (``0.0`` on the boundary worker's own row) at
+    its bid ``b_k``, then spills into the ``tail`` of ``_payment_tail``.
+    ``bisect_right`` is the ``searchsorted``."""
+    b_next, filled, premium = tail
+    r = b_next[0]
+    # a tie (of signed zeros) takes the second operand, as in np.minimum
+    slack = x if x < room else room
+    spill = x - slack
+    j = bisect_right(filled, spill, 1) - 1  # tail slots filled completely
+    done = filled[j]
+    part = spill - done
+    prem, b_part = premium[j], b_next[j]
+    return (
+        b_k * slack + r * done + prem + b_part * part,
+        (b_k - c) * slack + (r - c) * done + prem + (b_part - c) * part,
+    )
 
 
 @dataclass(frozen=True)
@@ -246,44 +277,75 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
     ``grid`` is evaluated after the truthful bid.  Each utility is
     ``job_payments``'s at ``c_bar`` = the upper cost bound, bit for bit.
 
-    The other workers are sorted once, by (cost, id) as ``sw_greedy`` sorts
-    them, and their caps summed in that order as it sums them.  A finite bid
-    that ranks ``i`` after a prefix that covers the job leaves it past the
-    boundary, where the rule writes ``0.0``, so it is not allocated.  Every
-    other bid, the truthful one always, calls ``sw_greedy``, and
-    ``_payments_lists`` prices ``i``'s row alone if ``i`` ranks at or before
-    the boundary.
+    ``sw_greedy`` allocates the truthful bid once, for its checks.  Every
+    bid is then solved in rank space: the other workers are sorted once, by
+    (cost, id) as ``sw_greedy`` sorts them, and their caps summed in that
+    order as it sums them.  A bid that ranks ``i`` after a prefix that
+    covers the job leaves it past the boundary, where the rule writes
+    ``0.0``.  At any other rank ``r`` the sum goes on from the others' first
+    ``r`` caps, with ``i``'s cap and then theirs, to where it reaches one,
+    with the adds ``sw_greedy`` makes; ``_remainder`` gives the boundary
+    worker's fraction.  The payment tail depends only on where the boundary
+    falls among the others, so each tail is built once per sweep, and
+    ``_payment_row`` prices ``i``'s row from it.
 
     Raises ``ValueError`` unless ``0 <= i < n``, costs and caps are vectors
     of one length and the bounds are finite with ``lo <= hi``, on a
     non-finite bid, a cap outside [0, 1] or an empty ``grid``; and
-    :class:`InfeasibleJob` when the caps sum to less than one.
+    :class:`InfeasibleJob` when the caps, summed in the bid order of the
+    truthful bid or of a deviation, fall short of one.
     """
     if grid is None:
         first, grid = 0, deviation_grid(instance, i).tolist()  # checks the instance
     else:  # a given grid follows the truthful bid
         _check_worker(instance, i)
         first, grid = 1, [instance.costs[i], *grid]
+    sw_greedy(instance.costs, instance.caps)  # the truthful job's checks and errors
     c_bar = float(instance.cost_bounds[1])
     costs, caps = instance.costs.tolist(), instance.caps.tolist()
     others = sorted((c, j) for j, c in enumerate(costs) if j != i)
+    o_bids = [c for c, _ in others]
+    o_caps = [caps[j] for _, j in others]
+    sums = list(accumulate(o_caps))
     # the position of the other whose cap completes the job; a rank after it
     # leaves i past the boundary
-    cover = bisect_left(list(accumulate(caps[j] for _, j in others)), 1.0)
-    bids, bid_list = instance.costs.copy(), costs.copy()
+    cover = bisect_left(sums, 1.0)
+    cost, cap, n_others = costs[i], caps[i], len(others)
+    tails = {}  # the payment tail behind each boundary position
     u = []
-    for q, b in enumerate(grid):
+    for b in grid:
         b = float(b)
+        if not math.isfinite(b):
+            raise ValueError("bids must be finite")
         r = bisect_left(others, (b, i))  # i's position in the bid order
-        if q and r > cover and math.isfinite(b):  # the rule writes 0.0 there
+        if r > cover:  # the rule writes 0.0 past the boundary
             u.append(0.0)
             continue
-        bids[i] = bid_list[i] = b
-        alloc = sw_greedy(bids, instance.caps)
-        k = alloc.k_pos
-        if r <= k:
-            x, order = alloc.fractions.tolist(), alloc.bid_order.tolist()
-            u.append(_payments_lists(x, k, caps, bid_list, c_bar, costs, order, (r,))[1][i])
-        else:  # past the boundary the rule writes 0.0
+        # the sums from i's cap on, as sw_greedy makes them, to the cap at
+        # position k that completes the job; i's cap raises every later sum
+        # (rounding is monotone), so that is at most one past the cover
+        cums = list(accumulate(o_caps[r : cover + 1], initial=sums[r - 1] + cap if r else cap))
+        k = r + bisect_left(cums, 1.0)
+        if k > n_others:
+            raise InfeasibleJob(cums[-1])
+        if r < k:  # the caps filled before position k, in bid order, and the cap at k
+            full, at_k = [*o_caps[:r], cap, *o_caps[r : k - 1]], o_caps[k - 1]
+        else:
+            full, at_k = o_caps[:r], cap
+        rest = _remainder(full, at_k)
+        if rest > 0:
+            last, room = k, at_k - rest
+        else:  # the last positive cap before k is filled, with no room left
+            last, room = next(p for p in reversed(range(k)) if full[p]), 0.0
+        if last < r:  # a zero remainder left i past the boundary
             u.append(0.0)
+            continue
+        tail = tails.get(last)
+        if tail is None:
+            tail = tails[last] = _payment_tail(o_bids[last:], o_caps[last:], c_bar)
+        if last == r:  # i is the boundary worker, whose row skips its own slack
+            b_k, room = b, 0.0
+        else:
+            b_k = o_bids[last - 1]
+        u.append(_payment_row(tail, b_k, room, rest if r == k else cap, cost)[1])
     return max(u[first:]) - u[0]

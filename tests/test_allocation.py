@@ -174,6 +174,16 @@ def test_boundary_takes_nothing_when_the_full_caps_cover_the_job_exactly():
 
 
 @on_both_branches
+def test_infeasible_job_names_the_total_to_the_last_digit():
+    """Caps of 0.2, 0.7 and 0.1 in bid order sum to one ulp short of one,
+    and the message shows it."""
+    with pytest.raises(InfeasibleJob) as exc:
+        sw_greedy([3.0, 1.0, 2.0], [0.1, 0.2, 0.7])
+    assert exc.value.total_cap == 0.9999999999999999
+    assert str(exc.value) == "caps sum to 0.9999999999999999 < 1; job cannot be fully allocated"
+
+
+@on_both_branches
 def test_empty_or_non_vector_inputs_raise():
     with pytest.raises(InfeasibleJob) as exc:
         sw_greedy([], [])

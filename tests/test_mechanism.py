@@ -10,8 +10,8 @@ bit.
 Tests marked ``on_both_branches`` run once on Python floats and once on numpy
 arrays, whatever their worker count, against the same literal rule.
 ``job_payments`` runs on numpy arrays on both; its list form
-``_payments_lists``, which the job step and the sweep call, is held to it
-bit for bit.
+``_payments_lists``, which the job step calls, is held to it bit for bit,
+and so are the tail and row helpers it shares with the sweep.
 """
 
 from dataclasses import replace
@@ -299,13 +299,14 @@ def test_list_caps_against_sorted_bids_give_the_array_bytes_and_errors(inst):
 
 @pytest.mark.parametrize("n", [*range(1, 13), *range(33, 41)])
 def test_list_payment_rule_matches_job_payments_bit_for_bit(n):
-    """``_payments_lists``, which the job step and the deviation sweep call
-    directly, gives ``job_payments``'s payments and utilities bit for bit
-    (``repr``) at true costs apart from the bids, on both sides of the
-    crossover: tied bids, bids on the ceiling ``c_bar`` or below it, zero
-    caps of either sign, caps from 1e-17 to 1 that cover the job tightly or
-    loosely, and a boundary worker anywhere in the order.  Each active row
-    priced alone, as the sweep prices its worker, gives the same bytes."""
+    """``_payments_lists``, which the job step calls directly, gives
+    ``job_payments``'s payments and utilities bit for bit (``repr``) at true
+    costs apart from the bids, on both sides of the crossover: tied bids,
+    bids on the ceiling ``c_bar`` or below it, zero caps of either sign,
+    caps from 1e-17 to 1 that cover the job tightly or loosely, and a
+    boundary worker anywhere in the order.  Each active row priced alone by
+    ``_payment_row``, from a tail of ``_payment_tail``, as the sweep prices
+    its worker, gives the same bytes."""
     rng = np.random.default_rng(n)
     priced = 0
     while priced < 40:
@@ -328,9 +329,15 @@ def test_list_payment_rule_matches_job_payments_bit_for_bit(n):
         )
         got = mechanism._payments_lists(*args)
         assert repr(got) == repr((rec.payments.tolist(), rec.utilities.tolist())), (n, priced)
-        for q, w in enumerate(alloc.bid_order[: alloc.k_pos + 1].tolist()):
-            pay, util = mechanism._payments_lists(*args, rows=(q,))
-            assert repr((pay[w], util[w])) == repr((got[0][w], got[1][w])), (n, priced, q)
+        x, k, cl, bl, _, tc, order = args
+        tail = mechanism._payment_tail(
+            [bl[w] for w in order[k + 1 :]], [cl[w] for w in order[k + 1 :]], c_bar
+        )
+        w_k = order[k]
+        for q, w in enumerate(order[: k + 1]):
+            room = 0.0 if q == k else cl[w_k] - x[w_k]  # the boundary row skips its own slack
+            row = mechanism._payment_row(tail, bl[w_k], room, x[w], tc[w])
+            assert repr(row) == repr((got[0][w], got[1][w])), (n, priced, q)
 
 
 @pytest.mark.parametrize(
@@ -545,12 +552,14 @@ def test_rank_grid_reaches_the_knot_grid_orders_once_each(inst):
         assert set(orders) == set(_orders(inst, i, knot_grid(inst, i)))
 
 
-def _ranks_by_boundary(inst, i, b):
-    """True when worker ``i``, bidding ``b``, ranks at or before the boundary."""
+def _tail_behind(inst, i, b):
+    """The workers after the boundary when worker ``i`` bids ``b`` and ranks
+    at or before it, else ``None``."""
     bids = inst.costs.copy()
     bids[i] = b
     alloc = sw_greedy(bids, inst.caps)
-    return alloc.bid_order.tolist().index(i) <= alloc.k_pos
+    order = alloc.bid_order.tolist()
+    return tuple(order[alloc.k_pos + 1 :]) if order.index(i) <= alloc.k_pos else None
 
 
 # Worker 0 bids first; the others' caps cover the job at exactly 1.0 in bid
@@ -573,6 +582,30 @@ TIED_AROUND = FrozenInstance(
     cost_bounds=(1.0, 5.0),
 )
 
+# Worker 0 has a zero cap and worker 4 a negative-zero one: at a rank before
+# the boundary either is allocated its cap and priced.
+ZERO_CAP = FrozenInstance(
+    costs=np.array([2.0, 1.0, 3.0, 4.0, 2.5]), caps=np.array([0.0, 0.6, 0.5, 0.5, -0.0]),
+    cost_bounds=(1.0, 5.0),
+)
+# Worker 3 bidding 3.0 or more ranks after three full caps that sum to
+# 0.2387, where 1 - total is one ulp short and ``_remainder``'s fix-up loop
+# sets its fraction.  Grid seed 2 gives worker 3 the given grid [3.0], and
+# depends on the order the test draws its per-worker grids.
+FIX_UP_CAPS = FrozenInstance(
+    costs=np.array([1.0, 2.0, 3.0, 1.5]),
+    caps=np.array([0.12897873630177883, 0.015148427668818855, 0.09453055554283875, 1.0]),
+    cost_bounds=(1.0, 5.0),
+)
+# Costs on both bounds: worker 1 bidding either bound ties with a cost there
+# and keeps rank 1, so only a bid outside the bounds reaches rank 0 or rank
+# 2, where the others' caps of 0.9 make it the boundary worker.  Grid seed
+# 306 gives every worker given bids below 1.0 and above 5.0, and depends on
+# the order the test draws its per-worker grids.
+OUT_OF_BOUNDS = FrozenInstance(
+    costs=np.array([1.0, 2.5, 5.0]), caps=np.array([0.4, 0.5, 0.5]), cost_bounds=(1.0, 5.0),
+)
+
 
 def _covered_before(inst, i, b):
     """True when the caps of the workers that bid before worker ``i``,
@@ -587,12 +620,13 @@ def _covered_before(inst, i, b):
 def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
     """With distinct costs inside the bounds every rank is reachable, so the
     grid holds n bids, on random instances and on the two whose caps cover
-    the job exactly or just short of it.  A sweep runs ``sw_greedy`` on the
-    truthful bid and on every other bid that the others' caps do not cover
-    the job ahead of.  It prices the worker with ``_payments_lists`` once
-    per bid that leaves it at or before the boundary, and never calls
-    ``job_payments``."""
-    calls = {"sw_greedy": 0, "_payments_lists": 0, "job_payments": 0}
+    the job exactly or just short of it.  A sweep runs ``sw_greedy`` once,
+    on the truthful bid, and never calls ``job_payments``.  It solves every
+    bid, with one ``_remainder``, but those that the others' caps (summed in
+    bid order, by an independent ``np.cumsum``) cover the job ahead of, and
+    builds the payment tail once for each distinct set of workers after the
+    boundary that a bid at or before the boundary leaves."""
+    calls = {"sw_greedy": 0, "_remainder": 0, "_payment_tail": 0, "job_payments": 0}
 
     def counted(name):
         real = getattr(mechanism, name)
@@ -606,20 +640,24 @@ def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
     for name in calls:
         monkeypatch.setattr(mechanism, name, counted(name))
     rng = np.random.default_rng(5)
-    skipped = 0
+    skipped = shared = 0
     for inst in [EXACT_COVER, SHORT_COVER, *(random_frozen_instance(rng) for _ in range(30))]:
         n = len(inst.costs)
         for i in range(n):
             grid = deviation_grid(inst, i)
             assert len(grid) == n
-            allocated = 1 + sum(not _covered_before(inst, i, b) for b in grid[1:])
-            priced = sum(_ranks_by_boundary(inst, i, b) for b in grid)
-            skipped += n - allocated
+            solved = sum(not _covered_before(inst, i, b) for b in grid)
+            skipped += n - solved
+            behind = [_tail_behind(inst, i, b) for b in grid]
+            tails = {t for t in behind if t is not None}
+            shared += len(behind) - behind.count(None) - len(tails)
             before = dict(calls)
             deviation_sweep(inst, i)
             counts = {k: calls[k] - before[k] for k in calls}
-            assert counts == {"sw_greedy": allocated, "_payments_lists": priced, "job_payments": 0}
-    assert skipped > 0
+            assert counts == {
+                "sw_greedy": 1, "_remainder": solved, "_payment_tail": len(tails), "job_payments": 0
+            }
+    assert skipped > 0 and shared > 0
 
 
 def _assert_one_job_certificate(inst):
@@ -690,6 +728,9 @@ def _swept_workers(inst):
 @example(inst=EXACT_COVER, grid_seed=0)
 @example(inst=SHORT_COVER, grid_seed=17)
 @example(inst=TIED_AROUND, grid_seed=0)
+@example(inst=ZERO_CAP, grid_seed=0)
+@example(inst=FIX_UP_CAPS, grid_seed=2)
+@example(inst=OUT_OF_BOUNDS, grid_seed=306)
 @given(inst=SWEPT_INSTANCES, grid_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 @on_both_branches
@@ -782,6 +823,24 @@ def test_grid_of_a_bad_instance_raises(inst):
     for i in range(3):
         with pytest.raises(ValueError):
             deviation_grid(inst, i)
+
+
+# Feasible at truthful bids, where the caps sum to 1.0 in bid order, but
+# worker 0's rank-2 bid orders them 0.2, 0.7, 0.1, which sum to
+# 0.9999999999999999.
+ORDER_SHORT = _bad(caps=(0.1, 0.2, 0.7))
+
+
+@on_both_branches
+def test_sweep_of_a_feasible_instance_raises_where_a_deviation_sums_short():
+    """Feasibility is decided by a sequential sum of the caps in bid order,
+    so a deviation can leave a feasible job short: the sweep and the oracle
+    both raise ``InfeasibleJob`` at that deviation's total."""
+    assert sw_greedy(ORDER_SHORT.costs, ORDER_SHORT.caps).fractions.tolist() == [0.1, 0.2, 0.7]
+    for sweep in (deviation_sweep, literal_sweep):
+        with pytest.raises(InfeasibleJob) as exc:
+            sweep(ORDER_SHORT, 0)
+        assert exc.value.total_cap == 0.9999999999999999, sweep
 
 
 @on_both_branches
