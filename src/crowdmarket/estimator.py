@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import _LIST_MAX, _as_list, true_cap
-from .market import Bounds, InvalidConfig, MarketConfig, _write_csv
+from .market import Bounds, InvalidConfig, MarketConfig, _check_ids, _worker_index, _write_csv
 
 __all__ = [
     "EstimatorConfig",
@@ -118,29 +118,35 @@ class WorkerStats:
     """Learning state of all ``n`` workers as one set of arrays (or lists).
 
     Each method is one call per job for the whole population.  ``workers``
-    lists distinct worker ids; ``tau``, ``fractions`` and ``failed`` hold one
-    entry per listed worker.  Indices start at their most pessimistic
-    admissible values (upper bound for the completion-time UCB, lower bounds
-    elsewhere), are refreshed from the truncated means once samples arrive,
-    and are always clamped to the configured parameter bounds.  The caps read
-    only ``rho_hat_plus`` and ``beta_hat_minus``, so only those two are
-    refreshed eagerly; ``rho_hat_minus`` and ``beta_hat_plus`` are computed
-    when read, from the centres and radii of the last refresh, which both
-    forms keep in ``_center`` and ``_radius``.  Jobs are refreshed in
-    non-decreasing order, up to ``horizon``.
+    lists distinct worker ids in ``[0, n)``, or is a ``range`` of them with
+    step 1 (a run of ids), and bad ids raise ValueError before anything is
+    recorded; ``tau``, ``fractions`` and ``failed`` hold one entry per listed
+    worker.  Indices start at their most pessimistic admissible values (upper
+    bound for the completion-time UCB, lower bounds elsewhere), are refreshed
+    from the truncated means once samples arrive, and are always clamped to
+    the configured parameter bounds.  The caps read only ``rho_hat_plus`` and
+    ``beta_hat_minus``, so only those two are refreshed eagerly;
+    ``rho_hat_minus`` and ``beta_hat_plus`` are computed when read, from the
+    centres and radii of the last refresh, which both forms keep in
+    ``_center`` and ``_radius``.  Jobs are refreshed in non-decreasing order,
+    up to ``horizon``.
 
-    The two parameters share 2 x n arrays, row 0 for completion times and
-    row 1 for failure surrogates, so a refresh is a handful of array
-    operations for both.  ``_kept`` sums the samples still inside the
-    truncation.  A sample that drops out before the horizon also waits in a
-    store of three 1-D arrays sorted by key: ``_keys``, ``_slots`` (its flat
-    position ``row * n + worker`` in the 2 x n state) and ``_values``.  Its
-    drop job d satisfies ``d <= t`` exactly when ``key < log t``, so the
-    refresh for job t drops the store's prefix of keys below ``log t``, and
-    ``_next_key``, the smallest stored key, tells it in one compare whether
-    anything is due.  ``_unseen`` is inf for a worker without samples and 0
-    otherwise, so the refresh needs no masks: such a worker gets centre 0 and
-    an infinite radius, which the clamp maps to the initialization value.
+    The two parameters share 2 x n arrays, row 0 for completion times and row
+    1 for failure surrogates, so a refresh is a handful of array operations
+    for both, each on full 2 x n operands (``_scale``, ``_lo`` and ``_hi`` are
+    built once), which broadcast no column.  ``_add`` reads and writes a
+    range's counts, kept sums and means through slices, an id array's through
+    gathers and scatters, by the same rule.  ``_kept`` sums the samples still
+    inside the truncation.  A sample that drops out before the horizon also
+    waits in a store of three 1-D arrays sorted by key: ``_keys``, ``_slots``
+    (its flat position ``row * n + worker`` in the 2 x n state) and
+    ``_values``.  Its drop job d satisfies ``d <= t`` exactly when
+    ``key < log t``, so the refresh for job t drops the store's prefix of
+    keys below ``log t``, and ``_next_key``, the smallest stored key, tells
+    it in one compare whether anything is due.  ``_unseen`` is inf for a worker without samples
+    and 0 otherwise, so the refresh needs no masks: such a worker gets centre
+    0 and an infinite radius, which the clamp maps to the initialization
+    value.
 
     For up to ``_LIST_MAX`` workers the same state is held in Python lists,
     and each method is a scalar loop that applies the array operations in the
@@ -169,8 +175,13 @@ class WorkerStats:
         self.horizon = horizon
         self._u = (est.u_rho, est.u_beta)
         self._alpha = est.alpha
-        self._scale = np.array([[u * est.alpha] for u in self._u])
         self._bounds = np.array([rho_bounds, beta_bounds], dtype=float)  # (lo, hi) rows
+        # The array refresh's operands at full 2 x n size, one row per
+        # parameter: u * alpha and the clamp's lower and upper bounds.
+        operands = np.empty((3, 2, n))
+        operands[0] = [[u * est.alpha] for u in self._u]
+        operands[1:] = self._bounds.T[:, :, None]
+        self._scale, self._lo, self._hi = operands
         initial = np.array([np.full(n, rho_bounds[1]), np.full(n, beta_bounds[0])])
         self._lists = n <= _LIST_MAX
         state = {
@@ -187,6 +198,7 @@ class WorkerStats:
         self._buffer = np.array([np.zeros((2, n)), np.full((2, n), math.inf), np.ones((2, n))])
         self._center, self._radius = self._buffer[:2].tolist() if self._lists else self._buffer[:2]
         self._n = n
+        self._ids = np.arange(n)  # the array form's view of a range of ids
         self._eta = [0] * n  # each worker's streak of clean windows, a list in both forms
         self._log_horizon = math.log(horizon) if horizon > 1 else 0.0
         self._keys, self._slots, self._values = np.empty(0), np.empty(0, np.intp), np.empty(0)
@@ -231,20 +243,22 @@ class WorkerStats:
         lo, hi = self._bounds[_BETA]
         return np.minimum(np.maximum(np.add(self._center[_BETA], self._radius[_BETA]), lo), hi)
 
-    def _add(self, workers: np.ndarray, x: np.ndarray) -> None:
-        """Record completion sample ``x[k]`` for worker ``workers[k]``."""
+    def _add(self, index, ids: np.ndarray, x: np.ndarray) -> None:
+        """Record completion sample ``x[k]`` for worker ``ids[k]``; ``index``
+        is the listed workers' index into the state, a slice for a run of ids
+        (see ``market._worker_index``)."""
         row = _RHO
         counts, kept, means = self._count[row], self._kept[row], self._mean[row]
-        count = counts[workers] + 1.0
-        counts[workers] = count
-        kept[workers] += x
-        mean = means[workers]
-        means[workers] = mean + (x - mean) / count
+        count = counts[index] + 1.0
+        counts[index] = count
+        kept[index] += x
+        mean = means[index]
+        means[index] = mean + (x - mean) / count
         c_min, x_max = float(count.min()), float(x.max())
         if c_min == 1.0:  # a worker's first sample is its mean
             first = count == 1.0
-            means[workers[first]] = x[first]
-            self._unseen[row, workers[first]] = 0.0
+            means[ids[first]] = x[first]
+            self._unseen[row, ids[first]] = 0.0
         # Rounding is monotone, so no key is below the one built from the
         # smallest count and the largest value: most jobs file nothing.
         u, alpha, log_horizon = self._u[row], self._alpha, self._log_horizon
@@ -256,7 +270,7 @@ class WorkerStats:
             keys = u * count / (alpha * x * x)
         early = keys < log_horizon
         if np.count_nonzero(early):
-            self._file(keys[early], workers[early] + row * self._n, x[early])
+            self._file(keys[early], ids[early] + row * self._n, x[early])
 
     def _add_lists(self, row: int, workers: list, x: list) -> None:
         """``_add`` one sample at a time, for parameter ``row``, on either
@@ -311,23 +325,30 @@ class WorkerStats:
 
     def record_jct_sample(self, workers, tau, fractions) -> "WorkerStats":
         """Record one completion observation per listed worker; the sample
-        value is tau/fraction."""
+        value is tau/fraction.  ``workers`` may be a ``range`` of ids with
+        step 1, whose state the array form updates through slices."""
         if self._lists:
             workers, tau, fractions = _as_list(workers), _as_list(tau), _as_list(fractions)
             _check_lengths(workers, tau, fractions)
-            if workers:
-                if not all(a > 0 < b for a, b in zip(tau, fractions)):  # also rejects NaN
+            n, last = self._n, -1
+            if type(workers) is range:
+                _check_ids(workers, n)
+            for w, a, b in zip(workers, tau, fractions):
+                if not last < w < n:
+                    _check_ids(workers, n)
+                if not a > 0 < b:  # also rejects NaN
                     raise ValueError("tau and fraction must be positive")
-                self._add_lists(_RHO, workers, [a / b for a, b in zip(tau, fractions)])
+                last = w
+            self._add_lists(_RHO, workers, [a / b for a, b in zip(tau, fractions)])
             return self
-        workers = np.asarray(workers, dtype=np.intp)
+        index, ids = _worker_index(workers, self._ids)
         tau = np.asarray(tau, dtype=float)
         fractions = np.asarray(fractions, dtype=float)
-        _check_lengths(workers, tau, fractions)
-        if workers.size:
+        _check_lengths(ids, tau, fractions)
+        if ids.size:
             if not np.minimum(tau, fractions).min() > 0:  # also rejects NaN
                 raise ValueError("tau and fraction must be positive")
-            self._add(workers, tau / fractions)
+            self._add(index, ids, tau / fractions)
         return self
 
     def record_window(self, workers, failed) -> "WorkerStats":
@@ -343,8 +364,15 @@ class WorkerStats:
         """
         workers, failed = _as_list(workers), _as_list(failed)
         _check_lengths(workers, failed)
-        eta = self._eta
-        closed = [w for w, f in zip(workers, failed) if f]
+        eta, n, last, closed = self._eta, self._n, -1, []
+        if type(workers) is range:
+            _check_ids(workers, n)
+        for w, f in zip(workers, failed):
+            if not last < w < n:
+                _check_ids(workers, n)
+            if f:
+                closed.append(w)
+            last = w
         if closed:
             self._add_lists(_BETA, closed, [self.delta * eta[w] for w in closed])
         for w in workers:
@@ -370,15 +398,16 @@ class WorkerStats:
         center, radius, denom = self._buffer
         np.maximum(self._count, 1.0, out=denom)
         np.divide(self._kept, denom, out=center)
-        np.divide(self._scale * log_t, denom, out=radius)
+        np.multiply(self._scale, log_t, out=radius)
+        np.divide(radius, denom, out=radius)
         np.sqrt(radius, out=radius)
         np.multiply(4.0, radius, out=radius)
         np.add(radius, self._unseen, out=radius)
         eager = self._eager
         np.add(center[_RHO], radius[_RHO], out=eager[_RHO])
         np.subtract(center[_BETA], radius[_BETA], out=eager[_BETA])
-        np.maximum(eager, self._bounds[:, :1], out=eager)
-        np.minimum(eager, self._bounds[:, 1:], out=eager)
+        np.maximum(eager, self._lo, out=eager)
+        np.minimum(eager, self._hi, out=eager)
         return self
 
     def _refresh_lists(self, log_t: float) -> None:

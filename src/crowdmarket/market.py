@@ -21,6 +21,7 @@ serves one job from them.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -257,6 +258,8 @@ class OutcomeBlocks:
             self.jct = np.empty((n, BLOCK))
             self.failed = np.empty((n, BLOCK), dtype=bool)
             self.cursor = np.full(n, BLOCK, dtype=np.intp)
+            self._ids = np.arange(n)  # viewed by a range of ids
+            self._first_cell = np.arange(0, n * BLOCK, BLOCK)  # each block's, flat
 
     def refill(self, workers: list[int]) -> None:
         """Draw a fresh block for each listed worker and rewind its cursor."""
@@ -270,8 +273,43 @@ class OutcomeBlocks:
             self.cursor[i] = 0
 
 
+def _check_ids(workers, n: int) -> None:
+    """Raise ValueError unless ``workers`` lists distinct worker ids in
+    ``[0, n)``, and a range of them has step 1.  The job step's cheap checks
+    (increasing ids below ``n``, a range inside ``[0, n)``) fall back on this
+    one when they fail, so ids listed out of order pass here."""
+    if type(workers) is range and workers.step != 1:
+        raise ValueError(f"a range of worker ids must have step 1, got {workers}")
+    ids = sorted(workers)
+    if ids and not (0 <= ids[0] and ids[-1] < n):
+        raise ValueError(f"worker ids must lie in [0, {n})")
+    if any(map(operator.eq, ids, ids[1:])):
+        raise ValueError("worker ids must be distinct")
+
+
+def _worker_index(workers, ids: np.ndarray):
+    """The array form's index of the listed workers into per-worker state,
+    and their ids as an array, given ``ids = np.arange(n)``.  A range (a run
+    of ids) gives a slice and a view of ``ids``, so the state is read and
+    updated through views; anything else gives its id array twice.  Raises
+    ValueError unless the ids are distinct and lie in ``[0, n)``."""
+    n = ids.size
+    if type(workers) is range:
+        lo, hi = workers.start, workers.stop
+        if not (workers.step == 1 and lo >= 0 and hi <= n):
+            _check_ids(workers, n)
+        return slice(lo, hi), ids[lo:hi]
+    workers = np.asarray(workers, dtype=np.intp)
+    if workers.size and not (
+        workers[0] >= 0 and workers[-1] < n and not np.count_nonzero(workers[1:] <= workers[:-1])
+    ):
+        _check_ids(workers, n)
+    return workers, workers
+
+
 def sample_outcome(blocks: OutcomeBlocks, workers, fractions):
-    """Sample one job's outcome for each worker in ``workers`` (distinct ids).
+    """Sample one job's outcome for each worker in ``workers``: distinct ids
+    in ``[0, n)``, or a ``range`` of them with step 1; else ValueError.
 
     Worker ``i = workers[k]``, with job fraction ``fractions[k]``, takes the
     next draw of its block in ``blocks``, refilling the block first when it is
@@ -280,36 +318,48 @@ def sample_outcome(blocks: OutcomeBlocks, workers, fractions):
     lists (up to ``_LIST_MAX`` workers), else a float64 array; the workers
     whose work reached the observation window (``tau >= delta``), in listed
     order; and whether each of those windows saw a failure.  ``seen`` and
-    ``failed`` are lists of ints and bools in both forms.
+    ``failed`` are lists of ints and bools in both forms.  In the array form
+    a range's cursors and cells are read and written through slices, an id
+    array's through gathers and scatters; the draws are the same.
     """
     if blocks._lists:
         return _sample_lists(blocks, _as_list(workers), _as_list(fractions))
     fractions = np.asarray(fractions, dtype=float)
-    workers = np.asarray(workers, dtype=np.intp)
-    if fractions.shape != workers.shape:
+    index, ids = _worker_index(workers, blocks._ids)
+    if fractions.shape != ids.shape:
         raise ValueError("fractions need one entry per listed worker")
     # ceil is 1 exactly on (0, 1]; NaN fails
     if np.count_nonzero(np.ceil(fractions) == 1.0) != fractions.size:
         raise ValueError("fractions must lie in (0, 1]")
-    pos = blocks.cursor[workers]
+    pos = blocks.cursor[index]  # a view for a range
     spent = pos == BLOCK
     if np.count_nonzero(spent):
-        blocks.refill(workers[spent].tolist())
+        blocks.refill(ids[spent].tolist())
         pos[spent] = 0
-    blocks.cursor[workers] = pos + 1
-    cells = workers * BLOCK + pos
+    cells = blocks._first_cell[index] + pos  # first: a range's pos views the cursors
+    blocks.cursor[index] = pos + 1
     tau = fractions * blocks.jct.take(cells)
     observed = (tau >= blocks.delta).nonzero()[0]
-    return tau, workers[observed].tolist(), blocks.failed.take(cells[observed]).tolist()
+    if not observed.size:  # at n = 400 most jobs observe no window
+        return tau, [], []
+    return tau, ids[observed].tolist(), blocks.failed.take(cells[observed]).tolist()
 
 
-def _sample_lists(blocks: OutcomeBlocks, workers: list, fractions: list):
-    """``sample_outcome`` on the list form, one worker at a time."""
+def _sample_lists(blocks: OutcomeBlocks, workers, fractions: list):
+    """``sample_outcome`` on the list form, one worker at a time; the checks
+    run before any cursor moves."""
     if len(fractions) != len(workers):
         raise ValueError("fractions need one entry per listed worker")
-    if not all(0.0 < f <= 1.0 for f in fractions):  # NaN fails
-        raise ValueError("fractions must lie in (0, 1]")
     cursor, delta = blocks.cursor, blocks.delta
+    n, last = len(cursor), -1
+    if type(workers) is range:
+        _check_ids(workers, n)
+    for i, f in zip(workers, fractions):
+        if not last < i < n:
+            _check_ids(workers, n)
+        if not 0.0 < f <= 1.0:  # NaN fails
+            raise ValueError("fractions must lie in (0, 1]")
+        last = i
     tau, seen, failed = [], [], []
     for i, f in zip(workers, fractions):
         pos = cursor[i]

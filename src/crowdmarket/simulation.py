@@ -138,8 +138,14 @@ class Simulator:
     the completion times are Python lists, as the bank's and the outcome
     blocks' state is: a plan reads the fractions of ``sw_greedy`` as a list,
     hands them to ``_payments_lists``, the list form of ``job_payments``,
-    and builds its row from lists.  Above, everything is an array.  Both
-    forms write the same bytes, and the observed windows are lists in both.
+    and builds its row from lists.  Above, everything is an array, except
+    that a plan whose active workers form one run of ids (checked once per
+    plan computed) hands them on as a ``range``: the sampler and the bank
+    then read and update their state through slices, with the same bytes
+    as the id array.  A greedy's active set is a prefix of the bid order, so
+    it is one run when the population lists cheaper groups first and ties
+    break by id, as ``reference400.cfg``'s do.  Both forms write the same
+    bytes, and the observed windows are lists in both.
     Both call ``sw_greedy`` once per plan computed.  A row's cost (the sum
     of ``c_i * x_i``) and its payment total, like the oracle cost, are the
     ``math.fsum`` of their terms: correctly rounded, so the same in both
@@ -232,9 +238,10 @@ class Simulator:
                 self.stats.record_window(seen, failed)
 
     def _solve(self, caps):
-        """A job's plan: its active workers (None if it is infeasible), their
-        fractions and the index of its trace row, which it appends to ``_rows``.
-        Both forms ``fsum`` all ``n`` terms of the row's cost and payment total."""
+        """A job's plan: its active workers (None if it is infeasible; in the
+        array form a ``range`` when they form one run of ids), their fractions
+        and the index of its trace row, which it appends to ``_rows``.  Both
+        forms ``fsum`` all ``n`` terms of the row's cost and payment total."""
         c_bar = float(self.cfg.cost_bounds[1])
         try:
             alloc = sw_greedy(self.bids, caps)
@@ -255,6 +262,8 @@ class Simulator:
             rec = job_payments(alloc, caps, self.bids, c_bar)
             active = x.nonzero()[0]
             fractions, ids = x[active], active.tolist()
+            if ids[-1] - ids[0] + 1 == len(ids):  # one run of ids: a range
+                active = range(ids[0], ids[-1] + 1)
             cost = math.fsum(memoryview(self.costs * x))
             payment = math.fsum(memoryview(rec.payments))
             utility_min = float(rec.utilities.min())

@@ -620,3 +620,57 @@ def test_stats_csv_bytes_match_scalar_states(tmp_path):
     stats_to_csv(bank, tmp_path / "bank.csv")
     oracles.stats_to_csv(scalars, tmp_path / "scalar.csv")
     assert (tmp_path / "bank.csv").read_bytes() == (tmp_path / "scalar.csv").read_bytes()
+
+
+BAD_IDS = {
+    "negative": ([-1], "lie in"),
+    "past n": ([0, 4], "lie in"),
+    "repeated": ([3, 3], "distinct"),
+    "repeated out of order": ([1, 0, 1], "distinct"),
+    "range with step 2": (range(0, 4, 2), "step 1"),
+    "range from below 0": (range(-1, 2), "lie in"),
+    "range past n": (range(2, 5), "lie in"),
+}
+
+
+def _bank_state(bank) -> list:
+    """Every learning value of ``bank`` as lists: counts, kept sums, means,
+    streaks and the store of samples due to drop."""
+    state = [np.asarray(getattr(bank, name)).tolist() for name in ("_count", "_kept", "_mean")]
+    return state + [list(bank._eta), bank._keys.tolist(), bank._slots.tolist()]
+
+
+@pytest.mark.parametrize("workers, message", BAD_IDS.values(), ids=BAD_IDS.keys())
+@on_both_branches
+def test_bad_worker_ids_raise_before_any_update(workers, message):
+    """A negative id no longer files a sample or a window for the last
+    workers, an id past n raises ValueError rather than IndexError, and a
+    repeated id no longer loses a completion sample in the array form (two
+    for worker 3 left ``N_it[3] == 1``); a range that is not a run of ids
+    inside ``[0, n)`` raises too.  Nothing is recorded."""
+    bank, _ = make_stats(n=4, u_rho=40.0)
+    bank.record_jct_sample([0, 1, 2, 3], [30.0] * 4, [0.5] * 4).record_window([0, 2], [False, True])
+    before = _bank_state(bank)
+    m = len(workers)
+    with pytest.raises(ValueError, match=message):
+        bank.record_jct_sample(workers, [30.0] * m, [0.5] * m)
+    with pytest.raises(ValueError, match=message):
+        bank.record_window(workers, [True] * m)
+    assert _bank_state(bank) == before
+
+
+@on_both_branches
+def test_a_range_of_workers_records_its_run_of_ids():
+    """A range records what its ids listed one by one record, and one of
+    another length than tau raises ValueError."""
+    by_range, _ = make_stats(n=5, u_rho=40.0)
+    by_list, _ = make_stats(n=5, u_rho=40.0)
+    for t, tau in enumerate(([30.0, 60.0, 90.0], [1.0, 2.0, 3.0]), start=1):
+        by_range.refresh_indices(t).record_jct_sample(range(1, 4), tau, [0.5] * 3)
+        by_list.refresh_indices(t).record_jct_sample([1, 2, 3], tau, [0.5] * 3)
+        by_range.record_window(range(2, 5), [True, False, True])
+        by_list.record_window([2, 3, 4], [True, False, True])
+    assert _bank_state(by_range) == _bank_state(by_list)
+    assert by_range._keys.size  # the samples of 2.0 and 4.0 wait to drop
+    with pytest.raises(ValueError, match="one entry per listed worker"):
+        by_range.record_jct_sample(range(1, 4), [30.0] * 2, [0.5] * 2)

@@ -402,6 +402,54 @@ def test_observed_windows_are_lists_of_the_workers_whose_work_reaches_delta():
     assert sizes - {0, len(listed)} and flags == {False, True}
 
 
+def _four_blocks():
+    """Outcome blocks of four workers, every block drawn once and read twice."""
+    streams = [np.random.default_rng(c) for c in np.random.SeedSequence(3).spawn(4)]
+    blocks = OutcomeBlocks(streams, [1.0] * 4, [2.0] * 4, sigma_log=0.25, delta=0.5)
+    for _ in range(2):
+        sample_outcome(blocks, [0, 1, 2, 3], [0.5] * 4)
+    return blocks
+
+
+BAD_IDS = {
+    "negative": ([-1], "lie in"),
+    "past n": ([1, 4], "lie in"),
+    "repeated": ([2, 2], "distinct"),
+    "repeated out of order": ([3, 0, 3], "distinct"),
+    "range with step 2": (range(0, 4, 2), "step 1"),
+    "range from below 0": (range(-1, 2), "lie in"),
+    "range past n": (range(2, 5), "lie in"),
+}
+
+
+@pytest.mark.parametrize("workers, message", BAD_IDS.values(), ids=BAD_IDS.keys())
+@on_both_branches
+def test_bad_worker_ids_raise_before_any_cursor_moves(workers, message):
+    """A negative id no longer wraps round to the last workers, an id past n
+    raises ValueError rather than IndexError, a repeated id no longer loses
+    a draw in the array form, and a range that is not a run of ids inside
+    ``[0, n)`` does not clip as a slice would.  No cursor moves."""
+    blocks = _four_blocks()
+    before = list(blocks.cursor)
+    with pytest.raises(ValueError, match=message):
+        sample_outcome(blocks, workers, [0.5] * len(workers))
+    assert list(blocks.cursor) == before
+
+
+@on_both_branches
+def test_a_range_of_workers_is_its_run_of_ids():
+    """A range gives the draws of its ids listed one by one, and one of
+    another length than the fractions raises ValueError."""
+    by_range, by_list = _four_blocks(), _four_blocks()
+    for _ in range(3):
+        tau, seen, failed = sample_outcome(by_range, range(1, 4), [0.2, 0.5, 1.0])
+        want = sample_outcome(by_list, [1, 2, 3], [0.2, 0.5, 1.0])
+        assert (np.asarray(tau).tobytes(), seen, failed) == (np.asarray(want[0]).tobytes(), *want[1:])
+    assert list(by_range.cursor) == list(by_list.cursor)
+    with pytest.raises(ValueError, match="one entry per listed worker"):
+        sample_outcome(by_range, range(1, 4), [0.5, 0.5])
+
+
 def test_worker_draws_are_paired_across_refills():
     """Worker 1's k-th draw is the same whatever worker 0 does, over 600 jobs
     (two refills of worker 1's block)."""

@@ -993,6 +993,15 @@ BAD_CALLS = {
     "negative tau": lambda: _bank().record_jct_sample([2], [-1.0], [0.5]),
     "tau per worker": lambda: _bank().record_jct_sample([0, 1], [1.0], [0.5, 0.5]),
     "window per worker": lambda: _bank().record_window([0, 1], [True]),
+    "negative worker id": lambda: sample_outcome(_blocks(), [-1], [0.5]),
+    "worker id past n": lambda: _bank().record_jct_sample([0, 3], [1.0, 1.0], [0.5, 0.5]),
+    "repeated worker id": lambda: _bank().record_jct_sample([1, 1], [1.0, 1.0], [0.5, 0.5]),
+    "repeated window": lambda: _bank().record_window([2, 0, 2], [False, True, False]),
+    "range with step 2": lambda: sample_outcome(_blocks(), range(0, 3, 2), [0.5, 0.5]),
+    "range from below 0": lambda: _bank().record_jct_sample(range(-1, 1), [1.0] * 2, [0.5] * 2),
+    "range past n": lambda: sample_outcome(_blocks(), range(1, 4), [0.5] * 3),
+    "range per fraction": lambda: sample_outcome(_blocks(), range(0, 2), [0.5] * 3),
+    "range per tau": lambda: _bank().record_jct_sample(range(0, 3), [1.0] * 2, [0.5] * 3),
     "refresh out of order": lambda: _bank().refresh_indices(5).refresh_indices(4),
 }
 
@@ -1006,3 +1015,65 @@ def test_both_branches_raise_the_same_errors(call):
                 call()
             raised[name] = (exc.type, str(exc.value))
     assert raised["lists"] == raised["arrays"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(33, 80), seed=st.integers(0, 2**32 - 1))
+def test_a_range_and_its_id_array_give_the_same_bytes(n, seed):
+    """The array form's two index kinds for a run of ids: job steps that
+    hand on ``range(a, b)`` and ``np.arange(a, b)`` give bit-identical draws,
+    cursors, learning state and store of samples due to drop, over random
+    runs and fractions.  Every example refills blocks past their first
+    draw, files first samples after job 1 and drops samples before the
+    horizon."""
+    jobs = BLOCK + 20
+    est = EstimatorConfig(u_rho=40.0, u_beta=3.0, alpha=2.0)
+
+    def job_step_state():
+        streams = [np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(n)]
+        blocks = OutcomeBlocks(streams, [1.5] * n, [2.0] * n, sigma_log=0.5, delta=0.5)
+        return blocks, WorkerStats(n, est, (0.1, 30.0), (1.0, 9.0), 0.5, horizon=jobs)
+
+    kinds = {range: job_step_state(), np.arange: job_step_state()}
+    rng = np.random.default_rng(seed)
+    late_first = dropped = 0
+    names = ("_count", "_kept", "_mean", "_unseen", "_keys", "_slots", "_values")
+    for t in range(1, jobs + 1):
+        a, b = int(rng.integers(0, n // 4)), int(rng.integers(3 * n // 4, n + 1))
+        fractions = rng.choice([0.05, 0.3, 1.0], b - a)
+        got = []
+        for kind, (blocks, bank) in kinds.items():
+            stored = bank._keys.size
+            bank.refresh_indices(t)
+            dropped += bank._keys.size < stored
+            late_first += t > 1 and not bank.N_it[a:b].all()
+            tau, seen, failed = sample_outcome(blocks, kind(a, b), fractions)
+            bank.record_jct_sample(kind(a, b), tau, fractions)
+            if seen:
+                bank.record_window(seen, failed)
+            state = [getattr(bank, name).tobytes() for name in names]
+            got.append((tau.tobytes(), seen, failed, blocks.cursor.tobytes(), *state))
+        assert got[0] == got[1], t
+    assert late_first and dropped and int(bank.N_it.max()) > BLOCK
+
+
+def test_reference400_plans_hand_on_a_range_and_desk48_plans_an_id_array():
+    """The array form hands on a plan's active workers as a range when their
+    ids form one run.  reference400 lists its cheap group first, and ties
+    at cost 100 break by id, so every plan of its run past the caps' first
+    move (job 2,067 at seed 7) is one.  desk48's groups interleave in cost,
+    so none of its plans is one, and they keep the id array."""
+    runs = (
+        (reference_config(T=2200, seed=7), reference_recipe(), EstimatorConfig.defaults, range),
+        (*desk48_market(1), desk_estimator, np.ndarray),
+    )
+    for cfg, recipe, estimator, kind in runs:
+        sim = Simulator(cfg, recipe, est_cfg=estimator(cfg))
+        kinds, plans = set(), set()
+        for t in range(1, cfg.T + 1):
+            sim.step(t)
+            active, _, index = sim._plan
+            if active is not None:
+                kinds.add(type(active))
+                plans.add(index)
+        assert kinds == {kind} and len(plans) > 1, kind
