@@ -334,7 +334,7 @@ class WorkerStats:
             if type(workers) is range:
                 _check_ids(workers, n)
             for w, a, b in zip(workers, tau, fractions):
-                if not last < w < n:
+                if not (last < w < n and type(w) is int):
                     _check_ids(workers, n)
                 if not a > 0 < b:  # also rejects NaN
                     raise ValueError("tau and fraction must be positive")
@@ -368,7 +368,7 @@ class WorkerStats:
         if type(workers) is range:
             _check_ids(workers, n)
         for w, f in zip(workers, failed):
-            if not last < w < n:
+            if not (last < w < n and type(w) is int):
                 _check_ids(workers, n)
             if f:
                 closed.append(w)

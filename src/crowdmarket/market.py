@@ -274,12 +274,20 @@ class OutcomeBlocks:
 
 
 def _check_ids(workers, n: int) -> None:
-    """Raise ValueError unless ``workers`` lists distinct worker ids in
-    ``[0, n)``, and a range of them has step 1.  The job step's cheap checks
-    (increasing ids below ``n``, a range inside ``[0, n)``) fall back on this
-    one when they fail, so ids listed out of order pass here."""
-    if type(workers) is range and workers.step != 1:
-        raise ValueError(f"a range of worker ids must have step 1, got {workers}")
+    """Raise ValueError unless ``workers`` lists distinct integer worker ids
+    in ``[0, n)``, and a range of them has step 1.  An id is a Python or
+    numpy int, not a float or a bool; an array's dtype says so.  The job
+    step's cheap checks (increasing Python ints below ``n``, a range inside
+    ``[0, n)``) fall back on this one when they fail, so ids listed out of
+    order pass here."""
+    if type(workers) is range:
+        if workers.step != 1:
+            raise ValueError(f"a range of worker ids must have step 1, got {workers}")
+    elif isinstance(workers, np.ndarray):
+        if workers.size and workers.dtype.kind not in "iu":
+            raise ValueError(f"worker ids must be integers, got dtype {workers.dtype}")
+    elif not all(type(w) is int or isinstance(w, np.integer) for w in workers):
+        raise ValueError(f"worker ids must be integers, got {workers!r}")
     ids = sorted(workers)
     if ids and not (0 <= ids[0] and ids[-1] < n):
         raise ValueError(f"worker ids must lie in [0, {n})")
@@ -292,14 +300,17 @@ def _worker_index(workers, ids: np.ndarray):
     and their ids as an array, given ``ids = np.arange(n)``.  A range (a run
     of ids) gives a slice and a view of ``ids``, so the state is read and
     updated through views; anything else gives its id array twice.  Raises
-    ValueError unless the ids are distinct and lie in ``[0, n)``."""
+    ValueError unless the ids are distinct integers in ``[0, n)``."""
     n = ids.size
     if type(workers) is range:
         lo, hi = workers.start, workers.stop
         if not (workers.step == 1 and lo >= 0 and hi <= n):
             _check_ids(workers, n)
         return slice(lo, hi), ids[lo:hi]
-    workers = np.asarray(workers, dtype=np.intp)
+    workers = np.asarray(workers)
+    if workers.dtype != np.intp:
+        _check_ids(workers, n)  # the full check: a float or bool id raises
+        workers = workers.astype(np.intp)
     if workers.size and not (
         workers[0] >= 0 and workers[-1] < n and not np.count_nonzero(workers[1:] <= workers[:-1])
     ):
@@ -355,7 +366,7 @@ def _sample_lists(blocks: OutcomeBlocks, workers, fractions: list):
     if type(workers) is range:
         _check_ids(workers, n)
     for i, f in zip(workers, fractions):
-        if not last < i < n:
+        if not (last < i < n and type(i) is int):
             _check_ids(workers, n)
         if not 0.0 < f <= 1.0:  # NaN fails
             raise ValueError("fractions must lie in (0, 1]")

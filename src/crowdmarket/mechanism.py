@@ -21,13 +21,19 @@ workers bidding truthfully, and reports the best achievable utility gain.
 its own payment, so a worker's utility depends on its bid only through its
 rank among the other bids (ties broken by worker id).  The grid holds one
 bid per rank the worker can reach, its own cost first, which finds the
-maximum exactly.  ``sw_greedy`` allocates the truthful bid once per sweep,
-for its checks; every bid is then solved in rank space.  Where the other
+maximum exactly.  Every bid is solved in rank space.  Where the other
 workers' caps cover the job ahead of the worker's rank, it is past the
 boundary and the rule writes ``0.0``.  At any other rank the boundary comes
 from the others' caps summed in bid order, with the worker's own cap added
 at its rank, and the payment tail, built once per boundary position, prices
 the worker's row.
+
+The sweeps of one instance share their start: the same checked costs and
+caps, the same (cost, id) order of all workers and the same truthful
+allocation.  A ``FrozenInstance`` derives each once, on first use, and a
+worker's sweep takes the others' order as that order without it.
+``sw_greedy`` thus allocates the truthful bid once per instance, in its
+first sweep, for its checks.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -192,18 +199,78 @@ def _payment_row(tail, b_k: float, room: float, x: float, c: float) -> tuple:
     )
 
 
+_FLOAT = np.dtype(float)
+
+
+def _read_only(values) -> np.ndarray:
+    """``values`` as a read-only float array that no caller can write to:
+    kept as it is if it is a read-only float array that owns its data, else
+    copied."""
+    if (
+        type(values) is np.ndarray
+        and values.dtype is _FLOAT
+        and values.base is None
+        and not values.flags.writeable
+    ):
+        return values
+    values = np.array(values, dtype=float)
+    values.setflags(False)  # write=False, passed positionally: the cheap call
+    return values
+
+
 @dataclass(frozen=True)
 class FrozenInstance:
     """One-job snapshot: caps are frozen learning state, costs are private
-    and are also every worker's truthful bid."""
+    and are also every worker's truthful bid.
+
+    The instance owns read-only copies of ``costs`` and ``caps``, and keeps
+    ``cost_bounds`` as a tuple: nothing can be written through it, and a
+    caller's later write to its own arrays or bounds does not reach it.  A
+    read-only float array that owns its data, as ``random_frozen_instance``
+    hands over, is kept without a copy.
+
+    What every deviation sweep of the instance shares is derived once, on
+    first use: the instance checks, the costs and caps as lists, the (cost,
+    id) order of all workers, clipped to the cost bounds and not, and the
+    truthful allocation.  Nothing that failed is kept, so a bad or infeasible
+    instance raises on every sweep.
+    """
 
     costs: np.ndarray
     caps: np.ndarray
     cost_bounds: tuple[float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "costs", np.asarray(self.costs, dtype=float))
-        object.__setattr__(self, "caps", np.asarray(self.caps, dtype=float))
+        object.__setattr__(self, "costs", _read_only(self.costs))
+        object.__setattr__(self, "caps", _read_only(self.caps))
+        object.__setattr__(self, "cost_bounds", tuple(self.cost_bounds))
+
+    @cached_property
+    def _shared(self) -> tuple:
+        """The costs and caps as lists, and the (cost, id) order of all
+        workers, unclipped and clipped to the cost bounds.  Raises
+        ``ValueError`` unless costs and caps are finite vectors of one length
+        with the caps in [0, 1], and the bounds are finite with ``lo <= hi``."""
+        costs, caps = self.costs, self.caps
+        if not (costs.ndim == 1 and costs.shape == caps.shape):
+            raise ValueError(f"costs and caps must be 1-D of one length: {costs.shape}, {caps.shape}")
+        lo, hi = self.cost_bounds
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise ValueError(f"cost bounds must be finite with lo <= hi, got {self.cost_bounds}")
+        costs, caps = costs.tolist(), caps.tolist()
+        if not all(map(math.isfinite, costs)):
+            raise ValueError("costs must be finite")
+        _check_caps(caps)
+        order = sorted(zip(costs, range(len(costs))))
+        if lo <= order[0][0] and order[-1][0] <= hi:  # clipping keeps every cost
+            return costs, caps, order, order
+        clipped = sorted((min(max(c, lo), hi), j) for j, c in enumerate(costs))
+        return costs, caps, order, clipped
+
+    @cached_property
+    def _truthful(self) -> Allocation:
+        """The truthful job's allocation, for its checks and errors."""
+        return sw_greedy(self.costs, self.caps)
 
 
 def random_frozen_instance(
@@ -225,6 +292,8 @@ def random_frozen_instance(
         if caps.sum() >= 1.0:
             break
     costs = rng.uniform(lo, hi, size=n)
+    costs.setflags(False)  # read-only, so the instance keeps them without a copy
+    caps.setflags(False)
     return FrozenInstance(costs=costs, caps=caps, cost_bounds=cost_bounds)
 
 
@@ -236,17 +305,14 @@ def deviation_grid(instance: FrozenInstance, i: int) -> np.ndarray:
     distinct bids.  A rank between equal bids, or between a bid on a bound
     and that bound, is reached only by that bid and only if the ids put
     ``i`` there.  Raises ``ValueError`` on an instance or ``i`` as a sweep
-    does: non-finite costs and caps outside [0, 1] included, so a sweep
-    over this grid checks its instance here, once."""
-    _check_worker(instance, i)
+    does: non-finite costs and caps outside [0, 1] included.  The instance
+    checks and the clipped bid order are the instance's, made once; the
+    others' order is that order without ``i``."""
+    costs, _, _, clipped = _check_worker(instance, i)
     lo, hi = instance.cost_bounds
-    costs = instance.costs.tolist()
-    if not all(map(math.isfinite, costs)):
-        raise ValueError("costs must be finite")
-    _check_caps(instance.caps.tolist())
     own = (costs[i], i)
-    others = sorted((min(max(c, lo), hi), j) for j, c in enumerate(costs) if j != i)
-    own_rank = sum(o < own for o in others)
+    others = [o for o in clipped if o[1] != i]
+    own_rank = bisect_left(others, own)
     ends = [(lo, -1), *others, (hi, len(costs))]  # each bound sorts outside its side
     grid = [own[0]]
     for r, ((a, ja), (b, jb)) in enumerate(zip(ends, ends[1:])):
@@ -255,16 +321,16 @@ def deviation_grid(instance: FrozenInstance, i: int) -> np.ndarray:
     return np.array(grid)
 
 
-def _check_worker(instance: FrozenInstance, i: int) -> None:
-    costs, caps = instance.costs, instance.caps
-    if not (costs.ndim == 1 and costs.shape == caps.shape):
-        raise ValueError(f"costs and caps must be 1-D of one length: {costs.shape}, {caps.shape}")
-    lo, hi = instance.cost_bounds
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise ValueError(f"cost bounds must be finite with lo <= hi, got {instance.cost_bounds}")
-    n = len(costs)
+def _check_worker(instance: FrozenInstance, i: int) -> tuple:
+    """The instance's shared sweep state, once ``i`` is checked to be an
+    integer worker index: a Python or numpy int, not a bool."""
+    shared = instance._shared
+    if type(i) is not int and not isinstance(i, np.integer):
+        raise ValueError(f"worker index must be an integer, got {i!r}")
+    n = len(shared[0])
     if not 0 <= i < n:
         raise ValueError(f"worker index {i} outside [0, {n})")
+    return shared
 
 
 def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
@@ -277,33 +343,37 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
     ``grid`` is evaluated after the truthful bid.  Each utility is
     ``job_payments``'s at ``c_bar`` = the upper cost bound, bit for bit.
 
-    ``sw_greedy`` allocates the truthful bid once, for its checks.  Every
-    bid is then solved in rank space: the other workers are sorted once, by
-    (cost, id) as ``sw_greedy`` sorts them, and their caps summed in that
-    order as it sums them.  A bid that ranks ``i`` after a prefix that
-    covers the job leaves it past the boundary, where the rule writes
-    ``0.0``.  At any other rank ``r`` the sum goes on from the others' first
-    ``r`` caps, with ``i``'s cap and then theirs, to where it reaches one,
-    with the adds ``sw_greedy`` makes; ``_remainder`` gives the boundary
-    worker's fraction.  The payment tail depends only on where the boundary
-    falls among the others, so each tail is built once per sweep, and
+    The instance's first sweep has ``sw_greedy`` allocate the truthful bid,
+    for its checks; every sweep of the instance shares that allocation, the
+    checks and the (cost, id) order of all workers, as ``sw_greedy`` sorts
+    them.  Every bid is solved in rank space: the other workers are that
+    order without ``i``, and their caps are summed in it as ``sw_greedy``
+    sums them.  A bid that ranks ``i`` after a prefix that covers the job
+    leaves it past the boundary, where the rule writes ``0.0``.  At any
+    other rank ``r`` the sum goes on from the others' first ``r`` caps, with
+    ``i``'s cap and then theirs, to where it reaches one, with the adds
+    ``sw_greedy`` makes; ``_remainder`` gives the boundary worker's
+    fraction.  The payment tail depends only on where the boundary falls
+    among the others, so each tail is built once per sweep, and
     ``_payment_row`` prices ``i``'s row from it.
 
-    Raises ``ValueError`` unless ``0 <= i < n``, costs and caps are vectors
-    of one length and the bounds are finite with ``lo <= hi``, on a
-    non-finite bid, a cap outside [0, 1] or an empty ``grid``; and
-    :class:`InfeasibleJob` when the caps, summed in the bid order of the
-    truthful bid or of a deviation, fall short of one.
+    Raises ``ValueError`` unless ``i`` is an int (a numpy one included, a
+    bool not) with ``0 <= i < n``, costs and caps are vectors of one length
+    and the bounds are finite with ``lo <= hi``, on a non-finite bid, a cap
+    outside [0, 1] or an empty ``grid``; and :class:`InfeasibleJob` when the
+    caps, summed in the bid order of the truthful bid or of a deviation,
+    fall short of one.  Nothing that failed is kept, so a bad instance
+    raises on every sweep.
     """
     if grid is None:
         first, grid = 0, deviation_grid(instance, i).tolist()  # checks the instance
+        costs, caps, order, _ = instance._shared
     else:  # a given grid follows the truthful bid
-        _check_worker(instance, i)
-        first, grid = 1, [instance.costs[i], *grid]
-    sw_greedy(instance.costs, instance.caps)  # the truthful job's checks and errors
+        costs, caps, order, _ = _check_worker(instance, i)
+        first, grid = 1, [costs[i], *grid]
+    instance._truthful  # sw_greedy's checks and errors, in the instance's first sweep
     c_bar = float(instance.cost_bounds[1])
-    costs, caps = instance.costs.tolist(), instance.caps.tolist()
-    others = sorted((c, j) for j, c in enumerate(costs) if j != i)
+    others = [o for o in order if o[1] != i]
     o_bids = [c for c, _ in others]
     o_caps = [caps[j] for _, j in others]
     sums = list(accumulate(o_caps))

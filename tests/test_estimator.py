@@ -630,6 +630,11 @@ BAD_IDS = {
     "range with step 2": (range(0, 4, 2), "step 1"),
     "range from below 0": (range(-1, 2), "lie in"),
     "range past n": (range(2, 5), "lie in"),
+    "a float": ([0.5], "integers"),
+    "a bool": ([True], "integers"),
+    "a float after an int": ([0, 1.5], "integers"),
+    "a float after an id with a streak": ([2, 3.5], "integers"),
+    "a float array": (np.array([1.0, 2.0]), "integers"),
 }
 
 
@@ -647,7 +652,10 @@ def test_bad_worker_ids_raise_before_any_update(workers, message):
     workers, an id past n raises ValueError rather than IndexError, and a
     repeated id no longer loses a completion sample in the array form (two
     for worker 3 left ``N_it[3] == 1``); a range that is not a run of ids
-    inside ``[0, n)`` raises too.  Nothing is recorded."""
+    inside ``[0, n)`` raises too.  So does an id that is not an integer,
+    before the ids listed ahead of it record anything: ``[0, 1.5]`` left
+    ``N_it[0] == 1`` and ``[2, 3.5]`` left ``eta[2] == 1``.  Nothing is
+    recorded."""
     bank, _ = make_stats(n=4, u_rho=40.0)
     bank.record_jct_sample([0, 1, 2, 3], [30.0] * 4, [0.5] * 4).record_window([0, 2], [False, True])
     before = _bank_state(bank)

@@ -419,6 +419,11 @@ BAD_IDS = {
     "range with step 2": (range(0, 4, 2), "step 1"),
     "range from below 0": (range(-1, 2), "lie in"),
     "range past n": (range(2, 5), "lie in"),
+    "a float": ([0.5], "integers"),
+    "a float above an id": ([1.7], "integers"),
+    "a bool": ([True], "integers"),
+    "a float after an int": ([0, 1.5], "integers"),
+    "a float array": (np.array([1.0, 2.0]), "integers"),
 }
 
 
@@ -428,12 +433,29 @@ def test_bad_worker_ids_raise_before_any_cursor_moves(workers, message):
     """A negative id no longer wraps round to the last workers, an id past n
     raises ValueError rather than IndexError, a repeated id no longer loses
     a draw in the array form, and a range that is not a run of ids inside
-    ``[0, n)`` does not clip as a slice would.  No cursor moves."""
+    ``[0, n)`` does not clip as a slice would.  An id that is not an integer
+    no longer samples the worker it truncates to in the array form (0.5
+    sampled worker 0, 1.7 and True worker 1), and no longer raises
+    ``TypeError`` in the list form after the ids before it have drawn.  No
+    cursor moves."""
     blocks = _four_blocks()
     before = list(blocks.cursor)
     with pytest.raises(ValueError, match=message):
         sample_outcome(blocks, workers, [0.5] * len(workers))
     assert list(blocks.cursor) == before
+
+
+@on_both_branches
+def test_numpy_integer_ids_are_their_ids():
+    """A list of numpy ints, or an array of 32-bit ones, samples what the
+    same Python ints sample."""
+    by_numpy, by_int32, by_list = _four_blocks(), _four_blocks(), _four_blocks()
+    got = sample_outcome(by_numpy, [np.int64(1), np.intp(3)], [0.2, 0.5])
+    got32 = sample_outcome(by_int32, np.array([1, 3], dtype=np.int32), [0.2, 0.5])
+    want = sample_outcome(by_list, [1, 3], [0.2, 0.5])
+    for tau, seen, failed in (got, got32):
+        assert (np.asarray(tau).tobytes(), seen, failed) == (np.asarray(want[0]).tobytes(), *want[1:])
+    assert list(by_numpy.cursor) == list(by_int32.cursor) == list(by_list.cursor)
 
 
 @on_both_branches

@@ -381,6 +381,85 @@ def test_worker_index_outside_the_instance_raises(worked_instance):
             deviation_sweep(inst, i, grid=np.array([2.0]))
 
 
+def test_worker_index_that_is_not_an_integer_raises(worked_instance):
+    """A float index no longer fails as a list index and ``True`` no longer
+    sweeps worker 1: both raise ``ValueError``.  A numpy int sweeps its
+    worker, bit for bit as the Python int does."""
+    bids, caps = worked_instance
+    inst = FrozenInstance(costs=bids, caps=caps, cost_bounds=(1.0, 3.0))
+    for i in (1.5, 1.0, True, np.bool_(True), np.float64(1.0)):
+        with pytest.raises(ValueError, match="worker index must be an integer"):
+            deviation_grid(inst, i)
+        with pytest.raises(ValueError, match="worker index must be an integer"):
+            deviation_sweep(inst, i)
+        with pytest.raises(ValueError, match="worker index must be an integer"):
+            deviation_sweep(inst, i, grid=np.array([2.0]))
+    for i in (np.int64(1), np.int32(2), np.intp(0)):
+        assert deviation_grid(inst, i).tolist() == deviation_grid(inst, int(i)).tolist()
+        assert repr(deviation_sweep(inst, i)) == repr(deviation_sweep(inst, int(i)))
+        grid = np.array([1.5, 2.5])
+        assert repr(deviation_sweep(inst, i, grid)) == repr(deviation_sweep(inst, int(i), grid))
+
+
+def test_instance_arrays_are_read_only_copies(worked_instance):
+    """Neither array can be written through the instance, and the caller's
+    later writes to its own arrays and bounds do not reach it.  Read-only
+    float arrays that own their data, as ``random_frozen_instance`` hands
+    over, are kept without a copy."""
+    bids, caps = worked_instance
+    bounds = [1.0, 3.0]
+    inst = FrozenInstance(costs=bids, caps=caps, cost_bounds=bounds)
+    gains = [deviation_sweep(inst, i) for i in range(3)]
+    for name in ("costs", "caps"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(inst, name)[0] = 0.5
+    bids[:] = [3.0, 2.0, 1.0]
+    caps[:] = [1.0, 0.0, 0.0]
+    bounds[1] = np.nan
+    assert inst.costs.tolist() == [1.0, 2.0, 3.0] and inst.caps.tolist() == [0.5, 0.6931, 1.0]
+    assert inst.cost_bounds == (1.0, 3.0)
+    assert [deviation_sweep(replace(inst), i) for i in range(3)] == gains
+    listed = FrozenInstance(costs=[1.0, 2.0], caps=[1, 1], cost_bounds=(1.0, 3.0))
+    assert listed.caps.dtype == float and not listed.caps.flags.writeable
+    drawn = random_frozen_instance(np.random.default_rng(0))
+    kept = replace(drawn)
+    assert kept.costs is drawn.costs and kept.caps is drawn.caps
+
+
+def _gains(inst, order, grid=None) -> list:
+    return [repr(deviation_sweep(inst, i, grid)) for i in order]
+
+
+@pytest.mark.parametrize("grid", [None, np.array([0.5, 1.5, 2.5, 4.0, 9.5])], ids=["rank", "given"])
+@on_both_branches
+def test_sweeps_of_one_instance_match_fresh_instances(grid):
+    """The state the sweeps of an instance share changes no gain: sweeping
+    its workers in reverse order, or one worker twice, gives each worker's
+    gain bit for bit as a fresh instance per sweep does."""
+    rng = np.random.default_rng(11)
+    for inst in [*(random_frozen_instance(rng) for _ in range(20)), TIED, SHORT_COVER]:
+        n = len(inst.costs)
+        fresh = [_gains(replace(inst), [i], grid)[0] for i in range(n)]
+        shared = replace(inst)
+        assert _gains(shared, reversed(range(n)), grid) == fresh[::-1]
+        assert _gains(shared, [n - 1, 0, 0], grid) == [fresh[-1], fresh[0], fresh[0]]
+
+
+def test_replaced_caps_are_swept():
+    """``dataclasses.replace`` with new caps gives an instance whose sweeps
+    use the new caps, after the old instance's sweeps have run."""
+    old = FrozenInstance(costs=np.array([1.0, 2.0, 3.0]), caps=np.array([0.6, 0.6, 0.6]),
+                         cost_bounds=(1.0, 5.0))
+    new = replace(old, caps=np.array([0.3, 0.3, 0.6]))
+    want = [repr(literal_sweep(new, i)) for i in range(3)]
+    assert _gains(old, range(3)) == [repr(literal_sweep(old, i)) for i in range(3)]
+    assert _gains(new, range(3)) == want
+    assert _gains(replace(old, caps=new.caps), range(3)) == want
+    short = replace(old, caps=np.array([0.3, 0.3, 0.3]))
+    with pytest.raises(InfeasibleJob):
+        deviation_sweep(short, 0)
+
+
 @given(inst=payment_instances())
 @settings(max_examples=60, deadline=None)
 @on_both_branches
@@ -499,6 +578,16 @@ def test_deviation_grid_contains_crossings_and_endpoints(worked_instance):
     assert deviation_grid(inst, 0).tolist() == [1.0, 2.5]
     assert deviation_grid(inst, 1).tolist() == [2.0]
     assert deviation_grid(inst, 2).tolist() == [3.0, 1.5]
+
+
+def test_deviation_grid_clips_the_other_costs_to_the_bounds():
+    """Costs outside the bounds enter the others' order clipped, so each
+    midpoint lies inside the bounds (3.5, not 4.0, between 2.0 and the
+    clipped 6.0; 1.5, not 1.25, between the clipped 0.5 and 2.0).  A
+    worker's own cost, first in its grid, is not clipped."""
+    inst = FrozenInstance(costs=np.array([0.5, 2.0, 6.0]), caps=np.array([0.6, 0.6, 0.6]),
+                          cost_bounds=(1.0, 5.0))
+    assert [deviation_grid(inst, i).tolist() for i in range(3)] == [[0.5, 3.5], [2.0], [6.0, 1.5]]
 
 
 def _orders(inst, i, grid):
@@ -620,12 +709,13 @@ def _covered_before(inst, i, b):
 def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
     """With distinct costs inside the bounds every rank is reachable, so the
     grid holds n bids, on random instances and on the two whose caps cover
-    the job exactly or just short of it.  A sweep runs ``sw_greedy`` once,
-    on the truthful bid, and never calls ``job_payments``.  It solves every
-    bid, with one ``_remainder``, but those that the others' caps (summed in
-    bid order, by an independent ``np.cumsum``) cover the job ahead of, and
-    builds the payment tail once for each distinct set of workers after the
-    boundary that a bid at or before the boundary leaves."""
+    the job exactly or just short of it.  The sweeps of an instance run
+    ``sw_greedy`` once, on the truthful bid in the first sweep, and never
+    call ``job_payments``.  A sweep solves every bid, with one
+    ``_remainder``, but those that the others' caps (summed in bid order, by
+    an independent ``np.cumsum``) cover the job ahead of, and builds the
+    payment tail once for each distinct set of workers after the boundary
+    that a bid at or before the boundary leaves."""
     calls = {"sw_greedy": 0, "_remainder": 0, "_payment_tail": 0, "job_payments": 0}
 
     def counted(name):
@@ -641,7 +731,9 @@ def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
         monkeypatch.setattr(mechanism, name, counted(name))
     rng = np.random.default_rng(5)
     skipped = shared = 0
-    for inst in [EXACT_COVER, SHORT_COVER, *(random_frozen_instance(rng) for _ in range(30))]:
+    # fresh copies of the shared instances, which other tests may have swept
+    fixed = [replace(EXACT_COVER), replace(SHORT_COVER)]
+    for inst in [*fixed, *(random_frozen_instance(rng) for _ in range(30))]:
         n = len(inst.costs)
         for i in range(n):
             grid = deviation_grid(inst, i)
@@ -655,7 +747,8 @@ def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
             deviation_sweep(inst, i)
             counts = {k: calls[k] - before[k] for k in calls}
             assert counts == {
-                "sw_greedy": 1, "_remainder": solved, "_payment_tail": len(tails), "job_payments": 0
+                "sw_greedy": int(i == 0), "_remainder": solved, "_payment_tail": len(tails),
+                "job_payments": 0,
             }
     assert skipped > 0 and shared > 0
 
@@ -691,6 +784,29 @@ def test_one_job_certificate_on_simulator_states():
             caps = sim.current_caps(t).copy()
             _assert_one_job_certificate(FrozenInstance(sim.costs, caps, cfg.cost_bounds))
         sim.step(t)
+
+
+def test_every_plan_of_a_desk6_run_is_incentive_compatible():
+    """Every plan of a 2,000-job desk6 learning run at seed 1, swept worker
+    by worker: each distinct caps object ``current_caps`` hands out (a new
+    one exactly when the plan changes), frozen with the run's costs and cost
+    bounds.  No worker gains more than 1e-9 by a unilateral deviation."""
+    cfg = desk_config(seed=1, T=2000)
+    sim = Simulator(cfg, desk_recipe(), est_cfg=desk_estimator(cfg))
+    plans, last = [], None
+    for t in range(1, cfg.T + 1):
+        caps = sim.current_caps(t)
+        if caps is not last:
+            plans.append(caps)
+            last = caps
+        sim.step(t)
+    assert len(plans) == 1487
+    worst = max(
+        deviation_sweep(FrozenInstance(sim.costs, caps, cfg.cost_bounds), i)
+        for caps in plans
+        for i in range(cfg.n)
+    )
+    assert worst <= 1e-9
 
 
 def dense_grid(instance, i):
@@ -810,6 +926,18 @@ def test_sweep_of_a_bad_instance_raises(inst):
         for grid in (None, np.array([2.0, 4.0])):
             with pytest.raises((ValueError, InfeasibleJob)):
                 deviation_sweep(inst, i, grid)
+
+
+@pytest.mark.parametrize("inst", BAD_INSTANCES.values(), ids=BAD_INSTANCES.keys())
+def test_bad_instance_raises_on_every_sweep(inst):
+    """A failed check is not kept: a fresh bad instance raises on its first
+    sweep and again on its second, of the same worker or another, and it
+    keeps no truthful allocation."""
+    inst = replace(inst)
+    for i, grid in ((0, None), (0, None), (1, np.array([2.0])), (1, None)):
+        with pytest.raises((ValueError, InfeasibleJob)):
+            deviation_sweep(inst, i, grid)
+    assert "_truthful" not in vars(inst)
 
 
 @pytest.mark.parametrize(
