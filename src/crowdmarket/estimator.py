@@ -128,25 +128,32 @@ class WorkerStats:
     ``beta_hat_minus``, so only those two are refreshed eagerly;
     ``rho_hat_minus`` and ``beta_hat_plus`` are computed when read, from the
     centres and radii of the last refresh, which both forms keep in
-    ``_center`` and ``_radius``.  Jobs are refreshed in non-decreasing order,
-    up to ``horizon``.
+    ``_center`` and ``_radius``.  The failure row's radius is kept negated,
+    so both eager indices are ``center + radius`` (``c + (-r)`` is the float
+    ``c - r``).  Jobs are refreshed in non-decreasing order, up to
+    ``horizon``.
 
     The two parameters share 2 x n arrays, row 0 for completion times and row
     1 for failure surrogates, so a refresh is a handful of array operations
-    for both, each on full 2 x n operands (``_scale``, ``_lo`` and ``_hi`` are
-    built once), which broadcast no column.  ``_add`` reads and writes a
-    range's counts, kept sums and means through slices, an id array's through
-    gathers and scatters, by the same rule.  ``_kept`` sums the samples still
-    inside the truncation.  A sample that drops out before the horizon also
-    waits in a store of three 1-D arrays sorted by key: ``_keys``, ``_slots``
-    (its flat position ``row * n + worker`` in the 2 x n state) and
-    ``_values``.  Its drop job d satisfies ``d <= t`` exactly when
-    ``key < log t``, so the refresh for job t drops the store's prefix of
-    keys below ``log t``, and ``_next_key``, the smallest stored key, tells
-    it in one compare whether anything is due.  ``_unseen`` is inf for a worker without samples
-    and 0 otherwise, so the refresh needs no masks: such a worker gets centre
-    0 and an infinite radius, which the clamp maps to the initialization
-    value.
+    for both, each on full 2 x n operands (``_scale``, ``_signed4`` (4 and
+    -4), ``_lo`` and ``_hi`` are built once), which broadcast no column.
+    ``_add`` updates a range's counts, kept sums and means in place through
+    views, an id array's through gathers and scatters, by the same rule.
+    ``_kept`` sums the samples still inside the truncation.  A sample that
+    drops out before the horizon also waits in a store of three 1-D arrays
+    sorted by key: ``_keys``, ``_slots`` (its flat position
+    ``row * n + worker`` in the 2 x n state) and ``_values``.  Its drop job
+    d satisfies ``d <= t`` exactly when ``key < log t``, so the refresh for
+    job t drops the store's prefix of keys below ``log t``, and
+    ``_next_key``, the smallest stored key, tells it in one compare whether
+    anything is due.  ``_unseen`` is inf (-inf in the failure row) for a
+    worker without samples and 0 otherwise, so the refresh needs no masks:
+    such a worker gets centre 0 and an infinite radius, which the clamp
+    maps to the initialization value.
+    ``record_jct_sample`` keeps the bytes of the last fractions it accepted
+    and checks them again only when they change, so a repeating plan's
+    fractions are checked once; the bytes, not the array object, are the
+    key, as a caller may write into an array it handed over.
 
     For up to ``_LIST_MAX`` workers the same state is held in Python lists,
     and each method is a scalar loop that applies the array operations in the
@@ -177,11 +184,14 @@ class WorkerStats:
         self._alpha = est.alpha
         self._bounds = np.array([rho_bounds, beta_bounds], dtype=float)  # (lo, hi) rows
         # The array refresh's operands at full 2 x n size, one row per
-        # parameter: u * alpha and the clamp's lower and upper bounds.
-        operands = np.empty((3, 2, n))
+        # parameter: u * alpha, the radius' signed factor and the clamp's
+        # lower and upper bounds.
+        operands = np.empty((4, 2, n))
         operands[0] = [[u * est.alpha] for u in self._u]
-        operands[1:] = self._bounds.T[:, :, None]
-        self._scale, self._lo, self._hi = operands
+        operands[1] = [[4.0], [-4.0]]  # the failure row's radius is kept negated
+        operands[2:] = self._bounds.T[:, :, None]
+        self._scale, self._signed4, self._lo, self._hi = operands
+        unseen = np.repeat([[math.inf], [-math.inf]], n, axis=1)
         initial = np.array([np.full(n, rho_bounds[1]), np.full(n, beta_bounds[0])])
         self._lists = n <= _LIST_MAX
         state = {
@@ -189,13 +199,13 @@ class WorkerStats:
             "_count": np.zeros((2, n)),
             "_kept": np.zeros((2, n)),
             "_mean": initial.copy(),
-            "_unseen": np.full((2, n), math.inf),
+            "_unseen": unseen,
         }
         for name, value in state.items():
             setattr(self, name, value.tolist() if self._lists else value)
         # The centres and radii of the last refresh, read by the lazy indices;
         # the array refresh writes them into one buffer, with max(count, 1).
-        self._buffer = np.array([np.zeros((2, n)), np.full((2, n), math.inf), np.ones((2, n))])
+        self._buffer = np.array([np.zeros((2, n)), unseen, np.ones((2, n))])
         self._center, self._radius = self._buffer[:2].tolist() if self._lists else self._buffer[:2]
         self._n = n
         self._ids = np.arange(n)  # the array form's view of a range of ids
@@ -203,6 +213,7 @@ class WorkerStats:
         self._log_horizon = math.log(horizon) if horizon > 1 else 0.0
         self._keys, self._slots, self._values = np.empty(0), np.empty(0, np.intp), np.empty(0)
         self._next_key = math.inf  # the smallest key in the store
+        self._checked = None  # the bytes of the last fractions the array form accepted
         self._refreshed = 0  # last refreshed job
 
     @property
@@ -241,7 +252,7 @@ class WorkerStats:
     @property
     def beta_hat_plus(self) -> np.ndarray:
         lo, hi = self._bounds[_BETA]
-        return np.minimum(np.maximum(np.add(self._center[_BETA], self._radius[_BETA]), lo), hi)
+        return np.minimum(np.maximum(np.subtract(self._center[_BETA], self._radius[_BETA]), lo), hi)
 
     def _add(self, index, ids: np.ndarray, x: np.ndarray) -> None:
         """Record completion sample ``x[k]`` for worker ``ids[k]``; ``index``
@@ -249,11 +260,12 @@ class WorkerStats:
         (see ``market._worker_index``)."""
         row = _RHO
         counts, kept, means = self._count[row], self._kept[row], self._mean[row]
-        count = counts[index] + 1.0
-        counts[index] = count
-        kept[index] += x
-        mean = means[index]
-        means[index] = mean + (x - mean) / count
+        count, k, mean = counts[index], kept[index], means[index]  # views for a slice
+        count += 1.0
+        k += x
+        mean += (x - mean) / count
+        if type(index) is not slice:  # an id array's are gathers
+            counts[index], kept[index], means[index] = count, k, mean
         c_min, x_max = float(count.min()), float(x.max())
         if c_min == 1.0:  # a worker's first sample is its mean
             first = count == 1.0
@@ -325,8 +337,11 @@ class WorkerStats:
 
     def record_jct_sample(self, workers, tau, fractions) -> "WorkerStats":
         """Record one completion observation per listed worker; the sample
-        value is tau/fraction.  ``workers`` may be a ``range`` of ids with
-        step 1, whose state the array form updates through slices."""
+        value is tau/fraction, and every tau and fraction must be positive.
+        ``workers`` may be a ``range`` of ids with step 1, whose state the
+        array form updates in place through views.  The array form checks
+        the fractions only when their bytes differ from the last accepted
+        ones, and every tau on every call."""
         if self._lists:
             workers, tau, fractions = _as_list(workers), _as_list(tau), _as_list(fractions)
             _check_lengths(workers, tau, fractions)
@@ -346,7 +361,12 @@ class WorkerStats:
         fractions = np.asarray(fractions, dtype=float)
         _check_lengths(ids, tau, fractions)
         if ids.size:
-            if not np.minimum(tau, fractions).min() > 0:  # also rejects NaN
+            key = fractions.tobytes()  # a repeating plan's fractions are checked once
+            if key != self._checked:
+                if not fractions.min() > 0:  # also rejects NaN
+                    raise ValueError("tau and fraction must be positive")
+                self._checked = key
+            if not tau.min() > 0:
                 raise ValueError("tau and fraction must be positive")
             self._add(index, ids, tau / fractions)
         return self
@@ -401,32 +421,31 @@ class WorkerStats:
         np.multiply(self._scale, log_t, out=radius)
         np.divide(radius, denom, out=radius)
         np.sqrt(radius, out=radius)
-        np.multiply(4.0, radius, out=radius)
+        np.multiply(self._signed4, radius, out=radius)
         np.add(radius, self._unseen, out=radius)
         eager = self._eager
-        np.add(center[_RHO], radius[_RHO], out=eager[_RHO])
-        np.subtract(center[_BETA], radius[_BETA], out=eager[_BETA])
+        np.add(center, radius, out=eager)
         np.maximum(eager, self._lo, out=eager)
         np.minimum(eager, self._hi, out=eager)
         return self
 
     def _refresh_lists(self, log_t: float) -> None:
         """The array refresh on the list form, one entry at a time, into new
-        lists of indices, centres and radii."""
-        sqrt, inf = math.sqrt, math.inf
+        lists of indices, centres and (signed) radii."""
+        sqrt = math.sqrt
         self._eager, self._center, self._radius = [], [], []
-        for row, sign, (lo, hi) in zip((_RHO, _BETA), (1.0, -1.0), self._bounds.tolist()):
+        for row, factor, (lo, hi) in zip((_RHO, _BETA), (4.0, -4.0), self._bounds.tolist()):
             scale = self._u[row] * self._alpha * log_t
             eager, centers, radii = [], [], []
             for count, kept, unseen in zip(self._count[row], self._kept[row], self._unseen[row]):
-                if unseen:  # centre 0 and an infinite radius, as in the array refresh
-                    center, radius = 0.0, inf
+                if unseen:  # centre 0 and an infinite (signed) radius, as in the array refresh
+                    center, radius = 0.0, unseen
                 else:
                     denom = count if count > 1.0 else 1.0
-                    center, radius = kept / denom, 4.0 * sqrt(scale / denom)
+                    center, radius = kept / denom, factor * sqrt(scale / denom)
                 centers.append(center)
                 radii.append(radius)
-                index = center + sign * radius
+                index = center + radius
                 # the array clamp, a NaN index included
                 eager.append(lo if index < lo else hi if index > hi else index)
             self._eager.append(eager)

@@ -230,7 +230,9 @@ class OutcomeBlocks:
     For up to ``_LIST_MAX`` workers ``jct``, ``failed`` and ``cursor`` are
     lists, and each refilled block is read through ``tolist()``; above, they
     are (n, ``BLOCK``) arrays and an array of cursors.  The draws are the
-    same, and ``failed`` holds bools in both forms.
+    same, and ``failed`` holds bools in both forms.  ``_checked`` holds the
+    bytes of the last fractions :func:`sample_outcome` accepted in the array
+    form.
     """
 
     def __init__(
@@ -260,17 +262,24 @@ class OutcomeBlocks:
             self.cursor = np.full(n, BLOCK, dtype=np.intp)
             self._ids = np.arange(n)  # viewed by a range of ids
             self._first_cell = np.arange(0, n * BLOCK, BLOCK)  # each block's, flat
+        self._checked = None  # the bytes of the last fractions the array form accepted
 
     def refill(self, workers: list[int]) -> None:
         """Draw a fresh block for each listed worker and rewind its cursor."""
+        streams, location, mttf, sigma_log, delta = (
+            self.streams, self.location, self.mttf, self.sigma_log, self.delta
+        )
+        jct_rows, failed_rows, cursor, lists = self.jct, self.failed, self.cursor, self._lists
         for i in workers:
-            rng = self.streams[i]
-            jct = rng.lognormal(self.location[i], self.sigma_log, BLOCK)
-            failed = rng.exponential(self.mttf[i], BLOCK) < self.delta
-            if self._lists:
+            rng = streams[i]
+            jct = rng.lognormal(location[i], sigma_log, BLOCK)
+            failed = rng.exponential(mttf[i], BLOCK) < delta
+            if lists:
                 jct, failed = jct.tolist(), failed.tolist()
-            self.jct[i], self.failed[i] = jct, failed
-            self.cursor[i] = 0
+                cursor[i] = 0
+            jct_rows[i], failed_rows[i] = jct, failed
+        if not lists:
+            cursor[workers] = 0
 
 
 def _check_ids(workers, n: int) -> None:
@@ -330,8 +339,12 @@ def sample_outcome(blocks: OutcomeBlocks, workers, fractions):
     whose work reached the observation window (``tau >= delta``), in listed
     order; and whether each of those windows saw a failure.  ``seen`` and
     ``failed`` are lists of ints and bools in both forms.  In the array form
-    a range's cursors and cells are read and written through slices, an id
-    array's through gathers and scatters; the draws are the same.
+    a range's cursors advance in place through a view, and its cells are
+    read through slices; an id array's are gathered and scattered; the
+    draws are the same.  The array form also keeps the bytes of the last
+    fractions that passed the check in ``blocks`` and checks only fractions
+    whose bytes differ, so a repeating plan's are checked once; the key is
+    the bytes, not the array, which its owner may still write into.
     """
     if blocks._lists:
         return _sample_lists(blocks, _as_list(workers), _as_list(fractions))
@@ -339,16 +352,21 @@ def sample_outcome(blocks: OutcomeBlocks, workers, fractions):
     index, ids = _worker_index(workers, blocks._ids)
     if fractions.shape != ids.shape:
         raise ValueError("fractions need one entry per listed worker")
-    # ceil is 1 exactly on (0, 1]; NaN fails
-    if np.count_nonzero(np.ceil(fractions) == 1.0) != fractions.size:
-        raise ValueError("fractions must lie in (0, 1]")
+    key = fractions.tobytes()  # a repeating plan's fractions are checked once
+    if key != blocks._checked:
+        # ceil is 1 exactly on (0, 1]; NaN fails
+        if np.count_nonzero(np.ceil(fractions) == 1.0) != fractions.size:
+            raise ValueError("fractions must lie in (0, 1]")
+        blocks._checked = key
     pos = blocks.cursor[index]  # a view for a range
     spent = pos == BLOCK
     if np.count_nonzero(spent):
         blocks.refill(ids[spent].tolist())
         pos[spent] = 0
-    cells = blocks._first_cell[index] + pos  # first: a range's pos views the cursors
-    blocks.cursor[index] = pos + 1
+    cells = blocks._first_cell[index] + pos
+    pos += 1
+    if type(index) is not slice:  # an id array's pos is a gather
+        blocks.cursor[index] = pos
     tau = fractions * blocks.jct.take(cells)
     observed = (tau >= blocks.delta).nonzero()[0]
     if not observed.size:  # at n = 400 most jobs observe no window

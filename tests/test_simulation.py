@@ -1017,15 +1017,78 @@ def test_both_branches_raise_the_same_errors(call):
     assert raised["lists"] == raised["arrays"]
 
 
+# Values that fractions accepted once are changed to, in place; above one
+# is a fraction only the sampler rejects.
+CHANGED_FRACTIONS = {"zero": 0.0, "negative": -0.5, "above one": 1.5, "nan": math.nan}
+
+
+@pytest.mark.parametrize("value", CHANGED_FRACTIONS.values(), ids=CHANGED_FRACTIONS.keys())
+@pytest.mark.parametrize("kind", [range, np.arange], ids=["range", "id array"])
+@on_both_branches
+def test_fractions_changed_in_place_after_their_check_raise(kind, value):
+    """The sampler and the bank check a repeating plan's fractions once,
+    keyed by their bytes rather than by the array object.  So fractions
+    they accepted, which the caller then makes writeable again and changes
+    in place to 0, a negative value or NaN, raise ValueError before any
+    cursor or learning state moves.  Above one only the sampler raises: a
+    completion sample ``tau / fraction`` takes any positive fraction.  With
+    the accepted fractions restored, a tau of 0, -1 or NaN raises too."""
+    n = 40
+    streams = [np.random.default_rng(c) for c in np.random.SeedSequence(5).spawn(n)]
+    blocks = OutcomeBlocks(streams, [1.0] * n, [2.0] * n, sigma_log=0.25, delta=0.5)
+    est = EstimatorConfig(u_rho=40.0, u_beta=3.0, alpha=2.0)
+    bank = WorkerStats(n, est, (0.1, 30.0), (1.0, 9.0), 0.5, horizon=50)
+    workers = kind(2, n)
+    fractions = np.full(n - 2, 0.5)
+    fractions.flags.writeable = False  # as a plan hands them on
+    for t in (1, 2):
+        bank.refresh_indices(t)
+        tau, _, _ = sample_outcome(blocks, workers, fractions)
+        bank.record_jct_sample(workers, tau, fractions)
+    names = ("_count", "_kept", "_mean", "_unseen", "_keys", "_slots", "_values", "_eta")
+
+    def state():
+        return [np.asarray(blocks.cursor).tobytes()] + [
+            np.asarray(getattr(bank, name)).tobytes() for name in names
+        ]
+
+    fractions.flags.writeable = True
+    fractions[7] = value
+    before = state()
+    with pytest.raises(ValueError, match="fractions must lie in"):
+        sample_outcome(blocks, workers, fractions)
+    assert state() == before
+    if value > 1:
+        bank.record_jct_sample(workers, tau, fractions)
+        assert state() != before
+    else:
+        with pytest.raises(ValueError, match="must be positive"):
+            bank.record_jct_sample(workers, tau, fractions)
+        assert state() == before
+    fractions[7] = 0.5
+    sample_outcome(blocks, workers, fractions)
+    for bad in (0.0, -1.0, math.nan):
+        changed = np.array(tau)
+        changed[7] = bad
+        before = state()
+        with pytest.raises(ValueError, match="must be positive"):
+            bank.record_jct_sample(workers, changed, fractions)
+        assert state() == before
+
+
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(33, 80), seed=st.integers(0, 2**32 - 1))
 def test_a_range_and_its_id_array_give_the_same_bytes(n, seed):
     """The array form's two index kinds for a run of ids: job steps that
     hand on ``range(a, b)`` and ``np.arange(a, b)`` give bit-identical draws,
     cursors, learning state and store of samples due to drop, over random
-    runs and fractions.  Every example refills blocks past their first
-    draw, files first samples after job 1 and drops samples before the
-    horizon."""
+    runs and fractions.  A run and its fractions repeat as a plan's do: a
+    new run with fresh fractions, then the same fractions object, an equal
+    copy, and the same object changed in place, so the steps that skip the
+    check of fractions already accepted are compared too.  Job 1's run is
+    the middle half of the ids, so every example files first samples after
+    job 1; every example also refills blocks past their first draw and
+    drops samples before the horizon."""
     jobs = BLOCK + 20
     est = EstimatorConfig(u_rho=40.0, u_beta=3.0, alpha=2.0)
 
@@ -1036,17 +1099,25 @@ def test_a_range_and_its_id_array_give_the_same_bytes(n, seed):
 
     kinds = {range: job_step_state(), np.arange: job_step_state()}
     rng = np.random.default_rng(seed)
-    late_first = dropped = 0
+    late_first = dropped = cached = 0
     names = ("_count", "_kept", "_mean", "_unseen", "_keys", "_slots", "_values")
+    a, b = n // 4, 3 * n // 4
     for t in range(1, jobs + 1):
-        a, b = int(rng.integers(0, n // 4)), int(rng.integers(3 * n // 4, n + 1))
-        fractions = rng.choice([0.05, 0.3, 1.0], b - a)
+        if t % 4 == 1:  # a new run, with fresh fractions
+            if t > 1:
+                a, b = int(rng.integers(0, n // 4)), int(rng.integers(3 * n // 4, n + 1))
+            fractions = rng.choice([0.05, 0.3, 1.0], b - a)
+        elif t % 4 == 3:
+            fractions = fractions.copy()
+        elif t % 4 == 0:
+            fractions[::2] = 0.6  # in place
         got = []
         for kind, (blocks, bank) in kinds.items():
             stored = bank._keys.size
             bank.refresh_indices(t)
             dropped += bank._keys.size < stored
             late_first += t > 1 and not bank.N_it[a:b].all()
+            cached += blocks._checked == bank._checked == fractions.tobytes()
             tau, seen, failed = sample_outcome(blocks, kind(a, b), fractions)
             bank.record_jct_sample(kind(a, b), tau, fractions)
             if seen:
@@ -1054,7 +1125,60 @@ def test_a_range_and_its_id_array_give_the_same_bytes(n, seed):
             state = [getattr(bank, name).tobytes() for name in names]
             got.append((tau.tobytes(), seen, failed, blocks.cursor.tobytes(), *state))
         assert got[0] == got[1], t
-    assert late_first and dropped and int(bank.N_it.max()) > BLOCK
+    assert late_first and dropped and cached and int(bank.N_it.max()) > BLOCK
+
+
+RELABELED_MARKETS = {
+    "reference400": (reference_config(T=300, seed=7), reference_recipe(), EstimatorConfig.defaults),
+    "desk6": (desk_config(T=2000), desk_recipe(), desk_estimator),
+}
+
+
+@pytest.mark.parametrize("market", RELABELED_MARKETS.values(), ids=RELABELED_MARKETS.keys())
+def test_relabeling_the_workers_permutes_their_state_and_keeps_every_series(market, monkeypatch):
+    """A metamorphic relation: a run whose workers are renumbered, each
+    keeping its profile and its outcome stream, is the same run.  The
+    cost-100 workers take the low ids, in their own order, so ties at cost
+    100 still break the same way; in reference400 the plan's active workers
+    then no longer form one run of ids, so its job steps hand on an id array
+    instead of a range.  Every series is bit-identical, and the final
+    indices rho_hat_plus and beta_hat_minus, the means and the sample counts
+    are the original ones permuted."""
+    cfg, recipe, estimator = market
+    est = estimator(cfg)
+    sample, streams = crowdmarket.simulation.sample_population, crowdmarket.simulation.outcome_streams
+    workers = sample(cfg, recipe)
+    perm = sorted(range(cfg.n), key=lambda i: workers[i].cost != 100.0)  # new id -> old id
+
+    def simulate():
+        sim = Simulator(cfg, recipe, est_cfg=est)
+        for t in range(1, cfg.T + 1):
+            sim.step(t)
+        return sim
+
+    original = simulate()
+
+    def relabeled_population(cfg, recipe):
+        drawn = sample(cfg, recipe)
+        return [replace(drawn[i], id=j) for j, i in enumerate(perm)]
+
+    def relabeled_streams(cfg):
+        drawn = streams(cfg)
+        return [drawn[i] for i in perm]
+
+    monkeypatch.setattr(crowdmarket.simulation, "sample_population", relabeled_population)
+    monkeypatch.setattr(crowdmarket.simulation, "outcome_streams", relabeled_streams)
+    relabeled = simulate()
+    assert [w.cost for w in relabeled.workers] == [workers[i].cost for i in perm]
+    if cfg.n > 32:
+        assert type(original._plan[0]) is range and type(relabeled._plan[0]) is np.ndarray
+    got, want = relabeled.trace(), original.trace()
+    for name, _ in crowdmarket.simulation._SERIES:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    for name in ("rho_hat_plus", "beta_hat_minus", "rho_hat", "beta_hat", "N_it", "N_beta_it"):
+        permuted = getattr(original.stats, name)[perm]
+        assert getattr(relabeled.stats, name).tobytes() == permuted.tobytes(), name
+    assert original.stats.N_beta_it.any()
 
 
 def test_reference400_plans_hand_on_a_range_and_desk48_plans_an_id_array():
