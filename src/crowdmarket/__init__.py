@@ -32,7 +32,6 @@ from .market import (
     jct_location,
     load_config,
     outcome_streams,
-    population_to_csv,
     sample_outcome,
     sample_population,
     validate_config,

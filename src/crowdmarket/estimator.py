@@ -81,8 +81,9 @@ class EstimatorConfig:
     def validate(self, cfg: MarketConfig) -> "EstimatorConfig":
         rho_hi = cfg.rho_bounds[1]
         beta_hi = cfg.beta_bounds[1]
-        if not all(map(math.isfinite, (self.u_rho, self.u_beta, self.alpha))):
-            raise InvalidConfig(f"estimator values must be finite, got {self}")
+        factors = (self.u_rho * self.alpha, self.u_beta * self.alpha)  # inf * log(1) is NaN
+        if not all(map(math.isfinite, (self.u_rho, self.u_beta, self.alpha, *factors))):
+            raise InvalidConfig(f"estimator values and each u * alpha must be finite, got {self}")
         if self.alpha < 2:
             raise InvalidConfig(f"alpha must be >= 2, got {self.alpha}")
         if self.u_rho < rho_hi * rho_hi:
@@ -137,8 +138,8 @@ class WorkerStats:
     1 for failure surrogates, so a refresh is a handful of array operations
     for both, each on full 2 x n operands (``_scale``, ``_signed4`` (4 and
     -4), ``_lo`` and ``_hi`` are built once), which broadcast no column.
-    ``_add`` updates a range's counts, kept sums and means in place through
-    views, an id array's through gathers and scatters, by the same rule.
+    ``_add`` updates a range's counts and kept sums in place through views,
+    an id array's through gathers and scatters, by the same rule.
     ``_kept`` sums the samples still inside the truncation.  A sample that
     drops out before the horizon also waits in a store of three 1-D arrays
     sorted by key: ``_keys``, ``_slots`` (its flat position
@@ -198,7 +199,6 @@ class WorkerStats:
             "_eager": initial,  # rho_hat_plus and beta_hat_minus
             "_count": np.zeros((2, n)),
             "_kept": np.zeros((2, n)),
-            "_mean": initial.copy(),
             "_unseen": unseen,
         }
         for name, value in state.items():
@@ -229,14 +229,6 @@ class WorkerStats:
         return np.asarray(self._count[_BETA]).astype(np.int64)
 
     @property
-    def rho_hat(self) -> np.ndarray:
-        return np.array(self._mean[_RHO])
-
-    @property
-    def beta_hat(self) -> np.ndarray:
-        return np.array(self._mean[_BETA])
-
-    @property
     def rho_hat_plus(self) -> np.ndarray:
         return np.array(self._eager[_RHO])
 
@@ -259,18 +251,15 @@ class WorkerStats:
         is the listed workers' index into the state, a slice for a run of ids
         (see ``market._worker_index``)."""
         row = _RHO
-        counts, kept, means = self._count[row], self._kept[row], self._mean[row]
-        count, k, mean = counts[index], kept[index], means[index]  # views for a slice
+        counts, kept = self._count[row], self._kept[row]
+        count, k = counts[index], kept[index]  # views for a slice
         count += 1.0
         k += x
-        mean += (x - mean) / count
         if type(index) is not slice:  # an id array's are gathers
-            counts[index], kept[index], means[index] = count, k, mean
+            counts[index], kept[index] = count, k
         c_min, x_max = float(count.min()), float(x.max())
-        if c_min == 1.0:  # a worker's first sample is its mean
-            first = count == 1.0
-            means[ids[first]] = x[first]
-            self._unseen[row, ids[first]] = 0.0
+        if c_min == 1.0:  # some worker's first sample
+            self._unseen[row, ids[count == 1.0]] = 0.0
         # Rounding is monotone, so no key is below the one built from the
         # smallest count and the largest value: most jobs file nothing.
         u, alpha, log_horizon = self._u[row], self._alpha, self._log_horizon
@@ -288,18 +277,15 @@ class WorkerStats:
         """``_add`` one sample at a time, for parameter ``row``, on either
         form; ``float`` keeps an array count a Python float, whose key
         overflows to inf silently."""
-        counts, kept, means = self._count[row], self._kept[row], self._mean[row]
+        counts, kept = self._count[row], self._kept[row]
         unseen, early = self._unseen[row], []
         u, alpha, log_horizon = self._u[row], self._alpha, self._log_horizon
         for w, v in zip(workers, x):
             count = float(counts[w]) + 1.0
             counts[w] = count
             kept[w] += v
-            if count == 1.0:  # a worker's first sample is its mean
-                means[w] = v
+            if count == 1.0:  # the worker's first sample
                 unseen[w] = 0.0
-            else:
-                means[w] += (v - means[w]) / count
             if v * v > 0:  # a sample >= 0 whose square is 0 has key inf
                 key = u * count / (alpha * v * v)
                 if key < log_horizon:
@@ -418,7 +404,8 @@ class WorkerStats:
         center, radius, denom = self._buffer
         np.maximum(self._count, 1.0, out=denom)
         np.divide(self._kept, denom, out=center)
-        np.multiply(self._scale, log_t, out=radius)
+        with np.errstate(over="ignore"):  # u * alpha * log t may be inf; the clamp bounds it
+            np.multiply(self._scale, log_t, out=radius)
         np.divide(radius, denom, out=radius)
         np.sqrt(radius, out=radius)
         np.multiply(self._signed4, radius, out=radius)
@@ -466,6 +453,6 @@ def _check_lengths(workers, *values) -> None:
 
 def stats_to_csv(stats: WorkerStats, path: str | Path) -> None:
     """Snapshot estimator state to CSV (one row per worker)."""
-    names = "N_it rho_hat rho_hat_plus rho_hat_minus N_beta_it beta_hat beta_hat_minus eta"
+    names = "N_it rho_hat_plus rho_hat_minus N_beta_it beta_hat_minus eta"
     columns = {name: getattr(stats, name) for name in names.split()}
     _write_csv(path, {"id": range(len(stats.eta)), **columns})

@@ -46,7 +46,6 @@ __all__ = [
     "population_streams",
     "outcome_streams",
     "load_config",
-    "population_to_csv",
 ]
 
 
@@ -436,12 +435,6 @@ def _write_csv(path: str | Path, columns: dict) -> None:
                 else:
                     fields.append(list(map(repr, _as_list(c[lo:hi]))))
             f.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
-
-
-def population_to_csv(workers: list[WorkerProfile], path: str | Path) -> None:
-    """Write the population as CSV with columns id,cost,mjct,mttf."""
-    names = ("id", "cost", "mjct", "mttf")
-    _write_csv(path, {name: [getattr(w, name) for w in workers] for name in names})
 
 
 # --- plain-text config files -------------------------------------------------

@@ -169,10 +169,8 @@ class WorkerStats:
         "rho_bounds",
         "beta_bounds",
         "eta",
-        "rho_hat",
         "rho_hat_plus",
         "rho_hat_minus",
-        "beta_hat",
         "beta_hat_plus",
         "beta_hat_minus",
         "_jct",
@@ -186,10 +184,8 @@ class WorkerStats:
         self.rho_bounds = rho_bounds
         self.beta_bounds = beta_bounds
         self.eta = 0
-        self.rho_hat = rho_bounds[1]
         self.rho_hat_plus = rho_bounds[1]
         self.rho_hat_minus = rho_bounds[0]
-        self.beta_hat = beta_bounds[0]
         self.beta_hat_plus = beta_bounds[1]
         self.beta_hat_minus = beta_bounds[0]
         self._jct = TruncatedMeanTracker(est.u_rho, est.alpha)
@@ -216,10 +212,7 @@ class WorkerStats:
         """Record one completion observation; the sample value is tau/fraction."""
         if fraction <= 0 or tau <= 0:
             raise ValueError("tau and fraction must be positive")
-        x = tau / fraction
-        self._jct.add(x)
-        n = self._jct.count
-        self.rho_hat = x if n == 1 else self.rho_hat + (x - self.rho_hat) / n
+        self._jct.add(tau / fraction)
         return self
 
     def record_window(self, failed: bool) -> "WorkerStats":
@@ -231,10 +224,7 @@ class WorkerStats:
         reported here at all.
         """
         if failed:
-            x = self._delta * self.eta
-            self._beta.add(x)
-            n = self._beta.count
-            self.beta_hat = x if n == 1 else self.beta_hat + (x - self.beta_hat) / n
+            self._beta.add(self._delta * self.eta)
             self.eta = 0
         else:
             self.eta += 1
@@ -320,11 +310,9 @@ def stats_to_csv(stats_list: list[WorkerStats], path) -> None:
             [
                 "id",
                 "N_it",
-                "rho_hat",
                 "rho_hat_plus",
                 "rho_hat_minus",
                 "N_beta_it",
-                "beta_hat",
                 "beta_hat_minus",
                 "eta",
             ]
@@ -334,11 +322,9 @@ def stats_to_csv(stats_list: list[WorkerStats], path) -> None:
                 [
                     wid,
                     s.N_it,
-                    repr(s.rho_hat),
                     repr(s.rho_hat_plus),
                     repr(s.rho_hat_minus),
                     s.N_beta_it,
-                    repr(s.beta_hat),
                     repr(s.beta_hat_minus),
                     s.eta,
                 ]

@@ -245,6 +245,9 @@ def test_repeated_config_key_exits_3(tmp_path, capsys):
         # costs up to DBL_MAX, or at 1e307 over 60 jobs: the totals could overflow
         (("cost_max = 100", "cost_max = 1.7976931348623157e+308"), ["simulate"], 3),
         (("cost_max = 100", "cost_max = 1e307"), ["simulate"], 3),
+        # finite estimator values whose u * alpha overflows
+        (("alpha = 2", "alpha = 1e306"), ["simulate"], 3),
+        (("alpha = 2", "alpha = 2\nu_rho = 1e308"), ["simulate"], 3),
         (None, ["dsic-test", "--seed", "-1"], 2),
         (None, ["sweep", "--param", "seed", "--values", "1.5"], 2),
         (None, ["sweep", "--param", "epsilon", "--values", "abc"], 2),
@@ -254,6 +257,7 @@ def test_repeated_config_key_exits_3(tmp_path, capsys):
     ids=[
         "group count 2.5", "group cost abc", "simulate seed -1", "config seed -3",
         "sigma_log 30", "beta_max 1e308", "cost_max DBL_MAX", "cost_max 1e307 x 60 jobs",
+        "alpha 1e306", "u_rho 1e308",
         "dsic-test seed -1", "sweep seed 1.5", "sweep epsilon abc", "sweep delta nan",
         "sweep delta -inf",
     ],
@@ -402,6 +406,7 @@ def test_sweep_over_epsilon(config_file, tmp_path):
         ("seed", "11,-1", -1),
         ("alpha", "2,1", 1.0),
         ("sigma_log", "0.25,30", 30.0),
+        ("alpha", "4,1e306", 1e306),
     ],
 )
 def test_sweep_records_an_invalid_value_and_goes_on(config_file, tmp_path, param, values, bad):

@@ -53,6 +53,12 @@ def record_window(stats: WorkerStats, failed: bool) -> None:
     stats.record_window(ONE, [failed])
 
 
+def kept(stats: WorkerStats, row: int) -> np.ndarray:
+    """The kept sums of parameter ``row`` (0 completion, 1 failure): before
+    any refresh drops a sample, the sums of all samples recorded."""
+    return np.asarray(stats._kept)[row]
+
+
 def test_defaults_are_valid_bounds():
     cfg = reference_config()
     est = EstimatorConfig.defaults(cfg)
@@ -69,7 +75,9 @@ def test_estimator_validation_rejects_bad_values():
         EstimatorConfig(u_rho=11000.0, u_beta=1.0, alpha=4.0).validate(cfg)
     with pytest.raises(InvalidConfig):
         EstimatorConfig(u_rho=11000.0, u_beta=2600.0, alpha=1.5).validate(cfg)
-    for bad in ({"u_rho": math.inf}, {"u_beta": math.nan}, {"alpha": math.inf}):
+    # Finite values whose u * alpha overflows, which would make inf * log(1) NaN.
+    overflowing = ({"alpha": 1e306}, {"u_rho": 1e308}, {"u_beta": 1e308})
+    for bad in ({"u_rho": math.inf}, {"u_beta": math.nan}, {"alpha": math.inf}, *overflowing):
         params = {"u_rho": 11000.0, "u_beta": 2600.0, "alpha": 4.0, **bad}
         with pytest.raises(InvalidConfig):
             EstimatorConfig(**params).validate(cfg)
@@ -77,10 +85,8 @@ def test_estimator_validation_rejects_bad_values():
 
 def test_initialization_values():
     stats, _ = make_stats(n=3)
-    assert (stats.rho_hat == 100.0).all()
     assert (stats.rho_hat_plus == 100.0).all()
     assert (stats.rho_hat_minus == 50.0).all()
-    assert (stats.beta_hat == 25.0).all()
     assert (stats.beta_hat_plus == 35.0).all()
     assert (stats.beta_hat_minus == 25.0).all()
     assert (stats.eta == 0).all()
@@ -91,27 +97,14 @@ def test_record_jct_single_and_double_sample():
     stats, _ = make_stats()
     record_jct(stats, 25.0, 0.5)
     assert stats.N_it[0] == 1
-    assert stats.rho_hat[0] == 50.0
+    assert kept(stats, 0)[0] == 50.0
     record_jct(stats, 60.0, 1.0)
     assert stats.N_it[0] == 2
-    assert stats.rho_hat[0] == pytest.approx(55.0)
+    assert kept(stats, 0)[0] == 110.0
     with pytest.raises(ValueError):
         record_jct(stats, 0.0, 1.0)
     with pytest.raises(ValueError):
         record_jct(stats, 1.0, math.nan)
-
-
-def test_record_jct_running_mean_matches_monte_carlo():
-    stats, _ = make_stats()
-    rng = np.random.default_rng(12)
-    mean = 75.0
-    sigma = 0.25
-    draws = rng.lognormal(math.log(mean) - sigma**2 / 2, sigma, size=10_000)
-    for d in draws:
-        record_jct(stats, float(d), 1.0)
-    se = draws.std(ddof=1) / math.sqrt(len(draws))
-    assert abs(stats.rho_hat[0] - mean) < 3 * se
-    assert stats.rho_hat[0] == pytest.approx(draws.mean())
 
 
 def test_record_window_update_rules():
@@ -120,12 +113,12 @@ def test_record_window_update_rules():
         record_window(stats, failed=False)
     assert stats.eta[0] == 3 and stats.N_beta_it[0] == 0
     record_window(stats, failed=True)
-    assert stats.beta_hat[0] == 1.5  # the one sample, delta * 3
+    assert kept(stats, 1)[0] == 1.5  # the one sample, delta * 3
     assert stats.eta[0] == 0
     assert stats.N_beta_it[0] == 1
 
     record_window(stats, failed=True)  # immediate failure records a zero
-    assert stats.beta_hat[0] == 0.75
+    assert kept(stats, 1)[0] == 1.5
     assert stats.N_beta_it[0] == 2
     assert stats.eta[0] == 0
 
@@ -263,7 +256,7 @@ def test_recorded_surrogate_mean_converges_to_shifted_expectation():
     because the failing window itself is excluded from the streak.  A bank of
     50 workers runs the window process side by side, each long enough that
     the unfinished last streak biases nothing; the samples are rebuilt from
-    the flags to check the bank's counts and running means."""
+    the flags to check the bank's counts and sums."""
     beta, delta, n, windows = 30.0, 0.5, 50, 25_000
     stats, _ = make_stats(n=n, delta=delta)
     p = 1.0 - math.exp(-delta / beta)
@@ -278,9 +271,8 @@ def test_recorded_surrogate_mean_converges_to_shifted_expectation():
         per_worker.append(delta * streaks)
     samples = np.concatenate(per_worker)
     assert stats.N_beta_it.tolist() == [s.size for s in per_worker]
-    recorded = stats.N_beta_it > 0
-    means = np.array([s.mean() for s in per_worker if s.size])
-    assert stats.beta_hat[recorded] == pytest.approx(means, rel=1e-12)
+    sums = [s.sum() for s in per_worker]
+    assert kept(stats, 1) == pytest.approx(sums, rel=1e-12)
     expected = surrogate_expectation(beta, delta) - delta
     se = samples.std(ddof=1) / math.sqrt(samples.size)
     assert samples.size >= 20_000
@@ -344,7 +336,7 @@ def test_stats_csv_snapshot(tmp_path):
     stats_to_csv(stats, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == (
-        "id,N_it,rho_hat,rho_hat_plus,rho_hat_minus,N_beta_it,beta_hat,beta_hat_minus,eta"
+        "id,N_it,rho_hat_plus,rho_hat_minus,N_beta_it,beta_hat_minus,eta"
     )
     row = lines[1].split(",")
     assert row[1] == "1"
@@ -360,11 +352,9 @@ def _assert_bank_matches(bank: WorkerStats, scalars: list, D: float, eps: float)
         )
         assert (kept_rho[i], kept_beta[i]) == (s._jct._kept_sum, s._beta._kept_sum)
         got = [float(a[i]) for a in (
-            bank.rho_hat, bank.rho_hat_plus, bank.rho_hat_minus,
-            bank.beta_hat, bank.beta_hat_plus, bank.beta_hat_minus,
+            bank.rho_hat_plus, bank.rho_hat_minus, bank.beta_hat_plus, bank.beta_hat_minus,
         )]
-        assert got == [s.rho_hat, s.rho_hat_plus, s.rho_hat_minus,
-                       s.beta_hat, s.beta_hat_plus, s.beta_hat_minus]
+        assert got == [s.rho_hat_plus, s.rho_hat_minus, s.beta_hat_plus, s.beta_hat_minus]
         assert caps[i] == s.pessimistic_cap(D, eps)
 
 
@@ -423,7 +413,7 @@ def test_a_surrogate_whose_key_overflows_is_kept_without_a_warning():
     est = EstimatorConfig(u_rho=40.0, u_beta=3.0, alpha=2.0)
     bank = WorkerStats(2, est, (0.1, 30.0), (1.0, 9.0), 1e-160, horizon=50)
     bank.record_window([0, 1], [False, False]).record_window([1, 0], [False, True])
-    assert bank.N_beta_it.tolist() == [1, 0] and bank.beta_hat.tolist() == [1e-160, 1.0]
+    assert bank.N_beta_it.tolist() == [1, 0] and kept(bank, 1).tolist() == [1e-160, 0.0]
     assert bank._keys.size == 0 and bank._next_key == math.inf
 
 
@@ -582,7 +572,7 @@ def test_readers_return_arrays_that_later_refreshes_leave_alone():
     stats.refresh_indices(10)
     names = (
         "rho_hat_plus", "beta_hat_minus", "rho_hat_minus", "beta_hat_plus",
-        "eta", "rho_hat", "beta_hat", "N_it", "N_beta_it",
+        "eta", "N_it", "N_beta_it",
     )
     read = {name: getattr(stats, name) for name in names}
     saved = {name: a.copy() for name, a in read.items()}
@@ -639,9 +629,9 @@ BAD_IDS = {
 
 
 def _bank_state(bank) -> list:
-    """Every learning value of ``bank`` as lists: counts, kept sums, means,
-    streaks and the store of samples due to drop."""
-    state = [np.asarray(getattr(bank, name)).tolist() for name in ("_count", "_kept", "_mean")]
+    """Every learning value of ``bank`` as lists: counts, kept sums, unseen
+    marks, streaks and the store of samples due to drop."""
+    state = [np.asarray(getattr(bank, name)).tolist() for name in ("_count", "_kept", "_unseen")]
     return state + [list(bank._eta), bank._keys.tolist(), bank._slots.tolist()]
 
 

@@ -22,7 +22,6 @@ from crowdmarket import (
     load_config,
     market,
     outcome_streams,
-    population_to_csv,
     sample_outcome,
     sample_population,
     validate_config,
@@ -498,27 +497,6 @@ def test_worker_draws_are_paired_across_refills():
             draws.append((tau[-1].hex(), window))
         seen.add(tuple(draws))
     assert len(seen) == 1
-
-
-def test_population_csv_export(tmp_path):
-    cfg = reference_config(n=3)
-    recipe = PopulationRecipe(
-        groups=(
-            PopulationGroup(
-                count=3, cost_range=(10.0, 50.0), rho_range=(50.0, 75.0),
-                beta_range=(30.0, 35.0),
-            ),
-        )
-    )
-    workers = sample_population(cfg, recipe)
-    path = tmp_path / "pop.csv"
-    population_to_csv(workers, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "id,cost,mjct,mttf"
-    assert len(lines) == 4
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == workers[0].cost
 
 
 def csv_column(length: int):

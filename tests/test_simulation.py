@@ -24,6 +24,7 @@ from crowdmarket import (
     EstimatorConfig,
     FrozenInstance,
     InfeasibleJob,
+    InvalidConfig,
     MarketConfig,
     PopulationGroup,
     PopulationRecipe,
@@ -1045,7 +1046,7 @@ def test_fractions_changed_in_place_after_their_check_raise(kind, value):
         bank.refresh_indices(t)
         tau, _, _ = sample_outcome(blocks, workers, fractions)
         bank.record_jct_sample(workers, tau, fractions)
-    names = ("_count", "_kept", "_mean", "_unseen", "_keys", "_slots", "_values", "_eta")
+    names = ("_count", "_kept", "_unseen", "_keys", "_slots", "_values", "_eta")
 
     def state():
         return [np.asarray(blocks.cursor).tobytes()] + [
@@ -1100,7 +1101,7 @@ def test_a_range_and_its_id_array_give_the_same_bytes(n, seed):
     kinds = {range: job_step_state(), np.arange: job_step_state()}
     rng = np.random.default_rng(seed)
     late_first = dropped = cached = 0
-    names = ("_count", "_kept", "_mean", "_unseen", "_keys", "_slots", "_values")
+    names = ("_count", "_kept", "_unseen", "_keys", "_slots", "_values")
     a, b = n // 4, 3 * n // 4
     for t in range(1, jobs + 1):
         if t % 4 == 1:  # a new run, with fresh fractions
@@ -1141,9 +1142,9 @@ def test_relabeling_the_workers_permutes_their_state_and_keeps_every_series(mark
     cost-100 workers take the low ids, in their own order, so ties at cost
     100 still break the same way; in reference400 the plan's active workers
     then no longer form one run of ids, so its job steps hand on an id array
-    instead of a range.  Every series is bit-identical, and the final
-    indices rho_hat_plus and beta_hat_minus, the means and the sample counts
-    are the original ones permuted."""
+    instead of a range.  Every series is bit-identical, and the final four
+    indices, the kept sums and the sample counts are the original ones
+    permuted."""
     cfg, recipe, estimator = market
     est = estimator(cfg)
     sample, streams = crowdmarket.simulation.sample_population, crowdmarket.simulation.outcome_streams
@@ -1175,10 +1176,126 @@ def test_relabeling_the_workers_permutes_their_state_and_keeps_every_series(mark
     got, want = relabeled.trace(), original.trace()
     for name, _ in crowdmarket.simulation._SERIES:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    for name in ("rho_hat_plus", "beta_hat_minus", "rho_hat", "beta_hat", "N_it", "N_beta_it"):
-        permuted = getattr(original.stats, name)[perm]
-        assert getattr(relabeled.stats, name).tobytes() == permuted.tobytes(), name
+    indices = ("rho_hat_plus", "rho_hat_minus", "beta_hat_plus", "beta_hat_minus")
+    for name in (*indices, "_kept", "N_it", "N_beta_it"):
+        permuted = np.asarray(getattr(original.stats, name))[..., perm]
+        assert np.asarray(getattr(relabeled.stats, name)).tobytes() == permuted.tobytes(), name
     assert original.stats.N_beta_it.any()
+
+
+# The markets of the horizon-prefix and cost-scaling relations, each on a
+# branch of the job step: desk6 on both, reference400 on its own, arrays.
+DESK6 = (desk_config(T=2000), desk_recipe(), desk_estimator)
+REFERENCE400 = (reference_config(T=3000, seed=7), reference_recipe(), EstimatorConfig.defaults)
+PREFIX_RUNS = {  # market, branch and the length of the shorter run
+    "desk6-lists": (DESK6, "lists", 600),
+    "desk6-arrays": (DESK6, "arrays", 600),
+    "reference400-arrays": (REFERENCE400, "arrays", 2100),  # past the caps' first move, job 2,067
+}
+LEARNER_STATE = ("_count", "_kept", "_eager", "_unseen", "_eta")
+
+
+@pytest.mark.parametrize("market, branch, jobs", PREFIX_RUNS.values(), ids=PREFIX_RUNS.keys())
+def test_the_first_jobs_of_a_longer_horizon_are_the_shorter_run(market, branch, jobs, tmp_path):
+    """A metamorphic relation: the horizon T only decides which samples the
+    learner files to drop before T, and a sample drops at job t once its key
+    is below log t.  So the first ``jobs`` jobs of a T-job run are a
+    ``jobs``-job run: the six series, the learner's counts, kept sums, eager
+    indices, unseen marks and streaks, and its estimator CSV are the same
+    bytes.  The drop store is left out, as the longer horizon files more
+    samples by design.  A drop rule that compared keys with log T instead of
+    log t would break the relation."""
+    cfg, recipe, estimator = market
+
+    def first_jobs(horizon: int):
+        with crossover(BRANCHES[branch]):
+            sim = Simulator(replace(cfg, T=horizon), recipe, est_cfg=estimator(cfg))
+            for t in range(1, jobs + 1):
+                sim.step(t)
+        path = tmp_path / f"stats_{horizon}.csv"
+        stats_to_csv(sim.stats, path)
+        state = [np.asarray(getattr(sim.stats, name)).tobytes() for name in LEARNER_STATE]
+        return sim, [*state, path.read_bytes()]
+
+    short, short_state = first_jobs(jobs)
+    long, long_state = first_jobs(cfg.T)
+    for name, got, want in zip((*LEARNER_STATE, "stats_to_csv"), long_state, short_state):
+        assert got == want, name
+    got, want = long.trace(), short.trace()
+    for name, _ in crowdmarket.simulation._SERIES:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert len(short._rows) > 1  # the learner moved the caps
+    assert long.stats._keys.size > short.stats._keys.size  # and filed more under T
+
+
+def scaled_costs(cfg: MarketConfig, recipe: PopulationRecipe, factor: float):
+    """``cfg`` and ``recipe`` with the cost bounds and every group's cost
+    range multiplied by ``factor``."""
+    groups = [replace(g, cost_range=tuple(c * factor for c in g.cost_range)) for g in recipe.groups]
+    cost_bounds = tuple(c * factor for c in cfg.cost_bounds)
+    return replace(cfg, cost_bounds=cost_bounds), replace(recipe, groups=tuple(groups))
+
+
+SCALED_RUNS = {  # market, branch and job count
+    "desk6-lists": (DESK6, "lists", 2000),
+    "desk6-arrays": (DESK6, "arrays", 2000),
+    "reference400-arrays": (REFERENCE400, "arrays", 300),
+}
+
+
+@pytest.mark.parametrize("market, branch, jobs", SCALED_RUNS.values(), ids=SCALED_RUNS.keys())
+def test_scaling_every_cost_by_a_power_of_two_scales_the_run_exactly(market, branch, jobs):
+    """A metamorphic relation: costs only rank the workers and price them, so
+    multiplying the cost bounds and every group's cost range by 2**k (k = -3
+    and 5), which rounds nothing, multiplies every cost, payment, utility,
+    average regret and the oracle cost by 2**k exactly.  Infeasibility, the
+    active sets and their match with the optimal set stay as they were."""
+    cfg, recipe, estimator = market
+    cfg = replace(cfg, T=jobs)
+    with crossover(BRANCHES[branch]):
+        base = run(cfg, recipe, est_cfg=estimator(cfg))
+        for k in (-3, 5):
+            factor = 2.0**k
+            scaled = run(*scaled_costs(cfg, recipe, factor), est_cfg=estimator(cfg))
+            assert [w.cost for w in scaled.workers] == [w.cost * factor for w in base.workers]
+            for name in ("infeasible", "active_size", "match"):
+                assert getattr(scaled, name).tobytes() == getattr(base, name).tobytes(), (k, name)
+            for name in ("cost", "payment", "utility_min", "regret_avg"):
+                want = getattr(base, name) * factor
+                assert getattr(scaled, name).tobytes() == want.tobytes(), (k, name)
+            assert scaled.oracle_cost == base.oracle_cost * factor
+
+
+def test_a_radius_factor_that_overflows_is_rejected_before_any_job():
+    """Finite estimator values whose ``u * alpha`` overflows to inf gave the
+    array form NaN caps at job 1, from ``inf * log(1)``.  reference400, on
+    arrays, raises InvalidConfig when the simulator is built, before any
+    job."""
+    cfg, recipe, estimator = REFERENCE400
+    with pytest.raises(InvalidConfig, match=r"u \* alpha must be finite"):
+        Simulator(cfg, recipe, est_cfg=replace(estimator(cfg), alpha=1e306))
+
+
+@pytest.mark.parametrize("market", [DESK6, REFERENCE400], ids=["desk6", "reference400"])
+@on_both_branches
+def test_a_radius_factor_just_below_overflow_runs_with_caps_at_their_bounds(market):
+    """With ``alpha = 2`` and ``u_rho = 8.9e307``, ``u_rho * alpha`` is
+    finite and the config valid, but every completion radius from job 2 on
+    overflows to inf: the indices stay at their bounds, so the caps stay the
+    initial ones, and the run completes without a warning."""
+    cfg, recipe, estimator = market
+    cfg = replace(cfg, T=50)
+    est = replace(estimator(cfg), alpha=2.0, u_rho=8.9e307)
+    assert math.isfinite(est.u_rho * est.alpha)
+    sim = Simulator(cfg, recipe, est_cfg=est)
+    initial = np.asarray(sim.current_caps(1)).tolist()
+    for t in range(1, cfg.T + 1):
+        sim.step(t)
+    assert sim.stats.N_it.any()
+    assert (sim.stats.rho_hat_plus == cfg.rho_bounds[1]).all()
+    assert (sim.stats.rho_hat_minus == cfg.rho_bounds[0]).all()
+    assert np.asarray(sim.current_caps(cfg.T)).tolist() == initial
+    assert not sim.trace().infeasible.any()
 
 
 def test_reference400_plans_hand_on_a_range_and_desk48_plans_an_id_array():
