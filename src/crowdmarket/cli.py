@@ -182,7 +182,11 @@ def _cmd_dsic_test(args: argparse.Namespace) -> int:
     worst_case = None
     sweeps = 0
     for k in range(args.instances):
-        inst = random_frozen_instance(rng, n_max=args.max_workers)
+        try:
+            inst = random_frozen_instance(rng, n_max=args.max_workers)
+        except ValueError as exc:  # a worker count past numpy's int64 draw
+            print(f"error: --max-workers: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         for i in range(len(inst.costs)):
             gain = deviation_sweep(inst, i)
             sweeps += 1

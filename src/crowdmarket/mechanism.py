@@ -25,8 +25,9 @@ maximum exactly.  Every bid is solved in rank space.  Where the other
 workers' caps cover the job ahead of the worker's rank, it is past the
 boundary and the rule writes ``0.0``.  At any other rank the boundary comes
 from the others' caps summed in bid order, with the worker's own cap added
-at its rank, and the payment tail, built once per boundary position, prices
-the worker's row.
+at its rank.  The boundary worker's fraction and the payment tail behind
+it are each built once per boundary position in a sweep, and price the
+worker's row.
 
 The sweeps of one instance share their start: the same checked costs and
 caps, the same (cost, id) order of all workers and the same truthful
@@ -281,8 +282,12 @@ def random_frozen_instance(
     """Random feasible one-job instance for incentive fuzzing.
 
     Caps are rescaled so their sum lands comfortably above one (and each stays
-    within [0, 1]); costs are uniform over the cost range.
+    within [0, 1]); costs are uniform over the cost range.  The worker count
+    is an int64 draw, so ``n_max`` must be an int (a numpy one included, a
+    bool not) in [2, 2**63 - 1), or ``ValueError`` is raised.
     """
+    if (type(n_max) is not int and not isinstance(n_max, np.integer)) or not 2 <= n_max < 2**63 - 1:
+        raise ValueError(f"n_max must be an int in [2, 2**63 - 1), got {n_max!r}")
     lo, hi = cost_bounds
     while True:
         n = int(rng.integers(2, n_max + 1))
@@ -353,9 +358,13 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
     other rank ``r`` the sum goes on from the others' first ``r`` caps, with
     ``i``'s cap and then theirs, to where it reaches one, with the adds
     ``sw_greedy`` makes; ``_remainder`` gives the boundary worker's
-    fraction.  The payment tail depends only on where the boundary falls
-    among the others, so each tail is built once per sweep, and
-    ``_payment_row`` prices ``i``'s row from it.
+    fraction.  Its ``fsum`` is correctly rounded, so that fraction depends
+    only on the boundary position and on whether ``i`` ranks before it,
+    which fixes the multiset of caps filled before it.  The payment tail
+    depends only on where the boundary falls among the others.  So each
+    boundary position's tail and remainder are built once per sweep, and
+    ``_payment_row`` prices ``i``'s row from them; only a zero remainder has
+    the filled caps listed in bid order, to find the last positive one.
 
     Raises ``ValueError`` unless ``i`` is an int (a numpy one included, a
     bool not) with ``0 <= i < n``, costs and caps are vectors of one length
@@ -382,6 +391,7 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
     cover = bisect_left(sums, 1.0)
     cost, cap, n_others = costs[i], caps[i], len(others)
     tails = {}  # the payment tail behind each boundary position
+    rests = {}  # the boundary worker's fraction at (position k, i before k)
     u = []
     for b in grid:
         b = float(b)
@@ -398,14 +408,19 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
         k = r + bisect_left(cums, 1.0)
         if k > n_others:
             raise InfeasibleJob(cums[-1])
-        if r < k:  # the caps filled before position k, in bid order, and the cap at k
-            full, at_k = [*o_caps[:r], cap, *o_caps[r : k - 1]], o_caps[k - 1]
-        else:
-            full, at_k = o_caps[:r], cap
-        rest = _remainder(full, at_k)
+        # the caps filled before position k are the others' first k - 1 and
+        # i's when i ranks before k, else the others' first k; fsum is
+        # correctly rounded, so the remainder reads only that multiset
+        before = r < k
+        at_k = o_caps[k - 1] if before else cap
+        rest = rests.get((k, before))
+        if rest is None:
+            full = [*o_caps[: k - 1], cap] if before else o_caps[:k]
+            rest = rests[k, before] = _remainder(full, at_k)
         if rest > 0:
             last, room = k, at_k - rest
-        else:  # the last positive cap before k is filled, with no room left
+        else:  # the last positive cap before k, in bid order, is filled, with no room left
+            full = [*o_caps[:r], cap, *o_caps[r : k - 1]] if before else o_caps[:k]
             last, room = next(p for p in reversed(range(k)) if full[p]), 0.0
         if last < r:  # a zero remainder left i past the boundary
             u.append(0.0)

@@ -6,6 +6,7 @@ import functools
 import importlib
 import pkgutil
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -166,6 +167,13 @@ def desk_recipe() -> PopulationRecipe:
             ),
         )
     )
+
+
+def desk48_market(seed: int) -> tuple[MarketConfig, PopulationRecipe]:
+    """desk6's three groups at 16 workers each: an array-form market whose
+    indices move on most jobs, as desk6's do."""
+    cfg = replace(desk_config(seed, T=1500), n=48)
+    return cfg, PopulationRecipe(groups=tuple(replace(g, count=16) for g in desk_recipe().groups))
 
 
 def desk_estimator(cfg: MarketConfig) -> EstimatorConfig:

@@ -249,6 +249,8 @@ def test_repeated_config_key_exits_3(tmp_path, capsys):
         (("alpha = 2", "alpha = 1e306"), ["simulate"], 3),
         (("alpha = 2", "alpha = 2\nu_rho = 1e308"), ["simulate"], 3),
         (None, ["dsic-test", "--seed", "-1"], 2),
+        (None, ["dsic-test", "--max-workers", str(2**63)], 2),
+        (None, ["dsic-test", "--max-workers", str(2**64)], 2),
         (None, ["sweep", "--param", "seed", "--values", "1.5"], 2),
         (None, ["sweep", "--param", "epsilon", "--values", "abc"], 2),
         (None, ["sweep", "--param", "delta", "--values", "nan,0.4"], 2),
@@ -258,7 +260,8 @@ def test_repeated_config_key_exits_3(tmp_path, capsys):
         "group count 2.5", "group cost abc", "simulate seed -1", "config seed -3",
         "sigma_log 30", "beta_max 1e308", "cost_max DBL_MAX", "cost_max 1e307 x 60 jobs",
         "alpha 1e306", "u_rho 1e308",
-        "dsic-test seed -1", "sweep seed 1.5", "sweep epsilon abc", "sweep delta nan",
+        "dsic-test seed -1", "dsic-test max-workers 2**63", "dsic-test max-workers 2**64",
+        "sweep seed 1.5", "sweep epsilon abc", "sweep delta nan",
         "sweep delta -inf",
     ],
 )

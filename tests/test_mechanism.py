@@ -22,6 +22,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crowdmarket import (
+    EstimatorConfig,
     FrozenInstance,
     InfeasibleJob,
     Simulator,
@@ -38,10 +39,13 @@ from oracles import knot_grid, literal_sweep
 from conftest import (
     BRANCHES,
     crossover,
+    desk48_market,
     desk_config,
     desk_estimator,
     desk_recipe,
     on_both_branches,
+    reference_config,
+    reference_recipe,
 )
 
 
@@ -695,6 +699,18 @@ OUT_OF_BOUNDS = FrozenInstance(
     costs=np.array([1.0, 2.5, 5.0]), caps=np.array([0.4, 0.5, 0.5]), cost_bounds=(1.0, 5.0),
 )
 
+# Worker 3 (cap 0.1) ranks after the caps 0.7 and 0.2 of workers 0 and 1, at
+# rank 2, or after worker 2's zero cap too, at rank 3.  Either way the caps
+# sum to 0.9999999999999999 in bid order, so worker 4's cap completes the
+# job at position 4, and to 1.0 by fsum, a zero remainder.  So both ranks
+# share the boundary and the remainder, but not the last positive cap before
+# it: worker 3's own, at position 2 or 3.  Grid seed 0 gives worker 3,
+# truthfully at rank 2, the given grid [4.0], at rank 3.
+SHARED_ZERO_REST = FrozenInstance(
+    costs=np.array([1.5, 2.0, 3.0, 2.5, 4.0]), caps=np.array([0.7, 0.2, 0.0, 0.1, 0.5]),
+    cost_bounds=(1.0, 5.0),
+)
+
 
 def _covered_before(inst, i, b):
     """True when the caps of the workers that bid before worker ``i``,
@@ -706,16 +722,29 @@ def _covered_before(inst, i, b):
     return bool(before) and np.cumsum(inst.caps[before])[-1] >= 1.0
 
 
+def _boundary_of(inst, i, b):
+    """Where the caps, summed in bid order (by an independent ``np.cumsum``)
+    when worker ``i`` bids ``b``, first reach one, and whether ``i`` ranks
+    before that position."""
+    bids = inst.costs.copy()
+    bids[i] = b
+    order = bids.argsort(kind="stable").tolist()
+    k = int(np.cumsum(inst.caps[order]).searchsorted(1.0))
+    return k, order.index(i) < k
+
+
 def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
     """With distinct costs inside the bounds every rank is reachable, so the
     grid holds n bids, on random instances and on the two whose caps cover
     the job exactly or just short of it.  The sweeps of an instance run
     ``sw_greedy`` once, on the truthful bid in the first sweep, and never
-    call ``job_payments``.  A sweep solves every bid, with one
-    ``_remainder``, but those that the others' caps (summed in bid order, by
-    an independent ``np.cumsum``) cover the job ahead of, and builds the
-    payment tail once for each distinct set of workers after the boundary
-    that a bid at or before the boundary leaves."""
+    call ``job_payments``.  A sweep solves every bid but those that the
+    others' caps (summed in bid order, by an independent ``np.cumsum``)
+    cover the job ahead of.  It runs ``_remainder`` once for each distinct
+    pair, among the solved bids, of the boundary position and whether ``i``
+    ranks before it, and builds the payment tail once for each distinct set
+    of workers after the boundary that a bid at or before the boundary
+    leaves."""
     calls = {"sw_greedy": 0, "_remainder": 0, "_payment_tail": 0, "job_payments": 0}
 
     def counted(name):
@@ -730,7 +759,7 @@ def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
     for name in calls:
         monkeypatch.setattr(mechanism, name, counted(name))
     rng = np.random.default_rng(5)
-    skipped = shared = 0
+    skipped = shared = shared_rests = 0
     # fresh copies of the shared instances, which other tests may have swept
     fixed = [replace(EXACT_COVER), replace(SHORT_COVER)]
     for inst in [*fixed, *(random_frozen_instance(rng) for _ in range(30))]:
@@ -738,8 +767,10 @@ def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
         for i in range(n):
             grid = deviation_grid(inst, i)
             assert len(grid) == n
-            solved = sum(not _covered_before(inst, i, b) for b in grid)
-            skipped += n - solved
+            solved = [b for b in grid if not _covered_before(inst, i, b)]
+            skipped += n - len(solved)
+            rests = {_boundary_of(inst, i, b) for b in solved}
+            shared_rests += len(solved) - len(rests)
             behind = [_tail_behind(inst, i, b) for b in grid]
             tails = {t for t in behind if t is not None}
             shared += len(behind) - behind.count(None) - len(tails)
@@ -747,10 +778,10 @@ def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
             deviation_sweep(inst, i)
             counts = {k: calls[k] - before[k] for k in calls}
             assert counts == {
-                "sw_greedy": int(i == 0), "_remainder": solved, "_payment_tail": len(tails),
+                "sw_greedy": int(i == 0), "_remainder": len(rests), "_payment_tail": len(tails),
                 "job_payments": 0,
             }
-    assert skipped > 0 and shared > 0
+    assert skipped > 0 and shared > 0 and shared_rests > 0
 
 
 def _assert_one_job_certificate(inst):
@@ -809,6 +840,45 @@ def test_every_plan_of_a_desk6_run_is_incentive_compatible():
     assert worst <= 1e-9
 
 
+def test_sampled_plans_of_array_form_markets_are_incentive_compatible():
+    """Sampled plans of two markets whose job step runs on arrays, swept
+    worker by worker and frozen with their run's costs and cost bounds.
+    reference400 (seed 7, as configs/reference400.cfg): the plan of job 1,
+    and that of job 2,067, where the caps first move, each at every 10th
+    worker and at every worker whose cap moved.  desk48: every worker of
+    every 100th plan of its 1,500-job run at seed 1.  No worker gains more
+    than 1e-9 by a unilateral deviation."""
+    cfg = reference_config(T=2067, seed=7)
+    sim = Simulator(cfg, reference_recipe(), est_cfg=EstimatorConfig.defaults(cfg))
+    first = sim.current_caps(1)
+    for t in range(1, cfg.T):
+        sim.step(t)
+    moved = sim.current_caps(cfg.T)
+    changed = np.flatnonzero(np.asarray(first) != np.asarray(moved)).tolist()
+    assert changed
+    sweeps = [
+        (FrozenInstance(sim.costs, caps, cfg.cost_bounds), i)
+        for caps in (first, moved)
+        for i in sorted({*range(0, cfg.n, 10), *changed})
+    ]
+    cfg, recipe = desk48_market(1)
+    sim = Simulator(cfg, recipe, est_cfg=desk_estimator(cfg))
+    plans, last = [], None
+    for t in range(1, cfg.T + 1):
+        caps = sim.current_caps(t)
+        if caps is not last:
+            plans.append(caps)
+            last = caps
+        sim.step(t)
+    assert len(plans) == 942
+    sweeps += [
+        (FrozenInstance(sim.costs, caps, cfg.cost_bounds), i)
+        for caps in plans[::100]
+        for i in range(cfg.n)
+    ]
+    assert max(deviation_sweep(inst, i) for inst, i in sweeps) <= 1e-9
+
+
 def dense_grid(instance, i):
     """Knots plus a 50-point uniform grid over the cost range, and all
     midpoints: a superset of ``knot_grid`` that checks the rank grid misses
@@ -847,6 +917,7 @@ def _swept_workers(inst):
 @example(inst=ZERO_CAP, grid_seed=0)
 @example(inst=FIX_UP_CAPS, grid_seed=2)
 @example(inst=OUT_OF_BOUNDS, grid_seed=306)
+@example(inst=SHARED_ZERO_REST, grid_seed=0)
 @given(inst=SWEPT_INSTANCES, grid_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 @on_both_branches
@@ -988,6 +1059,14 @@ def test_no_profitable_deviation_on_random_instances(seed):
     inst = random_frozen_instance(rng, n_max=6)
     for i in range(len(inst.costs)):
         assert deviation_sweep(inst, i) <= 1e-9
+
+
+@pytest.mark.parametrize("n_max", [1, 2**63 - 1, 2**64, 8.0, True, "8"])
+def test_random_instance_rejects_a_worker_bound_it_cannot_draw(n_max):
+    """An ``n_max`` that is not an int in [2, 2**63 - 1) raises ``ValueError``
+    before any draw."""
+    with pytest.raises(ValueError, match="n_max"):
+        random_frozen_instance(np.random.default_rng(0), n_max=n_max)
 
 
 def test_random_instance_is_feasible():

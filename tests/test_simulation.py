@@ -49,6 +49,7 @@ from crowdmarket.market import _CSV_CHUNK
 from conftest import (
     BRANCHES,
     crossover,
+    desk48_market,
     desk_config,
     desk_estimator,
     desk_recipe,
@@ -713,13 +714,6 @@ def test_summary_echoes_config():
     assert summary["mode"] == "learning"
     assert summary["jobs_completed"] == 10
     assert summary["min_utility"] >= 0.0
-
-
-def desk48_market(seed: int):
-    """desk6's three groups at 16 workers each: an array-form market whose
-    indices move on most jobs, as desk6's do."""
-    cfg = replace(desk_config(seed, T=1500), n=48)
-    return cfg, PopulationRecipe(groups=tuple(replace(g, count=16) for g in desk_recipe().groups))
 
 
 LITERAL_RUNS = {
