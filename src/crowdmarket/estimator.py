@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .allocation import _LIST_MAX, _as_list, true_cap
-from .market import Bounds, InvalidConfig, MarketConfig, _check_ids, _worker_index, _write_csv
+from .market import Bounds, InvalidConfig, MarketConfig, _check_listed, _worker_index, _write_csv
 
 __all__ = [
     "EstimatorConfig",
@@ -160,11 +160,11 @@ class WorkerStats:
     and each method is a scalar loop that applies the array operations in the
     same order (``math.sqrt`` for ``np.sqrt``, in-order subtraction for
     ``np.subtract.at``), so both forms hold the same floats; the store is the
-    same arrays in both.  ``record_window`` is one loop over the listed
-    workers in both forms, ``_eta`` a list in both, and the streaks it
-    closes go to ``_add_lists`` in both: at n = 400 a job step passes it
-    about one observed window per call, so an array branch would only cost;
-    ``_add`` takes only completion samples.  The readers (``eta``, ``N_it``,
+    same arrays in both.  ``record_window`` runs on lists in both forms,
+    ``_eta`` is a list in both, and the streaks it closes go to
+    ``_add_lists`` in both: at n = 400 a job step passes it about one
+    observed window per call, so an array branch would only cost; ``_add``
+    takes only completion samples.  The readers (``eta``, ``N_it``,
     ``rho_hat_plus`` and the rest) return fresh arrays in both forms, which
     later calls leave alone; ``pessimistic_cap`` returns a list in the list
     form.
@@ -325,27 +325,24 @@ class WorkerStats:
         """Record one completion observation per listed worker; the sample
         value is tau/fraction, and every tau and fraction must be positive.
         ``workers`` may be a ``range`` of ids with step 1, whose state the
-        array form updates in place through views.  The array form checks
-        the fractions only when their bytes differ from the last accepted
-        ones, and every tau on every call."""
+        array form updates in place through views.  Every check runs before
+        any state moves, the list form's ids and lengths in
+        ``market._check_listed``.  The array form checks the fractions only
+        when their bytes differ from the last accepted ones, and every tau
+        on every call."""
         if self._lists:
             workers, tau, fractions = _as_list(workers), _as_list(tau), _as_list(fractions)
-            _check_lengths(workers, tau, fractions)
-            n, last = self._n, -1
-            if type(workers) is range:
-                _check_ids(workers, n)
-            for w, a, b in zip(workers, tau, fractions):
-                if not (last < w < n and type(w) is int):
-                    _check_ids(workers, n)
+            _check_listed(workers, self._n, tau, fractions)
+            for a, b in zip(tau, fractions):
                 if not a > 0 < b:  # also rejects NaN
                     raise ValueError("tau and fraction must be positive")
-                last = w
             self._add_lists(_RHO, workers, [a / b for a, b in zip(tau, fractions)])
             return self
         index, ids = _worker_index(workers, self._ids)
         tau = np.asarray(tau, dtype=float)
         fractions = np.asarray(fractions, dtype=float)
-        _check_lengths(ids, tau, fractions)
+        if not ids.shape == tau.shape == fractions.shape:
+            raise ValueError("need one entry per listed worker")
         if ids.size:
             key = fractions.tobytes()  # a repeating plan's fractions are checked once
             if key != self._checked:
@@ -364,21 +361,14 @@ class WorkerStats:
         A failure closes the current streak: the sample ``delta * eta`` is
         recorded and the streak resets.  A clean window just extends the
         streak.  Unobserved windows (work shorter than delta) must not be
-        reported here at all.  One loop over the listed workers serves both
-        forms, handing the closed streaks to ``_add_lists``: a job step
-        observes about one window per call, even at n = 400.
+        reported here at all.  Both forms run on lists: ``_check_listed``
+        checks the ids and windows before any streak moves, and the closed
+        streaks go to ``_add_lists``, as a job step observes about one
+        window per call, even at n = 400.
         """
         workers, failed = _as_list(workers), _as_list(failed)
-        _check_lengths(workers, failed)
-        eta, n, last, closed = self._eta, self._n, -1, []
-        if type(workers) is range:
-            _check_ids(workers, n)
-        for w, f in zip(workers, failed):
-            if not (last < w < n and type(w) is int):
-                _check_ids(workers, n)
-            if f:
-                closed.append(w)
-            last = w
+        _check_listed(workers, self._n, failed)
+        eta, closed = self._eta, [w for w, f in zip(workers, failed) if f]
         if closed:
             self._add_lists(_BETA, closed, [self.delta * eta[w] for w in closed])
         for w in workers:
@@ -443,12 +433,6 @@ class WorkerStats:
         """Largest job fraction allocatable under the pessimistic indices, per
         worker: a list in the list form, an array otherwise."""
         return true_cap(self._eager[_RHO], self._eager[_BETA], D, epsilon)
-
-
-def _check_lengths(workers, *values) -> None:
-    for v in values:
-        if len(v) != len(workers):
-            raise ValueError("need one entry per listed worker")
 
 
 def stats_to_csv(stats: WorkerStats, path: str | Path) -> None:

@@ -284,10 +284,9 @@ class OutcomeBlocks:
 def _check_ids(workers, n: int) -> None:
     """Raise ValueError unless ``workers`` lists distinct integer worker ids
     in ``[0, n)``, and a range of them has step 1.  An id is a Python or
-    numpy int, not a float or a bool; an array's dtype says so.  The job
-    step's cheap checks (increasing Python ints below ``n``, a range inside
-    ``[0, n)``) fall back on this one when they fail, so ids listed out of
-    order pass here."""
+    numpy int, not a float or a bool; an array's dtype says so.  The cheap
+    checks of ``_check_listed`` and ``_worker_index`` fall back on this one
+    when they fail, so ids listed out of order pass here."""
     if type(workers) is range:
         if workers.step != 1:
             raise ValueError(f"a range of worker ids must have step 1, got {workers}")
@@ -301,6 +300,25 @@ def _check_ids(workers, n: int) -> None:
         raise ValueError(f"worker ids must lie in [0, {n})")
     if any(map(operator.eq, ids, ids[1:])):
         raise ValueError("worker ids must be distinct")
+
+
+def _check_listed(workers, n: int, *values) -> None:
+    """The list form's check of the listed workers: ValueError unless they
+    are ids as ``_check_ids`` takes them, then unless each of ``values`` has
+    one entry per listed worker, the array form's order.  The cheap check,
+    increasing Python ints below ``n``, falls back on ``_check_ids``."""
+    if type(workers) is range:
+        _check_ids(workers, n)
+    else:
+        last = -1
+        for w in workers:
+            if not (type(w) is int and last < w < n):  # the type first: "a" < 0 raises
+                _check_ids(workers, n)
+                break
+            last = w
+    for v in values:
+        if len(v) != len(workers):
+            raise ValueError("need one entry per listed worker")
 
 
 def _worker_index(workers, ids: np.ndarray):
@@ -350,7 +368,7 @@ def sample_outcome(blocks: OutcomeBlocks, workers, fractions):
     fractions = np.asarray(fractions, dtype=float)
     index, ids = _worker_index(workers, blocks._ids)
     if fractions.shape != ids.shape:
-        raise ValueError("fractions need one entry per listed worker")
+        raise ValueError("need one entry per listed worker")
     key = fractions.tobytes()  # a repeating plan's fractions are checked once
     if key != blocks._checked:
         # ceil is 1 exactly on (0, 1]; NaN fails
@@ -376,18 +394,11 @@ def sample_outcome(blocks: OutcomeBlocks, workers, fractions):
 def _sample_lists(blocks: OutcomeBlocks, workers, fractions: list):
     """``sample_outcome`` on the list form, one worker at a time; the checks
     run before any cursor moves."""
-    if len(fractions) != len(workers):
-        raise ValueError("fractions need one entry per listed worker")
     cursor, delta = blocks.cursor, blocks.delta
-    n, last = len(cursor), -1
-    if type(workers) is range:
-        _check_ids(workers, n)
-    for i, f in zip(workers, fractions):
-        if not (last < i < n and type(i) is int):
-            _check_ids(workers, n)
+    _check_listed(workers, len(cursor), fractions)
+    for f in fractions:
         if not 0.0 < f <= 1.0:  # NaN fails
             raise ValueError("fractions must lie in (0, 1]")
-        last = i
     tau, seen, failed = [], [], []
     for i, f in zip(workers, fractions):
         pos = cursor[i]

@@ -30,11 +30,11 @@ it are each built once per boundary position in a sweep, and price the
 worker's row.
 
 The sweeps of one instance share their start: the same checked costs and
-caps, the same (cost, id) order of all workers and the same truthful
-allocation.  A ``FrozenInstance`` derives each once, on first use, and a
-worker's sweep takes the others' order as that order without it.
-``sw_greedy`` thus allocates the truthful bid once per instance, in its
-first sweep, for its checks.
+caps and the same (cost, id) order of all workers.  A ``FrozenInstance``
+derives both once, on first use, and a worker's sweep takes the others'
+order as that order without it.  No sweep calls ``sw_greedy``: the
+instance checks what it checks, and the sweep's own solve of the truthful
+bid raises its ``InfeasibleJob``.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .allocation import (
     _as_bid_array,
     _check_caps,
     _remainder,
-    sw_greedy,
+    sw_greedy,  # not called here; perfbench's tracer wraps it through this module
 )
 
 __all__ = [
@@ -231,10 +231,9 @@ class FrozenInstance:
     hands over, is kept without a copy.
 
     What every deviation sweep of the instance shares is derived once, on
-    first use: the instance checks, the costs and caps as lists, the (cost,
-    id) order of all workers, clipped to the cost bounds and not, and the
-    truthful allocation.  Nothing that failed is kept, so a bad or infeasible
-    instance raises on every sweep.
+    first use: the instance checks, the costs and caps as lists, and the
+    (cost, id) order of all workers, clipped to the cost bounds and not.
+    Nothing that failed is kept, so a bad instance raises on every sweep.
     """
 
     costs: np.ndarray
@@ -261,17 +260,13 @@ class FrozenInstance:
         costs, caps = costs.tolist(), caps.tolist()
         if not all(map(math.isfinite, costs)):
             raise ValueError("costs must be finite")
-        _check_caps(caps)
+        if caps:  # an instance of no workers has no index to sweep
+            _check_caps(caps)
         order = sorted(zip(costs, range(len(costs))))
-        if lo <= order[0][0] and order[-1][0] <= hi:  # clipping keeps every cost
+        if not order or (lo <= order[0][0] and order[-1][0] <= hi):  # clipping keeps every cost
             return costs, caps, order, order
         clipped = sorted((min(max(c, lo), hi), j) for j, c in enumerate(costs))
         return costs, caps, order, clipped
-
-    @cached_property
-    def _truthful(self) -> Allocation:
-        """The truthful job's allocation, for its checks and errors."""
-        return sw_greedy(self.costs, self.caps)
 
 
 def random_frozen_instance(
@@ -302,8 +297,8 @@ def random_frozen_instance(
     return FrozenInstance(costs=costs, caps=caps, cost_bounds=cost_bounds)
 
 
-def deviation_grid(instance: FrozenInstance, i: int) -> np.ndarray:
-    """One bid for each bid order worker ``i`` can reach, its own cost first.
+def deviation_grid(instance: FrozenInstance, i: int) -> list:
+    """A list of one bid per bid order worker ``i`` can reach, own cost first.
 
     Rank r puts ``i`` after the r lowest other bids (clipped to the cost
     bounds, ties by worker id).  A midpoint reaches the rank between two
@@ -323,7 +318,7 @@ def deviation_grid(instance: FrozenInstance, i: int) -> np.ndarray:
     for r, ((a, ja), (b, jb)) in enumerate(zip(ends, ends[1:])):
         if r != own_rank and (a < b or ja < i < jb):
             grid.append(0.5 * (a + b) if a < b else a)
-    return np.array(grid)
+    return grid
 
 
 def _check_worker(instance: FrozenInstance, i: int) -> tuple:
@@ -348,39 +343,37 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
     ``grid`` is evaluated after the truthful bid.  Each utility is
     ``job_payments``'s at ``c_bar`` = the upper cost bound, bit for bit.
 
-    The instance's first sweep has ``sw_greedy`` allocate the truthful bid,
-    for its checks; every sweep of the instance shares that allocation, the
-    checks and the (cost, id) order of all workers, as ``sw_greedy`` sorts
-    them.  Every bid is solved in rank space: the other workers are that
-    order without ``i``, and their caps are summed in it as ``sw_greedy``
-    sums them.  A bid that ranks ``i`` after a prefix that covers the job
-    leaves it past the boundary, where the rule writes ``0.0``.  At any
-    other rank ``r`` the sum goes on from the others' first ``r`` caps, with
-    ``i``'s cap and then theirs, to where it reaches one, with the adds
-    ``sw_greedy`` makes; ``_remainder`` gives the boundary worker's
-    fraction.  Its ``fsum`` is correctly rounded, so that fraction depends
-    only on the boundary position and on whether ``i`` ranks before it,
-    which fixes the multiset of caps filled before it.  The payment tail
-    depends only on where the boundary falls among the others.  So each
-    boundary position's tail and remainder are built once per sweep, and
-    ``_payment_row`` prices ``i``'s row from them; only a zero remainder has
-    the filled caps listed in bid order, to find the last positive one.
+    Every sweep of the instance shares its checks and the (cost, id) order
+    of all workers, as ``sw_greedy`` sorts them.  Every bid is solved in
+    rank space: the other workers are that order without ``i``, and their
+    caps are summed in it as ``sw_greedy`` sums them.  A bid that ranks
+    ``i`` after a prefix that covers the job leaves it past the boundary,
+    where the rule writes ``0.0``.  At any other rank ``r`` the sum goes on
+    from the others' first ``r`` caps, with ``i``'s cap and then theirs, to
+    where it reaches one, with the adds ``sw_greedy`` makes; ``_remainder``
+    gives the boundary worker's fraction.  Its ``fsum`` is correctly
+    rounded, so that fraction depends only on the boundary position and on
+    whether ``i`` ranks before it, which fixes the multiset of caps filled
+    before it.  The payment tail depends only on where the boundary falls
+    among the others.  So each boundary position's tail and remainder are
+    built once per sweep, and ``_payment_row`` prices ``i``'s row from
+    them; only a zero remainder has the filled caps listed in bid order, to
+    find the last positive one.
 
     Raises ``ValueError`` unless ``i`` is an int (a numpy one included, a
     bool not) with ``0 <= i < n``, costs and caps are vectors of one length
     and the bounds are finite with ``lo <= hi``, on a non-finite bid, a cap
     outside [0, 1] or an empty ``grid``; and :class:`InfeasibleJob` when the
-    caps, summed in the bid order of the truthful bid or of a deviation,
-    fall short of one.  Nothing that failed is kept, so a bad instance
-    raises on every sweep.
+    caps, summed in the bid order of the truthful bid (solved first, so at
+    ``sw_greedy``'s total) or of a deviation, fall short of one.  Nothing
+    that failed is kept, so a bad instance raises on every sweep.
     """
     if grid is None:
-        first, grid = 0, deviation_grid(instance, i).tolist()  # checks the instance
+        first, grid = 0, deviation_grid(instance, i)  # checks the instance
         costs, caps, order, _ = instance._shared
     else:  # a given grid follows the truthful bid
         costs, caps, order, _ = _check_worker(instance, i)
         first, grid = 1, [costs[i], *grid]
-    instance._truthful  # sw_greedy's checks and errors, in the instance's first sweep
     c_bar = float(instance.cost_bounds[1])
     others = [o for o in order if o[1] != i]
     o_bids = [c for c, _ in others]

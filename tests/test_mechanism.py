@@ -374,15 +374,19 @@ def test_job_payments_rejects_inputs_that_do_not_fit_the_allocation(worked):
 
 
 def test_worker_index_outside_the_instance_raises(worked_instance):
+    """An index outside the instance raises ``ValueError``, and so does any
+    index of an instance of no workers."""
     bids, caps = worked_instance
     inst = FrozenInstance(costs=bids, caps=caps, cost_bounds=(1.0, 3.0))
-    for i in (-1, 3):
-        with pytest.raises(ValueError, match=r"worker index .* outside \[0, 3\)"):
-            deviation_grid(inst, i)
-        with pytest.raises(ValueError, match=r"worker index .* outside \[0, 3\)"):
-            deviation_sweep(inst, i)
-        with pytest.raises(ValueError, match=r"worker index .* outside \[0, 3\)"):
-            deviation_sweep(inst, i, grid=np.array([2.0]))
+    empty = FrozenInstance(costs=[], caps=[], cost_bounds=(1.0, 2.0))
+    for swept, i, n in ((inst, -1, 3), (inst, 3, 3), (empty, 0, 0)):
+        outside = rf"worker index {i} outside \[0, {n}\)"
+        with pytest.raises(ValueError, match=outside):
+            deviation_grid(swept, i)
+        with pytest.raises(ValueError, match=outside):
+            deviation_sweep(swept, i)
+        with pytest.raises(ValueError, match=outside):
+            deviation_sweep(swept, i, grid=np.array([2.0]))
 
 
 def test_worker_index_that_is_not_an_integer_raises(worked_instance):
@@ -399,7 +403,7 @@ def test_worker_index_that_is_not_an_integer_raises(worked_instance):
         with pytest.raises(ValueError, match="worker index must be an integer"):
             deviation_sweep(inst, i, grid=np.array([2.0]))
     for i in (np.int64(1), np.int32(2), np.intp(0)):
-        assert deviation_grid(inst, i).tolist() == deviation_grid(inst, int(i)).tolist()
+        assert deviation_grid(inst, i) == deviation_grid(inst, int(i))
         assert repr(deviation_sweep(inst, i)) == repr(deviation_sweep(inst, int(i)))
         grid = np.array([1.5, 2.5])
         assert repr(deviation_sweep(inst, i, grid)) == repr(deviation_sweep(inst, int(i), grid))
@@ -579,9 +583,9 @@ def test_deviation_grid_contains_crossings_and_endpoints(worked_instance):
     # (midpoint 2.5) but not behind worker 2, who bids the ceiling; worker 2
     # can pass worker 1 (midpoint 1.5) but not worker 0, who bids the floor;
     # worker 1 keeps its place at any bid.
-    assert deviation_grid(inst, 0).tolist() == [1.0, 2.5]
-    assert deviation_grid(inst, 1).tolist() == [2.0]
-    assert deviation_grid(inst, 2).tolist() == [3.0, 1.5]
+    assert deviation_grid(inst, 0) == [1.0, 2.5]
+    assert deviation_grid(inst, 1) == [2.0]
+    assert deviation_grid(inst, 2) == [3.0, 1.5]
 
 
 def test_deviation_grid_clips_the_other_costs_to_the_bounds():
@@ -591,7 +595,7 @@ def test_deviation_grid_clips_the_other_costs_to_the_bounds():
     worker's own cost, first in its grid, is not clipped."""
     inst = FrozenInstance(costs=np.array([0.5, 2.0, 6.0]), caps=np.array([0.6, 0.6, 0.6]),
                           cost_bounds=(1.0, 5.0))
-    assert [deviation_grid(inst, i).tolist() for i in range(3)] == [[0.5, 3.5], [2.0], [6.0, 1.5]]
+    assert [deviation_grid(inst, i) for i in range(3)] == [[0.5, 3.5], [2.0], [6.0, 1.5]]
 
 
 def _orders(inst, i, grid):
@@ -736,10 +740,9 @@ def _boundary_of(inst, i, b):
 def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
     """With distinct costs inside the bounds every rank is reachable, so the
     grid holds n bids, on random instances and on the two whose caps cover
-    the job exactly or just short of it.  The sweeps of an instance run
-    ``sw_greedy`` once, on the truthful bid in the first sweep, and never
-    call ``job_payments``.  A sweep solves every bid but those that the
-    others' caps (summed in bid order, by an independent ``np.cumsum``)
+    the job exactly or just short of it.  A sweep calls neither
+    ``sw_greedy`` nor ``job_payments``, and solves every bid but those that
+    the others' caps (summed in bid order, by an independent ``np.cumsum``)
     cover the job ahead of.  It runs ``_remainder`` once for each distinct
     pair, among the solved bids, of the boundary position and whether ``i``
     ranks before it, and builds the payment tail once for each distinct set
@@ -778,7 +781,7 @@ def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
             deviation_sweep(inst, i)
             counts = {k: calls[k] - before[k] for k in calls}
             assert counts == {
-                "sw_greedy": int(i == 0), "_remainder": len(rests), "_payment_tail": len(tails),
+                "sw_greedy": 0, "_remainder": len(rests), "_payment_tail": len(tails),
                 "job_payments": 0,
             }
     assert skipped > 0 and shared > 0 and shared_rests > 0
@@ -1002,13 +1005,11 @@ def test_sweep_of_a_bad_instance_raises(inst):
 @pytest.mark.parametrize("inst", BAD_INSTANCES.values(), ids=BAD_INSTANCES.keys())
 def test_bad_instance_raises_on_every_sweep(inst):
     """A failed check is not kept: a fresh bad instance raises on its first
-    sweep and again on its second, of the same worker or another, and it
-    keeps no truthful allocation."""
+    sweep and again on its second, of the same worker or another."""
     inst = replace(inst)
     for i, grid in ((0, None), (0, None), (1, np.array([2.0])), (1, None)):
         with pytest.raises((ValueError, InfeasibleJob)):
             deviation_sweep(inst, i, grid)
-    assert "_truthful" not in vars(inst)
 
 
 @pytest.mark.parametrize(
@@ -1040,6 +1041,35 @@ def test_sweep_of_a_feasible_instance_raises_where_a_deviation_sums_short():
         with pytest.raises(InfeasibleJob) as exc:
             sweep(ORDER_SHORT, 0)
         assert exc.value.total_cap == 0.9999999999999999, sweep
+
+
+def _short_caps(n: int, seed: int) -> FrozenInstance:
+    """Distinct costs inside the bounds (1, 5) and caps that sum to about
+    0.97 in any order."""
+    rng = np.random.default_rng(seed)
+    caps = rng.uniform(0.0, 1.0, n)
+    return FrozenInstance(rng.uniform(1.0, 5.0, n), caps * (0.97 / caps.sum()), (1.0, 5.0))
+
+
+# At these seeds some worker's first deviation, on either grid, sums the
+# caps to another total than the truthful bids do, so a sweep that let the
+# truthful bid pass would raise at that other total.
+@pytest.mark.parametrize("grid", [None, np.array([0.5, 4.5, 3.0])], ids=["rank", "given"])
+@pytest.mark.parametrize("n, seed", [(3, 5), (40, 40)], ids=["n3", "n40"])
+@on_both_branches
+def test_sweep_of_short_caps_raises_the_greedy_total(n, seed, grid):
+    """No sweep calls ``sw_greedy``, yet every worker's sweep of an instance
+    whose caps fall short raises its ``InfeasibleJob``, at the total that
+    ``sw_greedy`` reports for the truthful bids: the sweep solves the
+    truthful bid first and sums its caps as ``sw_greedy`` does, on lists or
+    with numpy's ``cumsum``."""
+    inst = _short_caps(n, seed)
+    with pytest.raises(InfeasibleJob) as want:
+        sw_greedy(inst.costs, inst.caps)
+    for i in range(n):
+        with pytest.raises(InfeasibleJob) as got:
+            deviation_sweep(inst, i, grid)
+        assert repr(got.value.total_cap) == repr(want.value.total_cap), i
 
 
 @on_both_branches

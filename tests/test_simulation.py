@@ -4,8 +4,9 @@ Tests marked ``on_both_branches`` run once with the whole job step on Python
 floats and once on numpy arrays, whatever the market's size.
 """
 
-import importlib
+import importlib.util
 import math
+import sys
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
@@ -528,6 +529,39 @@ def test_names_patched_by_the_benchmark_tracer_exist(monkeypatch):
         }, delta
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_benchmark_tracer_installs_on_the_library():
+    """perfbench/run.py's ``install`` wraps every patch point of its traced
+    run through ``vars(owner)[name]``, so a name the library stops binding
+    (``mechanism.sw_greedy``, which no sweep calls, included) fails here
+    with a KeyError.  ``restore`` puts every original back.  The benchmark's
+    modules are loaded from their files and dropped again afterwards."""
+    path, modules = list(sys.path), set(sys.modules)
+    owners = (crowdmarket.simulation, crowdmarket.simulation.Simulator,
+              crowdmarket.mechanism, WorkerStats)
+    before = [dict(vars(owner)) for owner in owners]
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        bench = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = bench  # dataclasses look their module up
+        spec.loader.exec_module(bench)
+        tracer = bench.Tracer()
+        try:
+            bench.install(tracer, crowdmarket, bench.Counters())
+            assert tracer.records
+        finally:
+            tracer.restore()
+    finally:
+        sys.path[:] = path
+        for name in set(sys.modules) - modules:
+            where = getattr(sys.modules[name], "__file__", None) or ""
+            if name == "perfbench_run" or PERFBENCH in Path(where).parents:
+                del sys.modules[name]
+    assert [dict(vars(owner)) for owner in owners] == before
+
+
 def test_optimal_set_match_lock_index_logic():
     cfg, recipe, est = small_market(T=60)
     trace = run(cfg, recipe, est_cfg=est)
@@ -1010,6 +1044,26 @@ def test_both_branches_raise_the_same_errors(call):
                 call()
             raised[name] = (exc.type, str(exc.value))
     assert raised["lists"] == raised["arrays"]
+
+
+# Calls with a bad id and a value list of another length.
+TWO_FAULTS = {
+    "id past n, fraction per worker": lambda: sample_outcome(_blocks(), [0, 5], [0.5]),
+    "string id, fraction per worker": lambda: sample_outcome(_blocks(), [0, "1"], [0.5]),
+    "repeated id, tau per worker": lambda: _bank().record_jct_sample([1, 1], [1.0], [0.5]),
+    "id past n, window per worker": lambda: _bank().record_window([0, 3], [True]),
+}
+
+
+@pytest.mark.parametrize("call", TWO_FAULTS.values(), ids=TWO_FAULTS.keys())
+@on_both_branches
+def test_listed_ids_are_checked_before_the_lengths(call):
+    """Both branches raise the id's error: the list form checks the ids
+    before the lengths, as the array form's ``_worker_index`` does, and an
+    id that is not an int raises ``ValueError``, not a ``TypeError`` from
+    comparing it."""
+    with pytest.raises(ValueError, match="worker ids must"):
+        call()
 
 
 # Values that fractions accepted once are changed to, in place; above one
