@@ -25,9 +25,11 @@ maximum exactly.  Every bid is solved in rank space.  Where the other
 workers' caps cover the job ahead of the worker's rank, it is past the
 boundary and the rule writes ``0.0``.  At any other rank the boundary comes
 from the others' caps summed in bid order, with the worker's own cap added
-at its rank.  The boundary worker's fraction and the payment tail behind
-it are each built once per boundary position in a sweep, and price the
-worker's row.
+at its rank.  One search per sweep finds it for every rank, in the others'
+prefix sums with the worker's cap added; only where those sums lie within a
+rounding band of one does a rank re-sum its own caps.  The boundary
+worker's fraction and the payment tail behind it are each built once per
+boundary position in a sweep, and price the worker's row.
 
 The sweeps of one instance share their start: the same checked costs and
 caps and the same (cost, id) order of all workers.  A ``FrozenInstance``
@@ -348,17 +350,19 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
     rank space: the other workers are that order without ``i``, and their
     caps are summed in it as ``sw_greedy`` sums them.  A bid that ranks
     ``i`` after a prefix that covers the job leaves it past the boundary,
-    where the rule writes ``0.0``.  At any other rank ``r`` the sum goes on
-    from the others' first ``r`` caps, with ``i``'s cap and then theirs, to
-    where it reaches one, with the adds ``sw_greedy`` makes; ``_remainder``
-    gives the boundary worker's fraction.  Its ``fsum`` is correctly
-    rounded, so that fraction depends only on the boundary position and on
-    whether ``i`` ranks before it, which fixes the multiset of caps filled
-    before it.  The payment tail depends only on where the boundary falls
-    among the others.  So each boundary position's tail and remainder are
-    built once per sweep, and ``_payment_row`` prices ``i``'s row from
-    them; only a zero remainder has the filled caps listed in bid order, to
-    find the last positive one.
+    where the rule writes ``0.0``.  At any other rank ``r``, one ``bisect``
+    per sweep in the others' prefix sums, each with ``i``'s cap added, puts
+    the boundary where ``sw_greedy``'s sum reaches one: at ``r`` from the
+    position found on, else at that position, unless the sums there lie
+    within a rounding band of one, where ``r`` re-sums its caps in its
+    order.  ``_remainder`` gives the boundary worker's fraction.  Its
+    ``fsum`` is correctly rounded, so that fraction depends only on the
+    boundary position and on whether ``i`` ranks before it, which fixes the
+    multiset of caps filled before it.  The payment tail depends only on
+    where the boundary falls among the others.  So each boundary position's
+    tail and remainder are built once per sweep, and ``_payment_row`` prices
+    ``i``'s row from them; only a zero remainder has the filled caps listed
+    in bid order, to find the last positive one.
 
     Raises ``ValueError`` unless ``i`` is an int (a numpy one included, a
     bool not) with ``0 <= i < n``, costs and caps are vectors of one length
@@ -383,6 +387,18 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
     # leaves i past the boundary
     cover = bisect_left(sums, 1.0)
     cost, cap, n_others = costs[i], caps[i], len(others)
+    # with_i[p]: the sum sw_greedy makes at position p when i ranks at p.  A
+    # rank r < first_k sums the same caps up to p in another order.  A sum of
+    # n + 1 nonnegative terms errs by at most gamma_n = n*u / (1 - n*u) of the
+    # exact sum, u = 2**-53 (Higham 2002, 4.2), so the two differ by at most
+    # 4*n*u*total (total = with_i[-1]), plus 8*u*max(total, 1) for rounding
+    # 1 -/+ band.  Outside the band every such rank reaches one at first_k.
+    with_i = [cap, *[s + cap for s in sums]]
+    first_k = bisect_left(with_i, 1.0)
+    band = 4 * (n_others + 2) * 2**-53 * max(with_i[-1], 1.0)
+    clear = 0 < first_k <= n_others and (
+        with_i[first_k - 1] < 1.0 - band and 1.0 + band < with_i[first_k]
+    )
     tails = {}  # the payment tail behind each boundary position
     rests = {}  # the boundary worker's fraction at (position k, i before k)
     u = []
@@ -394,13 +410,18 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
         if r > cover:  # the rule writes 0.0 past the boundary
             u.append(0.0)
             continue
-        # the sums from i's cap on, as sw_greedy makes them, to the cap at
-        # position k that completes the job; i's cap raises every later sum
-        # (rounding is monotone), so that is at most one past the cover
-        cums = list(accumulate(o_caps[r : cover + 1], initial=sums[r - 1] + cap if r else cap))
-        k = r + bisect_left(cums, 1.0)
-        if k > n_others:
-            raise InfeasibleJob(cums[-1])
+        if r >= first_k:  # the sum at i's own rank, with_i[r], completes the job
+            k = r
+        elif clear:
+            k = first_k
+        else:
+            # in the band: sum on from i's cap, as sw_greedy does, to the cap
+            # that completes the job; i's cap raises every later sum (rounding
+            # is monotone), so that is at most one past the cover
+            cums = list(accumulate(o_caps[r : cover + 1], initial=with_i[r]))
+            k = r + bisect_left(cums, 1.0)
+            if k > n_others:
+                raise InfeasibleJob(cums[-1])
         # the caps filled before position k are the others' first k - 1 and
         # i's when i ranks before k, else the others' first k; fsum is
         # correctly rounded, so the remainder reads only that multiset
