@@ -5,7 +5,9 @@ subject to the fractions summing to one and each worker staying below its cap
 (deadline and failure-probability constraints folded into a single per-worker
 bound).  Sorting by bid and filling caps greedily is optimal.  ``true_cap``
 is the one form of that bound: the omniscient oracle applies it to the true
-means, and the learner to its pessimistic indices.
+means, and the learner to its pessimistic indices.  Every solver finds the
+job covered where the ``fsum`` of the filled caps reaches one (``_cover``),
+whatever the order of the adds.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ __all__ = [
 
 
 class InfeasibleJob(RuntimeError):
-    """The caps cannot cover a whole job (their sum is below one)."""
+    """The caps cannot cover a whole job: ``total_cap``, their fsum, is below one."""
 
     def __init__(self, total_cap: float) -> None:
         super().__init__(f"caps sum to {total_cap!r} < 1; job cannot be fully allocated")
@@ -39,8 +41,9 @@ class Allocation:
     """Fractions per worker (original indexing) plus the bid-order bookkeeping.
 
     ``k_pos`` is the position within ``bid_order``, the sorting permutation
-    (ties broken by ascending worker id), of the last worker that received a
-    positive fraction; that worker is ``bid_order[k_pos]``.
+    (ties broken by ascending worker id), of the boundary worker
+    ``bid_order[k_pos]``.  It takes the remainder, which is positive, so it
+    is the last worker with a positive fraction.
     """
 
     fractions: np.ndarray
@@ -119,12 +122,13 @@ def _as_bid_array(bids) -> np.ndarray:
 def sw_greedy(bids, caps) -> Allocation:
     """Fill the job greedily in ascending-bid order, each worker up to its cap.
 
-    The last active worker takes the exact remainder, so the fractions sum to
-    one exactly.  Ties in bids are broken by ascending worker id; a
-    :class:`SortedBids` brings that order with it.  Raises
-    :class:`InfeasibleJob` when the caps sum to less than one (no workers
-    included) and ``ValueError`` on bids and caps that are not two vectors
-    of one length, on non-finite bids, or on caps outside [0, 1].
+    The boundary worker, where ``_cover`` finds the job covered, takes the
+    exact remainder, so the fractions sum to one exactly.  Ties in bids are
+    broken by ascending worker id; a :class:`SortedBids` brings that order
+    with it.  Raises :class:`InfeasibleJob` when the ``fsum`` of the caps is
+    below one (no workers included) and ``ValueError`` on bids and caps that
+    are not two vectors of one length, on non-finite bids, or on caps
+    outside [0, 1].
 
     Up to ``_LIST_MAX`` workers the rule runs on Python floats, in
     ``_greedy_lists``, and the fractions are wrapped in an array; above it
@@ -148,11 +152,9 @@ def sw_greedy(bids, caps) -> Allocation:
     if not (math.isfinite(b[order[0]]) and math.isfinite(b[order[-1]])):
         raise ValueError("bids must be finite")
     c_sorted = c[order]
-    cums = c_sorted.cumsum()
-    if cums[-1] < 1.0:
-        raise InfeasibleJob(float(cums[-1]))
-
-    k_pos = int(cums.searchsorted(1.0))
+    k_pos = _cover(c_sorted, c_sorted.cumsum())
+    if k_pos == c.size:
+        raise InfeasibleJob(math.fsum(memoryview(c_sorted)))
     # The workers filled up to their caps; a memoryview yields their floats
     # to fsum without building a list.
     rest = _remainder(memoryview(c_sorted[:k_pos]), float(c_sorted[k_pos]))
@@ -160,15 +162,33 @@ def sw_greedy(bids, caps) -> Allocation:
     x_sorted = np.zeros(c.shape)
     x_sorted[:k_pos] = c_sorted[:k_pos]
     x_sorted[k_pos] = rest
-    last_pos = k_pos if rest > 0 else int(np.flatnonzero(x_sorted)[-1])
     fractions = np.empty(c.shape)
     fractions[order] = x_sorted
-    return Allocation(fractions=fractions, bid_order=order, k_pos=last_pos)
+    return Allocation(fractions=fractions, bid_order=order, k_pos=k_pos)
+
+
+def _cover(caps, sums) -> int:
+    """The first position ``p`` where ``math.fsum(caps[:p + 1]) >= 1.0``, or
+    ``len(caps)`` when the caps fall short: where the job is covered, read
+    from which caps are filled, whatever the order of the adds.  ``sums``
+    are the caps' prefix sums added in sequence, from ``caps[0]``, which err
+    by at most about n*u of their total (u = 2**-53; Higham 2002, 4.2): one
+    ``bisect`` in them decides unless they lie within 4(n + 2)u of one
+    around the position it finds, where ``fsum`` decides (Shewchuk 1997)."""
+    n = len(caps)
+    p = bisect_left(sums, 1.0)
+    if p == 0:  # sums[0] is caps[0] itself
+        return 0
+    total = sums[-1]
+    band = (n + 2) * 2**-51 * (total if total > 1.0 else 1.0)
+    if sums[p - 1] < 1.0 - band and (p == n or 1.0 + band < sums[p]):
+        return p
+    return bisect_left(range(n), True, key=lambda q: math.fsum(caps[: q + 1]) >= 1.0)
 
 
 def _remainder(full, cap: float) -> float:
     """The boundary worker's fraction: what the ``full`` caps leave of the
-    job, at most ``cap``."""
+    job, at most ``cap``; positive at the boundary that ``_cover`` finds."""
     total = math.fsum(full)
     rest = max(0.0, 1.0 - total)
     # One-ulp fix-up so the fractions sum to exactly one under exact summation.
@@ -194,21 +214,18 @@ def _greedy_lists(b, o: list, cl: list) -> tuple[list, int]:
     """The numpy branch of ``sw_greedy`` on lists of Python floats: bids ``b``
     (the array too, as only its two ends are read), their order ``o`` and caps
     ``cl`` in, fractions and ``k_pos`` out.  ``accumulate`` is the sequential
-    ``cumsum``, ``bisect_left`` the ``searchsorted``."""
+    ``cumsum``."""
     _check_caps(cl)
     if not (math.isfinite(b[o[0]]) and math.isfinite(b[o[-1]])):
         raise ValueError("bids must be finite")
     c_sorted = [cl[w] for w in o]
-    cums = list(accumulate(c_sorted))
-    if cums[-1] < 1.0:
-        raise InfeasibleJob(cums[-1])
-
-    k_pos = bisect_left(cums, 1.0)
+    k_pos = _cover(c_sorted, list(accumulate(c_sorted)))
+    if k_pos == len(cl):
+        raise InfeasibleJob(math.fsum(cl))
     rest = _remainder(c_sorted[:k_pos], c_sorted[k_pos])
 
     x = [0.0] * len(cl)
     for w in o[:k_pos]:
         x[w] = cl[w]
     x[o[k_pos]] = rest
-    last_pos = k_pos if rest > 0 else next(p for p in reversed(range(k_pos)) if c_sorted[p])
-    return x, last_pos
+    return x, k_pos

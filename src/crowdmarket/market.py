@@ -116,7 +116,10 @@ def _check(cond: bool, message: str) -> None:
 
 
 def validate_config(cfg: MarketConfig) -> MarketConfig:
-    """Return ``cfg`` unchanged if every invariant holds, else raise InvalidConfig."""
+    """Return ``cfg`` unchanged if every invariant holds, else raise InvalidConfig.
+    ``sigma_log`` is bounded so that a completion draw nine log-scale deviations
+    below the smallest mean's location (one draw in about 10^19) does not
+    underflow to 0.0, a time that no estimator can learn from."""
     for name, value in vars(cfg).items():
         for v in value if isinstance(value, tuple) else (value,):
             if isinstance(v, float) and not math.isfinite(v):
@@ -143,6 +146,10 @@ def validate_config(cfg: MarketConfig) -> MarketConfig:
         f"got delta={cfg.delta}, beta_lo={b_lo}",
     )
     _check(cfg.sigma_log >= 0, f"sigma_log must be >= 0, got {cfg.sigma_log}")
+    _check(
+        jct_location(r_lo, cfg.sigma_log) - 9 * cfg.sigma_log >= math.log(5e-324),
+        f"sigma_log={cfg.sigma_log} draws completion times that underflow to 0.0 at rho_min={r_lo}",
+    )
     _check(cfg.seed >= 0, f"seed must be >= 0, got {cfg.seed}")
     return cfg
 

@@ -21,15 +21,15 @@ workers bidding truthfully, and reports the best achievable utility gain.
 its own payment, so a worker's utility depends on its bid only through its
 rank among the other bids (ties broken by worker id).  The grid holds one
 bid per rank the worker can reach, its own cost first, which finds the
-maximum exactly.  Every bid is solved in rank space.  Where the other
-workers' caps cover the job ahead of the worker's rank, it is past the
-boundary and the rule writes ``0.0``.  At any other rank the boundary comes
-from the others' caps summed in bid order, with the worker's own cap added
-at its rank.  One search per sweep finds it for every rank, in the others'
-prefix sums with the worker's cap added; only where those sums lie within a
-rounding band of one does a rank re-sum its own caps.  The boundary
-worker's fraction and the payment tail behind it are each built once per
-boundary position in a sweep, and price the worker's row.
+maximum exactly.  Every bid is solved in rank space, with ``sw_greedy``'s
+cover rule: a job is covered where the ``fsum`` of the filled caps reaches
+one, whatever the order of the adds.  Where the other workers' caps cover
+the job ahead of the worker's rank, it is past the boundary and the rule
+writes ``0.0``.  At any other rank, the boundary is the worker's own rank
+or, if later, where its cap with the others' first caps covers the job:
+two searches per sweep place it for every rank.  The boundary worker's
+fraction and the payment tail behind it are each built once per boundary
+position in a sweep, and price the worker's row.
 
 The sweeps of one instance share their start: the same checked costs and
 caps and the same (cost, id) order of all workers.  A ``FrozenInstance``
@@ -54,6 +54,7 @@ from .allocation import (
     InfeasibleJob,
     _as_bid_array,
     _check_caps,
+    _cover,
     _remainder,
     sw_greedy,  # not called here; perfbench's tracer wraps it through this module
 )
@@ -278,21 +279,19 @@ def random_frozen_instance(
 ) -> FrozenInstance:
     """Random feasible one-job instance for incentive fuzzing.
 
-    Caps are rescaled so their sum lands comfortably above one (and each stays
-    within [0, 1]); costs are uniform over the cost range.  The worker count
+    Caps are rescaled so their sum lands comfortably above one, at 1.05 to
+    2.5, and each is clipped to 1: caps that do not clip sum to above one,
+    and a cap that clips is 1 itself, so the job is always covered.  Costs
+    are uniform over the cost range.  The worker count
     is an int64 draw, so ``n_max`` must be an int (a numpy one included, a
     bool not) in [2, 2**63 - 1), or ``ValueError`` is raised.
     """
     if (type(n_max) is not int and not isinstance(n_max, np.integer)) or not 2 <= n_max < 2**63 - 1:
         raise ValueError(f"n_max must be an int in [2, 2**63 - 1), got {n_max!r}")
     lo, hi = cost_bounds
-    while True:
-        n = int(rng.integers(2, n_max + 1))
-        raw = rng.uniform(0.05, 0.95, size=n)
-        target = rng.uniform(1.05, 2.5)
-        caps = np.minimum(1.0, raw / raw.sum() * target)
-        if caps.sum() >= 1.0:
-            break
+    n = int(rng.integers(2, n_max + 1))
+    raw = rng.uniform(0.05, 0.95, size=n)
+    caps = np.minimum(1.0, raw / raw.sum() * rng.uniform(1.05, 2.5))
     costs = rng.uniform(lo, hi, size=n)
     costs.setflags(False)  # read-only, so the instance keeps them without a copy
     caps.setflags(False)
@@ -347,30 +346,28 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
 
     Every sweep of the instance shares its checks and the (cost, id) order
     of all workers, as ``sw_greedy`` sorts them.  Every bid is solved in
-    rank space: the other workers are that order without ``i``, and their
-    caps are summed in it as ``sw_greedy`` sums them.  A bid that ranks
-    ``i`` after a prefix that covers the job leaves it past the boundary,
-    where the rule writes ``0.0``.  At any other rank ``r``, one ``bisect``
-    per sweep in the others' prefix sums, each with ``i``'s cap added, puts
-    the boundary where ``sw_greedy``'s sum reaches one: at ``r`` from the
-    position found on, else at that position, unless the sums there lie
-    within a rounding band of one, where ``r`` re-sums its caps in its
-    order.  ``_remainder`` gives the boundary worker's fraction.  Its
+    rank space: the other workers are that order without ``i``, and
+    ``_cover`` decides where caps cover the job, as in ``sw_greedy``.  A
+    bid that ranks ``i`` after the others' prefix that covers the job
+    leaves it past the boundary, where the rule writes ``0.0``.  At any
+    other rank ``r``, the caps filled up to a position ``p >= r`` are
+    ``i``'s and the others' first ``p``, whatever ``r`` is, so the boundary
+    is ``max(r, first_k)``, with ``first_k`` where those caps first cover
+    the job.  ``_remainder`` gives the boundary worker's fraction.  Its
     ``fsum`` is correctly rounded, so that fraction depends only on the
     boundary position and on whether ``i`` ranks before it, which fixes the
     multiset of caps filled before it.  The payment tail depends only on
     where the boundary falls among the others.  So each boundary position's
     tail and remainder are built once per sweep, and ``_payment_row`` prices
-    ``i``'s row from them; only a zero remainder has the filled caps listed
-    in bid order, to find the last positive one.
+    ``i``'s row from them.
 
     Raises ``ValueError`` unless ``i`` is an int (a numpy one included, a
     bool not) with ``0 <= i < n``, costs and caps are vectors of one length
     and the bounds are finite with ``lo <= hi``, on a non-finite bid, a cap
-    outside [0, 1] or an empty ``grid``; and :class:`InfeasibleJob` when the
-    caps, summed in the bid order of the truthful bid (solved first, so at
-    ``sw_greedy``'s total) or of a deviation, fall short of one.  Nothing
-    that failed is kept, so a bad instance raises on every sweep.
+    outside [0, 1] or an empty ``grid``; and :class:`InfeasibleJob`, at
+    ``sw_greedy``'s total and before any bid is solved, when the caps fall
+    short of one, which no bid order changes.  Nothing that failed is kept,
+    so a bad instance raises on every sweep.
     """
     if grid is None:
         first, grid = 0, deviation_grid(instance, i)  # checks the instance
@@ -385,20 +382,15 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
     sums = list(accumulate(o_caps))
     # the position of the other whose cap completes the job; a rank after it
     # leaves i past the boundary
-    cover = bisect_left(sums, 1.0)
-    cost, cap, n_others = costs[i], caps[i], len(others)
-    # with_i[p]: the sum sw_greedy makes at position p when i ranks at p.  A
-    # rank r < first_k sums the same caps up to p in another order.  A sum of
-    # n + 1 nonnegative terms errs by at most gamma_n = n*u / (1 - n*u) of the
-    # exact sum, u = 2**-53 (Higham 2002, 4.2), so the two differ by at most
-    # 4*n*u*total (total = with_i[-1]), plus 8*u*max(total, 1) for rounding
-    # 1 -/+ band.  Outside the band every such rank reaches one at first_k.
-    with_i = [cap, *[s + cap for s in sums]]
-    first_k = bisect_left(with_i, 1.0)
-    band = 4 * (n_others + 2) * 2**-53 * max(with_i[-1], 1.0)
-    clear = 0 < first_k <= n_others and (
-        with_i[first_k - 1] < 1.0 - band and 1.0 + band < with_i[first_k]
-    )
+    cover = _cover(o_caps, sums)
+    cost, cap = costs[i], caps[i]
+    # where i's cap with the others' first caps completes the job: at a rank
+    # r <= cover, the caps filled up to a position p >= r are i's and the
+    # others' first p, whatever r is, so the boundary is max(r, first_k).
+    # s + cap adds the same caps in another sequence, which errs as little.
+    first_k = _cover([cap, *o_caps], [cap, *[s + cap for s in sums]])
+    if first_k > len(others):
+        raise InfeasibleJob(math.fsum(caps))
     tails = {}  # the payment tail behind each boundary position
     rests = {}  # the boundary worker's fraction at (position k, i before k)
     u = []
@@ -410,18 +402,7 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
         if r > cover:  # the rule writes 0.0 past the boundary
             u.append(0.0)
             continue
-        if r >= first_k:  # the sum at i's own rank, with_i[r], completes the job
-            k = r
-        elif clear:
-            k = first_k
-        else:
-            # in the band: sum on from i's cap, as sw_greedy does, to the cap
-            # that completes the job; i's cap raises every later sum (rounding
-            # is monotone), so that is at most one past the cover
-            cums = list(accumulate(o_caps[r : cover + 1], initial=with_i[r]))
-            k = r + bisect_left(cums, 1.0)
-            if k > n_others:
-                raise InfeasibleJob(cums[-1])
+        k = r if r > first_k else first_k  # max(r, first_k), without the call
         # the caps filled before position k are the others' first k - 1 and
         # i's when i ranks before k, else the others' first k; fsum is
         # correctly rounded, so the remainder reads only that multiset
@@ -431,20 +412,12 @@ def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
         if rest is None:
             full = [*o_caps[: k - 1], cap] if before else o_caps[:k]
             rest = rests[k, before] = _remainder(full, at_k)
-        if rest > 0:
-            last, room = k, at_k - rest
-        else:  # the last positive cap before k, in bid order, is filled, with no room left
-            full = [*o_caps[:r], cap, *o_caps[r : k - 1]] if before else o_caps[:k]
-            last, room = next(p for p in reversed(range(k)) if full[p]), 0.0
-        if last < r:  # a zero remainder left i past the boundary
-            u.append(0.0)
-            continue
-        tail = tails.get(last)
+        tail = tails.get(k)
         if tail is None:
-            tail = tails[last] = _payment_tail(o_bids[last:], o_caps[last:], c_bar)
-        if last == r:  # i is the boundary worker, whose row skips its own slack
+            tail = tails[k] = _payment_tail(o_bids[k:], o_caps[k:], c_bar)
+        if before:
+            b_k, room = o_bids[k - 1], at_k - rest
+        else:  # i is the boundary worker, whose row skips its own slack
             b_k, room = b, 0.0
-        else:
-            b_k = o_bids[last - 1]
-        u.append(_payment_row(tail, b_k, room, rest if r == k else cap, cost)[1])
+        u.append(_payment_row(tail, b_k, room, cap if before else rest, cost)[1])
     return max(u[first:]) - u[0]

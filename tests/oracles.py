@@ -10,8 +10,9 @@ worker's outcomes one scalar draw at a time by the k-th-activation rule that
 ``sample_population`` draws the population with three scalar draws per
 worker, the values ``crowdmarket.sample_population`` computes from one draw
 of standard uniforms.
-``delta_separation`` reads the slack an allocation leaves on its boundary
-worker, and ``knot_grid`` lists bids at which a worker reaches every bid
+``literal_cover`` finds where caps in bid order cover a job, one ``fsum``
+per position.  ``delta_separation`` reads the slack an allocation leaves on
+its boundary worker, and ``knot_grid`` lists bids at which a worker reaches every bid
 order open to it.  ``literal_sweep`` is a deviation sweep built from
 ``utility_at_bid``, one public ``sw_greedy`` and ``job_payments`` call per bid,
 which ``crowdmarket.deviation_sweep`` must match bit for bit.
@@ -70,6 +71,17 @@ def truncated_mean(
         if log_term <= 0 or x * x * log_term <= u * k:
             total += x
     return total / s
+
+
+def literal_cover(c_sorted) -> int:
+    """The first position ``p`` at which ``math.fsum(c_sorted[:p + 1])``
+    reaches one, for caps ``c_sorted`` in bid order, or ``len(c_sorted)``
+    when they fall short: where ``sw_greedy`` puts the boundary worker."""
+    caps = [float(c) for c in c_sorted]
+    for p in range(len(caps)):
+        if math.fsum(caps[: p + 1]) >= 1.0:
+            return p
+    return len(caps)
 
 
 def delta_separation(alloc, caps) -> float:

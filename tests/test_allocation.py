@@ -3,6 +3,7 @@
 Tests marked ``on_both_branches`` run once on Python floats and once on
 numpy arrays, whatever their worker count."""
 
+import itertools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from conftest import (
     reference_config,
     reference_recipe,
 )
-from oracles import delta_separation
+from oracles import delta_separation, literal_cover
 
 
 @on_both_branches
@@ -145,8 +146,9 @@ def test_sorted_bids_are_byte_equal_and_fix_up_shortcut_is_exact(n, seed):
     assert presorted.k_pos == alloc.k_pos
     assert presorted.bid_order.tobytes() == alloc.bid_order.tobytes()
     c_sorted = caps[alloc.bid_order]
-    k_pos = int(c_sorted.cumsum().searchsorted(1.0))
-    assert alloc.fractions[alloc.bid_order[k_pos]] == literal_rest(c_sorted, k_pos)
+    k_pos = literal_cover(c_sorted)
+    assert alloc.k_pos == k_pos
+    assert alloc.fractions[alloc.bid_order[k_pos]] == literal_rest(c_sorted, k_pos) > 0.0
 
 
 @on_both_branches
@@ -162,25 +164,34 @@ def test_fix_up_below_one_half_moves_the_remainder_by_an_ulp():
 
 
 @on_both_branches
-def test_boundary_takes_nothing_when_the_full_caps_cover_the_job_exactly():
-    """Ten caps of 0.1 sum to just below one in sequence, which makes the
-    eleventh worker the boundary, but to exactly one under exact summation:
-    the eleventh takes nothing and the tenth is the last active worker."""
+def test_boundary_is_where_the_fsum_of_the_caps_reaches_one():
+    """Ten caps of 0.1 sum to just below one in sequence, but to exactly one
+    by ``fsum``, which decides: the tenth worker completes the job, as the
+    boundary worker, and takes what the first nine leave, and the eleventh
+    takes nothing."""
     caps = np.array([0.1] * 10 + [0.5])
     assert caps.cumsum()[9] < 1.0 == math.fsum(caps[:10].tolist())
+    assert literal_cover(caps) == 9
     alloc = sw_greedy(np.arange(11.0), caps)
-    assert alloc.fractions.tolist() == [0.1] * 10 + [0.0]
+    assert alloc.fractions.tolist() == [0.1] * 9 + [0.09999999999999998, 0.0]
     assert (alloc.k_pos, alloc.bid_order[alloc.k_pos]) == (9, 9)
+    assert math.fsum(alloc.fractions) == 1.0
 
 
 @on_both_branches
 def test_infeasible_job_names_the_total_to_the_last_digit():
-    """Caps of 0.2, 0.7 and 0.1 in bid order sum to one ulp short of one,
-    and the message shows it."""
-    with pytest.raises(InfeasibleJob) as exc:
-        sw_greedy([3.0, 1.0, 2.0], [0.1, 0.2, 0.7])
-    assert exc.value.total_cap == 0.9999999999999999
-    assert str(exc.value) == "caps sum to 0.9999999999999999 < 1; job cannot be fully allocated"
+    """Caps of 0.1, 0.2 and 0.6999999999999998 sum to 0.9999999999999998 in
+    some bid orders and to 0.9999999999999999 in others.  Every order raises
+    with their ``fsum``, 0.9999999999999999, and the message shows it."""
+    caps = [0.1, 0.2, 0.6999999999999998]
+    sequential = set()
+    for bids in itertools.permutations([1.0, 2.0, 3.0]):
+        sequential.add(sum(caps[j] for j in np.argsort(bids)))
+        with pytest.raises(InfeasibleJob) as exc:
+            sw_greedy(list(bids), caps)
+        assert exc.value.total_cap == 0.9999999999999999
+        assert str(exc.value) == "caps sum to 0.9999999999999999 < 1; job cannot be fully allocated"
+    assert sequential == {0.9999999999999998, 0.9999999999999999}
 
 
 @on_both_branches

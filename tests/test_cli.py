@@ -241,6 +241,8 @@ def test_repeated_config_key_exits_3(tmp_path, capsys):
         (None, ["simulate", "--seed", "-1"], 3),
         (("seed = 11", "seed = -3"), ["simulate"], 3),
         (("sigma_log = 0.25", "sigma_log = 30"), ["simulate"], 3),
+        # a bound u_rho keeps the defaults from overflowing, but draws underflow
+        (("sigma_log = 0.25", "sigma_log = 40\nu_rho = 1e300"), ["simulate"], 3),
         (("beta_max = 35", "beta_max = 1e308"), ["simulate"], 3),
         # costs up to DBL_MAX, or at 1e307 over 60 jobs: the totals could overflow
         (("cost_max = 100", "cost_max = 1.7976931348623157e+308"), ["simulate"], 3),
@@ -258,7 +260,8 @@ def test_repeated_config_key_exits_3(tmp_path, capsys):
     ],
     ids=[
         "group count 2.5", "group cost abc", "simulate seed -1", "config seed -3",
-        "sigma_log 30", "beta_max 1e308", "cost_max DBL_MAX", "cost_max 1e307 x 60 jobs",
+        "sigma_log 30", "sigma_log 40", "beta_max 1e308", "cost_max DBL_MAX",
+        "cost_max 1e307 x 60 jobs",
         "alpha 1e306", "u_rho 1e308",
         "dsic-test seed -1", "dsic-test max-workers 2**63", "dsic-test max-workers 2**64",
         "sweep seed 1.5", "sweep epsilon abc", "sweep delta nan",

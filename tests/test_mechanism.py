@@ -14,6 +14,7 @@ arrays, whatever their worker count, against the same literal rule.
 and so are the tail and row helpers it shares with the sweep.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -35,7 +36,7 @@ from crowdmarket import (
     sw_greedy,
 )
 
-from oracles import knot_grid, literal_sweep
+from oracles import knot_grid, literal_cover, literal_sweep
 from conftest import (
     BRANCHES,
     crossover,
@@ -162,7 +163,7 @@ def payment_instances(draw):
     caps[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
     target = draw(st.sampled_from([1.0, 1.001, 1.3, 3.0]))
     caps = np.minimum(1.0, caps / max(caps.sum(), 1e-12) * target)
-    assume(caps[bids.argsort(kind="stable")].cumsum()[-1] >= 1.0)  # sw_greedy's test
+    assume(literal_cover(caps[bids.argsort(kind="stable")]) < n)  # sw_greedy's test
     if draw(st.booleans()):
         true_costs = bids
     else:
@@ -274,7 +275,7 @@ FIX_UP_CAPS = [0.12897873630177883, 0.015148427668818855, 0.09453055554283875, 1
 
 
 @example((np.arange(4.0), np.array(FIX_UP_CAPS), None, 4.0, False))  # the fix-up moves rest
-@example((np.arange(11.0), np.array([0.1] * 10 + [0.5]), None, 11.0, True))  # rest == 0
+@example((np.arange(11.0), np.array([0.1] * 10 + [0.5]), None, 11.0, True))  # cover by fsum
 @example((np.array([2.0, 5.0]), np.array([0.7, 0.3]), np.array([3.0, 1.0]), 9.0, False))
 @example((np.ones(33), np.full(33, 1 / 32), None, 1.0, True))  # ties, bids on c_bar
 @given(inst=branch_instances())
@@ -666,8 +667,8 @@ EXACT_COVER = FrozenInstance(
     cost_bounds=(1.0, 5.0),
 )
 # Workers 2, 3 and 0 cap 0.7, 0.2 and 0.1: 0.9999999999999999 in bid order,
-# 1.0 by fsum.  Worker 1 bidding 3.0 ranks after them and still takes its
-# cap of 2e-17, as the boundary worker; grid seed 17 gives it the grid [3.0].
+# 1.0 by fsum, so they cover the job.  Worker 1 bidding 3.0 ranks after them,
+# past the boundary; grid seed 17 gives it the grid [3.0].
 SHORT_COVER = FrozenInstance(
     costs=np.array([3.0, 1.5, 2.0, 2.5, 4.0]), caps=np.array([0.1, 2e-17, 0.7, 0.2, 0.5]),
     cost_bounds=(1.0, 5.0),
@@ -703,51 +704,36 @@ OUT_OF_BOUNDS = FrozenInstance(
     costs=np.array([1.0, 2.5, 5.0]), caps=np.array([0.4, 0.5, 0.5]), cost_bounds=(1.0, 5.0),
 )
 
-# Worker 3 (cap 0.1) ranks after the caps 0.7 and 0.2 of workers 0 and 1, at
-# rank 2, or after worker 2's zero cap too, at rank 3.  Either way the caps
-# sum to 0.9999999999999999 in bid order, so worker 4's cap completes the
-# job at position 4, and to 1.0 by fsum, a zero remainder.  So both ranks
-# share the boundary and the remainder, but not the last positive cap before
-# it: worker 3's own, at position 2 or 3.  Grid seed 0 gives worker 3,
-# truthfully at rank 2, the given grid [4.0], at rank 3.
-SHARED_ZERO_REST = FrozenInstance(
-    costs=np.array([1.5, 2.0, 3.0, 2.5, 4.0]), caps=np.array([0.7, 0.2, 0.0, 0.1, 0.5]),
-    cost_bounds=(1.0, 5.0),
-)
-
-
 def _covered_before(inst, i, b):
     """True when the caps of the workers that bid before worker ``i``,
-    bidding ``b``, sum to at least one, added up in bid order."""
+    bidding ``b``, cover the job by ``oracles.literal_cover``."""
     bids = inst.costs.copy()
     bids[i] = b
     order = bids.argsort(kind="stable").tolist()
     before = order[: order.index(i)]
-    return bool(before) and np.cumsum(inst.caps[before])[-1] >= 1.0
+    return literal_cover(inst.caps[before]) < len(before)
 
 
 def _boundary_of(inst, i, b):
-    """Where the caps, summed in bid order (by an independent ``np.cumsum``)
-    when worker ``i`` bids ``b``, first reach one, and whether ``i`` ranks
-    before that position."""
+    """Where ``oracles.literal_cover`` puts the boundary when worker ``i``
+    bids ``b``, and whether ``i`` ranks before that position."""
     bids = inst.costs.copy()
     bids[i] = b
     order = bids.argsort(kind="stable").tolist()
-    k = int(np.cumsum(inst.caps[order]).searchsorted(1.0))
+    k = literal_cover(inst.caps[order])
     return k, order.index(i) < k
 
 
 def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
     """With distinct costs inside the bounds every rank is reachable, so the
     grid holds n bids, on random instances and on the two whose caps cover
-    the job exactly or just short of it.  A sweep calls neither
+    the job exactly, in sequence or by fsum only.  A sweep calls neither
     ``sw_greedy`` nor ``job_payments``, and solves every bid but those that
-    the others' caps (summed in bid order, by an independent ``np.cumsum``)
-    cover the job ahead of.  It runs ``_remainder`` once for each distinct
-    pair, among the solved bids, of the boundary position and whether ``i``
-    ranks before it, and builds the payment tail once for each distinct set
-    of workers after the boundary that a bid at or before the boundary
-    leaves."""
+    the others' caps cover the job ahead of, by ``oracles.literal_cover``.
+    It runs ``_remainder`` once for each distinct pair, among the solved
+    bids, of the boundary position and whether ``i`` ranks before it, and
+    builds the payment tail once for each distinct set of workers after the
+    boundary that a bid at or before the boundary leaves."""
     calls = {"sw_greedy": 0, "_remainder": 0, "_payment_tail": 0, "job_payments": 0}
 
     def counted(name):
@@ -918,7 +904,6 @@ def _swept_workers(inst):
 @example(inst=ZERO_CAP, grid_seed=0)
 @example(inst=FIX_UP_CAPS, grid_seed=2)
 @example(inst=OUT_OF_BOUNDS, grid_seed=306)
-@example(inst=SHARED_ZERO_REST, grid_seed=0)
 @given(inst=SWEPT_INSTANCES, grid_seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 @on_both_branches
@@ -1023,22 +1008,25 @@ def test_grid_of_a_bad_instance_raises(inst):
             deviation_grid(inst, i)
 
 
-# Feasible at truthful bids, where the caps sum to 1.0 in bid order, but
-# worker 0's rank-2 bid orders them 0.2, 0.7, 0.1, which sum to
-# 0.9999999999999999.
+# The caps sum to 1.0 in the truthful bid order, but worker 0's rank-2 bid
+# orders them 0.2, 0.7, 0.1, which sum to 0.9999999999999999 in sequence.
+# By fsum both orders reach 1.0.
 ORDER_SHORT = _bad(caps=(0.1, 0.2, 0.7))
 
 
 @on_both_branches
-def test_sweep_of_a_feasible_instance_raises_where_a_deviation_sums_short():
-    """Feasibility is decided by a sequential sum of the caps in bid order,
-    so a deviation can leave a feasible job short: the sweep and the oracle
-    both raise ``InfeasibleJob`` at that deviation's total."""
-    assert sw_greedy(ORDER_SHORT.costs, ORDER_SHORT.caps).fractions.tolist() == [0.1, 0.2, 0.7]
-    for sweep in (deviation_sweep, literal_sweep):
-        with pytest.raises(InfeasibleJob) as exc:
-            sweep(ORDER_SHORT, 0)
-        assert exc.value.total_cap == 0.9999999999999999, sweep
+def test_sweep_of_a_feasible_instance_covers_the_job_at_every_rank():
+    """Whether a job is covered reads only which caps are filled, not the
+    order of the adds: worker 0's rank-2 deviation, whose caps fall one ulp
+    short of one in sequence, covers the job as the truthful bids do, and
+    every worker's sweep equals the oracle's, by ``repr``."""
+    caps = ORDER_SHORT.caps
+    assert sw_greedy(ORDER_SHORT.costs, caps).fractions.tolist() == [0.1, 0.2, 0.7]
+    assert caps[[1, 2, 0]].cumsum()[-1] == 0.9999999999999999
+    deviated = sw_greedy([4.0, 2.0, 3.0], caps)
+    assert deviated.bid_order[deviated.k_pos] == 0 and math.fsum(deviated.fractions) == 1.0
+    for i in range(3):
+        assert repr(deviation_sweep(ORDER_SHORT, i)) == repr(literal_sweep(ORDER_SHORT, i)), i
 
 
 def _short_caps(n: int, seed: int) -> FrozenInstance:
@@ -1101,28 +1089,69 @@ def _sweep_outcome(sweep, inst, i):
 
 
 # Worker 0's bids at ranks 0 to 2, its truthful bid first, reach 1.0 with
-# the fourth cap in bid order, but the others' first three caps with its own
-# after them sum to 0.9999999999999999.  A sweep that took every rank's
-# boundary from the latter sums, with no band, would put it one position
-# later and find a gain of 0.0, not the oracle's 5.551115123125783e-17.
+# the fourth cap in bid order, but at rank 3 the others' first three caps
+# with its own after them sum to 0.9999999999999999 in sequence.  By fsum
+# all four ranks reach 1.0 at the fourth position.  A sequential cover moved
+# rank 3's boundary one position on and gave worker 0 a gain of
+# 5.551115123125783e-17.  Workers 2 and 3 still gain 1.1102230246251565e-16
+# and 5.551115123125783e-17, through the rounding of the remainder.
 DECIMAL_CROSS = _bad(costs=(1.0, 2.0, 3.0, 4.0, 5.0), caps=(0.1, 0.2, 0.5, 0.2, 0.1))
 
 
 @example(inst=ORDER_SHORT)
 @example(inst=DECIMAL_CROSS)
-@example(inst=_decimal_caps(4130286196, 41, 10, 1))  # with no band, worker 27 gains less
+@example(inst=_decimal_caps(4130286196, 41, 10, 1))  # a sequential cover let worker 27 gain
 @given(inst=near_one_instances())
 @settings(max_examples=100, deadline=None)
 @on_both_branches
 def test_sweep_of_caps_that_sum_to_one_within_a_few_ulps_matches_the_oracle(inst):
-    """Where the caps sum to within a few ulps of 1, the boundary and
-    feasibility of a rank depend on the order of the adds, so the sweep
-    re-sums that rank's caps: its gain, or its ``InfeasibleJob`` and total,
-    equals ``oracles.literal_sweep``'s, by ``repr``.  The instances reach
-    ranks on both sides of the band, and caps that fall short."""
+    """Where the caps sum to within a few ulps of 1, their sequential sums
+    reach one at other positions in other bid orders, and ``fsum`` decides
+    the cover.  The sweep's gain, or its ``InfeasibleJob`` and total, equals
+    ``oracles.literal_sweep``'s, by ``repr``: on ranks before and after the
+    cover, and on caps that fall short."""
     for i in _swept_workers(inst):
         want = _sweep_outcome(literal_sweep, inst, i)
         assert _sweep_outcome(deviation_sweep, inst, i) == want, i
+
+
+def _greedy_outcome(bids, caps):
+    try:
+        return sw_greedy(bids, caps)
+    except InfeasibleJob as exc:
+        return repr(exc.total_cap)
+
+
+@example(inst=ORDER_SHORT, seed=0)
+@example(inst=DECIMAL_CROSS, seed=0)
+@given(inst=near_one_instances(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+@on_both_branches
+def test_cover_of_caps_near_one_does_not_depend_on_the_bid_order(inst, seed):
+    """Caps that sum to within a few ulps of 1, allocated at the costs and
+    at ten shuffles of them of each of two kinds: among all workers, and
+    among the workers filled before the boundary.  Every order raises
+    ``InfeasibleJob`` at one total, or covers the job; and a shuffle of the
+    second kind keeps the filled set, so it covers at the same boundary
+    worker with the same fractions, bit for bit."""
+    rng = np.random.default_rng(seed)
+    caps = inst.caps
+    truthful = _greedy_outcome(inst.costs, caps)
+    for _ in range(10):
+        shuffled = _greedy_outcome(rng.permutation(inst.costs), caps)
+        if isinstance(truthful, str):
+            assert shuffled == truthful
+        else:
+            assert not isinstance(shuffled, str), shuffled
+    if isinstance(truthful, str):
+        return
+    order, k = truthful.bid_order, truthful.k_pos
+    for _ in range(10):
+        bids = inst.costs.copy()
+        bids[order[:k]] = rng.permutation(bids[order[:k]])
+        moved = sw_greedy(bids, caps)
+        assert moved.bid_order[moved.k_pos] == order[k]
+        assert moved.fractions.tobytes() == truthful.fractions.tobytes()
 
 
 @on_both_branches
@@ -1156,7 +1185,7 @@ def test_random_instance_is_feasible():
     rng = np.random.default_rng(0)
     for _ in range(200):
         inst = random_frozen_instance(rng)
-        assert inst.caps.sum() >= 1.0
+        assert math.fsum(inst.caps.tolist()) >= 1.0
         assert np.all(inst.caps <= 1.0)
         assert np.all((inst.costs >= 1.0) & (inst.costs <= 10.0))
 
