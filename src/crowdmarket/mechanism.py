@@ -23,20 +23,19 @@ rank among the other bids (ties broken by worker id).  The grid holds one
 bid per rank the worker can reach, its own cost first, which finds the
 maximum exactly.  Every bid is solved in rank space, with ``sw_greedy``'s
 cover rule: a job is covered where the ``fsum`` of the filled caps reaches
-one, whatever the order of the adds.  Where the other workers' caps cover
-the job ahead of the worker's rank, it is past the boundary and the rule
-writes ``0.0``.  At any other rank, the boundary is the worker's own rank
-or, if later, where its cap with the others' first caps covers the job:
-two searches per sweep place it for every rank.  The boundary worker's
-fraction and the payment tail behind it are each built once per boundary
-position in a sweep, and price the worker's row.
+one, whatever the order of the adds.  Two searches per sweep split the
+ranks into three classes.  Before the rank where the worker's cap with the
+others' first caps covers the job, it takes its full cap and the payment
+does not read its bid (Myerson's identity), so one row prices the whole
+class.  From there until the others' caps cover the job, the worker is the
+boundary, and each rank is priced at its own remainder and tail.  Past
+that, the rule writes ``0.0``.
 
-The sweeps of one instance share their start: the same checked costs and
-caps and the same (cost, id) order of all workers.  A ``FrozenInstance``
-derives both once, on first use, and a worker's sweep takes the others'
-order as that order without it.  No sweep calls ``sw_greedy``: the
-instance checks what it checks, and the sweep's own solve of the truthful
-bid raises its ``InfeasibleJob``.
+A ``FrozenInstance`` checks its costs and caps once, on first use, and
+keeps them as lists with the one (cost, id) order of all workers that
+every grid and sweep of it reads.  No sweep calls ``sw_greedy``: the
+instance checks what it checks, and the sweep's own solve raises its
+``InfeasibleJob``.
 """
 
 from __future__ import annotations
@@ -233,10 +232,10 @@ class FrozenInstance:
     read-only float array that owns its data, as ``random_frozen_instance``
     hands over, is kept without a copy.
 
-    What every deviation sweep of the instance shares is derived once, on
-    first use: the instance checks, the costs and caps as lists, and the
-    (cost, id) order of all workers, clipped to the cost bounds and not.
-    Nothing that failed is kept, so a bad instance raises on every sweep.
+    What every deviation grid and sweep of the instance shares is derived
+    once, on first use: the instance checks, the costs and caps as lists,
+    and the one (cost, id) order of all workers.  Nothing that failed is
+    kept, so a bad instance raises on every sweep.
     """
 
     costs: np.ndarray
@@ -251,7 +250,7 @@ class FrozenInstance:
     @cached_property
     def _shared(self) -> tuple:
         """The costs and caps as lists, and the (cost, id) order of all
-        workers, unclipped and clipped to the cost bounds.  Raises
+        workers, as ``sw_greedy`` sorts the truthful bids.  Raises
         ``ValueError`` unless costs and caps are finite vectors of one length
         with the caps in [0, 1], and the bounds are finite with ``lo <= hi``."""
         costs, caps = self.costs, self.caps
@@ -265,11 +264,7 @@ class FrozenInstance:
             raise ValueError("costs must be finite")
         if caps:  # an instance of no workers has no index to sweep
             _check_caps(caps)
-        order = sorted(zip(costs, range(len(costs))))
-        if not order or (lo <= order[0][0] and order[-1][0] <= hi):  # clipping keeps every cost
-            return costs, caps, order, order
-        clipped = sorted((min(max(c, lo), hi), j) for j, c in enumerate(costs))
-        return costs, caps, order, clipped
+        return costs, caps, sorted(zip(costs, range(len(costs))))
 
 
 def random_frozen_instance(
@@ -301,123 +296,104 @@ def random_frozen_instance(
 def deviation_grid(instance: FrozenInstance, i: int) -> list:
     """A list of one bid per bid order worker ``i`` can reach, own cost first.
 
-    Rank r puts ``i`` after the r lowest other bids (clipped to the cost
-    bounds, ties by worker id).  A midpoint reaches the rank between two
+    Every bid lies inside the cost bounds, so an other bidding below the
+    lower bound ranks before each of them and one above the upper bound
+    after: rank r puts ``i`` after those below and the r lowest others
+    inside (ties by worker id).  A midpoint reaches the rank between two
     distinct bids.  A rank between equal bids, or between a bid on a bound
     and that bound, is reached only by that bid and only if the ids put
-    ``i`` there.  Raises ``ValueError`` on an instance or ``i`` as a sweep
-    does: non-finite costs and caps outside [0, 1] included.  The instance
-    checks and the clipped bid order are the instance's, made once; the
-    others' order is that order without ``i``."""
-    costs, _, _, clipped = _check_worker(instance, i)
-    lo, hi = instance.cost_bounds
-    own = (costs[i], i)
-    others = [o for o in clipped if o[1] != i]
-    own_rank = bisect_left(others, own)
-    ends = [(lo, -1), *others, (hi, len(costs))]  # each bound sorts outside its side
-    grid = [own[0]]
-    for r, ((a, ja), (b, jb)) in enumerate(zip(ends, ends[1:])):
-        if r != own_rank and (a < b or ja < i < jb):
-            grid.append(0.5 * (a + b) if a < b else a)
-    return grid
-
-
-def _check_worker(instance: FrozenInstance, i: int) -> tuple:
-    """The instance's shared sweep state, once ``i`` is checked to be an
-    integer worker index: a Python or numpy int, not a bool."""
-    shared = instance._shared
+    ``i`` there.  The instance's (cost, id) order is the only order read.
+    Raises ``ValueError`` on an instance as a sweep does, non-finite costs
+    and caps outside [0, 1] included, and unless ``i`` is an int (a numpy
+    one included, a bool not) with ``0 <= i < n``."""
+    costs, _, order = instance._shared
+    n = len(costs)
     if type(i) is not int and not isinstance(i, np.integer):
         raise ValueError(f"worker index must be an integer, got {i!r}")
-    n = len(shared[0])
     if not 0 <= i < n:
         raise ValueError(f"worker index {i} outside [0, {n})")
-    return shared
+    lo, hi = map(float, instance.cost_bounds)  # numpy bounds would give numpy bids
+    low, high = (lo, -1), (hi, n)  # each bound sorts outside its side
+    others = [o for o in order if o[1] != i]
+    cut = bisect_left(others, low)  # the others below the bounds
+    own_rank = bisect_left(others, (costs[i], i)) - cut
+    ends = [low, *others[cut : bisect_left(others, high)], high]
+    grid = [costs[i]]
+    for r, ((a, ja), (b, jb)) in enumerate(zip(ends, ends[1:])):
+        if r != own_rank and (a < b or ja < i < jb):
+            # halves first: a + b can overflow where neither does
+            grid.append(0.5 * a + 0.5 * b if a < b else a)
+    return grid
 
 
 def deviation_sweep(instance: FrozenInstance, i: int, grid=None) -> float:
     """Best utility gain worker ``i`` can achieve by unilateral misreporting.
 
     The learning state (caps) stays frozen, other workers bid truthfully, and
-    the return value is ``max_b u_i(b) - u_i(c_i)``; a non-positive result
-    certifies that no profitable deviation exists on the grid.  Without a
-    ``grid``, each bid of :func:`deviation_grid` is evaluated once; a given
-    ``grid`` is evaluated after the truthful bid.  Each utility is
-    ``job_payments``'s at ``c_bar`` = the upper cost bound, bit for bit.
+    the return value is ``max_b u_i(b) - u_i(c_i)`` over the bids of
+    :func:`deviation_grid`, one per rank ``i`` can reach, its own cost
+    first; a non-positive result certifies that no profitable deviation
+    exists.  Each utility is ``job_payments``'s at ``c_bar`` = the upper
+    cost bound, bit for bit.  ``grid`` must be ``None``.
 
-    Every sweep of the instance shares its checks and the (cost, id) order
-    of all workers, as ``sw_greedy`` sorts them.  Every bid is solved in
-    rank space: the other workers are that order without ``i``, and
-    ``_cover`` decides where caps cover the job, as in ``sw_greedy``.  A
-    bid that ranks ``i`` after the others' prefix that covers the job
-    leaves it past the boundary, where the rule writes ``0.0``.  At any
-    other rank ``r``, the caps filled up to a position ``p >= r`` are
-    ``i``'s and the others' first ``p``, whatever ``r`` is, so the boundary
-    is ``max(r, first_k)``, with ``first_k`` where those caps first cover
-    the job.  ``_remainder`` gives the boundary worker's fraction.  Its
-    ``fsum`` is correctly rounded, so that fraction depends only on the
-    boundary position and on whether ``i`` ranks before it, which fixes the
-    multiset of caps filled before it.  The payment tail depends only on
-    where the boundary falls among the others.  So each boundary position's
-    tail and remainder are built once per sweep, and ``_payment_row`` prices
-    ``i``'s row from them.
+    Every bid is solved in rank space: the other workers are the instance's
+    (cost, id) order without ``i``, and ``_cover`` decides where caps cover
+    the job, as in ``sw_greedy``.  ``cover`` is where the others' caps
+    cover it, and ``first_k`` where ``i``'s cap with the others' first caps
+    does.  A rank ``r`` falls in one of three classes:
 
-    Raises ``ValueError`` unless ``i`` is an int (a numpy one included, a
-    bool not) with ``0 <= i < n``, costs and caps are vectors of one length
-    and the bounds are finite with ``lo <= hi``, on a non-finite bid, a cap
-    outside [0, 1] or an empty ``grid``; and :class:`InfeasibleJob`, at
+    - ``r < first_k``: ``i`` takes its full cap and the other at position
+      ``first_k`` is the boundary, whatever ``r`` is.  The payment does not
+      read the bid (Myerson's identity), so one row serves the class.
+    - ``first_k <= r <= cover``: ``i`` is the boundary at position ``r``.
+      Its fraction is the remainder after the others' first ``r`` caps,
+      its payment tail the others from ``r`` on, and its row is priced at
+      its own bid, as ``job_payments`` prices it.
+    - ``r > cover``: the others cover the job ahead of ``i``, which is past
+      the boundary, where the rule writes ``0.0``.
+
+    The first two classes share the tail at ``first_k``.
+
+    Raises ``ValueError`` on a ``grid`` other than ``None``, and where
+    :func:`deviation_grid` does; and :class:`InfeasibleJob`, at
     ``sw_greedy``'s total and before any bid is solved, when the caps fall
     short of one, which no bid order changes.  Nothing that failed is kept,
     so a bad instance raises on every sweep.
     """
-    if grid is None:
-        first, grid = 0, deviation_grid(instance, i)  # checks the instance
-        costs, caps, order, _ = instance._shared
-    else:  # a given grid follows the truthful bid
-        costs, caps, order, _ = _check_worker(instance, i)
-        first, grid = 1, [costs[i], *grid]
+    if grid is not None:  # the keyword stays for perfbench's self-test, which passes None
+        raise ValueError(f"grid must be None, got {type(grid).__name__}")
+    grid = deviation_grid(instance, i)  # checks the instance and i
+    costs, caps, order = instance._shared
     c_bar = float(instance.cost_bounds[1])
     others = [o for o in order if o[1] != i]
     o_bids = [c for c, _ in others]
     o_caps = [caps[j] for _, j in others]
     sums = list(accumulate(o_caps))
-    # the position of the other whose cap completes the job; a rank after it
-    # leaves i past the boundary
     cover = _cover(o_caps, sums)
     cost, cap = costs[i], caps[i]
-    # where i's cap with the others' first caps completes the job: at a rank
-    # r <= cover, the caps filled up to a position p >= r are i's and the
-    # others' first p, whatever r is, so the boundary is max(r, first_k).
-    # s + cap adds the same caps in another sequence, which errs as little.
+    # at a rank r <= cover, the caps filled up to a position p >= r are i's
+    # and the others' first p, whatever r is, so the boundary is
+    # max(r, first_k).  s + cap adds the same caps in another sequence,
+    # which errs as little.
     first_k = _cover([cap, *o_caps], [cap, *[s + cap for s in sums]])
     if first_k > len(others):
         raise InfeasibleJob(math.fsum(caps))
-    tails = {}  # the payment tail behind each boundary position
-    rests = {}  # the boundary worker's fraction at (position k, i before k)
+    tail = held = None  # the tail at first_k, and the row of every r < first_k
     u = []
     for b in grid:
-        b = float(b)
-        if not math.isfinite(b):
-            raise ValueError("bids must be finite")
         r = bisect_left(others, (b, i))  # i's position in the bid order
         if r > cover:  # the rule writes 0.0 past the boundary
             u.append(0.0)
             continue
-        k = r if r > first_k else first_k  # max(r, first_k), without the call
-        # the caps filled before position k are the others' first k - 1 and
-        # i's when i ranks before k, else the others' first k; fsum is
-        # correctly rounded, so the remainder reads only that multiset
-        before = r < k
-        at_k = o_caps[k - 1] if before else cap
-        rest = rests.get((k, before))
-        if rest is None:
-            full = [*o_caps[: k - 1], cap] if before else o_caps[:k]
-            rest = rests[k, before] = _remainder(full, at_k)
-        tail = tails.get(k)
-        if tail is None:
-            tail = tails[k] = _payment_tail(o_bids[k:], o_caps[k:], c_bar)
-        if before:
-            b_k, room = o_bids[k - 1], at_k - rest
+        if tail is None and r <= first_k:
+            tail = _payment_tail(o_bids[first_k:], o_caps[first_k:], c_bar)
+        if r < first_k:  # i fills its cap; the other at first_k is the boundary
+            if held is None:
+                at_k = o_caps[first_k - 1]
+                rest = _remainder([*o_caps[: first_k - 1], cap], at_k)
+                held = _payment_row(tail, o_bids[first_k - 1], at_k - rest, cap, cost)[1]
+            u.append(held)
         else:  # i is the boundary worker, whose row skips its own slack
-            b_k, room = b, 0.0
-        u.append(_payment_row(tail, b_k, room, cap if before else rest, cost)[1])
-    return max(u[first:]) - u[0]
+            behind = tail if r == first_k else _payment_tail(o_bids[r:], o_caps[r:], c_bar)
+            u.append(_payment_row(behind, b, 0.0, _remainder(o_caps[:r], cap), cost)[1])
+    return max(u) - u[0]

@@ -13,7 +13,7 @@ of standard uniforms.
 ``literal_cover`` finds where caps in bid order cover a job, one ``fsum``
 per position.  ``delta_separation`` reads the slack an allocation leaves on
 its boundary worker, and ``knot_grid`` lists bids at which a worker reaches every bid
-order open to it.  ``literal_sweep`` is a deviation sweep built from
+order open to it inside the cost bounds.  ``literal_sweep`` is a deviation sweep built from
 ``utility_at_bid``, one public ``sw_greedy`` and ``job_payments`` call per bid,
 which ``crowdmarket.deviation_sweep`` must match bit for bit.
 ``trace_to_csv`` writes a trace row by row through ``csv.writer``,
@@ -92,8 +92,9 @@ def delta_separation(alloc, caps) -> float:
 
 def knot_grid(instance, i):
     """The cost bounds, every bid (the crossing points) and the midpoints
-    between consecutive ones: between knots the bid order is fixed, so this
-    grid reaches every bid order worker ``i`` can reach, most of them twice."""
+    between consecutive ones, clipped to the bounds: between knots the bid
+    order is fixed, so this grid reaches every bid order worker ``i`` can
+    reach with a bid inside the bounds, most of them twice."""
     lo, hi = instance.cost_bounds
     others = np.delete(instance.costs, i)
     knots = np.concatenate([[lo, hi], others, [instance.costs[i]]])

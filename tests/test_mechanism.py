@@ -36,7 +36,7 @@ from crowdmarket import (
     sw_greedy,
 )
 
-from oracles import knot_grid, literal_cover, literal_sweep
+from oracles import knot_grid, literal_cover, literal_sweep, utility_at_bid
 from conftest import (
     BRANCHES,
     crossover,
@@ -386,8 +386,6 @@ def test_worker_index_outside_the_instance_raises(worked_instance):
             deviation_grid(swept, i)
         with pytest.raises(ValueError, match=outside):
             deviation_sweep(swept, i)
-        with pytest.raises(ValueError, match=outside):
-            deviation_sweep(swept, i, grid=np.array([2.0]))
 
 
 def test_worker_index_that_is_not_an_integer_raises(worked_instance):
@@ -401,13 +399,9 @@ def test_worker_index_that_is_not_an_integer_raises(worked_instance):
             deviation_grid(inst, i)
         with pytest.raises(ValueError, match="worker index must be an integer"):
             deviation_sweep(inst, i)
-        with pytest.raises(ValueError, match="worker index must be an integer"):
-            deviation_sweep(inst, i, grid=np.array([2.0]))
     for i in (np.int64(1), np.int32(2), np.intp(0)):
         assert deviation_grid(inst, i) == deviation_grid(inst, int(i))
         assert repr(deviation_sweep(inst, i)) == repr(deviation_sweep(inst, int(i)))
-        grid = np.array([1.5, 2.5])
-        assert repr(deviation_sweep(inst, i, grid)) == repr(deviation_sweep(inst, int(i), grid))
 
 
 def test_instance_arrays_are_read_only_copies(worked_instance):
@@ -435,23 +429,24 @@ def test_instance_arrays_are_read_only_copies(worked_instance):
     assert kept.costs is drawn.costs and kept.caps is drawn.caps
 
 
-def _gains(inst, order, grid=None) -> list:
-    return [repr(deviation_sweep(inst, i, grid)) for i in order]
+def _gains(inst, order, swept=deviation_sweep) -> list:
+    return [repr(swept(inst, i)) for i in order]
 
 
-@pytest.mark.parametrize("grid", [None, np.array([0.5, 1.5, 2.5, 4.0, 9.5])], ids=["rank", "given"])
+@pytest.mark.parametrize("swept", [deviation_sweep, deviation_grid], ids=["rank", "grid"])
 @on_both_branches
-def test_sweeps_of_one_instance_match_fresh_instances(grid):
-    """The state the sweeps of an instance share changes no gain: sweeping
-    its workers in reverse order, or one worker twice, gives each worker's
-    gain bit for bit as a fresh instance per sweep does."""
+def test_sweeps_of_one_instance_match_fresh_instances(swept):
+    """The state the sweeps and grids of an instance share changes no gain
+    and no grid: sweeping its workers in reverse order, or one worker twice,
+    gives each worker's result bit for bit as a fresh instance per call
+    does."""
     rng = np.random.default_rng(11)
     for inst in [*(random_frozen_instance(rng) for _ in range(20)), TIED, SHORT_COVER]:
         n = len(inst.costs)
-        fresh = [_gains(replace(inst), [i], grid)[0] for i in range(n)]
+        fresh = [_gains(replace(inst), [i], swept)[0] for i in range(n)]
         shared = replace(inst)
-        assert _gains(shared, reversed(range(n)), grid) == fresh[::-1]
-        assert _gains(shared, [n - 1, 0, 0], grid) == [fresh[-1], fresh[0], fresh[0]]
+        assert _gains(shared, reversed(range(n)), swept) == fresh[::-1]
+        assert _gains(shared, [n - 1, 0, 0], swept) == [fresh[-1], fresh[0], fresh[0]]
 
 
 def test_replaced_caps_are_swept():
@@ -548,11 +543,14 @@ def test_job_records_are_slotted_and_replaceable(worked):
 
 
 def test_deviation_overbid_outside_active_set_changes_nothing(worked_instance):
+    """Worker 2, past the boundary at its cost, never enters by overbidding:
+    at its cost and at the rank-grid bid past a fourth worker's cost, its
+    utility is pinned at zero."""
     bids, caps = worked_instance
-    inst = FrozenInstance(costs=bids, caps=caps, cost_bounds=(1.0, 3.0))
-    # worker 2 never enters by overbidding; utility pinned at zero
-    grid = np.array([3.0])
-    assert deviation_sweep(inst, 2, grid=grid) == 0.0
+    inst = FrozenInstance(costs=np.append(bids, 4.0), caps=np.append(caps, 0.5), cost_bounds=(1.0, 5.0))
+    over = [b for b in deviation_grid(inst, 2) if b >= inst.costs[2]]
+    assert over == [3.0, 4.5]
+    assert [utility_at_bid(inst, 2, b) for b in over] == [0.0, 0.0]
 
 
 @on_both_branches
@@ -571,10 +569,13 @@ def test_deviation_underbid_into_active_set_hurts(worked_instance):
 
 
 def test_deviation_underbid_inside_active_set_is_neutral(worked_instance):
+    """Worker 0, filled to its cap ahead of the boundary, underbids past a
+    fourth worker at the rank-grid bid 0.65: its allocation and payment stay
+    fixed, so its utility is its truthful one exactly."""
     bids, caps = worked_instance
-    inst = FrozenInstance(costs=bids, caps=caps, cost_bounds=(1.0, 3.0))
-    grid = np.array([1.0])  # worker 0 underbids; allocation and payment fixed
-    assert deviation_sweep(inst, 0, grid=grid) == pytest.approx(0.0, abs=1e-12)
+    inst = FrozenInstance(costs=np.append(bids, 0.8), caps=np.append(caps, 0.2), cost_bounds=(0.5, 3.0))
+    assert deviation_grid(inst, 0)[:2] == [1.0, 0.65]
+    assert utility_at_bid(inst, 0, 0.65) == utility_at_bid(inst, 0, 1.0)
 
 
 def test_deviation_grid_contains_crossings_and_endpoints(worked_instance):
@@ -590,10 +591,11 @@ def test_deviation_grid_contains_crossings_and_endpoints(worked_instance):
 
 
 def test_deviation_grid_clips_the_other_costs_to_the_bounds():
-    """Costs outside the bounds enter the others' order clipped, so each
-    midpoint lies inside the bounds (3.5, not 4.0, between 2.0 and the
-    clipped 6.0; 1.5, not 1.25, between the clipped 0.5 and 2.0).  A
-    worker's own cost, first in its grid, is not clipped."""
+    """An other's cost outside the bounds ranks outside every bid inside
+    them, so each midpoint lies inside the bounds (3.5, not 4.0, between 2.0
+    and the upper bound under 6.0; 1.5, not 1.25, between the lower bound
+    over 0.5 and 2.0).  A worker's own cost, first in its grid, is not
+    clipped."""
     inst = FrozenInstance(costs=np.array([0.5, 2.0, 6.0]), caps=np.array([0.6, 0.6, 0.6]),
                           cost_bounds=(1.0, 5.0))
     assert [deviation_grid(inst, i) for i in range(3)] == [[0.5, 3.5], [2.0], [6.0, 1.5]]
@@ -610,17 +612,18 @@ def _orders(inst, i, grid):
 
 
 @st.composite
-def tied_instances(draw, sizes=(1, 8)):
+def tied_instances(draw, sizes=(1, 8), levels=(1, 5)):
     """Feasible frozen instances of ``sizes`` workers with cost bounds (1, 5)
-    and costs on the integer levels between them or uniform over them: tied
-    other bids, bids on either bound, own costs tied with another bid, and
-    some zero caps."""
+    and costs on the integer ``levels`` or uniform between them: tied other
+    bids, bids on either bound, own costs tied with another bid, and some
+    zero caps.  Levels past the bounds give costs outside them too."""
     n = draw(st.integers(*sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low, high = levels
     if draw(st.booleans()):
-        costs = rng.integers(1, 6, n).astype(float)
+        costs = rng.integers(low, high + 1, n).astype(float)
     else:
-        costs = rng.uniform(1.0, 5.0, n)
+        costs = rng.uniform(low, high, n)
     caps = rng.uniform(0.0, 1.0, n)
     caps[rng.random(n) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
     target = draw(st.sampled_from([1.001, 1.3, 3.0]))
@@ -636,18 +639,30 @@ TIED = FrozenInstance(  # ties on both bounds and inside, one zero cap
 )
 
 
+# Worker 2's cost lies above the bounds, and worker 0's too.  Only the bid 5,
+# on the upper bound, puts worker 2 between workers 1 and 0.
+ABOVE_BOUNDS = FrozenInstance(
+    costs=np.array([6.0, 5.0, 6.0]), caps=np.array([0.6, 0.6, 0.6]), cost_bounds=(1.0, 5.0),
+)
+
+
 @example(inst=TIED)
-@given(inst=tied_instances())
+@example(inst=ABOVE_BOUNDS)
+@given(inst=st.one_of(tied_instances(), tied_instances(levels=(0, 6))))
 @settings(max_examples=200, deadline=None)
 def test_rank_grid_reaches_the_knot_grid_orders_once_each(inst):
-    """The rank grid reaches the same set of bid orders as the knot grid,
-    each order once, the truthful order first."""
+    """The rank grid reaches the bid orders of the knot grid and the
+    truthful one, each order once, the truthful order first.  Costs beyond
+    the bounds rank outside every bid inside them; only the truthful bid of
+    a cost out there can reach an order that no bid inside reaches."""
+    lo, hi = inst.cost_bounds
     for i in range(len(inst.costs)):
         grid = deviation_grid(inst, i)
         assert grid[0] == inst.costs[i]
+        assert all(lo <= b <= hi for b in grid[1:])
         orders = _orders(inst, i, grid)
         assert len(set(orders)) == len(orders)
-        assert set(orders) == set(_orders(inst, i, knot_grid(inst, i)))
+        assert set(orders) == {orders[0], *_orders(inst, i, knot_grid(inst, i))}
 
 
 def _tail_behind(inst, i, b):
@@ -668,7 +683,7 @@ EXACT_COVER = FrozenInstance(
 )
 # Workers 2, 3 and 0 cap 0.7, 0.2 and 0.1: 0.9999999999999999 in bid order,
 # 1.0 by fsum, so they cover the job.  Worker 1 bidding 3.0 ranks after them,
-# past the boundary; grid seed 17 gives it the grid [3.0].
+# past the boundary.
 SHORT_COVER = FrozenInstance(
     costs=np.array([3.0, 1.5, 2.0, 2.5, 4.0]), caps=np.array([0.1, 2e-17, 0.7, 0.2, 0.5]),
     cost_bounds=(1.0, 5.0),
@@ -688,18 +703,15 @@ ZERO_CAP = FrozenInstance(
 )
 # Worker 3 bidding 3.0 or more ranks after three full caps that sum to
 # 0.2387, where 1 - total is one ulp short and ``_remainder``'s fix-up loop
-# sets its fraction.  Grid seed 2 gives worker 3 the given grid [3.0], and
-# depends on the order the test draws its per-worker grids.
+# sets its fraction.
 FIX_UP_CAPS = FrozenInstance(
     costs=np.array([1.0, 2.0, 3.0, 1.5]),
     caps=np.array([0.12897873630177883, 0.015148427668818855, 0.09453055554283875, 1.0]),
     cost_bounds=(1.0, 5.0),
 )
 # Costs on both bounds: worker 1 bidding either bound ties with a cost there
-# and keeps rank 1, so only a bid outside the bounds reaches rank 0 or rank
-# 2, where the others' caps of 0.9 make it the boundary worker.  Grid seed
-# 306 gives every worker given bids below 1.0 and above 5.0, and depends on
-# the order the test draws its per-worker grids.
+# and keeps rank 1, so no bid inside the bounds reaches rank 0 or rank 2,
+# and its rank grid is its own cost alone.
 OUT_OF_BOUNDS = FrozenInstance(
     costs=np.array([1.0, 2.5, 5.0]), caps=np.array([0.4, 0.5, 0.5]), cost_bounds=(1.0, 5.0),
 )
@@ -730,11 +742,16 @@ def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
     the job exactly, in sequence or by fsum only.  A sweep calls neither
     ``sw_greedy`` nor ``job_payments``, and solves every bid but those that
     the others' caps cover the job ahead of, by ``oracles.literal_cover``.
-    It runs ``_remainder`` once for each distinct pair, among the solved
-    bids, of the boundary position and whether ``i`` ranks before it, and
-    builds the payment tail once for each distinct set of workers after the
-    boundary that a bid at or before the boundary leaves."""
-    calls = {"sw_greedy": 0, "_remainder": 0, "_payment_tail": 0, "job_payments": 0}
+    Each solved bid has a boundary position and ``i`` ranks before it or
+    at it.  Every rank before it shares one pair, and each rank at it has
+    its own, so the sweep runs ``_remainder`` and ``_payment_row`` once for
+    each distinct pair: once for the ranks before the boundary and once per
+    boundary rank.  It builds the payment tail once for each distinct set
+    of workers after the boundary that a bid at or before the boundary
+    leaves."""
+    calls = {
+        "sw_greedy": 0, "_remainder": 0, "_payment_tail": 0, "_payment_row": 0, "job_payments": 0,
+    }
 
     def counted(name):
         real = getattr(mechanism, name)
@@ -768,7 +785,7 @@ def test_rank_grid_has_one_bid_per_rank_on_distinct_costs(monkeypatch):
             counts = {k: calls[k] - before[k] for k in calls}
             assert counts == {
                 "sw_greedy": 0, "_remainder": len(rests), "_payment_tail": len(tails),
-                "job_payments": 0,
+                "_payment_row": len(rests), "job_payments": 0,
             }
     assert skipped > 0 and shared > 0 and shared_rests > 0
 
@@ -881,14 +898,19 @@ def dense_grid(instance, i):
 @settings(max_examples=100, deadline=None)
 @on_both_branches
 def test_deviation_grid_finds_the_dense_grid_maximum(seed, n_max):
+    """The sweep over the rank grid finds the gain that public
+    ``sw_greedy`` and ``job_payments`` calls find over the dense grid."""
     inst = random_frozen_instance(np.random.default_rng(seed), n_max=n_max)
     for i in range(len(inst.costs)):
         gain = deviation_sweep(inst, i)
-        assert repr(gain) == repr(deviation_sweep(inst, i, dense_grid(inst, i)))
+        assert repr(gain) == repr(literal_sweep(inst, i, dense_grid(inst, i)))
 
 
-# Small instances, and wide ones past the list crossover of 32 workers.
-SWEPT_INSTANCES = st.one_of(tied_instances(), tied_instances(sizes=(33, 40)))
+# Small instances, some with costs outside the bounds, and wide ones past the
+# list crossover of 32 workers.
+SWEPT_INSTANCES = st.one_of(
+    tied_instances(), tied_instances(levels=(0, 6)), tied_instances(sizes=(33, 40))
+)
 
 
 def _swept_workers(inst):
@@ -897,28 +919,28 @@ def _swept_workers(inst):
     return range(n) if n <= 8 else range(0, n, n // 5 + 1)
 
 
-@example(inst=TIED, grid_seed=0)
-@example(inst=EXACT_COVER, grid_seed=0)
-@example(inst=SHORT_COVER, grid_seed=17)
-@example(inst=TIED_AROUND, grid_seed=0)
-@example(inst=ZERO_CAP, grid_seed=0)
-@example(inst=FIX_UP_CAPS, grid_seed=2)
-@example(inst=OUT_OF_BOUNDS, grid_seed=306)
-@given(inst=SWEPT_INSTANCES, grid_seed=st.integers(0, 2**32 - 1))
+@example(inst=TIED)
+@example(inst=EXACT_COVER)
+@example(inst=SHORT_COVER)
+@example(inst=TIED_AROUND)
+@example(inst=ZERO_CAP)
+@example(inst=FIX_UP_CAPS)
+@example(inst=OUT_OF_BOUNDS)
+@example(inst=ABOVE_BOUNDS)
+@example(inst=replace(SHORT_COVER, cost_bounds=(np.float64(1), np.float64(5))))
+@example(inst=replace(SHORT_COVER, cost_bounds=(1, 5)))
+@given(inst=SWEPT_INSTANCES)
 @settings(max_examples=80, deadline=None)
 @on_both_branches
-def test_sweep_matches_the_public_payment_oracle_bit_for_bit(inst, grid_seed):
+def test_sweep_matches_the_public_payment_oracle_bit_for_bit(inst):
     """``deviation_sweep`` equals a sweep of public ``sw_greedy`` and
-    ``job_payments`` calls, by ``repr``, on the rank grid and on given grids:
-    bids tied with other costs, on the bounds, outside them and in between."""
-    rng = np.random.default_rng(grid_seed)
-    lo, hi = inst.cost_bounds
+    ``job_payments`` calls over the rank grid, by ``repr``: bids tied with
+    other costs, on the bounds and in between, costs outside the bounds,
+    and bounds given as numpy floats or ints, which leave every bid and
+    gain a Python float."""
     for i in _swept_workers(inst):
-        given_grid = np.concatenate(
-            [rng.choice(inst.costs, 3), [lo, hi], rng.uniform(lo - 1.0, hi + 1.0, 3)]
-        )
-        for grid in (None, given_grid, given_grid[:1]):
-            assert repr(deviation_sweep(inst, i, grid)) == repr(literal_sweep(inst, i, grid))
+        assert {type(b) for b in deviation_grid(inst, i)} == {float}
+        assert repr(deviation_sweep(inst, i)) == repr(literal_sweep(inst, i))
 
 
 @example(inst=TIED)
@@ -941,15 +963,15 @@ def test_utility_past_the_boundary_is_exactly_zero(inst):
 
 
 @on_both_branches
-def test_sweep_prices_the_bid_it_deviates_to():
-    """A boundary worker's own bid enters its utility only as ``(b - c) *
-    0.0``, which is NaN when ``b - c`` overflows: the sweep prices the bid of
-    the deviation, as ``job_payments`` does, not the truthful one."""
-    inst = FrozenInstance(costs=np.array([1.5e308, 2.0]), caps=np.array([1.0, 0.5]),
-                          cost_bounds=(1.0, 5.0))
-    grid = np.array([-1.5e308])  # worker 0 bids first and takes the whole job
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert repr(deviation_sweep(inst, 0, grid)) == repr(literal_sweep(inst, 0, grid)) == "nan"
+def test_grid_midpoints_do_not_overflow():
+    """Costs near the largest float: the midpoint of 1.5e308 and 1.6e308 is
+    halved before the add, so every grid bid is finite and inside the
+    bounds, and each sweep equals the oracle's, by ``repr``."""
+    inst = FrozenInstance(costs=np.array([1.5e308, 1.6e308, 1.0]), caps=np.full(3, 0.6),
+                          cost_bounds=(1.0, 1.7e308))
+    for i in range(3):
+        assert all(math.isfinite(b) and 1.0 <= b <= 1.7e308 for b in deviation_grid(inst, i))
+        assert repr(deviation_sweep(inst, i)) == repr(literal_sweep(inst, i)) == "0.0"
 
 
 def _bad(costs=(1.0, 2.0, 3.0), caps=(0.5, 0.4, 0.6), cost_bounds=(1.0, 5.0)):
@@ -978,11 +1000,10 @@ BAD_INSTANCES = {
 @on_both_branches
 def test_sweep_of_a_bad_instance_raises(inst):
     """A bad instance raises ``ValueError`` or ``InfeasibleJob`` for every
-    worker, with no grid and with a given one; it never returns a number."""
+    worker; it never returns a number."""
     for i in range(3):  # every worker of the three-worker instances
-        for grid in (None, np.array([2.0, 4.0])):
-            with pytest.raises((ValueError, InfeasibleJob)):
-                deviation_sweep(inst, i, grid)
+        with pytest.raises((ValueError, InfeasibleJob)):
+            deviation_sweep(inst, i)
 
 
 @pytest.mark.parametrize("inst", BAD_INSTANCES.values(), ids=BAD_INSTANCES.keys())
@@ -990,9 +1011,9 @@ def test_bad_instance_raises_on_every_sweep(inst):
     """A failed check is not kept: a fresh bad instance raises on its first
     sweep and again on its second, of the same worker or another."""
     inst = replace(inst)
-    for i, grid in ((0, None), (0, None), (1, np.array([2.0])), (1, None)):
+    for i in (0, 0, 1, 1):
         with pytest.raises((ValueError, InfeasibleJob)):
-            deviation_sweep(inst, i, grid)
+            deviation_sweep(inst, i)
 
 
 @pytest.mark.parametrize(
@@ -1037,24 +1058,23 @@ def _short_caps(n: int, seed: int) -> FrozenInstance:
     return FrozenInstance(rng.uniform(1.0, 5.0, n), caps * (0.97 / caps.sum()), (1.0, 5.0))
 
 
-# At these seeds some worker's first deviation, on either grid, sums the
-# caps to another total than the truthful bids do, so a sweep that let the
-# truthful bid pass would raise at that other total.
-@pytest.mark.parametrize("grid", [None, np.array([0.5, 4.5, 3.0])], ids=["rank", "given"])
+# At these seeds some worker's first deviation sums the caps to another
+# total than the truthful bids do, so a sweep that let the truthful bid pass
+# would raise at that other total.
+@pytest.mark.parametrize("sweep", [deviation_sweep, literal_sweep], ids=["rank", "oracle"])
 @pytest.mark.parametrize("n, seed", [(3, 5), (40, 40)], ids=["n3", "n40"])
 @on_both_branches
-def test_sweep_of_short_caps_raises_the_greedy_total(n, seed, grid):
+def test_sweep_of_short_caps_raises_the_greedy_total(n, seed, sweep):
     """No sweep calls ``sw_greedy``, yet every worker's sweep of an instance
     whose caps fall short raises its ``InfeasibleJob``, at the total that
-    ``sw_greedy`` reports for the truthful bids: the sweep solves the
-    truthful bid first and sums its caps as ``sw_greedy`` does, on lists or
-    with numpy's ``cumsum``."""
+    ``sw_greedy`` reports for the truthful bids, as the oracle's public
+    calls do: the ``fsum`` of the caps, which no bid order changes."""
     inst = _short_caps(n, seed)
     with pytest.raises(InfeasibleJob) as want:
         sw_greedy(inst.costs, inst.caps)
     for i in range(n):
         with pytest.raises(InfeasibleJob) as got:
-            deviation_sweep(inst, i, grid)
+            sweep(inst, i)
         assert repr(got.value.total_cap) == repr(want.value.total_cap), i
 
 
@@ -1154,13 +1174,13 @@ def test_cover_of_caps_near_one_does_not_depend_on_the_bid_order(inst, seed):
         assert moved.fractions.tobytes() == truthful.fractions.tobytes()
 
 
-@on_both_branches
 def test_sweep_over_a_bad_grid_raises():
-    """An empty grid, or one with a NaN or infinite bid, raises ``ValueError``."""
+    """A sweep evaluates its own rank grid: any given grid, the empty list
+    and the rank grid itself included, raises ``ValueError``."""
     inst = _bad()
-    for grid in ([], [2.0, np.nan], [np.inf], [-np.inf, 2.0]):
-        with pytest.raises(ValueError):
-            deviation_sweep(inst, 0, np.array(grid))
+    for grid in ([], [2.0], np.array([2.0, np.nan]), deviation_grid(inst, 0)):
+        with pytest.raises(ValueError, match="grid must be None"):
+            deviation_sweep(inst, 0, grid)
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
